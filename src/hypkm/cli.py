@@ -24,6 +24,8 @@ from .config import (
     build_space,
     canonical_json,
     config_hash,
+    config_positive,
+    config_positive_int,
     config_rational,
     load_config,
     parse_point,
@@ -39,6 +41,8 @@ from .errors import (
 from .km import km_iterate, require_valid_schedule, residuals_nonincreasing
 from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
 from .rates import (
+    LOG10_2_UPPER,
+    decimal_string,
     describe_overflow,
     digit_count,
     rate_g,
@@ -52,6 +56,10 @@ from .uafpp import UafppModulus, banach_ufpp_modulus, modulus_table, uafpp_to_re
 #: full decimals are printed up to this many digits; larger rate values are
 #: reported as a sound scientific-notation upper bound plus the digit count.
 MAX_PRINT_DIGITS = 1_000_000
+
+#: values of at most this many bits have at most MAX_PRINT_DIGITS digits:
+#: bits * log10(2) <= bits * LOG10_2_UPPER <= MAX_PRINT_DIGITS.
+MAX_PRINT_BITS = int(MAX_PRINT_DIGITS / LOG10_2_UPPER)
 
 
 def _headers(cfg: dict) -> list[str]:
@@ -146,25 +154,26 @@ def _rate_line(name: str, compute) -> str:
         v = compute()
     except RateOverflowError as exc:
         return f"{name} {describe_overflow(exc)}"
-    digits = digit_count(v)
-    if digits > MAX_PRINT_DIGITS:
-        lead = v // 10 ** (digits - 5)
-        mantissa = (lead + 1) / 10_000  # rounded up: sound as an upper bound
-        return f"{name} <= {mantissa:.4f}e+{digits - 1} (exact value has {digits} decimal digits)"
-    return f"{name} = {v}"
+    if v.bit_length() > MAX_PRINT_BITS:
+        digits = digit_count(v)
+        if digits > MAX_PRINT_DIGITS:
+            lead = v // 10 ** (digits - 5)
+            mantissa = (lead + 1) / 10_000  # rounded up: sound as an upper bound
+            return f"{name} <= {mantissa:.4f}e+{digits - 1} (exact value has {digits} decimal digits)"
+    return f"{name} = {decimal_string(v)}"
 
 
 def cmd_rates(cfg: dict, args) -> int:
     if "K" not in cfg:
         raise ConfigError("rates: missing required key 'K'")
-    K = int(cfg["K"])
+    K = config_positive_int(cfg, "K")
     alpha = build_alpha(cfg.get("alpha") or _missing("alpha"))
-    eps = config_rational(cfg, "eps")
+    eps = config_positive(cfg, "eps")
     if eps is None:
         _missing("eps")
-    b = config_rational(cfg, "b")
-    b1 = config_rational(cfg, "b1")
-    b2 = config_rational(cfg, "b2")
+    b = config_positive(cfg, "b")
+    b1 = config_positive(cfg, "b1")
+    b2 = config_positive(cfg, "b2")
     lines = _headers(cfg)
     if b is not None:
         lines.append(_rate_line("h", lambda: rate_h(eps, b, K, alpha)))
@@ -307,10 +316,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--eta", help="override the test tolerance (rational)")
     args = parser.parse_args(argv)
 
-    # exact rate values are legitimately enormous; raise the print guard
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact values are legitimately enormous; raise the print guard for this
+    # call only, restoring the caller's setting on return
+    guarded = hasattr(sys, "set_int_max_str_digits")
+    if guarded:
+        previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(max(MAX_PRINT_DIGITS + 100, 10_000))
-
     try:
         if args.command == "demo":
             cfg = {}
@@ -328,6 +339,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HypkmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if guarded:
+            sys.set_int_max_str_digits(previous)
 
 
 if __name__ == "__main__":

@@ -80,6 +80,25 @@ def config_rational(cfg: dict, key: str, default=None) -> Optional[Fraction]:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
+def config_positive(cfg: dict, key: str) -> Optional[Fraction]:
+    """Read a rational-valued key that must be > 0."""
+    value = config_rational(cfg, key)
+    if value is not None and value <= 0:
+        raise ConfigError(f"config key {key!r}: must be positive, got {cfg[key]!r}")
+    return value
+
+
+def config_positive_int(cfg: dict, key: str) -> Optional[int]:
+    """Read a key that must be an integer >= 1 (2, "2" and 2.0 qualify;
+    2.5 and true do not)."""
+    value = config_positive(cfg, key)
+    if value is None:
+        return None
+    if value.denominator != 1:
+        raise ConfigError(f"config key {key!r}: must be an integer, got {cfg[key]!r}")
+    return int(value)
+
+
 def _need(cfg: dict, key: str, context: str):
     if key not in cfg:
         raise ConfigError(f"{context}: missing required key {key!r}")

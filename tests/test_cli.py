@@ -221,6 +221,57 @@ def test_rates_argument_errors(tmp_path, capsys):
     assert code == 2 and "'eps'" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("K", 2.5),
+        ("K", "two"),
+        ("K", True),
+        ("K", 0),
+        ("eps", 0),
+        ("eps", "-1/2"),
+        ("b", 0),
+        ("b1", "-1/4"),
+        ("b2", 0),
+    ],
+)
+def test_rates_rejects_bad_values(tmp_path, capsys, key, value):
+    cfg = {"K": 1, "alpha": {"kind": "identity"}, "eps": 4, "b": 1, "b1": "1/4", "b2": "1/2"}
+    cfg[key] = value
+    code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 2 and f"config key {key!r}" in err and out == ""
+
+
+def test_rates_accepts_integral_K_spellings(tmp_path, capsys):
+    for K in ("1", 1.0):
+        cfg = {"K": K, "alpha": {"kind": "identity"}, "eps": 4, "b": 1}
+        code, out, _ = run_cli(tmp_path, capsys, "rates", cfg)
+        assert code == 0 and "h = 30" in out.splitlines()
+
+
+def test_rates_restores_int_str_limit(tmp_path, capsys):
+    # main lifts the int-to-str digit limit only while it runs, and prints the
+    # anchor exactly without it; the digits are checked by length and by their
+    # residue modulo a Mersenne prime, read in 9-digit chunks
+    cfg = {"K": 2, "alpha": {"kind": "scale_ceil", "c": 2}, "eps": "1/2", "b": 1}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run_cli(tmp_path, capsys, "rates", cfg)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    digits = next(l for l in out.splitlines() if l.startswith("h = "))[len("h = "):]
+    assert len(digits) == 724042 and digits[0] != "0"
+    p = 2**127 - 1
+    residue = 0
+    for j in range(0, len(digits), 9):
+        chunk = digits[j : j + 9]
+        residue = (residue * 10 ** len(chunk) + int(chunk)) % p
+    assert residue == 13 * (pow(2, 2405209, p) - 1) % p
+
+
 # ---------------------------------------------------------------------------
 # product
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ recursion) that shares no code with the library path.
 """
 
 import math
+import random
 import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hypkm import (
     ArgumentError,
@@ -35,7 +37,7 @@ from hypkm import (
     rate_h,
     rate_h_tilde,
 )
-from hypkm.rates import HEAD_STEPS, SCAN_CAP, monus
+from hypkm.rates import _STR_BITS, HEAD_STEPS, SCAN_CAP, decimal_string, monus
 
 mpmath.mp.dps = 80
 
@@ -94,6 +96,52 @@ def test_digit_count_against_str():
     for v in values:
         assert digit_count(v) == len(str(v))
         assert digit_count(-v) == len(str(v))
+
+
+def str_oracle(x):
+    # str() with the int-to-str digit limit lifted for this call only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@st.composite
+def renderer_inputs(draw):
+    # random values up to ~200k bits, clustered on both sides of the str()
+    # cutover, plus the shapes whose digits are all 0 or all 9 in some base
+    bits = draw(
+        st.one_of(
+            st.integers(0, 200_000),
+            st.integers(_STR_BITS - 64, _STR_BITS + 64),
+            st.integers(100_000, 200_000),
+        )
+    )
+    shape = draw(st.sampled_from(["random", "10**k", "10**k - 1", "2**k - 1"]))
+    k10 = bits * 30103 // 100000
+    if shape == "random":
+        x = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
+    elif shape == "10**k":
+        x = 10**k10
+    elif shape == "10**k - 1":
+        x = 10**k10 - 1
+    else:
+        x = 2**bits - 1
+    return x if draw(st.booleans()) else -x
+
+
+@given(renderer_inputs())
+@example(0)
+@example(-1)
+@example(2**_STR_BITS - 1)
+@example(2**_STR_BITS)
+@example(-(2**_STR_BITS))
+@example(10**60_000)
+@example(10**60_000 - 1)
+def test_decimal_string_matches_str(x):
+    assert decimal_string(x) == str_oracle(x)
 
 
 # ---------------------------------------------------------------------------
