@@ -194,15 +194,13 @@ def criterion_3() -> CriterionResult:
             x, y = rng.random(), rng.random()
             u, v = rng.random(), rng.random()
             bound = max(C.distance(x, y), M.distance(u, v))
-            Tu, Tv = slice_map(T, u), slice_map(T, v)
-            a, b = x, y
-            for n in range(51):
+            left = km_iterate(C, slice_map(T, u), x, sched, 50).points
+            right = km_iterate(C, slice_map(T, v), y, sched, 50).points
+            for a, b in zip(left, right):
                 worst = max(worst, C.distance(a, b) - bound)
                 if C.distance(a, b) > bound + 1e-9:
                     violations += 1
                     break
-                a = C.combine(a, Tu(a), sched.lam_float(n))
-                b = C.combine(b, Tv(b), sched.lam_float(n))
     seconds = time.perf_counter() - t0
     if violations:
         detail = f"{violations} start tuples drifted past the bound + 1e-9"

@@ -24,6 +24,7 @@ from .config import (
     build_space,
     canonical_json,
     config_hash,
+    config_natural,
     config_positive,
     config_positive_int,
     config_rational,
@@ -38,7 +39,7 @@ from .errors import (
     RateOverflowError,
     ScheduleError,
 )
-from .km import km_iterate, require_valid_schedule, residuals_nonincreasing
+from .km import km_iterate, residuals_nonincreasing
 from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
 from .rates import (
     LOG10_2_UPPER,
@@ -120,14 +121,13 @@ def cmd_iterate(cfg: dict, args) -> int:
     if "x0" not in cfg:
         raise ConfigError("iterate: missing required key 'x0'")
     x0 = parse_point(space, cfg["x0"])
-    if "N" not in cfg:
+    N = config_natural(cfg, "N")
+    if N is None:
         raise ConfigError("iterate: missing required key 'N'")
-    N = int(cfg["N"])
     try:
-        require_valid_schedule(sched, N)
+        trace = km_iterate(space, T, x0, sched, N)
     except ScheduleError as exc:
         raise ConfigError(f"schedule invalid up to N={N}: {exc}") from exc
-    trace = km_iterate(space, T, x0, sched, N)
     meta = {
         "version": __version__,
         "config_hash": config_hash(cfg),

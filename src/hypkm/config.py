@@ -88,15 +88,22 @@ def config_positive(cfg: dict, key: str) -> Optional[Fraction]:
     return value
 
 
+def config_natural(cfg: dict, key: str) -> Optional[int]:
+    """Read a key that must be an integer >= 0 (0, "3" and 3.0 qualify;
+    -1, 2.5, "x" and true do not)."""
+    value = config_rational(cfg, key)
+    if value is not None and (value < 0 or value.denominator != 1):
+        raise ConfigError(f"config key {key!r}: must be a natural, got {cfg[key]!r}")
+    return None if value is None else int(value)
+
+
 def config_positive_int(cfg: dict, key: str) -> Optional[int]:
     """Read a key that must be an integer >= 1 (2, "2" and 2.0 qualify;
-    2.5 and true do not)."""
-    value = config_positive(cfg, key)
-    if value is None:
-        return None
-    if value.denominator != 1:
-        raise ConfigError(f"config key {key!r}: must be an integer, got {cfg[key]!r}")
-    return int(value)
+    0, 2.5 and true do not)."""
+    value = config_natural(cfg, key)
+    if value == 0:
+        raise ConfigError(f"config key {key!r}: must be positive, got {cfg[key]!r}")
+    return value
 
 
 def _need(cfg: dict, key: str, context: str):
@@ -169,7 +176,7 @@ def build_schedule(desc: dict) -> Schedule:
     if not isinstance(desc, dict):
         raise ConfigError(f"schedule descriptor must be an object, got {desc!r}")
     kind = _need(desc, "kind", "schedule descriptor")
-    K = desc.get("K")
+    K = config_positive_int(desc, "K")
     alpha = build_alpha(desc["alpha"]) if "alpha" in desc else None
     try:
         if kind == "constant":

@@ -5,14 +5,19 @@ the way from the current point toward its image.  A schedule carries two
 witnesses beside the step sizes: K caps them away from 1 (lam_n <= 1 - 1/K)
 and alpha certifies divergence of their sums (n <= sum_{i<=alpha(n)} lam_i).
 Both clauses are the hard preconditions of the rate bounds in `rates`.
+
+Every orbit in the package is walked by the one loop `_km_walk`, with the
+same domain checks.  A Schedule caches its float steps (`float_steps`) and
+the largest horizon `require_valid_schedule` has accepted.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArgumentError, DomainError, DomainEscapeError, ScheduleError
 from .rates import AlphaLike, alpha_scale_ceil, alpha_table, as_fraction
@@ -31,8 +36,9 @@ class Schedule:
     """Step sizes lam: nat -> [0,1) plus the witnesses (K, alpha).
 
     ``lam`` must return exact Fractions; constructors below guarantee it.
-    Treat instances as immutable; the only mutable member is a partial-sum
-    cache that behaves as if absent.
+    Treat instances as immutable; the only mutable members are caches that
+    behave as if absent: exact partial sums, float steps, and the largest
+    horizon validation has accepted.
     """
 
     lam: Callable[[int], Fraction]
@@ -40,7 +46,10 @@ class Schedule:
     alpha: AlphaLike
     label: str = ""
     constant: Optional[Fraction] = None  # set when lam is constant: O(1) sums
-    _cums: list = field(default_factory=list, repr=False, compare=False)
+    # caches start empty on every instance, dataclasses.replace included
+    _cums: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _floats: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _valid_to: int = field(default=-1, init=False, repr=False, compare=False)
 
     def lam_at(self, n: int) -> Fraction:
         v = self.lam(n)
@@ -50,6 +59,20 @@ class Schedule:
 
     def lam_float(self, n: int) -> float:
         return float(self.lam_at(n))
+
+    def float_steps(self) -> Iterator[float]:
+        """lam_0, lam_1, ... as floats.  A constant schedule repeats one float
+        and stores nothing; any other converts each step once, into a table
+        extended lazily, never past the steps actually drawn."""
+        if self.constant is not None:
+            return itertools.repeat(float(self.constant))
+        return self._table_steps(self._floats)
+
+    def _table_steps(self, table: list) -> Iterator[float]:
+        for k in itertools.count():
+            if k == len(table):
+                table.append(float(self.lam_at(k)))
+            yield table[k]
 
     def partial_sum(self, m: int) -> Union[Fraction, float]:
         """sum_{i=0}^{m} lam_i; exact Fraction when affordable, float beyond.
@@ -174,29 +197,19 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     notes: list[str] = []
     cap = 1 - Fraction(1, sched.K)
     float_mode_seen = False
+
+    def violation(n: int, clause: str, detail: str) -> ScheduleReport:
+        return ScheduleReport(horizon, False, ScheduleViolation(n, clause, detail), notes)
+
     for n in range(horizon + 1):
         lam_n = sched.lam_at(n)
         if not 0 <= lam_n < 1:
-            return ScheduleReport(
-                horizon, False,
-                ScheduleViolation(n, "lambda_range", f"lam_{n}={lam_n} outside [0,1)"),
-                notes,
-            )
+            return violation(n, "lambda_range", f"lam_{n}={lam_n} outside [0,1)")
         if lam_n > cap:
-            return ScheduleReport(
-                horizon, False,
-                ScheduleViolation(
-                    n, "lambda_cap", f"lam_{n}={lam_n} > 1-1/K={cap}"
-                ),
-                notes,
-            )
+            return violation(n, "lambda_cap", f"lam_{n}={lam_n} > 1-1/K={cap}")
         a_n = sched.alpha(n)
         if not isinstance(a_n, int) or a_n < 0:
-            return ScheduleReport(
-                horizon, False,
-                ScheduleViolation(n, "alpha_range", f"alpha({n})={a_n!r} not a natural"),
-                notes,
-            )
+            return violation(n, "alpha_range", f"alpha({n})={a_n!r} not a natural")
         s = sched.partial_sum(a_n)
         if isinstance(s, float):
             slack = (a_n + 1) * FLOAT_SUM_SLACK
@@ -210,21 +223,20 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
         else:
             ok = n <= s
         if not ok:
-            return ScheduleReport(
-                horizon, False,
-                ScheduleViolation(
-                    n, "sum_witness",
-                    f"sum of lam_0..lam_{a_n} = {float(s):.6g} < n = {n}",
-                ),
-                notes,
-            )
+            return violation(n, "sum_witness", f"sum of lam_0..lam_{a_n} = {float(s):.6g} < n = {n}")
     return ScheduleReport(horizon, True, None, notes)
 
 
 def require_valid_schedule(sched: Schedule, horizon: int) -> None:
+    """Raise ScheduleError unless both clauses hold for all n <= horizon.
+    The largest horizon passed is remembered (clauses are per index, so any
+    smaller horizon passes too); failures are not."""
+    if 0 <= horizon <= sched._valid_to:
+        return
     report = validate_schedule(sched, horizon)
     if not report.valid:
         raise ScheduleError(report.summary())
+    sched._valid_to = horizon
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +277,55 @@ class ResidualTrace:
             f.write("\n".join(self.csv_lines(meta)) + "\n")
 
 
-def _checked_image(space: Space, T, x: Point, step: int) -> Point:
-    Tx = T(x)
-    if not space.contains(Tx):
-        raise DomainEscapeError(step, Tx)
-    return Tx
+def _km_walk(
+    space: HyperbolicSpace,
+    T: Callable[[Point], Point],
+    x0: Point,
+    sched: Schedule,
+    n: int,
+    points: Optional[list] = None,
+    residuals: Optional[list] = None,
+    stop_eps: Optional[float] = None,
+) -> tuple:
+    """The averaged iteration: up to n steps from x0, evaluating T once per
+    step.  An image or iterate outside the space raises DomainEscapeError
+    naming the step: escaping iterates would silently falsify
+    nonexpansiveness, so they are never clamped.  Iterates x_1.. go to
+    ``points`` and residuals rho(x_k, T(x_k)) to ``residuals`` when given;
+    with ``stop_eps`` the walk stops at the first x_k (k < n) with residual
+    <= stop_eps.  Returns (x_k, k, r): where it stopped, and the residual
+    there if ``residuals`` or ``stop_eps`` asked for residuals (else None).
+    """
+    if n < 0:
+        raise ArgumentError(f"step count must be a natural, got {n}")
+    contains, distance, combine = space.contains, space.distance, space.combine
+    if not contains(x0):
+        raise DomainError(f"start {x0!r} is not a member of {space!r}")
+    track = residuals is not None or stop_eps is not None
+    x, r = x0, None
+    for k, lam in zip(range(n), sched.float_steps()):
+        Tx = T(x)
+        if not contains(Tx):
+            raise DomainEscapeError(k, Tx)
+        if track:
+            r = distance(x, Tx)
+            if residuals is not None:
+                residuals.append(r)
+            if stop_eps is not None and r <= stop_eps:
+                return x, k, r
+        x = combine(x, Tx, lam)
+        if not contains(x):
+            raise DomainEscapeError(k, x)
+        if points is not None:
+            points.append(x)
+    if track:
+        Tx = T(x)
+        if not contains(Tx):
+            raise DomainEscapeError(n, Tx)
+        r = distance(x, Tx)
+        if residuals is not None:
+            residuals.append(r)
+    return x, n, r
 
 
 def km_iterate(
@@ -280,30 +336,11 @@ def km_iterate(
     N: int,
     validate: bool = True,
 ) -> ResidualTrace:
-    """Run N averaged steps from x0, recording every point and residual.
-
-    Raises DomainEscapeError (naming the step) if T ever maps outside the
-    space: escaping iterates would silently falsify nonexpansiveness, so
-    they are never clamped.
-    """
-    if N < 0:
-        raise ArgumentError(f"step count must be a natural, got {N}")
-    if not space.contains(x0):
-        raise DomainError(f"start {x0!r} is not a member of {space!r}")
+    """Run N averaged steps from x0, recording every point and residual."""
     if validate:
         require_valid_schedule(sched, N)
-    points = [x0]
-    residuals = []
-    x = x0
-    for n in range(N):
-        Tx = _checked_image(space, T, x, n)
-        residuals.append(space.distance(x, Tx))
-        x = space.combine(x, Tx, sched.lam_float(n))
-        if not space.contains(x):
-            raise DomainEscapeError(n, x)
-        points.append(x)
-    Tx = _checked_image(space, T, x, N)
-    residuals.append(space.distance(x, Tx))
+    points, residuals = [x0], []
+    _km_walk(space, T, x0, sched, N, points=points, residuals=residuals)
     return ResidualTrace(space, points, residuals, sched.label)
 
 
@@ -316,19 +353,9 @@ def km_orbit_end(
     validate: bool = False,
 ) -> Point:
     """The n-th iterate only, without building a trace."""
-    if n < 0:
-        raise ArgumentError(f"step count must be a natural, got {n}")
-    if not space.contains(x0):
-        raise DomainError(f"start {x0!r} is not a member of {space!r}")
     if validate:
         require_valid_schedule(sched, n)
-    x = x0
-    for k in range(n):
-        Tx = _checked_image(space, T, x, k)
-        x = space.combine(x, Tx, sched.lam_float(k))
-        if not space.contains(x):
-            raise DomainEscapeError(k, x)
-    return x
+    return _km_walk(space, T, x0, sched, n)[0]
 
 
 def estimate_residual_inf(

@@ -29,32 +29,16 @@ class NonexpansiveMap:
     def __call__(self, x: Point) -> Point:
         return self.fn(x)
 
-    def apply(self, x: Point) -> Point:
-        return self.fn(x)
-
 
 #: a selection function is shaped exactly like a nonexpansive map: domain is
 #: the parameter space, values land in the (u-dependent) first factor.
 SelectionFunction = NonexpansiveMap
 
-
-@dataclass(frozen=True)
-class ProductMap:
-    """A claimed d-infinity-nonexpansive self-map of a two-factor space.
-
-    ``domain`` must expose ``right`` (the parameter factor), ``slice_space(u)``
-    (the fiber the first coordinate lives in), and the product distance.
-    """
-
-    domain: Space
-    fn: Callable[[Point], Point]
-    label: str = ""
-
-    def __call__(self, p: Point) -> Point:
-        return self.fn(p)
-
-    def apply(self, p: Point) -> Point:
-        return self.fn(p)
+#: a product map is a claimed d-infinity-nonexpansive self-map of a
+#: two-factor space; its ``domain`` must expose ``right`` (the parameter
+#: factor), ``slice_space(u)`` (the fiber the first coordinate lives in) and
+#: the product distance.
+ProductMap = NonexpansiveMap
 
 
 def proj1(p: Point) -> Point:

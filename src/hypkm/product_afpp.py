@@ -26,7 +26,7 @@ from .errors import (
     RateOverflowError,
     SelectionError,
 )
-from .km import Schedule, constant_schedule, km_orbit_end, require_valid_schedule
+from .km import Schedule, _km_walk, constant_schedule, km_orbit_end, require_valid_schedule
 from .maps import (
     NonexpansiveMap,
     ProductMap,
@@ -44,6 +44,7 @@ from .maps import (
 )
 from .rates import as_fraction, rate_g, rate_g_tilde
 from .spaces import (
+    DEFAULT_ETA,
     HyperbolicSpace,
     IntervalSpace,
     Point,
@@ -52,9 +53,6 @@ from .spaces import (
     make_real_line,
     product,
 )
-
-#: slack granted to oracle answers and probe contracts against float drift.
-CHECK_SLACK = 1e-9
 
 #: default iteration budget for solver runs.
 DEFAULT_BUDGET = 2000
@@ -85,7 +83,7 @@ class AfppOracle:
                 f"{self.label} returned {u!r}, not a member of {self.space!r}"
             )
         r = self.space.distance(u, f(u))
-        if r > eps + CHECK_SLACK:
+        if r > eps + DEFAULT_ETA:
             raise OracleError(
                 f"{self.label} returned residual {r:.6g} > tolerance {eps:.6g}"
             )
@@ -295,7 +293,7 @@ def approx_fixed_pair(
     sched: Schedule,
     oracle: AfppOracle,
     n: int,
-    eta: float = CHECK_SLACK,
+    eta: float = DEFAULT_ETA,
 ) -> AfppStep:
     """Run the lift at index n >= 1 (tolerance 1/n is undefined at 0).
 
@@ -403,7 +401,7 @@ def certified_run(
     eps,
     probe: Callable[[Point], Point],
     budget: int = DEFAULT_BUDGET,
-    eta: float = CHECK_SLACK,
+    eta: float = DEFAULT_ETA,
 ) -> CertifiedRunResult:
     """Run the lift at the certified index for tolerance eps.
 
@@ -521,15 +519,15 @@ def _precheck_orbit_bound(T, delta, sched, bound, budget, samples, seed, eta):
     for _ in range(samples):
         u = T.domain.right.sample(rng)
         fiber = T.domain.slice_space(u)
-        Tu = slice_map(T, u)
         x0 = delta(u)
-        x = x0
-        for j in range(horizon):
-            x = fiber.combine(x, Tu(x), sched.lam_float(j))
-            if fiber.distance(x0, x) > bound + eta:
+        orbit: list = []
+        _km_walk(fiber, slice_map(T, u), x0, sched, horizon, points=orbit)
+        for j, x in enumerate(orbit, 1):
+            d = fiber.distance(x0, x)
+            if d > bound + eta:
                 raise ProbeContractError(
-                    f"orbit bound {bound} violated at u={u!r}, step {j + 1}: "
-                    f"distance {fiber.distance(x0, x):.6g}"
+                    f"orbit bound {bound} violated at u={u!r}, step {j}: "
+                    f"distance {d:.6g}"
                 )
 
 
@@ -545,7 +543,7 @@ def solve_product_afpp(
     b1=None,
     b2=None,
     orbit_bound=None,
-    eta: float = CHECK_SLACK,
+    eta: float = DEFAULT_ETA,
     precheck_samples: int = 8,
     seed: int = 0,
 ) -> SolveResult:
@@ -648,7 +646,7 @@ def estimate_product_residual_inf(
     sched: Schedule,
     oracle: AfppOracle,
     N: int,
-    eta: float = CHECK_SLACK,
+    eta: float = DEFAULT_ETA,
 ) -> float:
     """Upper estimate of the infimum product residual inf_p d(p, T(p)):
     the best lifted residual over indices 1..N; nonincreasing in N."""
@@ -676,7 +674,7 @@ def check_uniform_displacement(
     b: float,
     samples: int,
     seed: int = 0,
-    eta: float = CHECK_SLACK,
+    eta: float = DEFAULT_ETA,
 ) -> DisplacementReport:
     """Sample parameters u and report the largest selection displacement
     rho(delta(u), T_u(delta(u))), flagging any u beyond the claimed bound b."""

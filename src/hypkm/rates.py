@@ -60,6 +60,8 @@ def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
         return x
     if isinstance(x, bool):
         raise ArgumentError(f"cannot treat {x!r} as a rational")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ArgumentError(f"not a rational: {x!r}")
     if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, str):
@@ -422,16 +424,6 @@ def ceil_exp_upper(c, e: int) -> int:
 # ---------------------------------------------------------------------------
 # the rate functions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RateInputs:
-    """Bundled arguments for the rate functions; CLI plumbing convenience."""
-
-    eps: Fraction
-    b: Fraction
-    K: int
-    alpha: AlphaLike
 
 
 def _validate_rate_args(eps: Fraction, b: Fraction, K: int) -> None:

@@ -26,11 +26,16 @@ from .errors import ArgumentError, DomainError
 
 Point = Any
 
+# Tolerance policy: MEMBERSHIP_SLACK widens closed sets in `contains`, and so
+# every domain check of the iteration; DEFAULT_ETA is the slack of checks on
+# computed values: axioms, the uafpp modulus and Banach checks, and the
+# product_afpp oracle, probe and lifted-residual checks (eta= overrides it).
+
 #: slack used by membership tests on closed sets, to absorb rounding drift
 #: accumulated over long iterations.
 MEMBERSHIP_SLACK = 1e-12
 
-#: default tolerance for axiom and property checks.
+#: default tolerance for axiom, property and certification checks.
 DEFAULT_ETA = 1e-9
 
 

@@ -17,24 +17,21 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ArgumentError, BudgetExhausted, InvariantError
-from .km import Schedule
+from .km import Schedule, _km_walk
 from .maps import NonexpansiveMap
 from .rates import as_fraction, digit_count, rate_h
-from .spaces import Point, Space
-
-#: float-drift slack for empirical certification checks.
-CHECK_SLACK = 1e-9
+from .spaces import DEFAULT_ETA, Point, Space
 
 #: literal KM runs refuse beyond this many steps unless an early-exit
 #: tolerance makes shorter runs sound.
 WITNESS_STEP_CAP = 1_000_000
 
 
-def _fmt_bound(v) -> str:
+def _fmt_bound(v, spec: str = ".6g") -> str:
     """Bounds may be exact rationals too large for float; degrade to a
     decimal-magnitude form instead of overflowing."""
     try:
-        return f"{float(v):.6g}"
+        return format(float(v), spec)
     except OverflowError:
         return f"~10^{digit_count(int(v)) - 1}"
 
@@ -131,27 +128,20 @@ def km_witness(
     both clauses whenever its residual does.  Runs that would need more than
     WITNESS_STEP_CAP literal steps are refused unless stop_eps is given.
     """
-    if N < 0:
-        raise ArgumentError(f"N must be a natural, got {N}")
     if N > WITNESS_STEP_CAP and stop_eps is None:
         raise ArgumentError(
             f"witness at N={N} needs more than {WITNESS_STEP_CAP} literal "
             "steps; pass stop_eps to allow a sound early exit"
         )
-    x = x0
-    for j in range(N):
-        r = space.distance(x, T(x))
-        if stop_eps is not None and r <= stop_eps:
-            return WitnessRun(point=x, steps=j, residual=r, early_exit=True)
-        if j >= WITNESS_STEP_CAP:
-            raise BudgetExhausted(
-                r, f"witness run exceeded {WITNESS_STEP_CAP} steps with residual {r:.6g}"
-            )
-        x = space.combine(x, T(x), sched.lam_float(j))
-    return WitnessRun(
-        point=x, steps=min(N, WITNESS_STEP_CAP), residual=space.distance(x, T(x)),
-        early_exit=False,
-    )
+    stop = -math.inf if stop_eps is None else stop_eps
+    x, steps, r = _km_walk(space, T, x0, sched, min(N, WITNESS_STEP_CAP), stop_eps=stop)
+    if steps == N:
+        return WitnessRun(point=x, steps=N, residual=r, early_exit=False)
+    if not r <= stop:
+        raise BudgetExhausted(
+            r, f"witness run exceeded {WITNESS_STEP_CAP} steps with residual {r:.6g}"
+        )
+    return WitnessRun(point=x, steps=steps, residual=r, early_exit=True)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,7 @@ def banach_fixed_point(T: NonexpansiveMap, x: Point, k, tol) -> BanachRun:
     for n in range(cap):
         nxt = T(cur)
         r_next = space.distance(nxt, T(nxt))
-        if r_next > kf * r + CHECK_SLACK:
+        if r_next > kf * r + DEFAULT_ETA:
             raise ArgumentError(
                 f"ratio test failed at step {n}: residual {r_next:.6g} > "
                 f"k * {r:.6g}; {k} is not a contraction constant for this map"
@@ -215,7 +205,7 @@ def banach_fixed_point(T: NonexpansiveMap, x: Point, k, tol) -> BanachRun:
         cur, r = nxt, r_next
         if r <= target:
             bound = r0 / (1 - kf)
-            if space.distance(x, cur) > bound + CHECK_SLACK:
+            if space.distance(x, cur) > bound + DEFAULT_ETA:
                 raise InvariantError(
                     "displacement exceeded its geometric-series bound"
                 )
@@ -322,7 +312,7 @@ def check_uafpp_empirically(
     phi: UafppModulus,
     samples: int = 50,
     seed: int = 0,
-    eta: float = CHECK_SLACK,
+    eta: float = DEFAULT_ETA,
 ) -> UafppCheckReport:
     """Test a claimed displacement modulus against live witness producers.
 
@@ -365,14 +355,11 @@ def modulus_table(
 ) -> list[tuple[str, str, str]]:
     """Evaluate a modulus on a grid, formatted for stable text output."""
 
-    def fmt(v) -> str:
-        try:
-            return f"{float(v):.17g}"
-        except OverflowError:
-            return f"~10^{digit_count(int(v)) - 1}"
-
     rows = []
     for eps in eps_values:
         for b in b_values:
-            rows.append((fmt(as_fraction(eps)), fmt(as_fraction(b)), fmt(modulus(eps, b))))
+            rows.append(tuple(
+                _fmt_bound(v, ".17g")
+                for v in (as_fraction(eps), as_fraction(b), modulus(eps, b))
+            ))
     return rows

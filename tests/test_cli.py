@@ -156,6 +156,32 @@ def test_iterate_missing_keys(tmp_path, capsys):
         assert code == 2 and "config error" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", -1), ("N", 2.5), ("N", "x"), ("K", 2.5), ("K", "two"), ("K", 0)],
+)
+def test_iterate_rejects_bad_values(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(ITERATE_CFG))
+    if key == "K":
+        cfg["schedule"]["K"] = value
+    else:
+        cfg[key] = value
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and f"config key {key!r}" in err and out == ""
+
+
+def test_iterate_accepts_integral_spellings(tmp_path, capsys):
+    _, golden, _ = run_cli(tmp_path, capsys, "iterate", ITERATE_CFG)
+    for N, K in (("2", 2), (2.0, "2"), (2, 2.0)):
+        cfg = json.loads(json.dumps(ITERATE_CFG))
+        cfg["N"] = N
+        cfg["schedule"]["K"] = K
+        code, out, _ = run_cli(tmp_path, capsys, "iterate", cfg)
+        assert code == 0
+        assert out.splitlines()[-4:] == golden.splitlines()[-4:]
+        assert f"# config_hash={config_hash(cfg)}" in out.splitlines()
+
+
 def test_iterate_rejects_metric_only_space(tmp_path, capsys):
     cfg = dict(ITERATE_CFG)
     cfg["space"] = {"kind": "circle"}

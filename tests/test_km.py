@@ -5,6 +5,7 @@ asserted outright; the Fejér displacement bound is checked against live
 orbits with a drift tolerance.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -35,6 +36,10 @@ from hypkm import (
 from hypkm.acceptance import affine_map_family
 from hypkm.errors import DomainError, DomainEscapeError
 from hypkm.km import EXACT_SUM_CAP, ResidualTrace
+from hypkm.maps import NonexpansiveMap
+from hypkm.product_afpp import _precheck_orbit_bound
+from hypkm.spaces import product
+from hypkm.uafpp import km_witness
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,41 @@ def test_require_valid_schedule_raises():
         validate_schedule(constant_schedule("1/2"), -1)
 
 
+def counting_lam(calls, value):
+    def lam(n):
+        calls.append(n)
+        return value(n)
+
+    return lam
+
+
+def test_require_valid_schedule_remembers_its_horizon():
+    calls = []
+    sched = Schedule(
+        lam=counting_lam(calls, lambda n: Fraction(1, 2)), K=2,
+        alpha=alpha_scale_ceil(2), constant=Fraction(1, 2),
+    )
+    require_valid_schedule(sched, 50)
+    require_valid_schedule(sched, 50)
+    require_valid_schedule(sched, 20)
+    assert len(calls) <= 51
+    require_valid_schedule(sched, 60)
+    assert len(calls) <= 51 + 61
+    # a copy with other steps starts with empty caches
+    copy = dataclasses.replace(sched, lam=lambda n: Fraction(1), constant=None)
+    with pytest.raises(ScheduleError):
+        require_valid_schedule(copy, 50)
+
+
+def test_require_valid_schedule_does_not_remember_failures():
+    calls = []
+    sched = Schedule(lam=counting_lam(calls, lambda n: Fraction(1)), K=2, alpha=alpha_identity())
+    for attempt in (1, 2):
+        with pytest.raises(ScheduleError):
+            require_valid_schedule(sched, 5)
+        assert len(calls) == attempt
+
+
 def test_validate_float_summation_notes_slack():
     # alpha far beyond the exact cap forces float partial sums; the report
     # carries a note and the comparison still passes
@@ -220,6 +260,58 @@ def test_km_orbit_end_matches_trace():
     sched = constant_schedule("1/2")
     trace = km_iterate(space, T, 1.0, sched, 7)
     assert km_orbit_end(space, T, 1.0, sched, 7) == trace.points[-1]
+
+
+@pytest.mark.parametrize(
+    "make_sched", [lambda: constant_schedule("1/3"), lambda: harmonic_schedule(3)],
+    ids=["constant", "harmonic"],
+)
+def test_orbit_end_trace_and_witness_agree(make_sched):
+    space = make_interval(0.0, 1.0)
+    T = interval_affine(space, -0.5, 0.7)
+    sched = make_sched()
+    end = km_orbit_end(space, T, 0.1, sched, 300)
+    assert end == km_iterate(space, T, 0.1, sched, 300, validate=False).points[-1]
+    assert end == km_witness(space, T, 0.1, sched, 300).point
+    assert end == km_orbit_end(space, T, 0.1, make_sched(), 300)
+
+
+def test_float_steps_are_converted_once_and_lazily():
+    calls = []
+    sched = Schedule(lam=counting_lam(calls, lambda n: Fraction(1, n + 2)), K=2, alpha=alpha_identity())
+    space = make_interval(0.0, 1.0)
+    T = interval_affine(space, 0.5, 0.25)
+    first = km_orbit_end(space, T, 0.0, sched, 10)
+    assert km_orbit_end(space, T, 0.0, sched, 10) == first
+    km_orbit_end(space, T, 0.0, sched, 4)
+    assert calls == list(range(10))
+
+
+def _escape_by_path(path):
+    # x -> x + 0.6 leaves [0, 1] from the start 0.9 at step 0
+    space = make_interval(0.0, 1.0)
+    T = NonexpansiveMap(space, lambda x: x + 0.6, "shift")
+    sched = constant_schedule("1/2")
+    if path == "iterate":
+        km_iterate(space, T, 0.9, sched, 5)
+    elif path == "orbit_end":
+        km_orbit_end(space, T, 0.9, sched, 5)
+    elif path == "witness":
+        km_witness(space, T, 0.9, sched, 5)
+    elif path == "witness_stop":
+        km_witness(space, T, 0.9, sched, 5, stop_eps=1e-3)
+    else:
+        dom = product(space, make_interval(0.0, 1.0))
+        PT = NonexpansiveMap(dom, lambda p: (p[0] + 0.6, p[1]), "shift_pair")
+        delta = NonexpansiveMap(dom.right, lambda u: 0.9, "constant(0.9)")
+        _precheck_orbit_bound(PT, delta, sched, 10.0, 200, 4, 0, 1e-9)
+
+
+@pytest.mark.parametrize("path", ["iterate", "orbit_end", "witness", "witness_stop", "precheck"])
+def test_every_iteration_path_refuses_domain_escape(path):
+    with pytest.raises(DomainEscapeError) as exc:
+        _escape_by_path(path)
+    assert exc.value.step == 0
 
 
 def test_fejer_displacement_bound():

@@ -75,7 +75,7 @@ def test_affine_map_on_boxes():
 def test_map_call_and_apply_agree():
     space = make_interval(0.0, 1.0)
     f = interval_affine(space, 0.5, 0.0)
-    assert f(0.8) == f.apply(0.8)
+    assert f(0.8) == f.fn(0.8) == 0.4
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,16 @@ def test_km_witness_zero_steps():
     assert run.residual == 1.0 and not run.early_exit
 
 
+def test_km_witness_evaluates_map_once_per_step():
+    calls = []
+    T = NonexpansiveMap(DROP10, lambda x: calls.append(x) or max(x - 1.0, 0.0), "drop")
+    run = km_witness(DROP10, T, 5.0, constant_schedule("1/2"), 20)
+    assert run.steps == 20 and len(calls) == 21
+    calls.clear()
+    run = km_witness(DROP10, T, 5.0, constant_schedule("1/2"), 40, stop_eps=0.5)
+    assert run.early_exit and len(calls) == run.steps + 1
+
+
 def test_km_witness_early_exit_is_sound():
     run = km_witness(
         DROP10, drop_map(), 5.0, constant_schedule("1/2"), 40, stop_eps=1.5
