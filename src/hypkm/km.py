@@ -7,8 +7,7 @@ and alpha certifies divergence of their sums (n <= sum_{i<=alpha(n)} lam_i).
 Both clauses are the hard preconditions of the rate bounds in `rates`.
 
 Every orbit in the package is walked by the one loop `_km_walk`, with the
-same domain checks.  A Schedule caches its float steps (`float_steps`) and
-the largest horizon `require_valid_schedule` has accepted.
+same domain checks, reading its steps from `Schedule.float_steps`.
 """
 
 from __future__ import annotations
@@ -36,9 +35,8 @@ class Schedule:
     """Step sizes lam: nat -> [0,1) plus the witnesses (K, alpha).
 
     ``lam`` must return exact Fractions; constructors below guarantee it.
-    Treat instances as immutable; the only mutable members are caches that
-    behave as if absent: exact partial sums, float steps, and the largest
-    horizon validation has accepted.
+    Treat instances as immutable; the only mutable member is the cache of
+    exact partial sums, which behaves as if absent.
     """
 
     lam: Callable[[int], Fraction]
@@ -46,10 +44,8 @@ class Schedule:
     alpha: AlphaLike
     label: str = ""
     constant: Optional[Fraction] = None  # set when lam is constant: O(1) sums
-    # caches start empty on every instance, dataclasses.replace included
+    # starts empty on every instance, dataclasses.replace included
     _cums: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _floats: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _valid_to: int = field(default=-1, init=False, repr=False, compare=False)
 
     def lam_at(self, n: int) -> Fraction:
         v = self.lam(n)
@@ -61,18 +57,11 @@ class Schedule:
         return float(self.lam_at(n))
 
     def float_steps(self) -> Iterator[float]:
-        """lam_0, lam_1, ... as floats.  A constant schedule repeats one float
-        and stores nothing; any other converts each step once, into a table
-        extended lazily, never past the steps actually drawn."""
+        """lam_0, lam_1, ... as floats, converted lazily, one per step drawn.
+        A constant schedule repeats one float."""
         if self.constant is not None:
             return itertools.repeat(float(self.constant))
-        return self._table_steps(self._floats)
-
-    def _table_steps(self, table: list) -> Iterator[float]:
-        for k in itertools.count():
-            if k == len(table):
-                table.append(float(self.lam_at(k)))
-            yield table[k]
+        return (float(self.lam_at(k)) for k in itertools.count())
 
     def partial_sum(self, m: int) -> Union[Fraction, float]:
         """sum_{i=0}^{m} lam_i; exact Fraction when affordable, float beyond.
@@ -228,15 +217,10 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
 
 
 def require_valid_schedule(sched: Schedule, horizon: int) -> None:
-    """Raise ScheduleError unless both clauses hold for all n <= horizon.
-    The largest horizon passed is remembered (clauses are per index, so any
-    smaller horizon passes too); failures are not."""
-    if 0 <= horizon <= sched._valid_to:
-        return
+    """Raise ScheduleError unless both clauses hold for all n <= horizon."""
     report = validate_schedule(sched, horizon)
     if not report.valid:
         raise ScheduleError(report.summary())
-    sched._valid_to = horizon
 
 
 # ---------------------------------------------------------------------------

@@ -521,14 +521,18 @@ def _precheck_orbit_bound(T, delta, sched, bound, budget, samples, seed, eta):
         fiber = T.domain.slice_space(u)
         x0 = delta(u)
         orbit: list = []
-        _km_walk(fiber, slice_map(T, u), x0, sched, horizon, points=orbit)
-        for j, x in enumerate(orbit, 1):
-            d = fiber.distance(x0, x)
-            if d > bound + eta:
-                raise ProbeContractError(
-                    f"orbit bound {bound} violated at u={u!r}, step {j}: "
-                    f"distance {d:.6g}"
-                )
+        try:
+            _km_walk(fiber, slice_map(T, u), x0, sched, horizon, points=orbit)
+        finally:
+            # runs on a domain escape too: a bound broken before the escape
+            # is the earlier fault and is reported instead
+            for j, x in enumerate(orbit, 1):
+                d = fiber.distance(x0, x)
+                if d > bound + eta:
+                    raise ProbeContractError(
+                        f"orbit bound {bound} violated at u={u!r}, step {j}: "
+                        f"distance {d:.6g}"
+                    )
 
 
 def solve_product_afpp(

@@ -34,7 +34,7 @@ from hypkm import (
     validate_schedule,
 )
 from hypkm.acceptance import affine_map_family
-from hypkm.errors import DomainError, DomainEscapeError
+from hypkm.errors import DomainError, DomainEscapeError, ProbeContractError
 from hypkm.km import EXACT_SUM_CAP, ResidualTrace
 from hypkm.maps import NonexpansiveMap
 from hypkm.product_afpp import _precheck_orbit_bound
@@ -164,25 +164,14 @@ def counting_lam(calls, value):
     return lam
 
 
-def test_require_valid_schedule_remembers_its_horizon():
-    calls = []
-    sched = Schedule(
-        lam=counting_lam(calls, lambda n: Fraction(1, 2)), K=2,
-        alpha=alpha_scale_ceil(2), constant=Fraction(1, 2),
-    )
-    require_valid_schedule(sched, 50)
-    require_valid_schedule(sched, 50)
-    require_valid_schedule(sched, 20)
-    assert len(calls) <= 51
-    require_valid_schedule(sched, 60)
-    assert len(calls) <= 51 + 61
-    # a copy with other steps starts with empty caches
-    copy = dataclasses.replace(sched, lam=lambda n: Fraction(1), constant=None)
-    with pytest.raises(ScheduleError):
-        require_valid_schedule(copy, 50)
+def test_replaced_schedule_does_not_inherit_partial_sums():
+    sched = harmonic_schedule(2)
+    assert sched.partial_sum(3) == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 4) + Fraction(1, 5)
+    other = dataclasses.replace(sched, lam=lambda n: Fraction(1, 2))
+    assert other.partial_sum(3) == 2
 
 
-def test_require_valid_schedule_does_not_remember_failures():
+def test_require_valid_schedule_raises_on_every_call():
     calls = []
     sched = Schedule(lam=counting_lam(calls, lambda n: Fraction(1)), K=2, alpha=alpha_identity())
     for attempt in (1, 2):
@@ -276,15 +265,19 @@ def test_orbit_end_trace_and_witness_agree(make_sched):
     assert end == km_orbit_end(space, T, 0.1, make_sched(), 300)
 
 
-def test_float_steps_are_converted_once_and_lazily():
+def test_float_steps_convert_one_step_per_step_taken():
     calls = []
     sched = Schedule(lam=counting_lam(calls, lambda n: Fraction(1, n + 2)), K=2, alpha=alpha_identity())
     space = make_interval(0.0, 1.0)
     T = interval_affine(space, 0.5, 0.25)
     first = km_orbit_end(space, T, 0.0, sched, 10)
-    assert km_orbit_end(space, T, 0.0, sched, 10) == first
-    km_orbit_end(space, T, 0.0, sched, 4)
     assert calls == list(range(10))
+    calls.clear()
+    assert km_orbit_end(space, T, 0.0, sched, 10) == first
+    assert calls == list(range(10))
+    calls.clear()
+    km_orbit_end(space, T, 0.0, sched, 4)
+    assert calls == list(range(4))
 
 
 def _escape_by_path(path):
@@ -312,6 +305,16 @@ def test_every_iteration_path_refuses_domain_escape(path):
     with pytest.raises(DomainEscapeError) as exc:
         _escape_by_path(path)
     assert exc.value.step == 0
+
+
+def test_precheck_reports_a_broken_bound_before_a_later_escape():
+    # x -> x + 0.3 on [0, 1] from 0 with steps 1/2: x_k = 0.15 k, so the
+    # bound 0.2 breaks at step 2 and the image T(x_5) = 1.05 escapes later
+    dom = product(make_interval(0.0, 1.0), make_interval(0.0, 1.0))
+    PT = NonexpansiveMap(dom, lambda p: (p[0] + 0.3, p[1]), "shift_pair")
+    delta = NonexpansiveMap(dom.right, lambda u: 0.0, "constant(0)")
+    with pytest.raises(ProbeContractError, match="step 2: distance 0.3"):
+        _precheck_orbit_bound(PT, delta, constant_schedule("1/2"), 0.2, 200, 4, 0, 1e-9)
 
 
 def test_fejer_displacement_bound():
