@@ -78,7 +78,9 @@ def _emit(lines: list[str], out: Optional[str]) -> None:
 
 
 def _seed(cfg: dict, args) -> int:
-    return args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    if args.seed is not None:
+        return args.seed
+    return config_natural(cfg, "seed") or 0
 
 
 def _eta(cfg: dict, args) -> float:
@@ -91,7 +93,7 @@ def _eta(cfg: dict, args) -> float:
 def _budget(cfg: dict, args) -> int:
     if args.budget is not None:
         return args.budget
-    return int(cfg.get("budget", DEFAULT_BUDGET))
+    return config_positive_int(cfg, "budget") or DEFAULT_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +103,7 @@ def _budget(cfg: dict, args) -> int:
 
 def cmd_axioms(cfg: dict, args) -> int:
     space = build_space(cfg.get("space") or _missing("space"))
-    samples = int(cfg.get("samples", 10_000))
+    samples = config_positive_int(cfg, "samples") or 10_000
     rep = check_axioms(space, samples, seed=_seed(cfg, args), eta=_eta(cfg, args))
     lines = _headers(cfg)
     lines.append(f"# space={canonical_json(space.descriptor)}")

@@ -186,11 +186,13 @@ def build_schedule(desc: dict) -> Schedule:
                 alpha=alpha,
             )
         if kind == "harmonic":
+            offset = config_natural(desc, "offset")
+            horizon = config_natural(desc, "alpha_horizon")
             return harmonic_schedule(
-                offset=int(desc.get("offset", 2)),
+                offset=2 if offset is None else offset,
                 K=K,
                 alpha=alpha,
-                alpha_horizon=int(desc.get("alpha_horizon", 6)),
+                alpha_horizon=6 if horizon is None else horizon,
             )
     except ArgumentError as exc:
         raise ConfigError(f"schedule {kind!r}: {exc}") from exc

@@ -94,12 +94,28 @@ class AfppOracle:
 
 
 class GridOracle(AfppOracle):
-    """Exhaustive mesh refinement over a bounded space.
+    """Mesh refinement over a bounded space, pruned by the Lipschitz bound.
 
-    Sound for nonexpansive maps: the residual u -> d(u, f(u)) is 2-Lipschitz,
-    so if near-fixed points exist at all, a fine enough mesh sees one.  Maps
-    with a positive residual infimum exhaust the refinement floor and raise
-    OracleError with the best value found.
+    Sound for nonexpansive maps: the residual r(u) = d(u, f(u)) is
+    2-Lipschitz, so if near-fixed points exist at all, a fine enough mesh
+    sees one.  The meshes space.mesh(step) are scanned in order, halving the
+    step after each level, and the best point so far is kept with a strict
+    comparison, so ties go to the earliest point scanned.
+
+    Each point is evaluated at most once per solve: its residual is cached
+    and reused when a later mesh contains it again.  A new point u is
+    skipped, not evaluated, when some evaluated w has
+    r(w) - 2 d(u, w) > eps + DEFAULT_ETA; the Lipschitz bound then puts
+    r(u) above eps (Piyavskii 1972, Shubert 1972).  A point with r <= eps is
+    never skipped, so the first level holding one is the same level that
+    an exhaustive scan stops at, its first minimiser is evaluated, and the
+    same point is returned.  The meshes need not be nested.  The pruning
+    assumes the claimed nonexpansiveness up to DEFAULT_ETA; the post-check
+    in AfppOracle.solve does not, so a bad map still cannot yield a bad point.
+
+    Maps with a positive residual infimum exhaust the refinement floor and
+    raise OracleError with the best residual among the points evaluated;
+    skipped points are not part of that minimum.
     """
 
     def __init__(self, space: Space, initial_step: Optional[float] = None, min_step: float = 1e-7):
@@ -114,11 +130,16 @@ class GridOracle(AfppOracle):
         self.label = "grid"
 
     def _solve(self, f, eps):
+        distance = self.space.distance
+        cut = eps + DEFAULT_ETA
+        residuals: dict = {}
         step = self.initial_step
         best_u, best_r = None, math.inf
         while True:
             for u in self.space.mesh(step):
-                r = self.space.distance(u, f(u))
+                if u in residuals or any(r - 2.0 * distance(u, w) > cut for w, r in residuals.items()):
+                    continue
+                r = residuals[u] = distance(u, f(u))
                 if r < best_r:
                     best_u, best_r = u, r
             if best_r <= eps:

@@ -3,11 +3,14 @@ the stable hashing that makes reruns byte-identical."""
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import hypkm
 from hypkm import ConfigError, make_euclidean, make_interval
 from hypkm.cli import main
 from hypkm.config import (
@@ -83,6 +86,30 @@ def test_axioms_out_file(tmp_path, capsys):
 def test_axioms_bad_kind_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, capsys, "axioms", {"space": {"kind": "torus"}})
     assert code == 2 and "config error" in err
+
+
+AXIOMS_CFG = {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 300, "seed": 3}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("samples", 2.5), ("samples", "x"), ("samples", None), ("samples", 0),
+     ("seed", -1), ("seed", 2.5), ("seed", "x")],
+)
+def test_axioms_rejects_bad_values(tmp_path, capsys, key, value):
+    cfg = dict(AXIOMS_CFG, **{key: value})
+    code, out, err = run_cli(tmp_path, capsys, "axioms", cfg)
+    assert code == 2 and f"config key {key!r}" in err and out == ""
+
+
+def test_axioms_accepts_integral_spellings(tmp_path, capsys):
+    _, golden, _ = run_cli(tmp_path, capsys, "axioms", AXIOMS_CFG)
+    for samples, seed in (("300", 3.0), (300.0, "3")):
+        cfg = dict(AXIOMS_CFG, samples=samples, seed=seed)
+        code, out, _ = run_cli(tmp_path, capsys, "axioms", cfg)
+        assert code == 0
+        assert out.splitlines()[2:] == golden.splitlines()[2:]
+        assert out.splitlines()[1] == f"# config_hash={config_hash(cfg)}"
 
 
 def test_missing_config_flag(tmp_path, capsys):
@@ -180,6 +207,34 @@ def test_iterate_accepts_integral_spellings(tmp_path, capsys):
         assert code == 0
         assert out.splitlines()[-4:] == golden.splitlines()[-4:]
         assert f"# config_hash={config_hash(cfg)}" in out.splitlines()
+
+
+HARMONIC_CFG = dict(ITERATE_CFG, schedule={"kind": "harmonic", "offset": 3, "alpha_horizon": 6})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("offset", 2.5), ("offset", "x"), ("offset", None), ("offset", 1),
+     ("alpha_horizon", 2.5), ("alpha_horizon", "x"), ("alpha_horizon", None),
+     ("alpha_horizon", -1)],
+)
+def test_iterate_rejects_bad_harmonic_keys(tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(HARMONIC_CFG))
+    cfg["schedule"][key] = value
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and key in err and out == ""
+
+
+def test_iterate_accepts_integral_harmonic_spellings(tmp_path, capsys):
+    _, golden, _ = run_cli(tmp_path, capsys, "iterate", HARMONIC_CFG)
+    assert "# schedule=harmonic(offset=3)" in golden.splitlines()
+    for offset, horizon in (("3", 6.0), (3.0, "6")):
+        cfg = json.loads(json.dumps(HARMONIC_CFG))
+        cfg["schedule"].update(offset=offset, alpha_horizon=horizon)
+        code, out, _ = run_cli(tmp_path, capsys, "iterate", cfg)
+        assert code == 0
+        assert out.splitlines()[2:] == golden.splitlines()[2:]
+        assert out.splitlines()[1] == f"# config_hash={config_hash(cfg)}"
 
 
 def test_iterate_rejects_metric_only_space(tmp_path, capsys):
@@ -345,6 +400,33 @@ def test_product_config_errors(tmp_path, capsys):
     assert code == 2 and "unknown mode" in err
 
 
+PRODUCT_CFG = {"example": "drop", "eps": "1/100", "budget": 300, "seed": 3, "mode": "bounded-orbit"}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("budget", "x"), ("budget", 2.5), ("budget", None), ("budget", 0),
+     ("seed", -1), ("seed", 2.5), ("seed", "x")],
+)
+def test_product_rejects_bad_values(tmp_path, capsys, key, value):
+    cfg = dict(PRODUCT_CFG, **{key: value})
+    code, out, err = run_cli(tmp_path, capsys, "product", cfg)
+    assert code == 2 and f"config key {key!r}" in err and out == ""
+
+
+def test_product_accepts_integral_spellings(tmp_path, capsys):
+    _, golden, _ = run_cli(tmp_path, capsys, "product", PRODUCT_CFG)
+    expected = json.loads(golden)
+    assert expected["attempts"][0]["n"] == 300
+    for budget, seed in (("300", 3.0), (300.0, "3")):
+        cfg = dict(PRODUCT_CFG, budget=budget, seed=seed)
+        code, out, _ = run_cli(tmp_path, capsys, "product", cfg)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc.pop("config_hash") == config_hash(cfg)
+        assert doc == {k: v for k, v in expected.items() if k != "config_hash"}
+
+
 # ---------------------------------------------------------------------------
 # uafpp
 # ---------------------------------------------------------------------------
@@ -423,6 +505,17 @@ def test_demo_runs_all_criteria(tmp_path, capsys):
     criterion_lines = [l for l in lines if l.startswith("criterion")]
     assert len(criterion_lines) == 11
     assert all("[pass]" in l for l in criterion_lines)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypkm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypkm", "demo", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hypkm demo")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypkm import (
     AnalyticOracle,
@@ -29,11 +30,15 @@ from hypkm import (
     family_product,
     identity_map,
     make_certificate,
+    make_box,
     make_interval,
+    make_star_tree,
     product,
+    scaled_coupling,
     solve_example,
     solve_product_afpp,
 )
+from hypkm import product_afpp
 from hypkm.config import canonical_json
 from hypkm.product_afpp import (
     EXAMPLES,
@@ -73,6 +78,149 @@ def test_grid_oracle_refinement_floor():
     with pytest.raises(OracleError) as exc:
         oracle.solve(jump, 0.1)
     assert "refinement floor" in str(exc.value)
+
+
+def full_mesh_scan(space, f, eps, initial_step, min_step):
+    """The unpruned refinement loop: every point of every mesh evaluated."""
+    step = initial_step
+    best_u, best_r = None, math.inf
+    while True:
+        for u in space.mesh(step):
+            r = space.distance(u, f(u))
+            if r < best_r:
+                best_u, best_r = u, r
+        if best_r <= eps:
+            return best_u
+        step /= 2.0
+        if step < min_step:
+            raise OracleError(f"refinement floor; best residual {best_r}")
+
+
+def _clamp(x, lo=0.0, hi=1.0):
+    return min(max(x, lo), hi)
+
+
+#: parameters in (0, 1) off every dyadic mesh (65537 is odd), scattered by
+#: a permutation of the residues mod the prime 65537 so that simple draws
+#: do not all sit near 0; fixed points then mostly fall between mesh points
+UNIT_PARAMS = st.integers(1, 65536).map(lambda k: k * 40503 % 65537 / 65537)
+SIGNED_PARAMS = UNIT_PARAMS.map(lambda v: 2.0 * v - 1.0)
+
+#: 1-Lipschitz self-maps of [0, 1]: constants, clamped translations, clamped
+#: affine maps with |slope| <= 1, and pointwise min/max of these
+UNIT_MAPS = st.recursive(
+    st.one_of(
+        UNIT_PARAMS.map(lambda c: lambda u: c),
+        SIGNED_PARAMS.map(lambda t: lambda u: _clamp(u + t)),
+        st.tuples(st.one_of(st.sampled_from((-1.0, 1.0)), SIGNED_PARAMS), SIGNED_PARAMS).map(
+            lambda ab: lambda u: _clamp(ab[0] * u + ab[1])
+        ),
+    ),
+    lambda inner: st.tuples(st.sampled_from((min, max)), inner, inner).map(
+        lambda t: lambda u: t[0](t[1](u), t[2](u))
+    ),
+    max_leaves=4,
+)
+
+#: nonexpansive self-maps of the box [0,1]^2: coordinatewise products of
+#: unit-interval maps, and a scaled rotation about the centre plus a shift,
+#: projected back onto the box
+BOX_MAPS = st.one_of(
+    st.tuples(UNIT_MAPS, UNIT_MAPS).map(lambda gh: lambda p: (gh[0](p[0]), gh[1](p[1]))),
+    st.tuples(SIGNED_PARAMS, UNIT_PARAMS, SIGNED_PARAMS, SIGNED_PARAMS).map(
+        lambda a: lambda p: (
+            _clamp(0.5 + a[0] * (math.cos(2 * math.pi * a[1]) * (p[0] - 0.5)
+                                 - math.sin(2 * math.pi * a[1]) * (p[1] - 0.5)) + a[2] / 2),
+            _clamp(0.5 + a[0] * (math.sin(2 * math.pi * a[1]) * (p[0] - 0.5)
+                                 + math.cos(2 * math.pi * a[1]) * (p[1] - 0.5)) + a[3] / 2),
+        )
+    ),
+)
+
+STAR = make_star_tree(3, 1.0)
+STAR_POINTS = st.tuples(st.integers(0, 2), UNIT_PARAMS)
+
+#: nonexpansive self-maps of the 3-ray star tree: constants, radial maps
+#: (r, s) -> (r, h(s)) with h(0) = 0 and h <= s, folding every ray onto
+#: one, geodesic pulls toward a point, and composites of these
+STAR_MAPS = st.recursive(
+    st.one_of(
+        STAR_POINTS.map(lambda c: lambda p: c),
+        UNIT_MAPS.map(lambda g: lambda p: (p[0], min(p[1], g(p[1])))),
+        st.integers(0, 2).map(lambda k: lambda p: (k, p[1])),
+        st.tuples(STAR_POINTS, UNIT_PARAMS).map(
+            lambda a: lambda p: STAR.combine(p, a[0], a[1])
+        ),
+    ),
+    lambda inner: st.tuples(inner, inner).map(lambda fg: lambda p: fg[0](fg[1](p))),
+    max_leaves=3,
+)
+
+#: (space, maps, floor steps): the box keeps coarse floors, its meshes grow
+#: quadratically
+ORACLE_SPACES = {
+    "interval": (UNIT, UNIT_MAPS, (1e-4, 1e-3, 0.05)),
+    "box": (make_box([(0.0, 1.0), (0.0, 1.0)]), BOX_MAPS, (0.01, 0.05)),
+    "star": (STAR, STAR_MAPS, (1e-3, 0.05)),
+}
+
+#: tolerances spread over [2^-11, 1/2)
+TOLERANCES = st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(2, 11)).map(
+    lambda mk: mk[0] * 2.0 ** -mk[1]
+)
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_SPACES))
+@settings(max_examples=100)
+@given(data=st.data(), eps=TOLERANCES)
+def test_grid_oracle_matches_full_mesh_scan(kind, data, eps):
+    # pruning never skips a point with residual <= eps, so the pruned oracle
+    # stops at the same level as the full scan and returns the same point
+    space, maps, floors = ORACLE_SPACES[kind]
+    f = NonexpansiveMap(space, data.draw(maps), "random")
+    min_step = data.draw(st.sampled_from(floors))
+    oracle = GridOracle(space, min_step=min_step)
+    try:
+        expected = full_mesh_scan(space, f, eps, oracle.initial_step, min_step)
+    except OracleError:
+        with pytest.raises(OracleError) as exc:
+            oracle.solve(f, eps)
+        assert "refinement floor" in str(exc.value)
+    else:
+        assert oracle.solve(f, eps) == expected
+
+
+def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
+    # r(u) = |2u - 0.3| near 0 is exactly 2-Lipschitz: at step 1/8 the
+    # evaluated point 0 (r = 0.3) bounds r(1/8) below by 0.3 - 2/8 = 0.05 = eps,
+    # so 1/8 must not be pruned
+    f = NonexpansiveMap(UNIT, lambda u: _clamp(0.3 - u), "reflect")
+    assert GridOracle(UNIT).solve(f, 0.05) == 0.125 == full_mesh_scan(UNIT, f, 0.05, 0.25, 1e-7)
+
+
+def test_grid_oracle_lift_work_count(monkeypatch):
+    # the scaled_coupling lift at n=2000: the full scan evaluates all 257
+    # points of the finest mesh, each one a 2000-step slice orbit
+    calls = []
+    real_phi = product_afpp.phi
+
+    def counting_phi(*args, **kwargs):
+        f = real_phi(*args, **kwargs)
+
+        def fn(u):
+            calls.append(u)
+            return f(u)
+
+        return NonexpansiveMap(f.domain, fn, f.label)
+
+    monkeypatch.setattr(product_afpp, "phi", counting_phi)
+    T = scaled_coupling(product(make_interval(0.0, 1.0), UNIT), 0.5, 0.1)
+    step = approx_fixed_pair(T, identity_map(UNIT), constant_schedule("1/2"), GridOracle(UNIT), 2000)
+    assert step.z == 0.19921875
+    assert 0 < len(calls) <= 64
+    # each point is evaluated once per solve; the post-check in solve
+    # evaluates the answer z a second time
+    assert len(calls) - len(set(calls)) == 1
 
 
 def test_grid_oracle_needs_bounded_space_or_step():
