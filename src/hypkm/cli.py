@@ -79,7 +79,7 @@ def _emit(lines: list[str], out: Optional[str]) -> None:
 
 def _seed(cfg: dict, args) -> int:
     if args.seed is not None:
-        return args.seed
+        return config_natural({"seed": args.seed}, "seed")
     return config_natural(cfg, "seed") or 0
 
 
@@ -92,7 +92,7 @@ def _eta(cfg: dict, args) -> float:
 
 def _budget(cfg: dict, args) -> int:
     if args.budget is not None:
-        return args.budget
+        return config_positive_int({"budget": args.budget}, "budget")
     return config_positive_int(cfg, "budget") or DEFAULT_BUDGET
 
 
@@ -312,8 +312,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     for name in COMMANDS:
         p = sub.add_parser(name, help=helps[name])
         p.add_argument("--config", help="path to a JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--budget", type=int, help="override the iteration budget")
+        p.add_argument("--seed", help="override the config seed")
+        p.add_argument("--budget", help="override the iteration budget")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--eta", help="override the test tolerance (rational)")
     args = parser.parse_args(argv)

@@ -9,6 +9,10 @@ class ArgumentError(HypkmError, ValueError):
     """A parameter is outside its admissible range (bad lambda, eps <= 0, ...)."""
 
 
+class MeshCapError(ArgumentError):
+    """A finite mesh would exceed the sanity cap on its point count."""
+
+
 class DomainError(HypkmError):
     """A point does not belong to the space it was used with."""
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArgumentError, DomainError, DomainEscapeError, ScheduleError
-from .rates import AlphaLike, alpha_scale_ceil, alpha_table, as_fraction
+from .rates import AlphaFn, AlphaLike, alpha_scale_ceil, alpha_table, as_fraction
 from .spaces import HyperbolicSpace, Point, Space
 
 #: beyond this many terms, partial sums fall back from exact rationals to
@@ -180,11 +180,25 @@ class ScheduleReport:
 
 def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     """Check both witness clauses for all n <= horizon; report the first
-    violation.  Comparisons are exact wherever the sums are exact."""
+    violation.  Comparisons are exact wherever the sums are exact.
+
+    Closed form: a constant schedule (``sched.constant`` an exact Fraction v
+    with 0 <= v < 1 and v <= 1 - 1/K) whose witness is the catalog alpha(n)
+    = ceil(c*n) (identity: c = 1, double: c = 2, scale_ceil(c): c an exact
+    rational) with c*v >= 1 is valid at every horizon, so it is reported
+    valid without a loop: alpha(n) is a natural and (ceil(c*n) + 1)*v >=
+    c*v*n + v > n.  Every other schedule is checked n by n, and that loop
+    alone finds and words a violation.
+    """
     if horizon < 0:
         raise ArgumentError(f"horizon must be a natural, got {horizon}")
     notes: list[str] = []
     cap = 1 - Fraction(1, sched.K)
+    v, alpha = sched.constant, sched.alpha
+    if isinstance(v, Fraction) and 0 <= v < 1 and v <= cap and isinstance(alpha, AlphaFn):
+        c = {"identity": 1, "double": 2, "scale_ceil": alpha.c}.get(alpha.kind)
+        if isinstance(c, (int, Fraction)) and c * v >= 1:
+            return ScheduleReport(horizon, True, None, notes)
     float_mode_seen = False
 
     def violation(n: int, clause: str, detail: str) -> ScheduleReport:

@@ -21,6 +21,7 @@ from typing import Callable, Optional
 from .errors import (
     ArgumentError,
     InvariantError,
+    MeshCapError,
     OracleError,
     ProbeContractError,
     RateOverflowError,
@@ -115,7 +116,9 @@ class GridOracle(AfppOracle):
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
-    skipped points are not part of that minimum.
+    skipped points are not part of that minimum.  The floor is min_step, or
+    the last level whose mesh fits the space's MESH_POINT_CAP, whichever
+    comes first.
     """
 
     def __init__(self, space: Space, initial_step: Optional[float] = None, min_step: float = 1e-7):
@@ -134,9 +137,10 @@ class GridOracle(AfppOracle):
         cut = eps + DEFAULT_ETA
         residuals: dict = {}
         step = self.initial_step
+        mesh = self.space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
-            for u in self.space.mesh(step):
+            for u in mesh:
                 if u in residuals or any(r - 2.0 * distance(u, w) > cut for w, r in residuals.items()):
                     continue
                 r = residuals[u] = distance(u, f(u))
@@ -145,7 +149,11 @@ class GridOracle(AfppOracle):
             if best_r <= eps:
                 return best_u
             step /= 2.0
-            if step < self.min_step:
+            try:
+                mesh = self.space.mesh(step) if step >= self.min_step else None
+            except MeshCapError:
+                mesh = None
+            if mesh is None:
                 raise OracleError(
                     f"grid refinement floor reached at step {step * 2:.3g}; "
                     f"best residual {best_r:.6g} > tolerance {eps:.6g} "

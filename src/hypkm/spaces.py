@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional, Sequence
 
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, MeshCapError
 
 Point = Any
 
@@ -37,6 +37,9 @@ MEMBERSHIP_SLACK = 1e-12
 
 #: default tolerance for axiom, property and certification checks.
 DEFAULT_ETA = 1e-9
+
+#: largest finite mesh any space builds; a larger one raises MeshCapError.
+MESH_POINT_CAP = 2_000_000
 
 
 class Space:
@@ -139,8 +142,8 @@ class IntervalSpace(HyperbolicSpace):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ArgumentError("mesh needs a bounded interval")
         n = max(1, math.ceil((self.b - self.a) / step))
-        if n > 2_000_000:
-            raise ArgumentError(f"mesh of {n + 1} points exceeds the sanity cap")
+        if n > MESH_POINT_CAP:
+            raise MeshCapError(f"mesh of {n + 1} points exceeds the sanity cap")
         pts = [self.a + k * (self.b - self.a) / n for k in range(n)]
         pts.append(self.b)
         return pts
@@ -207,8 +210,8 @@ class EuclideanSpace(HyperbolicSpace):
         for lo, hi in self.bounds:
             n = max(1, math.ceil((hi - lo) / step))
             total *= n + 1
-            if total > 2_000_000:
-                raise ArgumentError("mesh size exceeds the sanity cap")
+            if total > MESH_POINT_CAP:
+                raise MeshCapError("mesh size exceeds the sanity cap")
             axes.append([lo + k * (hi - lo) / n for k in range(n)] + [hi])
         pts = [()]
         for axis in axes:
@@ -333,8 +336,8 @@ class StarTree(HyperbolicSpace):
 
     def mesh(self, step):
         n = max(1, math.ceil(self.length / step))
-        if n * self.rays > 2_000_000:
-            raise ArgumentError("mesh size exceeds the sanity cap")
+        if n * self.rays > MESH_POINT_CAP:
+            raise MeshCapError("mesh size exceeds the sanity cap")
         pts = [(0, 0.0)]
         for r in range(self.rays):
             pts.extend((r, k * self.length / n) for k in range(1, n + 1))
@@ -372,8 +375,8 @@ class CircleSpace(Space):
 
     def mesh(self, step):
         n = max(1, math.ceil(2.0 * math.pi / step))
-        if n > 2_000_000:
-            raise ArgumentError("mesh size exceeds the sanity cap")
+        if n > MESH_POINT_CAP:
+            raise MeshCapError("mesh size exceeds the sanity cap")
         return [2.0 * math.pi * k / n for k in range(n)]
 
     def point_columns(self):
@@ -448,8 +451,8 @@ class ProductSpace(Space):
     def mesh(self, step):
         lm = self.left.mesh(step)
         rm = self.right.mesh(step)
-        if len(lm) * len(rm) > 2_000_000:
-            raise ArgumentError("mesh size exceeds the sanity cap")
+        if len(lm) * len(rm) > MESH_POINT_CAP:
+            raise MeshCapError("mesh size exceeds the sanity cap")
         return [(x, u) for x in lm for u in rm]
 
     def point_columns(self):

@@ -13,6 +13,7 @@ import pytest
 import hypkm
 from hypkm import ConfigError, make_euclidean, make_interval
 from hypkm.cli import main
+from hypkm.product_afpp import solve_example
 from hypkm.config import (
     build_alpha,
     build_map,
@@ -425,6 +426,37 @@ def test_product_accepts_integral_spellings(tmp_path, capsys):
         doc = json.loads(out)
         assert doc.pop("config_hash") == config_hash(cfg)
         assert doc == {k: v for k, v in expected.items() if k != "config_hash"}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--seed", "-1"), ("--seed", "2.5"), ("--seed", "x"),
+     ("--budget", "0"), ("--budget", "2.5"), ("--budget", "x")],
+)
+def test_product_rejects_bad_flags(tmp_path, capsys, flag, value):
+    code, out, err = run_cli(tmp_path, capsys, "product", PRODUCT_CFG, flag, value)
+    assert code == 2 and f"config key {flag[2:]!r}" in err and out == ""
+
+
+def test_flags_match_config_keys(tmp_path, capsys, monkeypatch):
+    _, golden, _ = run_cli(tmp_path, capsys, "product", PRODUCT_CFG)
+    bare = {k: v for k, v in PRODUCT_CFG.items() if k not in ("budget", "seed")}
+    seen = []
+
+    def recording_solve(*args, **kwargs):
+        seen.append((kwargs["budget"], kwargs["seed"]))
+        return solve_example(*args, **kwargs)
+
+    monkeypatch.setattr(hypkm.cli, "solve_example", recording_solve)
+    for budget, seed in (("300", "3"), ("300.0", "3.0")):
+        code, out, _ = run_cli(tmp_path, capsys, "product", bare, "--budget", budget, "--seed", seed)
+        assert code == 0
+        doc, expected = json.loads(out), json.loads(golden)
+        del doc["config_hash"], expected["config_hash"]
+        assert doc == expected
+    assert seen == [(300, 3), (300, 3)]
+    code, _, err = run_cli(tmp_path, capsys, "axioms", {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 10}, "--seed", "-1")
+    assert code == 2 and "config key 'seed'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypkm import (
     ArgumentError,
@@ -18,6 +19,7 @@ from hypkm import (
     alpha_double,
     alpha_identity,
     alpha_scale_ceil,
+    alpha_table,
     constant_schedule,
     estimate_residual_inf,
     harmonic_schedule,
@@ -190,6 +192,68 @@ def test_validate_float_summation_notes_slack():
     report = validate_schedule(sched, 2)
     assert report.valid
     assert any("float summation" in note for note in report.notes)
+
+
+# scale_ceil slopes stay <= 16 so that alpha(300) stays under EXACT_SUM_CAP
+# and the literal loop's partial sums stay exact, like the constant ones
+_steps = st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda v: v < 1)
+_slopes = st.fractions(min_value=1, max_value=16, max_denominator=40)
+_alphas = st.one_of(
+    st.just(alpha_identity()),
+    st.just(alpha_double()),
+    _slopes.map(alpha_scale_ceil),
+    st.lists(st.integers(0, 40), min_size=1, max_size=6).map(alpha_table),
+)
+
+
+@st.composite
+def _near_boundary(draw):
+    """A step v and scale_ceil(c) with c*v on, just above or just below 1."""
+    v = draw(st.fractions(min_value=Fraction(1, 16), max_value=1, max_denominator=40).filter(lambda v: v < 1))
+    shift = draw(st.sampled_from([0, Fraction(1, 100), -Fraction(1, 100), Fraction(1, 10**9), -Fraction(1, 10**9)]))
+    return v, alpha_scale_ceil(max(1, 1 / v + shift))
+
+
+@settings(max_examples=200)
+@given(
+    case=st.one_of(st.tuples(_steps, _alphas), _near_boundary()),
+    K=st.integers(1, 20),
+    horizon=st.integers(0, 300),
+)
+@example(case=(Fraction(1, 2), alpha_double()), K=2, horizon=300)  # c*v == 1
+@example(case=(Fraction(1, 3), alpha_scale_ceil(3)), K=2, horizon=300)  # c*v == 1
+@example(case=(Fraction(1, 3), alpha_scale_ceil(Fraction(299, 100))), K=2, horizon=300)  # just below
+@example(case=(Fraction(2, 5), alpha_double()), K=2, horizon=300)  # c*v == 4/5
+@example(case=(Fraction(1, 2), alpha_double()), K=1, horizon=5)  # over the cap
+@example(case=(Fraction(0), alpha_scale_ceil(16)), K=3, horizon=4)  # zero step
+@example(case=(Fraction(3, 4), alpha_identity()), K=4, horizon=300)
+def test_closed_form_validation_matches_the_literal_loop(case, K, horizon):
+    v, alpha = case
+    sched = Schedule(lam=lambda n: v, K=K, alpha=alpha, constant=v)
+    report = validate_schedule(sched, horizon)
+    # without the constant marker every n goes through the literal loop
+    literal = validate_schedule(dataclasses.replace(sched, constant=None), horizon)
+    assert (report.valid, report.horizon, report.notes) == (literal.valid, literal.horizon, literal.notes)
+    assert report.first_violation == literal.first_violation
+    assert report.summary() == literal.summary()
+
+
+def test_closed_form_validation_calls_no_step():
+    calls = []
+    half = Fraction(1, 2)
+    sched = Schedule(lam=counting_lam(calls, lambda n: half), K=2, alpha=alpha_scale_ceil(2), constant=half)
+    report = validate_schedule(sched, 10**6)
+    assert report == validate_schedule(sched, 10**6)
+    assert report.valid and report.horizon == 10**6 and report.notes == []
+    assert calls == []
+    # c*v = 3/4 < 1: the loop still runs and words the first violation
+    slow = dataclasses.replace(sched, alpha=alpha_scale_ceil(Fraction(3, 2)))
+    report = validate_schedule(slow, 10**6)
+    assert not report.valid
+    assert report.summary() == "invalid at n=4: sum_witness (sum of lam_0..lam_6 = 3.5 < n = 4)"
+    assert len(calls) == 5
+    with pytest.raises(ScheduleError, match="invalid at n=4: sum_witness"):
+        require_valid_schedule(slow, 10)
 
 
 # ---------------------------------------------------------------------------

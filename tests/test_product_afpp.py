@@ -80,6 +80,16 @@ def test_grid_oracle_refinement_floor():
     assert "refinement floor" in str(exc.value)
 
 
+def test_grid_oracle_floor_at_the_mesh_cap():
+    # at the default min_step the mesh cap is reached first: the oracle
+    # reports its floor with the best residual, not the space's ArgumentError
+    jump = NonexpansiveMap(UNIT, lambda u: 0.0 if u > 0.5 else 1.0, "jump")
+    with pytest.raises(OracleError) as exc:
+        GridOracle(UNIT).solve(jump, 0.1)
+    assert not isinstance(exc.value, ArgumentError)
+    assert str(exc.value).startswith("grid refinement floor reached at step 9.54e-07; best residual 0.5 >")
+
+
 def full_mesh_scan(space, f, eps, initial_step, min_step):
     """The unpruned refinement loop: every point of every mesh evaluated."""
     step = initial_step
