@@ -32,10 +32,10 @@ from .spaces import (
     BrokenW,
     CircleSpace,
     EuclideanSpace,
+    FamilyProduct,
     HyperbolicSpace,
     IntervalSpace,
     PoincareDisk,
-    ProductSpace,
     Space,
     StarTree,
     check_axioms,
@@ -109,7 +109,6 @@ from .product_afpp import (
     Certificate,
     CertifiedRunResult,
     EXAMPLES,
-    FamilyProduct,
     GridOracle,
     ProductExample,
     SolveResult,

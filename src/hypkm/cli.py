@@ -77,22 +77,16 @@ def _emit(lines: list[str], out: Optional[str]) -> None:
         print(f"wrote {out}")
 
 
-def _seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return config_natural({"seed": args.seed}, "seed")
+def _seed(cfg: dict) -> int:
     return config_natural(cfg, "seed") or 0
 
 
-def _eta(cfg: dict, args) -> float:
-    if args.eta is not None:
-        return float(config_rational({"eta": args.eta}, "eta"))
+def _eta(cfg: dict) -> float:
     v = config_rational(cfg, "eta")
     return float(v) if v is not None else DEFAULT_ETA
 
 
-def _budget(cfg: dict, args) -> int:
-    if args.budget is not None:
-        return config_positive_int({"budget": args.budget}, "budget")
+def _budget(cfg: dict) -> int:
     return config_positive_int(cfg, "budget") or DEFAULT_BUDGET
 
 
@@ -104,7 +98,7 @@ def _budget(cfg: dict, args) -> int:
 def cmd_axioms(cfg: dict, args) -> int:
     space = build_space(cfg.get("space") or _missing("space"))
     samples = config_positive_int(cfg, "samples") or 10_000
-    rep = check_axioms(space, samples, seed=_seed(cfg, args), eta=_eta(cfg, args))
+    rep = check_axioms(space, samples, seed=_seed(cfg), eta=_eta(cfg))
     lines = _headers(cfg)
     lines.append(f"# space={canonical_json(space.descriptor)}")
     lines.extend(rep.summary_lines())
@@ -138,7 +132,7 @@ def cmd_iterate(cfg: dict, args) -> int:
         "schedule": sched.label,
     }
     _emit(trace.csv_lines(meta), args.out)
-    if not residuals_nonincreasing(trace, tol=_eta(cfg, args)):
+    if not residuals_nonincreasing(trace, tol=_eta(cfg)):
         print("residuals are not nonincreasing: map is not nonexpansive "
               "or schedule is out of range", file=sys.stderr)
         return 1
@@ -203,7 +197,7 @@ def cmd_product(cfg: dict, args) -> int:
     if mode is not None and mode not in ("sup-rC", "bounded-orbit"):
         raise ConfigError(f"unknown mode {mode!r}")
     try:
-        res = solve_example(ex, eps, mode=mode, budget=_budget(cfg, args), seed=_seed(cfg, args))
+        res = solve_example(ex, eps, mode=mode, budget=_budget(cfg), seed=_seed(cfg))
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from exc
     doc = {
@@ -331,6 +325,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             if not args.config:
                 raise ConfigError(f"{args.command} needs --config")
             cfg = load_config(args.config)
+        # flags override config keys of the same name; merged in before
+        # dispatch so that config_hash covers the effective config
+        for key in ("seed", "budget", "eta"):
+            if getattr(args, key) is not None:
+                cfg = {**cfg, key: getattr(args, key)}
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,9 +35,7 @@ from .spaces import (
     BrokenW,
     EuclideanSpace,
     IntervalSpace,
-    PoincareDisk,
     Space,
-    StarTree,
     make_box,
     make_circle,
     make_euclidean,
@@ -127,14 +125,14 @@ def build_space(desc: dict) -> Space:
                 float(_need(desc, "a", "interval")), float(_need(desc, "b", "interval"))
             )
         if kind == "euclidean":
-            return make_euclidean(int(_need(desc, "dim", "euclidean")))
+            return make_euclidean(config_positive_int(desc, "dim") or _need(desc, "dim", "euclidean"))
         if kind == "box":
             return make_box([tuple(b) for b in _need(desc, "bounds", "box")])
         if kind == "poincare":
             return make_poincare_disk()
         if kind == "star_tree":
             return make_star_tree(
-                int(_need(desc, "rays", "star_tree")),
+                config_positive_int(desc, "rays") or _need(desc, "rays", "star_tree"),
                 float(_need(desc, "length", "star_tree")),
             )
         if kind == "circle":
@@ -218,7 +216,7 @@ def parse_point(space: Space, raw):
         if kind == "product":
             left_raw, right_raw = raw
             return (
-                parse_point(space.left, left_raw),
+                parse_point(space.ambient, left_raw),
                 parse_point(space.right, right_raw),
             )
         if kind == "broken_w":

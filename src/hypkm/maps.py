@@ -35,7 +35,7 @@ class NonexpansiveMap:
 SelectionFunction = NonexpansiveMap
 
 #: a product map is a claimed d-infinity-nonexpansive self-map of a
-#: two-factor space; its ``domain`` must expose ``right`` (the parameter
+#: ``spaces.FamilyProduct``: its ``domain`` exposes ``right`` (the parameter
 #: factor), ``slice_space(u)`` (the fiber the first coordinate lives in) and
 #: the product distance.
 ProductMap = NonexpansiveMap

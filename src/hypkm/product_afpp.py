@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -46,6 +46,7 @@ from .maps import (
 from .rates import as_fraction, rate_g, rate_g_tilde
 from .spaces import (
     DEFAULT_ETA,
+    FamilyProduct,
     HyperbolicSpace,
     IntervalSpace,
     Point,
@@ -179,58 +180,6 @@ class AnalyticOracle(AfppOracle):
 # ---------------------------------------------------------------------------
 
 
-class FamilyProduct(Space):
-    """H = {(x, u) : u in M, x in fiber(u)} under the max distance.
-
-    All fibers are subsets of one ambient space, which supplies the first
-    coordinate's metric (and combine operator, via slice_space).
-    """
-
-    def __init__(self, right: Space, ambient: HyperbolicSpace, fiber_of: Callable[[Point], HyperbolicSpace], label: str = "", descriptor: Optional[dict] = None):
-        self.right = right
-        self.ambient = ambient
-        self.fiber_of = fiber_of
-        self.family_label = label
-        self.descriptor = descriptor or {
-            "kind": "family_product",
-            "right": right.descriptor,
-            "ambient": ambient.descriptor,
-            "family": label,
-        }
-
-    def slice_space(self, u: Point) -> HyperbolicSpace:
-        return self.fiber_of(u)
-
-    def distance(self, p, q):
-        return max(
-            self.ambient.distance(p[0], q[0]), self.right.distance(p[1], q[1])
-        )
-
-    def contains(self, p):
-        try:
-            x, u = p
-        except (TypeError, ValueError):
-            return False
-        return self.right.contains(u) and self.fiber_of(u).contains(x)
-
-    def sample(self, rng):
-        u = self.right.sample(rng)
-        return (self.fiber_of(u).sample(rng), u)
-
-    def diameter(self):
-        return max(self.ambient.diameter(), self.right.diameter())
-
-    def point_columns(self):
-        return [f"c_{c}" for c in self.ambient.point_columns()] + [
-            f"m_{c}" for c in self.right.point_columns()
-        ]
-
-    def point_row(self, p):
-        return tuple(self.ambient.point_row(p[0])) + tuple(
-            self.right.point_row(p[1])
-        )
-
-
 def family_product(
     M: Space,
     fiber_of: Callable[[Point], HyperbolicSpace],
@@ -253,15 +202,8 @@ def family_product(
 
 
 def constant_family(C: HyperbolicSpace, M: Space) -> FamilyProduct:
-    """The degenerate family with every fiber equal to C.
-
-    This is literally the plain product, so it carries the plain product's
-    descriptor: runs through the family code path serialize identically to
-    runs through the plain path.
-    """
-    return FamilyProduct(
-        M, C, lambda u: C, label="constant", descriptor=product(C, M).descriptor
-    )
+    """The degenerate family with every fiber equal to C: the plain product."""
+    return product(C, M)
 
 
 @dataclass
@@ -420,6 +362,17 @@ class CertifiedRunResult:
     certificate: Optional[Certificate]
 
 
+def _budgeted_index(rate: Callable[[], int], budget: int) -> tuple[Optional[int], int, bool]:
+    """(certified index, or None if it overflows; index to run at; truncated)."""
+    try:
+        certified_n = rate()
+    except RateOverflowError:
+        return None, budget, True
+    if certified_n <= budget:
+        return certified_n, certified_n, False
+    return certified_n, budget, True
+
+
 def certified_run(
     T: ProductMap,
     delta: SelectionFunction,
@@ -453,14 +406,9 @@ def certified_run(
         raise ArgumentError(
             f"budget {budget} is below the minimum usable index {floor}"
         )
-    try:
-        certified_n: Optional[int] = rate_g(eps_f, b1_f, b2_f, sched.K, sched.alpha)
-    except RateOverflowError:
-        certified_n = None
-    if certified_n is not None and certified_n <= budget:
-        n, truncated = certified_n, False
-    else:
-        n, truncated = budget, True
+    certified_n, n, truncated = _budgeted_index(
+        lambda: rate_g(eps_f, b1_f, b2_f, sched.K, sched.alpha), budget
+    )
     step = approx_fixed_pair(T, delta, sched, oracle, n, eta)
     z = step.z
     fiber = T.domain.slice_space(z)
@@ -647,14 +595,9 @@ def solve_product_afpp(
             )
             step, truncated, certified_n = run.step, run.truncated, run.certified_n
         else:
-            try:
-                certified_n = rate_g_tilde(eps_k, bound_f, sched.K, sched.alpha)
-            except RateOverflowError:
-                certified_n = None
-            if certified_n is not None and certified_n <= budget:
-                n, truncated = certified_n, False
-            else:
-                n, truncated = budget, True
+            certified_n, n, truncated = _budgeted_index(
+                lambda: rate_g_tilde(eps_k, bound_f, sched.K, sched.alpha), budget
+            )
             step = approx_fixed_pair(T, delta, sched, oracle, n, eta)
             if not truncated and step.residual > float(eps_k) + eta:
                 raise InvariantError(

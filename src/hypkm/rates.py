@@ -552,7 +552,7 @@ def describe_overflow(exc: RateOverflowError) -> str:
         expo = math.floor(lg)
         if digit_count(expo) > 50:
             # even the exponent is unprintable; drop to tower form
-            return f"<= 10^(~10^{digit_count(expo) - 1}) (digit count itself is astronomical)"
+            return f"<= 10^({_fmt_int(expo)}) (digit count itself is astronomical)"
         frac = lg - expo
         # 10**frac evaluated in floats, then bumped upward; the bump dwarfs
         # the float rounding, keeping the printed mantissa an upper bound

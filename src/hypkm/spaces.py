@@ -20,7 +20,7 @@ import cmath
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import ArgumentError, DomainError, MeshCapError
 
@@ -412,61 +412,71 @@ class BrokenW(HyperbolicSpace):
         return self.base.point_row(x)
 
 
-class ProductSpace(Space):
-    """(C x M) with the maximum metric; points are (x, u) pairs.
+class FamilyProduct(Space):
+    """H = {(x, u) : u in M, x in fiber_of(u)} under the maximum metric;
+    points are (x, u) pairs.
 
-    ``distance`` is exactly ``max`` of the component distances: no arithmetic
-    happens beyond the component calls.
+    All fibers are subsets of one ambient space, which supplies the first
+    coordinate's metric (and combine operator, via slice_space).  Without
+    ``fiber_of`` every fiber is the ambient space: the plain product C x M,
+    described as such.  ``distance`` is exactly ``max`` of the component
+    distances: no arithmetic happens beyond the component calls.
     """
 
-    def __init__(self, left: Space, right: Space):
-        self.left = left
+    def __init__(self, right: Space, ambient: Space, fiber_of: Optional[Callable[[Point], Space]] = None, label: str = ""):
         self.right = right
-        self.descriptor = {
-            "kind": "product",
-            "left": left.descriptor,
-            "right": right.descriptor,
-        }
+        self.ambient = ambient
+        if fiber_of is None:
+            self.fiber_of = lambda u: ambient
+            self.descriptor = {
+                "kind": "product",
+                "left": ambient.descriptor,
+                "right": right.descriptor,
+            }
+        else:
+            self.fiber_of = fiber_of
+            self.descriptor = {
+                "kind": "family_product",
+                "right": right.descriptor,
+                "ambient": ambient.descriptor,
+                "family": label,
+            }
+
+    def slice_space(self, u: Point) -> Space:
+        """The fiber over u."""
+        return self.fiber_of(u)
 
     def distance(self, p, q):
-        return max(self.left.distance(p[0], q[0]), self.right.distance(p[1], q[1]))
+        return max(self.ambient.distance(p[0], q[0]), self.right.distance(p[1], q[1]))
 
     def contains(self, p):
         try:
             x, u = p
         except (TypeError, ValueError):
             return False
-        return self.left.contains(x) and self.right.contains(u)
+        return self.right.contains(u) and self.fiber_of(u).contains(x)
 
     def sample(self, rng):
-        return (self.left.sample(rng), self.right.sample(rng))
+        # u first: the fiber x is drawn from depends on it
+        u = self.right.sample(rng)
+        return (self.fiber_of(u).sample(rng), u)
 
     def diameter(self):
-        return max(self.left.diameter(), self.right.diameter())
-
-    def slice_space(self, u: Point) -> Space:
-        """The fiber over u; constant for a plain product."""
-        return self.left
-
-    def mesh(self, step):
-        lm = self.left.mesh(step)
-        rm = self.right.mesh(step)
-        if len(lm) * len(rm) > MESH_POINT_CAP:
-            raise MeshCapError("mesh size exceeds the sanity cap")
-        return [(x, u) for x in lm for u in rm]
+        return max(self.ambient.diameter(), self.right.diameter())
 
     def point_columns(self):
-        return [f"c_{c}" for c in self.left.point_columns()] + [
+        return [f"c_{c}" for c in self.ambient.point_columns()] + [
             f"m_{c}" for c in self.right.point_columns()
         ]
 
     def point_row(self, p):
-        return tuple(self.left.point_row(p[0])) + tuple(self.right.point_row(p[1]))
+        return tuple(self.ambient.point_row(p[0])) + tuple(self.right.point_row(p[1]))
 
 
-def product(left: Space, right: Space) -> ProductSpace:
-    """Product of two spaces under the maximum metric."""
-    return ProductSpace(left, right)
+def product(left: Space, right: Space) -> FamilyProduct:
+    """Product of two spaces under the maximum metric: the family whose
+    every fiber is ``left``."""
+    return FamilyProduct(right, left)
 
 
 # ---------------------------------------------------------------------------

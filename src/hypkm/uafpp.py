@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 from .errors import ArgumentError, BudgetExhausted, InvariantError
 from .km import Schedule, _km_walk
 from .maps import NonexpansiveMap
-from .rates import as_fraction, digit_count, rate_h
+from .rates import _fmt_int, as_fraction, rate_h
 from .spaces import DEFAULT_ETA, Point, Space
 
 #: literal KM runs refuse beyond this many steps unless an early-exit
@@ -32,8 +32,8 @@ def _fmt_bound(v, spec: str = ".6g") -> str:
     decimal-magnitude form instead of overflowing."""
     try:
         return format(float(v), spec)
-    except OverflowError:
-        return f"~10^{digit_count(int(v)) - 1}"
+    except OverflowError:  # more than 50 digits, so _fmt_int gives ~10^N
+        return _fmt_int(int(v))
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,31 @@ def test_axioms_accepts_integral_spellings(tmp_path, capsys):
         assert out.splitlines()[1] == f"# config_hash={config_hash(cfg)}"
 
 
+SPACE_INT_KEYS = [
+    ({"kind": "euclidean", "dim": 3}, "dim"),
+    ({"kind": "star_tree", "rays": 3, "length": 2}, "rays"),
+]
+
+
+@pytest.mark.parametrize("space, key", SPACE_INT_KEYS)
+@pytest.mark.parametrize("value", [2.7, "x", True, 0])
+def test_axioms_rejects_bad_space_ints(tmp_path, capsys, space, key, value):
+    cfg = {"space": dict(space, **{key: value}), "samples": 50}
+    code, out, err = run_cli(tmp_path, capsys, "axioms", cfg)
+    assert code == 2 and f"config key {key!r}" in err and out == ""
+
+
+@pytest.mark.parametrize("space, key", SPACE_INT_KEYS)
+def test_axioms_accepts_integral_space_ints(tmp_path, capsys, space, key):
+    _, golden, _ = run_cli(tmp_path, capsys, "axioms", {"space": space, "samples": 50})
+    for value in ("3", 3.0):
+        cfg = {"space": dict(space, **{key: value}), "samples": 50}
+        code, out, _ = run_cli(tmp_path, capsys, "axioms", cfg)
+        assert code == 0
+        assert out.splitlines()[2:] == golden.splitlines()[2:]
+        assert out.splitlines()[1] == f"# config_hash={config_hash(cfg)}"
+
+
 def test_missing_config_flag(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, capsys, "axioms", None)
     assert code == 2 and "needs --config" in err
@@ -457,6 +482,19 @@ def test_flags_match_config_keys(tmp_path, capsys, monkeypatch):
     assert seen == [(300, 3), (300, 3)]
     code, _, err = run_cli(tmp_path, capsys, "axioms", {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 10}, "--seed", "-1")
     assert code == 2 and "config key 'seed'" in err
+
+
+def test_flags_enter_the_config_hash(tmp_path, capsys):
+    bare = {"example": "drop", "eps": "1/100"}
+    _, plain, _ = run_cli(tmp_path, capsys, "product", bare)
+    code, out, _ = run_cli(tmp_path, capsys, "product", bare, "--budget", "300", "--seed", "3")
+    assert code == 0
+    flagged = json.loads(out)["config_hash"]
+    assert flagged == config_hash(bare | {"budget": "300", "seed": "3"})
+    assert flagged != json.loads(plain)["config_hash"]
+    cfg = {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 10}
+    code, out, _ = run_cli(tmp_path, capsys, "axioms", cfg, "--eta", "1/10")
+    assert code == 0 and out.splitlines()[1] == f"# config_hash={config_hash(cfg | {'eta': '1/10'})}"
 
 
 # ---------------------------------------------------------------------------

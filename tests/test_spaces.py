@@ -17,6 +17,7 @@ from hypkm import (
     ArgumentError,
     BrokenW,
     DomainError,
+    FamilyProduct,
     check_axioms,
     convex_comb,
     make_box,
@@ -226,6 +227,32 @@ def test_product_membership_and_rows():
     assert not dom.contains(0.5)
     assert dom.point_columns() == ["c_x", "m_x"]
     assert dom.point_row((0.25, 0.75)) == (0.25, 0.75)
+
+
+def test_plain_product_is_the_constant_fiber_family():
+    C, M = make_box(((0.0, 1.0), (0.0, 2.0))), make_star_tree(3, 1.0)
+    dom = product(C, M)
+    assert isinstance(dom, FamilyProduct)
+    assert dom.descriptor == {"kind": "product", "left": C.descriptor, "right": M.descriptor}
+    assert dom.diameter() == max(C.diameter(), M.diameter())
+    rng = random.Random(11)
+
+    def near(space):
+        # a sampled point, pushed out of the space about half the time
+        x, y = space.sample(rng)
+        return (x, y * rng.choice((1.0, 1.5)))
+
+    for _ in range(300):
+        p, q = (near(C), near(M)), (near(C), near(M))
+        assert dom.slice_space(p[1]) is C
+        assert dom.contains(p) == (C.contains(p[0]) and M.contains(p[1]))
+        assert dom.distance(p, q) == max(C.distance(p[0], q[0]), M.distance(p[1], q[1]))
+        assert dom.point_row(p) == (*p[0], *p[1])
+    family = FamilyProduct(M, C, lambda u: make_box(((0.0, 1.0), (0.0, 1.0 + u[1]))), "grow")
+    assert family.descriptor == {
+        "kind": "family_product", "right": M.descriptor, "ambient": C.descriptor, "family": "grow"
+    }
+    assert family.contains(((0.5, 1.5), (0, 1.0))) and not family.contains(((0.5, 1.5), (0, 0.25)))
 
 
 # ---------------------------------------------------------------------------
