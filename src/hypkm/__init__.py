@@ -116,7 +116,6 @@ from .product_afpp import (
     certified_run,
     check_family_invariance,
     check_uniform_displacement,
-    constant_family,
     estimate_product_residual_inf,
     family_product,
     make_certificate,

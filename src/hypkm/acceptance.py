@@ -380,8 +380,8 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """With a constant fiber the family route reproduces the plain product
-    certificate byte for byte, and the shipped fiber-invariance violator is
-    flagged."""
+    certificate byte for byte except its space descriptor, and the shipped
+    fiber-invariance violator is flagged."""
     t0 = time.perf_counter()
     notes = []
     plain = solve_example(EXAMPLES["diagonal"](), Fraction(1, 100), budget=400, seed=0)
@@ -391,9 +391,10 @@ def criterion_8() -> CriterionResult:
     if plain.certificate is None or viafam.certificate is None:
         notes.append("one of the two routes emitted no certificate")
     else:
-        left = canonical_json(plain.certificate.to_record())
-        right = canonical_json(viafam.certificate.to_record())
-        if left != right:
+        left, right = plain.certificate.to_record(), viafam.certificate.to_record()
+        if (left.pop("space")["kind"], right.pop("space")["kind"]) != ("product", "family_product"):
+            notes.append("the two routes did not run on a plain and a family product")
+        if canonical_json(left) != canonical_json(right):
             notes.append("family-route certificate differs from the plain route")
     good = EXAMPLES["family_valid"]()
     if not check_family_invariance(good.T, good.space, samples=500, seed=0).ok:
@@ -403,7 +404,7 @@ def criterion_8() -> CriterionResult:
         notes.append("violating family example was not flagged")
     seconds = time.perf_counter() - t0
     detail = "; ".join(notes) or (
-        "constant-fiber certificates byte-identical; violator flagged on 500 samples"
+        "constant-fiber certificates match but for the space; violator flagged on 500 samples"
     )
     return CriterionResult(8, "family mode", not notes, detail, seconds)
 

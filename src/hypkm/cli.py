@@ -20,6 +20,7 @@ from . import __version__
 from .config import (
     build_alpha,
     build_map,
+    build_modulus,
     build_schedule,
     build_space,
     canonical_json,
@@ -28,7 +29,11 @@ from .config import (
     config_positive,
     config_positive_int,
     config_rational,
+    config_real,
+    fields,
+    list_of,
     load_config,
+    lookup,
     parse_point,
 )
 from .errors import (
@@ -52,7 +57,7 @@ from .rates import (
     rate_h_tilde,
 )
 from .spaces import DEFAULT_ETA, HyperbolicSpace, check_axioms
-from .uafpp import UafppModulus, banach_ufpp_modulus, modulus_table, uafpp_to_regularity
+from .uafpp import RegularityModulus, modulus_table
 
 #: full decimals are printed up to this many digits; larger rate values are
 #: reported as a sound scientific-notation upper bound plus the digit count.
@@ -77,28 +82,17 @@ def _emit(lines: list[str], out: Optional[str]) -> None:
         print(f"wrote {out}")
 
 
-def _seed(cfg: dict) -> int:
-    return config_natural(cfg, "seed") or 0
-
-
-def _eta(cfg: dict) -> float:
-    v = config_rational(cfg, "eta")
-    return float(v) if v is not None else DEFAULT_ETA
-
-
-def _budget(cfg: dict) -> int:
-    return config_positive_int(cfg, "budget") or DEFAULT_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_axioms(cfg: dict, args) -> int:
-    space = build_space(cfg.get("space") or _missing("space"))
-    samples = config_positive_int(cfg, "samples") or 10_000
-    rep = check_axioms(space, samples, seed=_seed(cfg), eta=_eta(cfg))
+    f = fields(cfg, "axioms")
+    space = build_space(f("space"))
+    samples = f("samples", config_positive_int, 10_000)
+    seed, eta = f("seed", config_natural, 0), f("eta", config_real, DEFAULT_ETA)
+    rep = check_axioms(space, samples, seed=seed, eta=eta)
     lines = _headers(cfg)
     lines.append(f"# space={canonical_json(space.descriptor)}")
     lines.extend(rep.summary_lines())
@@ -109,17 +103,14 @@ def cmd_axioms(cfg: dict, args) -> int:
 
 
 def cmd_iterate(cfg: dict, args) -> int:
-    space = build_space(cfg.get("space") or _missing("space"))
+    f = fields(cfg, "iterate")
+    space = build_space(f("space"))
     if not isinstance(space, HyperbolicSpace):
         raise ConfigError("iterate needs a space with a combine operator")
-    T = build_map(space, cfg.get("map") or _missing("map"))
-    sched = build_schedule(cfg.get("schedule") or _missing("schedule"))
-    if "x0" not in cfg:
-        raise ConfigError("iterate: missing required key 'x0'")
-    x0 = parse_point(space, cfg["x0"])
-    N = config_natural(cfg, "N")
-    if N is None:
-        raise ConfigError("iterate: missing required key 'N'")
+    T = build_map(space, f("map"))
+    sched = build_schedule(f("schedule"))
+    x0 = parse_point(space, f("x0"), "x0")
+    N, eta = f("N", config_natural), f("eta", config_real, DEFAULT_ETA)
     try:
         trace = km_iterate(space, T, x0, sched, N)
     except ScheduleError as exc:
@@ -132,15 +123,11 @@ def cmd_iterate(cfg: dict, args) -> int:
         "schedule": sched.label,
     }
     _emit(trace.csv_lines(meta), args.out)
-    if not residuals_nonincreasing(trace, tol=_eta(cfg)):
+    if not residuals_nonincreasing(trace, tol=eta):
         print("residuals are not nonincreasing: map is not nonexpansive "
               "or schedule is out of range", file=sys.stderr)
         return 1
     return 0
-
-
-def _missing(key: str):
-    raise ConfigError(f"missing required key {key!r}")
 
 
 def _rate_line(name: str, compute) -> str:
@@ -160,16 +147,11 @@ def _rate_line(name: str, compute) -> str:
 
 
 def cmd_rates(cfg: dict, args) -> int:
-    if "K" not in cfg:
-        raise ConfigError("rates: missing required key 'K'")
-    K = config_positive_int(cfg, "K")
-    alpha = build_alpha(cfg.get("alpha") or _missing("alpha"))
-    eps = config_positive(cfg, "eps")
-    if eps is None:
-        _missing("eps")
-    b = config_positive(cfg, "b")
-    b1 = config_positive(cfg, "b1")
-    b2 = config_positive(cfg, "b2")
+    f = fields(cfg, "rates")
+    K = f("K", config_positive_int)
+    alpha = build_alpha(f("alpha"))
+    eps = f("eps", config_positive)
+    b, b1, b2 = (f(key, config_positive, None) for key in ("b", "b1", "b2"))
     lines = _headers(cfg)
     if b is not None:
         lines.append(_rate_line("h", lambda: rate_h(eps, b, K, alpha)))
@@ -184,20 +166,13 @@ def cmd_rates(cfg: dict, args) -> int:
 
 
 def cmd_product(cfg: dict, args) -> int:
-    name = cfg.get("example") or _missing("example")
-    if name not in EXAMPLES:
-        raise ConfigError(
-            f"unknown product example {name!r}; available: {', '.join(sorted(EXAMPLES))}"
-        )
-    ex = EXAMPLES[name]()
-    eps = config_rational(cfg, "eps")
-    if eps is None:
-        _missing("eps")
-    mode = cfg.get("mode")
-    if mode is not None and mode not in ("sup-rC", "bounded-orbit"):
-        raise ConfigError(f"unknown mode {mode!r}")
+    f = fields(cfg, "product")
+    name = f("example")
+    ex = lookup(EXAMPLES, name, "product example")()
+    eps = f("eps", config_rational)
+    budget, seed = f("budget", config_positive_int, DEFAULT_BUDGET), f("seed", config_natural, 0)
     try:
-        res = solve_example(ex, eps, mode=mode, budget=_budget(cfg), seed=_seed(cfg))
+        res = solve_example(ex, eps, mode=cfg.get("mode"), budget=budget, seed=seed)
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from exc
     doc = {
@@ -225,34 +200,11 @@ def cmd_product(cfg: dict, args) -> int:
 
 
 def cmd_uafpp(cfg: dict, args) -> int:
-    desc = cfg.get("modulus") or _missing("modulus")
-    kind = desc.get("kind") if isinstance(desc, dict) else None
-    if kind == "banach":
-        k = config_rational(desc, "k")
-        if k is None:
-            raise ConfigError("banach modulus needs 'k'")
-        modulus = UafppModulus(
-            D_of=lambda eps, b: banach_ufpp_modulus(k, b), label=f"banach(k={k})"
-        )
-        value_col = "D"
-    elif kind == "constant":
-        D = config_rational(desc, "D")
-        if D is None:
-            raise ConfigError("constant modulus needs 'D'")
-        modulus = UafppModulus(D_of=lambda eps, b: D, label=f"constant(D={D})")
-        value_col = "D"
-    elif kind == "regularity_from_constant":
-        D = config_rational(desc, "D")
-        if D is None:
-            raise ConfigError("regularity_from_constant needs 'D'")
-        sched = build_schedule(desc.get("schedule") or _missing("schedule"))
-        phi = UafppModulus(D_of=lambda eps, b: D, label=f"constant(D={D})")
-        modulus = uafpp_to_regularity(phi, sched)
-        value_col = "N"
-    else:
-        raise ConfigError(f"unknown modulus kind {kind!r}")
-    eps_values = cfg.get("eps_values") or _missing("eps_values")
-    b_values = cfg.get("b_values") or _missing("b_values")
+    f = fields(cfg, "uafpp")
+    modulus = build_modulus(f("modulus"))
+    value_col = "N" if isinstance(modulus, RegularityModulus) else "D"
+    eps_values = f("eps_values", list_of(config_positive))
+    b_values = f("b_values", list_of(config_positive))
     try:
         rows = modulus_table(modulus, eps_values, b_values)
     except (ArgumentError, RateOverflowError) as exc:
@@ -278,13 +230,14 @@ def cmd_demo(cfg: dict, args) -> int:
     return 0 if ok else 1
 
 
+#: subcommand -> (function, the flags it reads, help text)
 COMMANDS = {
-    "axioms": cmd_axioms,
-    "iterate": cmd_iterate,
-    "rates": cmd_rates,
-    "product": cmd_product,
-    "uafpp": cmd_uafpp,
-    "demo": cmd_demo,
+    "axioms": (cmd_axioms, ("seed", "eta"), "check the metric and convexity axioms of a space"),
+    "iterate": (cmd_iterate, ("eta",), "run the averaged iteration and write a residual trace CSV"),
+    "rates": (cmd_rates, (), "evaluate the exact rate bounds h, h_tilde, g, g_tilde"),
+    "product": (cmd_product, ("seed", "budget"), "run the product approximate-fixed-point solver"),
+    "uafpp": (cmd_uafpp, (), "tabulate a displacement or regularity modulus on a grid"),
+    "demo": (cmd_demo, (), "run the built-in acceptance suite"),
 }
 
 
@@ -295,16 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         "and product-space approximate fixed points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "axioms": "check metric and convexity axioms on a configured space",
-        "iterate": "run the averaged iteration and write a residual trace CSV",
-        "rates": "evaluate the exact rate bounds h, h_tilde, g, g_tilde",
-        "product": "run the product-space approximate-fixed-point solver",
-        "uafpp": "tabulate a displacement or regularity modulus on a grid",
-        "demo": "run the built-in acceptance suite",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, _, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
         p.add_argument("--seed", help="override the config seed")
         p.add_argument("--budget", help="override the iteration budget")
@@ -319,6 +264,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(max(MAX_PRINT_DIGITS + 100, 10_000))
     try:
+        command, reads, _ = COMMANDS[args.command]
+        flags = {k: v for k in ("seed", "budget", "eta") if (v := getattr(args, k)) is not None}
+        unread = [f"--{key}" for key in flags if key not in reads]
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         if args.command == "demo":
             cfg = {}
         else:
@@ -327,10 +277,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             cfg = load_config(args.config)
         # flags override config keys of the same name; merged in before
         # dispatch so that config_hash covers the effective config
-        for key in ("seed", "budget", "eta"):
-            if getattr(args, key) is not None:
-                cfg = {**cfg, key: getattr(args, key)}
-        return COMMANDS[args.command](cfg, args)
+        return command({**cfg, **flags}, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

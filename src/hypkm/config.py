@@ -1,17 +1,20 @@
-"""Configuration loading and the name catalogs behind it.
+"""Configuration loading and the kind tables behind it.
 
 Configs are JSON; rationals are written as "p/q" strings so preconditions
-are checked exactly rather than on parsed floats.  Every builder raises
-ConfigError with the offending key, and the canonical serialization gives a
-stable hash for embedding in outputs.
+are checked exactly rather than on parsed floats.  One dispatcher builds
+every descriptor from its kind's table entry, which reads each field once
+through a typed reader; every failure is a ConfigError naming the key or
+the kind.  The canonical serialization gives a stable hash for outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import ArgumentError, ConfigError
 from .km import Schedule, constant_schedule, harmonic_schedule
@@ -44,6 +47,13 @@ from .spaces import (
     make_star_tree,
     product,
 )
+from .uafpp import UafppModulus, banach_ufpp_modulus, uafpp_to_regularity
+
+#: largest euclidean dimension a config may ask for, checked before the
+#: space exists: axiom sampling holds several dim-tuples per sample.
+MAX_DIM = 10_000
+
+_REQUIRED = object()
 
 
 def load_config(path) -> dict:
@@ -66,6 +76,11 @@ def canonical_json(obj: Any) -> str:
 
 def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical_json(cfg).encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# typed readers: reader(cfg, key) reads cfg[key] and names the key on failure
+# ---------------------------------------------------------------------------
 
 
 def config_rational(cfg: dict, key: str, default=None) -> Optional[Fraction]:
@@ -104,10 +119,76 @@ def config_positive_int(cfg: dict, key: str) -> Optional[int]:
     return value
 
 
-def _need(cfg: dict, key: str, context: str):
-    if key not in cfg:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return cfg[key]
+def config_real(cfg: dict, key: str) -> Optional[float]:
+    """Read a real-valued key as the nearest float: a rational spelling or
+    "inf"/"-inf" (never a bool), within float range."""
+    raw = cfg.get(key)
+    if raw in ("inf", "-inf"):
+        return math.inf if raw == "inf" else -math.inf
+    value = config_rational(cfg, key)
+    try:
+        return None if value is None else float(value)
+    except OverflowError:
+        raise ConfigError(f"config key {key!r}: must lie within float range") from None
+
+
+def list_of(*reads: Callable, n: Optional[int] = None) -> Callable:
+    """A reader of a nonempty JSON list, each item read under the list's
+    key: one item per reader when several are given, else every item by
+    the one reader (exactly n of them when n is given)."""
+
+    def read_list(cfg: dict, key: str) -> tuple:
+        raw, size = cfg[key], len(reads) if len(reads) > 1 else n
+        if not isinstance(raw, list) or not raw or size is not None and len(raw) != size:
+            items = "one or more" if size is None else size
+            raise ConfigError(f"config key {key!r}: must be a list of {items} items, got {raw!r}")
+        return tuple(read({key: item}, key) for read, item in zip(itertools.cycle(reads), raw))
+
+    return read_list
+
+
+def _dim(cfg: dict, key: str) -> int:
+    dim = config_positive_int(cfg, key)
+    if dim > MAX_DIM:
+        raise ConfigError(f"config key {key!r}: must be at most {MAX_DIM}, got {cfg[key]!r}")
+    return dim
+
+
+def fields(cfg: dict, where: str) -> Callable:
+    """field(key, read=None, default=required): cfg[key] through the typed
+    reader `read` (the raw value without one), `default` when the key is
+    absent; a missing required key is a ConfigError saying `where` needs it."""
+
+    def field(key: str, read: Optional[Callable] = None, default=_REQUIRED):
+        if key not in cfg:
+            if default is _REQUIRED:
+                raise ConfigError(f"{where} needs {key!r}")
+            return default
+        return cfg[key] if read is None else read(cfg, key)
+
+    return field
+
+
+def lookup(table: dict, kind, what: str):
+    """table[kind] for a string kind the table has, else a ConfigError
+    listing the kinds it has."""
+    if isinstance(kind, str) and kind in table:
+        return table[kind]
+    raise ConfigError(f"unknown {what} {kind!r}; available: {', '.join(sorted(table))}")
+
+
+def _dispatch(table: dict, desc, what: str, *args, tag: str = "kind"):
+    """Build `desc` with table[desc[tag]](field, *args), where field reads
+    desc's fields; the one place that checks a descriptor's shape and kind
+    and names the kind in argument errors."""
+    if not isinstance(desc, dict):
+        raise ConfigError(f"{what} descriptor must be an object, got {desc!r}")
+    kind = fields(desc, f"{what} descriptor")(tag)
+    entry = lookup(table, kind, f"{what} {tag}")
+    try:
+        return entry(fields(desc, f"{what} {kind!r}"), *args)
+    except ArgumentError as exc:
+        raise ConfigError(f"{what} {kind!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -116,150 +197,122 @@ def _need(cfg: dict, key: str, context: str):
 
 
 def build_space(desc: dict) -> Space:
-    if not isinstance(desc, dict):
-        raise ConfigError(f"space descriptor must be an object, got {desc!r}")
-    kind = _need(desc, "kind", "space descriptor")
-    try:
-        if kind == "interval":
-            return make_interval(
-                float(_need(desc, "a", "interval")), float(_need(desc, "b", "interval"))
-            )
-        if kind == "euclidean":
-            return make_euclidean(config_positive_int(desc, "dim") or _need(desc, "dim", "euclidean"))
-        if kind == "box":
-            return make_box([tuple(b) for b in _need(desc, "bounds", "box")])
-        if kind == "poincare":
-            return make_poincare_disk()
-        if kind == "star_tree":
-            return make_star_tree(
-                config_positive_int(desc, "rays") or _need(desc, "rays", "star_tree"),
-                float(_need(desc, "length", "star_tree")),
-            )
-        if kind == "circle":
-            return make_circle()
-        if kind == "product":
-            return product(
-                build_space(_need(desc, "left", "product")),
-                build_space(_need(desc, "right", "product")),
-            )
-        if kind == "broken_w":
-            base = build_space(_need(desc, "base", "broken_w"))
-            return BrokenW(base)
-    except ArgumentError as exc:
-        raise ConfigError(f"space {kind!r}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"space {kind!r}: bad parameter ({exc})") from exc
-    raise ConfigError(f"unknown space kind {kind!r}")
+    return _dispatch(SPACES, desc, "space")
 
 
 def build_alpha(desc: dict) -> AlphaFn:
-    if not isinstance(desc, dict):
-        raise ConfigError(f"alpha descriptor must be an object, got {desc!r}")
-    kind = _need(desc, "kind", "alpha descriptor")
-    try:
-        if kind == "identity":
-            return alpha_identity()
-        if kind == "double":
-            return alpha_double()
-        if kind == "scale_ceil":
-            return alpha_scale_ceil(as_fraction(_need(desc, "c", "scale_ceil")))
-        if kind == "table":
-            return alpha_table([int(v) for v in _need(desc, "values", "table")])
-    except ArgumentError as exc:
-        raise ConfigError(f"alpha {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown alpha kind {kind!r}")
+    return _dispatch(ALPHAS, desc, "alpha")
 
 
 def build_schedule(desc: dict) -> Schedule:
-    if not isinstance(desc, dict):
-        raise ConfigError(f"schedule descriptor must be an object, got {desc!r}")
-    kind = _need(desc, "kind", "schedule descriptor")
-    K = config_positive_int(desc, "K")
-    alpha = build_alpha(desc["alpha"]) if "alpha" in desc else None
-    try:
-        if kind == "constant":
-            return constant_schedule(
-                as_fraction(_need(desc, "value", "constant schedule")),
-                K=K,
-                alpha=alpha,
-            )
-        if kind == "harmonic":
-            offset = config_natural(desc, "offset")
-            horizon = config_natural(desc, "alpha_horizon")
-            return harmonic_schedule(
-                offset=2 if offset is None else offset,
-                K=K,
-                alpha=alpha,
-                alpha_horizon=6 if horizon is None else horizon,
-            )
-    except ArgumentError as exc:
-        raise ConfigError(f"schedule {kind!r}: {exc}") from exc
-    raise ConfigError(f"unknown schedule kind {kind!r}")
-
-
-def parse_point(space: Space, raw):
-    """Deserialize a point in the representation its space owns."""
-    kind = space.descriptor.get("kind")
-    try:
-        if kind == "interval":
-            return float(raw)
-        if kind in ("euclidean", "box"):
-            return tuple(float(v) for v in raw)
-        if kind == "poincare":
-            re, im = raw
-            return complex(float(re), float(im))
-        if kind == "star_tree":
-            ray, offset = raw
-            return (int(ray), float(offset))
-        if kind == "circle":
-            return float(raw)
-        if kind == "product":
-            left_raw, right_raw = raw
-            return (
-                parse_point(space.ambient, left_raw),
-                parse_point(space.right, right_raw),
-            )
-        if kind == "broken_w":
-            return parse_point(space.base, raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad point {raw!r} for space kind {kind!r}") from exc
-    raise ConfigError(f"no point parser for space kind {kind!r}")
+    return _dispatch(SCHEDULES, desc, "schedule")
 
 
 def build_map(space: Space, desc: dict) -> NonexpansiveMap:
     """Single-factor map catalog for the iterate subcommand."""
-    if not isinstance(desc, dict):
-        raise ConfigError(f"map descriptor must be an object, got {desc!r}")
-    name = _need(desc, "name", "map descriptor")
-    try:
-        if name == "identity":
-            return identity_map(space)
-        if name == "constant":
-            return constant_map(space, parse_point(space, _need(desc, "value", "constant map")))
-        if name == "affine":
-            if not isinstance(space, IntervalSpace):
-                raise ConfigError("map 'affine' needs an interval space")
-            return interval_affine(
-                space,
-                as_fraction(_need(desc, "slope", "affine map")),
-                as_fraction(_need(desc, "intercept", "affine map")),
-            )
-        if name == "translate":
-            if not isinstance(space, IntervalSpace):
-                raise ConfigError("map 'translate' needs an interval space")
-            return clamped_translation(space, as_fraction(_need(desc, "shift", "translate map")))
-        if name == "matrix_affine":
-            if not isinstance(space, EuclideanSpace):
-                raise ConfigError("map 'matrix_affine' needs a euclidean space")
-            return affine_map(
-                space,
-                [[float(v) for v in row] for row in _need(desc, "matrix", "matrix_affine")],
-                [float(v) for v in _need(desc, "offset", "matrix_affine")],
-            )
-    except ConfigError:
-        raise
-    except ArgumentError as exc:
-        raise ConfigError(f"map {name!r}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"map {name!r}: bad parameter ({exc})") from exc
-    raise ConfigError(f"unknown map name {name!r}")
+    return _dispatch(MAPS, desc, "map", space, tag="name")
+
+
+def build_modulus(desc: dict):
+    """A UAFPP or regularity modulus for the uafpp subcommand."""
+    return _dispatch(MODULI, desc, "modulus")
+
+
+def parse_point(space: Space, raw, key: str = "point"):
+    """Deserialize a point in the representation its space owns; errors
+    name `key`."""
+    return _dispatch(POINTS, {"kind": space.descriptor.get("kind"), key: raw}, "point", space, key)
+
+
+def _alpha(cfg: dict, key: str) -> AlphaFn:
+    return build_alpha(cfg[key])
+
+
+def _point(space: Space) -> Callable:
+    """A reader of a point of `space`."""
+    return lambda cfg, key: parse_point(space, cfg[key], key)
+
+
+def _space_of(space: Space, cls: type, name: str) -> Space:
+    if not isinstance(space, cls):
+        raise ArgumentError(f"needs {name} space")
+    return space
+
+
+def _constant_modulus(D: Fraction) -> UafppModulus:
+    return UafppModulus(D_of=lambda eps, b: D, label=f"constant(D={D})")
+
+
+def _banach_modulus(f) -> UafppModulus:
+    k = f("k", config_rational)
+    return UafppModulus(D_of=lambda eps, b: banach_ufpp_modulus(k, b), label=f"banach(k={k})")
+
+
+SPACES: dict[str, Callable] = {
+    "interval": lambda f: make_interval(f("a", config_real), f("b", config_real)),
+    "euclidean": lambda f: make_euclidean(f("dim", _dim)),
+    "box": lambda f: make_box(f("bounds", list_of(list_of(config_real, n=2)))),
+    "poincare": lambda f: make_poincare_disk(),
+    "star_tree": lambda f: make_star_tree(f("rays", config_positive_int), f("length", config_real)),
+    "circle": lambda f: make_circle(),
+    "product": lambda f: product(build_space(f("left")), build_space(f("right"))),
+    "broken_w": lambda f: BrokenW(build_space(f("base"))),
+}
+
+ALPHAS: dict[str, Callable] = {
+    "identity": lambda f: alpha_identity(),
+    "double": lambda f: alpha_double(),
+    "scale_ceil": lambda f: alpha_scale_ceil(f("c", config_rational)),
+    "table": lambda f: alpha_table(f("values", list_of(config_natural))),
+}
+
+SCHEDULES: dict[str, Callable] = {
+    "constant": lambda f: constant_schedule(
+        f("value", config_rational),
+        K=f("K", config_positive_int, None),
+        alpha=f("alpha", _alpha, None),
+    ),
+    "harmonic": lambda f: harmonic_schedule(
+        offset=f("offset", config_natural, 2),
+        K=f("K", config_positive_int, None),
+        alpha=f("alpha", _alpha, None),
+        alpha_horizon=f("alpha_horizon", config_natural, 6),
+    ),
+}
+
+MAPS: dict[str, Callable] = {
+    "identity": lambda f, space: identity_map(space),
+    "constant": lambda f, space: constant_map(space, f("value", _point(space))),
+    "affine": lambda f, space: interval_affine(
+        _space_of(space, IntervalSpace, "an interval"),
+        f("slope", config_real),
+        f("intercept", config_real),
+    ),
+    "translate": lambda f, space: clamped_translation(
+        _space_of(space, IntervalSpace, "an interval"), f("shift", config_real)
+    ),
+    "matrix_affine": lambda f, space: affine_map(
+        _space_of(space, EuclideanSpace, "a euclidean"),
+        f("matrix", list_of(list_of(config_real))),
+        f("offset", list_of(config_real)),
+    ),
+}
+
+POINTS: dict[str, Callable] = {
+    "interval": lambda f, space, key: f(key, config_real),
+    "circle": lambda f, space, key: f(key, config_real),
+    "euclidean": lambda f, space, key: f(key, list_of(config_real, n=space.dim)),
+    "box": lambda f, space, key: f(key, list_of(config_real, n=space.dim)),
+    "poincare": lambda f, space, key: complex(*f(key, list_of(config_real, config_real))),
+    "star_tree": lambda f, space, key: f(key, list_of(config_natural, config_real)),
+    "product": lambda f, space, key: f(key, list_of(_point(space.ambient), _point(space.right))),
+    "broken_w": lambda f, space, key: f(key, _point(space.base)),
+}
+
+MODULI: dict[str, Callable] = {
+    "banach": _banach_modulus,
+    "constant": lambda f: _constant_modulus(f("D", config_rational)),
+    "regularity_from_constant": lambda f: uafpp_to_regularity(
+        _constant_modulus(f("D", config_rational)), build_schedule(f("schedule"))
+    ),
+}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -199,11 +200,6 @@ def family_product(
                 f"selection value {delta(u)!r} is outside the fiber at u={u!r}"
             )
     return FamilyProduct(M, ambient, fiber_of, label)
-
-
-def constant_family(C: HyperbolicSpace, M: Space) -> FamilyProduct:
-    """The degenerate family with every fiber equal to C: the plain product."""
-    return product(C, M)
 
 
 @dataclass
@@ -541,8 +537,8 @@ def solve_product_afpp(
     partial report, not a certificate.
     """
     eps_f = as_fraction(eps)
-    if eps_f <= 0:
-        raise ArgumentError(f"eps must be positive, got {eps}")
+    if not 0 < eps_f <= sys.float_info.max:
+        raise ArgumentError(f"eps must be positive and within float range, got {eps}")
     if budget < 1:
         raise ArgumentError(f"budget must be >= 1, got {budget}")
     if mode not in ("sup-rC", "bounded-orbit"):
@@ -697,8 +693,6 @@ class ProductExample:
     b2: Fraction
     orbit_bound: Optional[Fraction]
     r_star: Optional[float]
-    default_mode: str
-    notes: str = ""
 
 
 def _unit_interval() -> IntervalSpace:
@@ -722,8 +716,6 @@ def diagonal_example() -> ProductExample:
         b2=Fraction(1, 10**9),
         orbit_bound=Fraction(1),
         r_star=0.0,
-        default_mode="sup-rC",
-        notes="slice fixed point at x=u; the iteration never moves",
     )
 
 
@@ -746,8 +738,6 @@ def constant_example() -> ProductExample:
         b2=Fraction(1, 10**9),
         orbit_bound=Fraction(1),
         r_star=0.0,
-        default_mode="sup-rC",
-        notes="slice orbit from 0 is 1 - 2^-n; residual 2^-n",
     )
 
 
@@ -768,8 +758,6 @@ def drop_example() -> ProductExample:
         b2=Fraction(1, 10**9),
         orbit_bound=Fraction(5),
         r_star=0.0,
-        default_mode="sup-rC",
-        notes="slice fixed point 0; orbit from 5 stays in [0,5]",
     )
 
 
@@ -782,7 +770,7 @@ def drift_example() -> ProductExample:
         name="drift",
         space=dom,
         T=unit_drift(dom),
-        delta=NonexpansiveMap(M, lambda u: 0.0, "constant(0.0)"),
+        delta=constant_map(M, 0.0),
         sched=constant_schedule("1/2"),
         oracle=GridOracle(M),
         probe=lambda u: 0.0,
@@ -790,15 +778,13 @@ def drift_example() -> ProductExample:
         b2=Fraction(1),
         orbit_bound=None,
         r_star=1.0,
-        default_mode="sup-rC",
-        notes="translation slice: residual constant 1, orbits unbounded",
     )
 
 
 def _growing_family_space() -> FamilyProduct:
     M = _unit_interval()
     ambient = make_interval(0.0, 2.0)
-    delta = NonexpansiveMap(M, lambda u: 0.0, "constant(0.0)")
+    delta = constant_map(M, 0.0)
     return family_product(
         M,
         lambda u: make_interval(0.0, 1.0 + u),
@@ -816,7 +802,7 @@ def family_valid_example() -> ProductExample:
         name="family_valid",
         space=H,
         T=family_halving(H),
-        delta=NonexpansiveMap(H.right, lambda u: 0.0, "constant(0.0)"),
+        delta=constant_map(H.right, 0.0),
         sched=constant_schedule("1/2"),
         oracle=GridOracle(H.right),
         probe=lambda u: 0.0,
@@ -824,7 +810,6 @@ def family_valid_example() -> ProductExample:
         b2=Fraction(1, 10**9),
         orbit_bound=Fraction(1),
         r_star=0.0,
-        default_mode="sup-rC",
     )
 
 
@@ -836,7 +821,7 @@ def family_violating_example() -> ProductExample:
         name="family_violating",
         space=H,
         T=family_drift(H),
-        delta=NonexpansiveMap(H.right, lambda u: 0.0, "constant(0.0)"),
+        delta=constant_map(H.right, 0.0),
         sched=constant_schedule("1/2"),
         oracle=GridOracle(H.right),
         probe=None,
@@ -844,16 +829,15 @@ def family_violating_example() -> ProductExample:
         b2=Fraction(1),
         orbit_bound=None,
         r_star=None,
-        default_mode="sup-rC",
-        notes="violates fiber invariance by construction",
     )
 
 
 def family_const_example() -> ProductExample:
     """The diagonal example routed through the family machinery with a
-    constant fiber: must reproduce the plain-product run bit for bit."""
+    constant fiber: must reproduce the plain-product run in everything but
+    the space descriptor."""
     C, M = _unit_interval(), _unit_interval()
-    H = constant_family(C, M)
+    H = family_product(M, lambda u: C, identity_map(M), C, label="interval[0,1]")
     return ProductExample(
         name="family_const",
         space=H,
@@ -866,7 +850,6 @@ def family_const_example() -> ProductExample:
         b2=Fraction(1, 10**9),
         orbit_bound=Fraction(1),
         r_star=0.0,
-        default_mode="sup-rC",
     )
 
 
@@ -888,14 +871,13 @@ def solve_example(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> SolveResult:
-    mode = mode or ex.default_mode
     return solve_product_afpp(
         ex.T,
         ex.delta,
         ex.sched,
         ex.oracle,
         eps,
-        mode=mode,
+        mode="sup-rC" if mode is None else mode,
         budget=budget,
         probe=ex.probe,
         b1=ex.b1,

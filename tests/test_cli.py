@@ -1,14 +1,19 @@
 """Command line front end: golden outputs, exit codes, config builders, and
 the stable hashing that makes reruns byte-identical."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypkm
 from hypkm import ConfigError, make_euclidean, make_interval
@@ -22,6 +27,7 @@ from hypkm.config import (
     canonical_json,
     config_hash,
     config_rational,
+    config_real,
     load_config,
     parse_point,
 )
@@ -695,3 +701,166 @@ def test_build_map_catalog_and_errors():
             plane,
             {"name": "matrix_affine", "matrix": [[1, 0]], "offset": [0, 0]},
         )
+
+
+# ---------------------------------------------------------------------------
+# strict descriptors: each lax input exits 2 naming its key
+# ---------------------------------------------------------------------------
+
+
+def _with(cfg, path, value):
+    """A deep copy of cfg with the node at `path` set to value."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return cfg
+
+
+STAR_CFG = dict(ITERATE_CFG, space={"kind": "star_tree", "rays": 3, "length": 2},
+                map={"name": "identity"}, x0=[0, 0.5])
+MATRIX_CFG = dict(ITERATE_CFG, space={"kind": "euclidean", "dim": 1}, x0=[0],
+                  map={"name": "matrix_affine", "matrix": [[1]], "offset": [0]})
+BOX_CFG = {"space": {"kind": "box", "bounds": [[0, 1]]}, "samples": 10}
+INTERVAL_CFG = {"space": {"kind": "interval", "a": 0, "b": 2}, "samples": 10}
+TABLE_CFG = {"K": 2, "alpha": {"kind": "table", "values": [2, 4]}, "eps": "1/2", "b": 1}
+UAFPP_CFG = {"modulus": {"kind": "banach", "k": "1/2"}, "eps_values": [1], "b_values": [1, 2]}
+
+LAX_INPUTS = [
+    ("iterate", STAR_CFG, ("x0",), [2.7, 0.5]),
+    ("uafpp", UAFPP_CFG, ("eps_values",), "12"),
+    ("rates", TABLE_CFG, ("alpha", "values"), [2.5, True]),
+    ("axioms", INTERVAL_CFG, ("space", "a"), True),
+    ("axioms", BOX_CFG, ("space", "bounds"), [[True, 2]]),
+    ("iterate", MATRIX_CFG, ("map", "matrix"), [[True]]),
+    ("iterate", MATRIX_CFG, ("x0",), "12"),
+    ("uafpp", UAFPP_CFG, ("eps_values",), 5),
+    ("rates", TABLE_CFG, ("alpha", "values"), 5),
+    ("axioms", INTERVAL_CFG, ("space", "b"), 10**400),
+    ("iterate", ITERATE_CFG, ("eta",), "x"),
+] + [
+    (command, cfg, path, value)
+    for command, cfg, path in [
+        ("axioms", BOX_CFG, ("space", "bounds")),
+        ("iterate", MATRIX_CFG, ("map", "matrix")),
+        ("iterate", MATRIX_CFG, ("map", "offset")),
+        ("iterate", MATRIX_CFG, ("x0",)),
+    ]
+    for value in (True, 2.5, "x")
+]
+
+
+@pytest.mark.parametrize("command, cfg, path, value", LAX_INPUTS)
+def test_lax_input_exits_2_naming_the_key(tmp_path, capsys, command, cfg, path, value):
+    code, out, err = run_cli(tmp_path, capsys, command, _with(cfg, path, value))
+    assert code == 2 and out == "" and repr(path[-1]) in err and "Traceback" not in err
+
+
+def test_unhashable_example_is_a_config_error(tmp_path, capsys):
+    cfg = {"example": ["diagonal"], "eps": "1/100"}
+    code, out, err = run_cli(tmp_path, capsys, "product", cfg)
+    assert code == 2 and out == "" and "unknown product example ['diagonal']" in err
+
+
+def test_huge_dim_is_refused_before_any_space_exists(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(hypkm.config, "make_euclidean", lambda n: pytest.fail(f"built dim {n}"))
+    cfg = {"space": {"kind": "euclidean", "dim": 100000000}, "samples": 10}
+    code, out, err = run_cli(tmp_path, capsys, "axioms", cfg)
+    assert code == 2 and out == "" and "config key 'dim'" in err
+    monkeypatch.undo()
+    assert build_space({"kind": "euclidean", "dim": hypkm.config.MAX_DIM}).dim == 10_000
+    with pytest.raises(ConfigError, match="at most 10000"):
+        build_space({"kind": "euclidean", "dim": 10_001})
+
+
+def test_kinds_that_are_not_strings_are_config_errors():
+    for kind in (["interval"], {"a": 1}, 3, None):
+        with pytest.raises(ConfigError, match="unknown space kind"):
+            build_space({"kind": kind})
+    with pytest.raises(ConfigError, match="unknown map name"):
+        build_map(make_interval(0.0, 1.0), {"name": ["identity"]})
+
+
+def test_real_spellings():
+    for raw in (0.5, "1/2", "0.5", " 1/2 "):
+        assert config_real({"x": raw}, "x") == 0.5
+    assert config_real({"x": 3}, "x") == 3.0 and config_real({}, "x") is None
+    assert config_real({"x": "inf"}, "x") == float("inf")
+    assert config_real({"x": "-inf"}, "x") == float("-inf")
+    for raw in (True, False, None, "nan", "x", "1/0", [], {}):
+        with pytest.raises(ConfigError, match="config key 'x'"):
+            config_real({"x": raw}, "x")
+    with pytest.raises(ConfigError, match="within float range"):
+        config_real({"x": 10**400}, "x")
+    space = build_space({"kind": "interval", "a": "-inf", "b": "inf"})
+    assert space.descriptor == {"kind": "interval", "a": "-inf", "b": "inf"}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags",
+    [("product", PRODUCT_CFG, ["--eta", "x"]),
+     ("rates", {"K": 1, "alpha": {"kind": "identity"}, "eps": 4, "b": 1}, ["--seed", "x", "--budget", "-5"]),
+     ("demo", None, ["--seed", "1"])],
+)
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, cfg, flags):
+    code, out, err = run_cli(tmp_path, capsys, command, cfg, *flags)
+    assert code == 2 and out == "" and flags[0] in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: one bad leaf in each README config never escapes as an exception
+# ---------------------------------------------------------------------------
+
+
+def _readme_configs():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^`(\w+)\.json`.*?```json\n(.*?)```", fh.read(), re.S | re.M)
+    configs = {name: json.loads(body) for name, body in blocks}
+    # a huge count makes a long run, not a bad input
+    for cfg in configs.values():
+        for key in COUNT_KEYS & cfg.keys():
+            cfg[key] = min(cfg[key], 100)
+    return configs
+
+
+COUNT_KEYS = {"N", "samples", "budget"}
+README_CONFIGS = _readme_configs()
+BAD_LEAVES = [True, None, 2.5, -1, 0, "x", "", "1/0", "nan", [], {}, [1, 2, 3], 10**400]
+
+
+def _paths(node, prefix=()):
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _on_alarm(signum, frame):
+    raise TimeoutError("fuzz case ran over its time limit")
+
+
+def test_readme_configs_are_the_five_subcommands():
+    assert sorted(README_CONFIGS) == ["axioms", "iterate", "product", "rates", "uafpp"]
+
+
+@pytest.mark.parametrize("command", sorted(README_CONFIGS))
+@given(data=st.data())
+@settings(max_examples=80)
+def test_fuzzed_readme_config_exits_0_to_3(tmp_path_factory, command, data):
+    base = README_CONFIGS[command]
+    path = data.draw(st.sampled_from(list(_paths(base))), label="path")
+    leaves = [v for v in BAD_LEAVES if path[-1] not in COUNT_KEYS or v != 10**400]
+    cfg = _with(base, path, data.draw(st.sampled_from(leaves), label="value"))
+    target = tmp_path_factory.mktemp("fuzz") / "config.json"
+    target.write_text(json.dumps(cfg))
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(10)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", str(target)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2, 3)
