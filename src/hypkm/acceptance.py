@@ -11,6 +11,7 @@ any caller.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -20,7 +21,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 from .config import canonical_json
 from .km import (
@@ -100,6 +101,29 @@ class CriterionResult:
         )
 
 
+def criterion(number: int, name: str, limit: Optional[float] = None):
+    """Make a check body into numbered criterion `number`.
+
+    The body returns (notes, detail): the failures it found, and the line
+    to report when it found none.  The criterion times the body, adds a note
+    when it ran `limit` seconds or longer, and passes when no note is left.
+    """
+
+    def make(body: Callable[[], tuple[list[str], str]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            notes, detail = body()
+            seconds = time.perf_counter() - t0
+            if limit is not None and seconds >= limit:
+                notes.append(f"runtime {seconds:.1f}s is over the {limit} s limit")
+            return CriterionResult(number, name, not notes, "; ".join(notes) or detail, seconds)
+
+        return run
+
+    return make
+
+
 def affine_map_family(count: int, seed: int):
     """Random affine nonexpansive self-maps of the unit square with starts.
 
@@ -128,10 +152,10 @@ def affine_map_family(count: int, seed: int):
     return out
 
 
-def criterion_1() -> CriterionResult:
+@criterion(1, "space axioms", limit=10)
+def criterion_1() -> tuple[list[str], str]:
     """All four shipped spaces satisfy the metric and convexity axioms on
     10^4 random tuples at eta = 1e-9; the broken-combine demo fails W2."""
-    t0 = time.perf_counter()
     notes = []
     shipped = (
         make_interval(0.0, 1.0),
@@ -148,37 +172,27 @@ def criterion_1() -> CriterionResult:
     )
     if broken.passed or "W2" not in broken.failures():
         notes.append("broken-combine demo was not caught on W2")
-    seconds = time.perf_counter() - t0
-    if seconds >= 10.0:
-        notes.append(f"runtime {seconds:.1f}s is over the 10 s limit")
-    detail = "; ".join(notes) or "4 spaces pass at eta=1e-9; broken combine fails W2"
-    return CriterionResult(1, "space axioms", not notes, detail, seconds)
+    return notes, "4 spaces pass at eta=1e-9; broken combine fails W2"
 
 
-def criterion_2() -> CriterionResult:
+@criterion(2, "residual monotonicity", limit=10)
+def criterion_2() -> tuple[list[str], str]:
     """Residuals are nonincreasing within 1e-12 along 100-step orbits of 500
     random affine nonexpansive maps on the unit square at lambda = 1/2."""
-    t0 = time.perf_counter()
     sched = constant_schedule("1/2")
     bad = 0
     for box, T, x0 in affine_map_family(500, seed=2):
         trace = km_iterate(box, T, x0, sched, 100)
         if not residuals_nonincreasing(trace, tol=1e-12):
             bad += 1
-    seconds = time.perf_counter() - t0
-    notes = []
-    if bad:
-        notes.append(f"{bad} of 500 maps violated monotonicity at 1e-12")
-    if seconds >= 10.0:
-        notes.append(f"runtime {seconds:.1f}s is over the 10 s limit")
-    detail = "; ".join(notes) or "500 random affine maps, N=100, tolerance 1e-12"
-    return CriterionResult(2, "residual monotonicity", not notes, detail, seconds)
+    notes = [f"{bad} of 500 maps violated monotonicity at 1e-12"] if bad else []
+    return notes, "500 random affine maps, N=100, tolerance 1e-12"
 
 
-def criterion_3() -> CriterionResult:
+@criterion(3, "cross-parameter stability")
+def criterion_3() -> tuple[list[str], str]:
     """Orbits started at x and y under slice parameters u and v stay within
     max(rho(x,y), d(u,v)) + 1e-9 of each other for n <= 50."""
-    t0 = time.perf_counter()
     C = make_interval(0.0, 1.0)
     M = make_interval(0.0, 1.0)
     dom = product(C, M)
@@ -201,21 +215,15 @@ def criterion_3() -> CriterionResult:
                 if C.distance(a, b) > bound + 1e-9:
                     violations += 1
                     break
-    seconds = time.perf_counter() - t0
-    if violations:
-        detail = f"{violations} start tuples drifted past the bound + 1e-9"
-    else:
-        detail = f"2 maps x 200 tuples, n <= 50, max excess {max(worst, 0.0):.1e}"
-    return CriterionResult(
-        3, "cross-parameter stability", violations == 0, detail, seconds
-    )
+    notes = [f"{violations} start tuples drifted past the bound + 1e-9"] if violations else []
+    return notes, f"2 maps x 200 tuples, n <= 50, max excess {max(worst, 0.0):.1e}"
 
 
-def criterion_4() -> CriterionResult:
+@criterion(4, "rate exactness")
+def criterion_4() -> tuple[list[str], str]:
     """The settling recursion matches its closed forms exactly for i <= 64,
     and the rate bounds reproduce the frozen worked values h = 30,
     h_tilde = 178, g = 30."""
-    t0 = time.perf_counter()
     notes = []
     id_cat, dbl_cat = alpha_identity(), alpha_double()
 
@@ -264,17 +272,13 @@ def criterion_4() -> CriterionResult:
     for label, got_cat, got_raw, want in anchors:
         if not (got_cat == got_raw == want):
             notes.append(f"{label} gave {got_cat}/{got_raw}, want {want}")
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
-        "closed forms exact for i <= 64 on two routes; h=30, h_tilde=178, g=30"
-    )
-    return CriterionResult(4, "rate exactness", not notes, detail, seconds)
+    return notes, "closed forms exact for i <= 64 on two routes; h=30, h_tilde=178, g=30"
 
 
-def criterion_5() -> CriterionResult:
+@criterion(5, "settling monotonicity")
+def criterion_5() -> tuple[list[str], str]:
     """The settling index is nondecreasing in its depth argument for every
     catalogued witness kind, i < 200, n <= 50, by exact comparison."""
-    t0 = time.perf_counter()
     catalog = (
         alpha_identity(),
         alpha_double(),
@@ -298,17 +302,13 @@ def criterion_5() -> CriterionResult:
                 if alpha_hat(alpha, i, n) != seq[i]:
                     notes.append(f"{alpha.label} evaluator mismatch at i={i}, n={n}")
                     break
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
-        "6 catalogued witnesses, i < 200, n <= 50, exact integer comparison"
-    )
-    return CriterionResult(5, "settling monotonicity", not notes, detail, seconds)
+    return notes, "6 catalogued witnesses, i < 200, n <= 50, exact integer comparison"
 
 
-def criterion_6() -> CriterionResult:
+@criterion(6, "residual-infimum estimates")
+def criterion_6() -> tuple[list[str], str]:
     """The residual-infimum estimator is exactly 1.0 at every N <= 1000 for
     the unit translation, and at most 1e-9 by N = 60 for the clamped drop."""
-    t0 = time.perf_counter()
     notes = []
     line = make_real_line()
     sched = constant_schedule("1/2")
@@ -325,19 +325,15 @@ def criterion_6() -> CriterionResult:
     est = estimate_residual_inf(half, lambda x: max(x - 1.0, 0.0), 5.0, sched, 60)
     if not est <= 1e-9:
         notes.append(f"clamped-drop estimate {est:.3g} is above 1e-9 at N=60")
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
-        f"translation estimate == 1.0 for N <= 1000; drop estimate {est:.1e} at N=60"
-    )
-    return CriterionResult(6, "residual-infimum estimates", not notes, detail, seconds)
+    return notes, f"translation estimate == 1.0 for N <= 1000; drop estimate {est:.1e} at N=60"
 
 
-def criterion_7() -> CriterionResult:
+@criterion(7, "product pipeline", limit=30)
+def criterion_7() -> tuple[list[str], str]:
     """The diagonal product demo certifies residual <= 0.01 through the full
     selection + oracle + lift path; the certified-index inequality holds at
     the index actually used; estimates stay within r* + 2*eps on every
     shipped example with known infimum."""
-    t0 = time.perf_counter()
     notes = []
     ex = EXAMPLES["diagonal"]()
     res = solve_example(ex, Fraction(1, 100), budget=2000, seed=0)
@@ -368,21 +364,17 @@ def criterion_7() -> CriterionResult:
                 f"{name}: estimate {est:.3g} above r* + 2*eps = "
                 f"{known.r_star + 2 * eps:.3g}"
             )
-    seconds = time.perf_counter() - t0
-    if seconds >= 30.0:
-        notes.append(f"runtime {seconds:.1f}s is over the 30 s limit")
-    detail = "; ".join(notes) or (
+    return notes, (
         "certificate residual 0 at the budget index; bound inequality holds; "
         "4 known-infimum estimates within r* + 2*eps"
     )
-    return CriterionResult(7, "product pipeline", not notes, detail, seconds)
 
 
-def criterion_8() -> CriterionResult:
+@criterion(8, "family mode")
+def criterion_8() -> tuple[list[str], str]:
     """With a constant fiber the family route reproduces the plain product
     certificate byte for byte except its space descriptor, and the shipped
     fiber-invariance violator is flagged."""
-    t0 = time.perf_counter()
     notes = []
     plain = solve_example(EXAMPLES["diagonal"](), Fraction(1, 100), budget=400, seed=0)
     viafam = solve_example(
@@ -402,19 +394,17 @@ def criterion_8() -> CriterionResult:
     bad = EXAMPLES["family_violating"]()
     if check_family_invariance(bad.T, bad.space, samples=500, seed=0).ok:
         notes.append("violating family example was not flagged")
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
+    return notes, (
         "constant-fiber certificates match but for the space; violator flagged on 500 samples"
     )
-    return CriterionResult(8, "family mode", not notes, detail, seconds)
 
 
-def criterion_9() -> CriterionResult:
+@criterion(9, "displacement moduli")
+def criterion_9() -> tuple[list[str], str]:
     """Displacement moduli hold against live orbits: D = b * sum(lambda_i)
     bounds orbit displacement on the shared map family, the Banach bound
     k^n/(1-k) * r0 holds along contraction orbits, and the round-trip
     modulus passes the empirical checker at doubled tolerance."""
-    t0 = time.perf_counter()
     notes = []
     sched = constant_schedule("1/2")
     fixed_100 = RegularityModulus(N_of=lambda eps, b: 100, label="fixed(100)")
@@ -507,21 +497,19 @@ def criterion_9() -> CriterionResult:
         notes.append(f"Banach modulus checker: {st.summary()}")
     elif st.eligible == 0:
         notes.append("Banach modulus checker sampled no eligible starts")
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
+    return notes, (
         "orbit displacement within D on 500 maps; Banach bound holds for "
         "k in {0.3, 0.5, 0.9}, n <= 60; round-trip D ~ 10^"
         f"{digit_count(int(D_rt)) - 1} passes at 2*eps; strict Banach "
         f"modulus passes on {st.eligible} eligible starts"
     )
-    return CriterionResult(9, "displacement moduli", not notes, detail, seconds)
 
 
-def criterion_10() -> CriterionResult:
+@criterion(10, "displacement-to-diameter")
+def criterion_10() -> tuple[list[str], str]:
     """A uniform displacement modulus at tolerance 1 bounds the diameter:
     the check passes on [0,1] with D1 = 1 and reports a violation on the
     real line."""
-    t0 = time.perf_counter()
     notes = []
     bounded = gk_boundedness_check(make_interval(0.0, 1.0), 1.0, samples=2000, seed=0)
     if not bounded.ok:
@@ -529,18 +517,16 @@ def criterion_10() -> CriterionResult:
     unbounded = gk_boundedness_check(make_real_line(), 1.0, samples=2000, seed=0)
     if unbounded.ok:
         notes.append("the real line produced no pair beyond 2*D1 + 1")
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
+    return notes, (
         f"[0,1] within bound {bounded.bound:g}; real line violated it "
         f"(max sampled distance {unbounded.max_distance:.3g})"
     )
-    return CriterionResult(10, "displacement-to-diameter", not notes, detail, seconds)
 
 
-def criterion_11() -> CriterionResult:
+@criterion(11, "CLI determinism")
+def criterion_11() -> tuple[list[str], str]:
     """Two product-solver CLI runs with identical config and seed write
     byte-identical certificate files."""
-    t0 = time.perf_counter()
     from .cli import main as cli_main
 
     cfg = {"example": "diagonal", "eps": "1/100", "seed": 0, "budget": 400}
@@ -562,25 +548,12 @@ def criterion_11() -> CriterionResult:
         notes.append("CLI produced an empty certificate file")
     if payloads[0] != payloads[1]:
         notes.append("the two runs differ byte for byte")
-    seconds = time.perf_counter() - t0
-    detail = "; ".join(notes) or (
-        f"two runs, {len(payloads[0])} bytes each, byte-identical"
-    )
-    return CriterionResult(11, "CLI determinism", not notes, detail, seconds)
+    return notes, f"two runs, {len(payloads[0])} bytes each, byte-identical"
 
 
-CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
+#: a tuple, not a list: perfbench's tracer rewraps functions held in tuples
+CRITERIA: tuple[Callable[[], CriterionResult], ...] = tuple(
+    globals()[f"criterion_{number}"] for number in range(1, 12)
 )
 
 

@@ -48,6 +48,7 @@ from .km import km_iterate, residuals_nonincreasing
 from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
 from .rates import (
     LOG10_2_UPPER,
+    _log10_upper,
     decimal_string,
     describe_overflow,
     digit_count,
@@ -60,7 +61,7 @@ from .spaces import DEFAULT_ETA, HyperbolicSpace, check_axioms
 from .uafpp import RegularityModulus, modulus_table
 
 #: full decimals are printed up to this many digits; larger rate values are
-#: reported as a sound scientific-notation upper bound plus the digit count.
+#: reported as a sound upper bound, rendered like an overflowed one.
 MAX_PRINT_DIGITS = 1_000_000
 
 #: values of at most this many bits have at most MAX_PRINT_DIGITS digits:
@@ -140,9 +141,10 @@ def _rate_line(name: str, compute) -> str:
     if v.bit_length() > MAX_PRINT_BITS:
         digits = digit_count(v)
         if digits > MAX_PRINT_DIGITS:
+            # v < (lead + 1) * 10^(digits - 5)
             lead = v // 10 ** (digits - 5)
-            mantissa = (lead + 1) / 10_000  # rounded up: sound as an upper bound
-            return f"{name} <= {mantissa:.4f}e+{digits - 1} (exact value has {digits} decimal digits)"
+            bound = RateOverflowError(log10_upper=digits - 5 + _log10_upper(lead + 1))
+            return f"{name} {describe_overflow(bound)}"
     return f"{name} = {decimal_string(v)}"
 
 

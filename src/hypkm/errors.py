@@ -59,40 +59,22 @@ class BudgetExhausted(HypkmError):
         super().__init__(message or f"budget exhausted; best residual {best_residual!r}")
 
 
-def _fmt_magnitude(x) -> str:
-    """Format a (possibly enormous) rational exponent without overflowing."""
-    try:
-        return f"{float(x):.6g}"
-    except (OverflowError, ValueError):
-        # fall back to a crude order-of-magnitude from the bit lengths
-        bits = x.numerator.bit_length() - x.denominator.bit_length()
-        return f"(about 10^{bits * 30103 // 100000})"
-
-
 class RateOverflowError(HypkmError):
     """An exact rate value does not fit in the configured digit/step budgets.
 
     ``log10_upper`` is a sound upper bound on log10 of the true value when one
     is available, so callers can still report the value as ``<= 10^log10_upper``.
     When even the digit count is astronomical, ``log10_log10_upper`` bounds
-    log10(log10(value)) instead.
+    log10(log10(value)) instead; the message renders it by ``describe_overflow``.
     """
 
     def __init__(self, log10_upper=None, log10_log10_upper=None, context: str = ""):
         self.log10_upper = log10_upper
         self.log10_log10_upper = log10_log10_upper
-        if log10_upper is not None:
-            msg = (
-                "rate value exceeds exact-computation budget; "
-                f"value <= 10^{_fmt_magnitude(log10_upper)}"
-            )
-        elif log10_log10_upper is not None:
-            msg = (
-                "rate value exceeds exact-computation budget; "
-                f"value <= 10^(10^{_fmt_magnitude(log10_log10_upper)})"
-            )
-        else:
-            msg = "rate value exceeds exact-computation budget; no growth bound available"
-        if context:
-            msg += f" ({context})"
-        super().__init__(msg)
+        self.context = context
+
+    def __str__(self) -> str:
+        from .rates import describe_overflow  # rates imports this module
+
+        msg = f"rate value exceeds exact-computation budget; value {describe_overflow(self)}"
+        return f"{msg} ({self.context})" if self.context else msg

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import ArgumentError, RateOverflowError, _fmt_magnitude
+from .errors import ArgumentError, RateOverflowError
 
 try:
     import _decimal
@@ -49,12 +51,19 @@ SCAN_CAP = 1_000_000
 LOG10_2_UPPER = Fraction(30103, 100000)
 LOG10_3_UPPER = Fraction(4771213, 10**7)
 
+#: longest rational string, and largest decimal exponent magnitude, that
+#: as_fraction parses: past either, Fraction() alone takes seconds.
+MAX_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)$")
+
 
 def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
     """Coerce to an exact rational.
 
     Strings accept "p/q" and decimal forms; floats are taken at their exact
-    binary value.
+    binary value.  Strings longer than MAX_STR_DIGITS characters, or with a
+    decimal exponent beyond +-MAX_STR_DIGITS, are refused before parsing.
     """
     if isinstance(x, Fraction):
         return x
@@ -65,8 +74,14 @@ def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
     if isinstance(x, (int, float)):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.strip()
+        if len(text) > MAX_STR_DIGITS:
+            raise ArgumentError(f"{len(text)}-character string is over the {MAX_STR_DIGITS} limit")
+        exp = _EXPONENT.search(text)
+        if exp and int(exp.group(1).replace("_", "") or "0") > MAX_STR_DIGITS:
+            raise ArgumentError(f"decimal exponent of {text!r} is beyond +-{MAX_STR_DIGITS}")
         try:
-            return Fraction(x.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ArgumentError(f"not a rational: {x!r}") from exc
     raise ArgumentError(f"cannot treat {type(x).__name__} as a rational")
@@ -141,23 +156,24 @@ def decimal_string(x: int) -> str:
     return "-" + text if x < 0 else text
 
 
-def _fmt_int(x: int) -> str:
-    """Render an int for a message without tripping the str-conversion limit
-    on huge values."""
+def fmt_number(x, spec: str = ".6g") -> str:
+    """The text of a number in outputs and messages: an int of at most 50
+    digits exactly, anything else as format(float(x), spec), and a longer int
+    or a value beyond float range as ~10^N, where N + 1 is the digit count of
+    its integer part.  Never trips the int-to-str digit limit."""
+    if not isinstance(x, int):
+        try:
+            return format(float(x), spec)
+        except OverflowError:
+            x = int(x)
     digits = digit_count(x)
-    if digits <= 50:
-        return str(x)
-    return f"~10^{digits - 1}"
+    return str(x) if digits <= 50 else f"~10^{digits - 1}"
 
 
-def _log10_upper_int(x: int) -> Fraction:
-    """A rational u with log10(x) < u, tight to within 1/256."""
-    if x < 1:
-        raise ArgumentError(f"positive integer required, got {x}")
-    return Fraction(digit_count(x**256), 256)
-
-
-def _log10_upper_fraction(c: Fraction) -> Fraction:
+def _log10_upper(c) -> Fraction:
+    """A rational u with log10(c) < u, tight to within 1/256, for a positive
+    int or rational c."""
+    c = Fraction(c)
     if c <= 0:
         raise ArgumentError(f"positive rational required, got {c}")
     p, q = c.numerator, c.denominator
@@ -287,7 +303,7 @@ def alpha_plus(alpha: AlphaLike, i: int, n: int) -> int:
             return max(alpha_prime(alpha, j, n) for j in range(top + 1))
     if i > SCAN_CAP:
         raise ArgumentError(
-            f"alpha_plus scan of {_fmt_int(i + 1)} terms exceeds the cap for "
+            f"alpha_plus scan of {fmt_number(i + 1)} terms exceeds the cap for "
             "non-catalog witness functions"
         )
     return max(alpha(n + j) - j + 1 for j in range(i + 1))
@@ -306,7 +322,7 @@ def _affine_jump(a: int, mult: int, add: int, steps: int, context: str) -> int:
     """
     if mult == 1:
         return a + steps * add
-    log_mult = _log10_upper_int(mult)
+    log_mult = _log10_upper(mult)
     bulk = a + add  # value <= mult**steps * (a + add)
     estimate = steps * log_mult + digit_count(bulk) + 2
     if estimate > DIGIT_BUDGET:
@@ -340,11 +356,11 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
         return a
     if not is_catalog:
         raise ArgumentError(
-            f"literal recursion to i={_fmt_int(i)} exceeds the step budget; "
+            f"literal recursion to i={fmt_number(i)} exceeds the step budget; "
             "use a catalogued witness function"
         )
     steps = i - k
-    ctx = f"alpha_hat({alpha.label}, {_fmt_int(i)}, {_fmt_int(n)})"
+    ctx = f"alpha_hat({alpha.label}, {fmt_number(i)}, {fmt_number(n)})"
     if alpha.kind == "identity" or (alpha.kind == "scale_ceil" and alpha.c == 1):
         # increment is the constant n+1
         return a + steps * (n + 1)
@@ -374,8 +390,7 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
             r = i - k
             envelope = Fraction(a) + (c * n + 2) / (c - 1)
             raise RateOverflowError(
-                log10_upper=r * _log10_upper_fraction(c)
-                + _log10_upper_fraction(envelope),
+                log10_upper=r * _log10_upper(c) + _log10_upper(envelope),
                 context=ctx,
             )
         a += alpha_plus(alpha, a, n)
@@ -416,8 +431,8 @@ def ceil_exp_upper(c, e: int) -> int:
     if e <= _EXP_EXACT_CAP:
         return math.ceil(c * Fraction(3) ** e)
     raise RateOverflowError(
-        log10_upper=_log10_upper_fraction(c) + e * LOG10_3_UPPER,
-        context=f"ceil_exp_upper({_fmt_magnitude(c)}, {_fmt_int(e)})",
+        log10_upper=_log10_upper(c) + e * LOG10_3_UPPER,
+        context=f"ceil_exp_upper({fmt_number(c)}, {fmt_number(e)})",
     )
 
 
@@ -467,7 +482,7 @@ def _settling_bound(
     """
     M = math.ceil((1 + m_num * b) / eps)
     exponent = K * (M + 1)
-    ctx = f"settling bound at M={_fmt_int(M)}, exponent={_fmt_int(exponent)}"
+    ctx = f"settling bound at M={fmt_number(M)}, exponent={fmt_number(exponent)}"
     try:
         E = ceil_exp_upper(coeff * b, exponent)
     except RateOverflowError as exc:
@@ -524,7 +539,7 @@ def rate_g(eps, b1, b2, K: int, alpha: AlphaLike) -> int:
     return _with_floor(
         floor,
         lambda: rate_h(eps, 2 * b1 + b2, K, alpha),
-        f"rate_g(eps={_fmt_magnitude(eps)})",
+        f"rate_g(eps={fmt_number(eps)})",
     )
 
 
@@ -541,18 +556,19 @@ def rate_g_tilde(eps, b, K: int, alpha: AlphaLike) -> int:
     return _with_floor(
         floor,
         lambda: rate_h_tilde(eps, b, K, alpha),
-        f"rate_g_tilde(eps={_fmt_magnitude(eps)})",
+        f"rate_g_tilde(eps={fmt_number(eps)})",
     )
 
 
 def describe_overflow(exc: RateOverflowError) -> str:
-    """Human-readable sound magnitude line for an overflowed bound."""
+    """The text of a sound bound, mantissa rounded up: rate lines, overflow
+    messages and the CLI's unprintable exact values all print it."""
     if exc.log10_upper is not None:
         lg = exc.log10_upper
         expo = math.floor(lg)
-        if digit_count(expo) > 50:
+        if expo >= 10**50:
             # even the exponent is unprintable; drop to tower form
-            return f"<= 10^({_fmt_int(expo)}) (digit count itself is astronomical)"
+            return f"<= 10^({fmt_number(expo)}) (digit count itself is astronomical)"
         frac = lg - expo
         # 10**frac evaluated in floats, then bumped upward; the bump dwarfs
         # the float rounding, keeping the printed mantissa an upper bound
@@ -562,5 +578,5 @@ def describe_overflow(exc: RateOverflowError) -> str:
         return f"<= {mantissa:.3f}e+{expo} (decimal digits <= {expo + 1})"
     if exc.log10_log10_upper is not None:
         expo = math.floor(exc.log10_log10_upper) + 1
-        return f"<= 10^(10^{_fmt_int(expo)}) (digit count itself is astronomical)"
+        return f"<= 10^(10^{fmt_number(expo)}) (digit count itself is astronomical)"
     return "magnitude bound unavailable"

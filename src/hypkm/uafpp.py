@@ -19,21 +19,12 @@ from typing import Callable, Optional, Sequence
 from .errors import ArgumentError, BudgetExhausted, InvariantError
 from .km import Schedule, _km_walk
 from .maps import NonexpansiveMap
-from .rates import _fmt_int, as_fraction, rate_h
+from .rates import as_fraction, fmt_number, rate_h
 from .spaces import DEFAULT_ETA, Point, Space
 
 #: literal KM runs refuse beyond this many steps unless an early-exit
 #: tolerance makes shorter runs sound.
 WITNESS_STEP_CAP = 1_000_000
-
-
-def _fmt_bound(v, spec: str = ".6g") -> str:
-    """Bounds may be exact rationals too large for float; degrade to a
-    decimal-magnitude form instead of overflowing."""
-    try:
-        return format(float(v), spec)
-    except OverflowError:  # more than 50 digits, so _fmt_int gives ~10^N
-        return _fmt_int(int(v))
 
 
 @dataclass(frozen=True)
@@ -300,7 +291,7 @@ class UafppCheckReport:
         return (
             head
             + f"; {len(self.failures)} failures, first on {label} at x={x!r}:"
-            f" {clause} {_fmt_bound(value)} > {_fmt_bound(bound)}"
+            f" {clause} {fmt_number(value)} > {fmt_number(bound)}"
         )
 
 
@@ -354,12 +345,8 @@ def modulus_table(
     modulus, eps_values: Sequence, b_values: Sequence
 ) -> list[tuple[str, str, str]]:
     """Evaluate a modulus on a grid, formatted for stable text output."""
-
-    rows = []
-    for eps in eps_values:
-        for b in b_values:
-            rows.append(tuple(
-                _fmt_bound(v, ".17g")
-                for v in (as_fraction(eps), as_fraction(b), modulus(eps, b))
-            ))
-    return rows
+    return [
+        tuple(fmt_number(v, ".17g") for v in (as_fraction(eps), as_fraction(b), modulus(eps, b)))
+        for eps in eps_values
+        for b in b_values
+    ]

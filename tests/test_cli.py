@@ -3,6 +3,7 @@ the stable hashing that makes reruns byte-identical."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -10,13 +11,15 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypkm
-from hypkm import ConfigError, make_euclidean, make_interval
+from hypkm import ConfigError, alpha_double, cli, make_euclidean, make_interval, rate_h, rate_h_tilde
 from hypkm.cli import main
 from hypkm.product_afpp import solve_example
 from hypkm.config import (
@@ -355,6 +358,43 @@ def test_rates_rejects_bad_values(tmp_path, capsys, key, value):
     assert code == 2 and f"config key {key!r}" in err and out == ""
 
 
+def _benchmark_checks():
+    """perfbench's own output oracles, which import nothing from hypkm."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rates_unprintable_exact_value_is_bounded_above(tmp_path, capsys, monkeypatch):
+    # with the print limit at 10 digits, exact values of 34 and 130 digits
+    # take the sound-bound line that values past 10^6 digits take
+    monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 10)
+    monkeypatch.setattr(cli, "MAX_PRINT_BITS", 33)
+    cfg = {"K": 2, "alpha": {"kind": "double"}, "eps": 4, "b": 1}
+    code, out, _ = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 0
+    exact = {"h": rate_h(4, 1, 2, alpha_double()), "h_tilde": rate_h_tilde(4, 1, 2, alpha_double())}
+    exact["g_tilde"] = exact["h_tilde"]
+    sci = _benchmark_checks()._SCI_RE
+    for line in out.splitlines()[2:]:
+        m = sci.fullmatch(line)
+        assert m, line
+        name, mantissa, expo = m.group(1), Fraction(m.group(2)), int(m.group(3))
+        assert exact[name] <= mantissa * 10**expo
+        assert len(str(exact[name])) <= int(m.group(4))
+
+
+@pytest.mark.parametrize("eps", ["1e10000000", "1" * 10**6])
+def test_rates_refuses_slow_rational_strings(tmp_path, capsys, eps):
+    cfg = {"K": 1, "alpha": {"kind": "identity"}, "eps": eps, "b": 1}
+    start = time.perf_counter()
+    code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and "config key 'eps'" in err and out == ""
+
+
 def test_rates_accepts_integral_K_spellings(tmp_path, capsys):
     for K in ("1", 1.0):
         cfg = {"K": K, "alpha": {"kind": "identity"}, "eps": 4, "b": 1}
@@ -537,8 +577,7 @@ def test_uafpp_regularity_from_constant(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[-2] == "eps,b,N"
-    expected = f"{float(3 * (2**110 - 1)):.17g}"
-    assert lines[-1] == f"4,1,{expected}"
+    assert lines[-1] == f"4,1,{3 * (2**110 - 1)}"
 
 
 def test_uafpp_grid_overflow_is_config_error(tmp_path, capsys):

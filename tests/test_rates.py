@@ -10,6 +10,7 @@ recursion) that shares no code with the library path.
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ from hypkm import (
     rate_h,
     rate_h_tilde,
 )
-from hypkm.rates import _STR_BITS, HEAD_STEPS, SCAN_CAP, decimal_string, monus
+from hypkm.rates import _STR_BITS, HEAD_STEPS, SCAN_CAP, decimal_string, fmt_number, monus
 
 mpmath.mp.dps = 80
 
@@ -83,6 +84,23 @@ def test_as_fraction():
     for bad in ("x", "1/0", True, [1]):
         with pytest.raises(ArgumentError):
             as_fraction(bad)
+
+
+@pytest.mark.parametrize(
+    "value, spec, text",
+    [
+        (30, ".6g", "30"),
+        (10**50 - 1, ".6g", "9" * 50),
+        (10**50, ".17g", "~10^50"),  # 51 digits: too long to print, inside float range
+        (-(10**400), ".6g", "~10^400"),
+        (Fraction(1, 3), ".17g", "0.33333333333333331"),
+        (Fraction(7, 2), ".6g", "3.5"),
+        (Fraction(10**400, 3), ".6g", "~10^399"),
+        (2.5e300, ".6g", "2.5e+300"),
+    ],
+)
+def test_fmt_number(value, spec, text):
+    assert fmt_number(value, spec) == text
 
 
 def test_monus():
@@ -487,3 +505,49 @@ def test_overflow_message_never_overflows_str():
     # messages must build even when the bound is an astronomical Fraction
     exc = RateOverflowError(log10_upper=Fraction(10**400, 3), context="ctx")
     assert "ctx" in str(exc)
+
+
+_MANTISSA_BOUND = re.compile(r"value <= ([1-9]\.[0-9]{3})e\+([0-9]+) \(decimal digits <= ([0-9]+)\)")
+_TOWER_BOUND = re.compile(r"value <= 10\^\((10\^)?(~10\^)?([0-9]+)\)")
+
+
+def assert_message_bounds(exc):
+    """The bound printed in str(exc) is at least the bound exc carries."""
+    text = str(exc)
+    m = _MANTISSA_BOUND.search(text)
+    if m:
+        mantissa, expo = m.group(1), int(m.group(2))
+        assert int(m.group(3)) == expo + 1
+        # 10^frac needs only a float: the mantissa is rounded up by >= 1e-3
+        assert math.log10(float(mantissa)) >= float(exc.log10_upper - expo), text
+        return
+    m = _TOWER_BOUND.search(text)
+    assert m, text
+    # "~10^N" stands for a number of N + 1 digits, so below 10^(N + 1)
+    bound = 10 ** (int(m.group(3)) + 1) if m.group(2) else int(m.group(3))
+    assert bound >= (exc.log10_log10_upper if m.group(1) else exc.log10_upper), text
+
+
+@pytest.mark.parametrize("K", [1, 2, 5])
+@pytest.mark.parametrize("alpha", [alpha_double(), alpha_scale_ceil(2), alpha_scale_ceil(3)],
+                         ids=lambda a: a.label)
+def test_overflow_message_bound_is_an_upper_bound(K, alpha):
+    for eps in (Fraction(1, 3), Fraction(1, 7), Fraction(1, 10), Fraction(1, 20)):
+        for rate in (rate_h, rate_h_tilde):
+            try:
+                rate(eps, 1, K, alpha)
+            except RateOverflowError as exc:
+                assert exc.log10_upper is not None
+                assert_message_bounds(exc)
+
+
+def test_overflow_message_bound_in_tower_forms():
+    with pytest.raises(RateOverflowError) as double_log:
+        rate_h(Fraction(1, 3_000_000), 1, 2, alpha_double())
+    for exc in (
+        double_log.value,
+        RateOverflowError(log10_upper=Fraction(10**60, 3)),
+        RateOverflowError(log10_log10_upper=Fraction(10**60, 3)),
+        RateOverflowError(log10_log10_upper=Fraction(10**400 - 1, 7)),
+    ):
+        assert_message_bounds(exc)
