@@ -27,6 +27,7 @@ from .maps import (
     interval_affine,
 )
 from .rates import (
+    MAX_STR_DIGITS,
     AlphaFn,
     alpha_double,
     alpha_identity,
@@ -56,10 +57,19 @@ MAX_DIM = 10_000
 _REQUIRED = object()
 
 
+def _parse_int(literal: str) -> int:
+    """JSON integers, refused past MAX_STR_DIGITS digits before int() runs:
+    a longer literal would cost seconds under a raised int-to-str limit."""
+    digits = len(literal) - literal.startswith("-")
+    if digits > MAX_STR_DIGITS:
+        raise ConfigError(f"{digits}-digit integer literal is over the {MAX_STR_DIGITS}-digit limit")
+    return int(literal)
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
@@ -261,13 +262,20 @@ class ResidualTrace:
     def csv_lines(self, meta: Optional[dict] = None) -> list[str]:
         """`n,residual,<point columns>` rows at 17 significant digits.
 
-        ``meta`` entries become leading `# key=value` comment lines.
+        ``meta`` entries become leading `# key=value` comment lines.  Every
+        row is ``"%d,%.17g" + ",%.17g" * columns`` applied to (n, residual,
+        *point_row): ``%.17g`` writes the same text as ``format(v, ".17g")``
+        for floats and ints, and round-trips every float.
         """
         lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-        lines.append("n,residual," + ",".join(self.space.point_columns()))
-        for n, (p, r) in enumerate(zip(self.points, self.residuals)):
-            row = self.space.point_row(p)
-            lines.append(f"{n},{r:.17g}," + ",".join(f"{v:.17g}" for v in row))
+        columns = self.space.point_columns()
+        lines.append("n,residual," + ",".join(columns))
+        row = "%d,%.17g" + ",%.17g" * len(columns)
+        point_row = self.space.point_row
+        lines.extend(
+            row % (n, r, *point_row(p))
+            for n, (p, r) in enumerate(zip(self.points, self.residuals))
+        )
         return lines
 
     def to_csv(self, path, meta: Optional[dict] = None) -> None:
@@ -293,9 +301,14 @@ def _km_walk(
     with ``stop_eps`` the walk stops at the first x_k (k < n) with residual
     <= stop_eps.  Returns (x_k, k, r): where it stopped, and the residual
     there if ``residuals`` or ``stop_eps`` asked for residuals (else None).
+    A NonexpansiveMap is called through its ``fn``, as its ``__call__`` does.
     """
     if n < 0:
         raise ArgumentError(f"step count must be a natural, got {n}")
+    from .maps import NonexpansiveMap  # maps imports this module
+
+    if type(T) is NonexpansiveMap:
+        T = T.fn  # its __call__ is fn: one frame less per step
     contains, distance, combine = space.contains, space.distance, space.combine
     if not contains(x0):
         raise DomainError(f"start {x0!r} is not a member of {space!r}")
@@ -373,5 +386,7 @@ def estimate_residual_inf(
 
 
 def residuals_nonincreasing(trace: ResidualTrace, tol: float = 1e-9) -> bool:
+    """r[i + 1] <= r[i] + tol for every i."""
     r = trace.residuals
-    return all(r[i + 1] <= r[i] + tol for i in range(len(r) - 1))
+    bounds = map(operator.add, r, itertools.repeat(tol))
+    return all(map(operator.le, itertools.islice(r, 1, None), bounds))

@@ -167,11 +167,33 @@ def clamped_translation(space: IntervalSpace, shift) -> NonexpansiveMap:
 
 def affine_map(space: EuclideanSpace, matrix, offset) -> NonexpansiveMap:
     """x -> M x + t on tuples; nonexpansive iff the operator norm of M is
-    <= 1 (claimed by the caller)."""
+    <= 1 (claimed by the caller).
+
+    Coordinate i is ``sum(M[i][j] * x[j] for j) + t[i]``, summed left to
+    right from the int 0 as ``sum`` does.  For dim 2 the map is the
+    unrolled ``(0 + a*x[0] + b*x[1] + t0, 0 + c*x[0] + d*x[1] + t1)``, built
+    once here: the same operations in the same order, so the same bits, and
+    the leading ``0 +`` keeps ``sum``'s signed zero (0 + -0.0 is 0.0).
+    Points are indexed, as the generic form indexes them.
+    """
     rows = [tuple(float(v) for v in row) for row in matrix]
     t = tuple(float(v) for v in offset)
     if len(rows) != space.dim or any(len(r) != space.dim for r in rows) or len(t) != space.dim:
         raise ArgumentError("matrix/offset shape must match the dimension")
+    label = f"affine({rows}, {t})"
+    if space.dim == 2:
+        (a, b), (c, d) = rows
+        t0, t1 = t
+
+        def fn2(x):
+            return (0 + a * x[0] + b * x[1] + t0, 0 + c * x[0] + d * x[1] + t1)
+
+        return NonexpansiveMap(space, fn2, label)
+    return NonexpansiveMap(space, _affine_generic(rows, t), label)
+
+
+def _affine_generic(rows: list, t: tuple) -> Callable[[Point], Point]:
+    """x -> M x + t for any dimension: the reference form of affine_map."""
 
     def fn(x):
         return tuple(
@@ -179,7 +201,7 @@ def affine_map(space: EuclideanSpace, matrix, offset) -> NonexpansiveMap:
             for i, r in enumerate(rows)
         )
 
-    return NonexpansiveMap(space, fn, f"affine({rows}, {t})")
+    return fn
 
 
 # ---------------------------------------------------------------------------

@@ -92,23 +92,36 @@ def monus(a: int, b: int) -> int:
     return a - b if a > b else 0
 
 
+#: digit_count trusts its float estimate e of log10|x| only when e lies
+#: farther than _DIGIT_MARGIN_ABS + e * _DIGIT_MARGIN_REL from an integer.
+#: The estimate's error (math.log10 of 64 bits, s * log10(2), one sum) is a
+#: few units in the last place of numbers below e + 20: far inside that.
+_DIGIT_MARGIN_REL = 2.0**-40
+_DIGIT_MARGIN_ABS = 1e-9
+_LOG10_2 = math.log10(2)
+
+
 def digit_count(x: int) -> int:
     """Number of decimal digits of |x|, computed without a str() round trip.
 
-    Exact below about 2.3e8 bits: the starting estimate uses 30103/100000,
-    which overshoots log10(2) by 4.3e-9 per bit, and the loop only corrects
-    upward.
+    With s = max(0, bits - 64) and top = |x| >> s, top * 2^s <= |x| <
+    (top + 1) * 2^s, so floor(log10|x|) lies in [log10(top) + s*log10(2),
+    log10(top + 1) + s*log10(2)).  Widened by the stated margin, that
+    interval is far shorter than 1; when no integer lies in it the floor is
+    read off, and otherwise one exact comparison with 10**k decides.  Only
+    values within about 1e-9 (relative) of a power of ten pay for 10**k.
     """
     if x == 0:
         return 1
     x = abs(x)
-    # (bits-1) * log10(2) underestimates log10(x) by < 0.04 even at 10^6 digits
-    d = max(0, (x.bit_length() - 1) * 30103 // 100000)
-    p = 10**d
-    while p <= x:
-        d += 1
-        p *= 10
-    return d
+    s = max(0, x.bit_length() - 64)
+    top = x >> s
+    base = s * _LOG10_2
+    margin = _DIGIT_MARGIN_ABS + base * _DIGIT_MARGIN_REL
+    k = math.floor(math.log10(top + 1) + base + margin)
+    if math.floor(math.log10(top) + base - margin) == k:
+        return k + 1
+    return k + 1 if x >= 10**k else k
 
 
 #: below this bit length decimal_string defers to str(): at most 4,215
@@ -578,5 +591,5 @@ def describe_overflow(exc: RateOverflowError) -> str:
         return f"<= {mantissa:.3f}e+{expo} (decimal digits <= {expo + 1})"
     if exc.log10_log10_upper is not None:
         expo = math.floor(exc.log10_log10_upper) + 1
-        return f"<= 10^(10^{fmt_number(expo)}) (digit count itself is astronomical)"
+        return f"<= 10^(10^{decimal_string(expo)}) (digit count itself is astronomical)"
     return "magnitude bound unavailable"

@@ -153,7 +153,16 @@ class IntervalSpace(HyperbolicSpace):
 
 
 class EuclideanSpace(HyperbolicSpace):
-    """R^n, or an axis-aligned box, with the Euclidean metric.  Points are tuples."""
+    """R^n, or an axis-aligned box, with the Euclidean metric.  Points are tuples.
+
+    ``contains`` and ``combine`` below are the generic kernels.  For dim 2,
+    ``__init__`` binds unrolled instances of both that give bit-identical
+    results: the same float operations in the same left-to-right order
+    (``xi + lam * (yi - xi)`` per coordinate, bounds widened by
+    MEMBERSHIP_SLACK once), points unpacked by iteration as ``zip`` reads
+    them, and the same TypeError/ValueError handling.  An input the unrolled
+    ``combine`` cannot unpack goes to the generic one.
+    """
 
     def __init__(self, dim: int, bounds: Optional[Sequence[tuple[float, float]]] = None):
         if dim < 1:
@@ -167,10 +176,16 @@ class EuclideanSpace(HyperbolicSpace):
                 if not lo < hi:
                     raise ArgumentError(f"box needs lo < hi, got ({lo}, {hi})")
         self.bounds = bounds
+        self._widened = None if bounds is None else [
+            (lo - MEMBERSHIP_SLACK, hi + MEMBERSHIP_SLACK) for lo, hi in bounds
+        ]
         if bounds is None:
             self.descriptor = {"kind": "euclidean", "dim": dim}
         else:
             self.descriptor = {"kind": "box", "bounds": [list(b) for b in bounds]}
+        if dim == 2:
+            self.contains = self._contains_2d()
+            self.combine = self._combine_2d()
 
     def distance(self, x, y):
         return math.dist(x, y)
@@ -182,12 +197,50 @@ class EuclideanSpace(HyperbolicSpace):
             vals = [float(v) for v in x]
         except (TypeError, ValueError):
             return False
-        if self.bounds is None:
+        if self._widened is None:
             return True
-        return all(
-            lo - MEMBERSHIP_SLACK <= v <= hi + MEMBERSHIP_SLACK
-            for v, (lo, hi) in zip(vals, self.bounds)
-        )
+        return all(lo <= v <= hi for v, (lo, hi) in zip(vals, self._widened))
+
+    def combine(self, x, y, lam):
+        return tuple(xi + lam * (yi - xi) for xi, yi in zip(x, y))
+
+    def _contains_2d(self) -> Callable[[Point], bool]:
+        if self._widened is None:
+            def contains(x):
+                try:
+                    if len(x) != 2:
+                        return False
+                    v0, v1 = x
+                    float(v0), float(v1)
+                except (TypeError, ValueError):
+                    return False
+                return True
+
+            return contains
+        (lo0, hi0), (lo1, hi1) = self._widened
+
+        def contains(x):
+            try:
+                if len(x) != 2:
+                    return False
+                v0, v1 = x
+                v0, v1 = float(v0), float(v1)
+            except (TypeError, ValueError):
+                return False
+            return lo0 <= v0 <= hi0 and lo1 <= v1 <= hi1
+
+        return contains
+
+    def _combine_2d(self) -> Callable[[Point, Point, float], Point]:
+        def combine(x, y, lam):
+            try:
+                x0, x1 = x
+                y0, y1 = y
+            except (TypeError, ValueError):
+                return EuclideanSpace.combine(self, x, y, lam)
+            return (x0 + lam * (y0 - x0), x1 + lam * (y1 - x1))
+
+        return combine
 
     def sample(self, rng):
         if self.bounds is None:
@@ -198,9 +251,6 @@ class EuclideanSpace(HyperbolicSpace):
         if self.bounds is None:
             return math.inf
         return math.dist([lo for lo, _ in self.bounds], [hi for _, hi in self.bounds])
-
-    def combine(self, x, y, lam):
-        return tuple(xi + lam * (yi - xi) for xi, yi in zip(x, y))
 
     def mesh(self, step):
         if self.bounds is None:
@@ -237,16 +287,11 @@ class PoincareDisk(HyperbolicSpace):
     def __init__(self):
         self.descriptor = {"kind": "poincare"}
 
-    @staticmethod
-    def _to_origin(a: complex, z: complex) -> complex:
-        return (z - a) / (1 - a.conjugate() * z)
-
-    @staticmethod
-    def _from_origin(a: complex, z: complex) -> complex:
-        return (z + a) / (1 + a.conjugate() * z)
-
     def distance(self, x, y):
-        w = self._to_origin(complex(y), complex(x))
+        # |phi_y(x)| for the automorphism phi_a(z) = (z - a) / (1 - conj(a) z)
+        # that moves a = y to the origin
+        a, z = complex(y), complex(x)
+        w = (z - a) / (1 - a.conjugate() * z)
         return 2.0 * math.atanh(abs(w))
 
     def contains(self, x):
@@ -263,13 +308,15 @@ class PoincareDisk(HyperbolicSpace):
         return complex(r * math.cos(t), r * math.sin(t))
 
     def combine(self, x, y, lam):
-        x = complex(x)
-        y1 = self._to_origin(x, complex(y))
+        # y1 = phi_x(y); the point at fraction lam of the ray to y1 goes back
+        # by the inverse automorphism z -> (z + x) / (1 + conj(x) z)
+        x, y = complex(x), complex(y)
+        y1 = (y - x) / (1 - x.conjugate() * y)
         r = abs(y1)
         if r == 0.0:
             return x
         m = math.tanh(lam * math.atanh(r)) * (y1 / r)
-        return self._from_origin(x, m)
+        return (m + x) / (1 + x.conjugate() * m)
 
     def point_columns(self):
         return ["re", "im"]

@@ -666,6 +666,39 @@ def test_load_config_errors(tmp_path):
         load_config(arr)
 
 
+def test_load_config_refuses_oversized_int_literals(tmp_path):
+    path = tmp_path / "c.json"
+    for literal in ("1" * 4300, "-" + "1" * 4300):
+        path.write_text('{"eps": %s}' % literal)
+        assert load_config(path)["eps"] == int(literal)
+    for literal in ("1" * 4301, "-" + "1" * 4301):
+        path.write_text('{"eps": %s}' % literal)
+        with pytest.raises(ConfigError, match="4301-digit integer literal"):
+            load_config(path)
+
+
+def test_rates_refuses_a_400000_digit_literal_quickly(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"K": 1, "alpha": {"kind": "identity"}, "eps": %s, "b": 1}' % ("4" * 400_000))
+    start = time.perf_counter()
+    code = main(["rates", "--config", str(path)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert "config error: 400000-digit integer literal" in capsys.readouterr().err
+
+
+def test_rates_tower_line_prints_the_exponent_in_full(tmp_path, capsys):
+    cfg = {"K": 1, "alpha": {"kind": "double"}, "eps": 4, "b": "1e400"}
+    code, out, _ = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 0
+    lines = out.splitlines()[2:]
+    assert [l.split(" ")[0] for l in lines] == ["h", "h_tilde", "g_tilde"]
+    tower = re.compile(r"(\w+) <= 10\^\(10\^([1-9][0-9]*)\) \(digit count itself is astronomical\)")
+    exponents = [tower.fullmatch(l).group(2) for l in lines]
+    assert exponents[0] == "23856065" + "0" * 389 + "403"
+    assert exponents[1] == exponents[2] == "71568195" + "0" * 389 + "404"
+
+
 def test_build_space_catalog_and_errors():
     assert build_space({"kind": "interval", "a": 0, "b": 1}).diameter() == 1.0
     prod = build_space(

@@ -12,6 +12,7 @@ import math
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -114,6 +115,34 @@ def test_digit_count_against_str():
     for v in values:
         assert digit_count(v) == len(str(v))
         assert digit_count(-v) == len(str(v))
+
+
+@pytest.mark.parametrize("k", list(range(1, 64)) + [300, 4299, 4300, 4301, 20_000, 65_537, 100_000])
+def test_digit_count_at_powers_of_ten(k):
+    # every one of these lies within 1e-9 of an integer log10, so the exact
+    # 10**k comparison decides it
+    p = 10**k
+    assert digit_count(p - 1) == k
+    assert digit_count(p) == k + 1
+    assert digit_count(p + 1) == k + 1
+    assert digit_count(-p) == k + 1
+
+
+@given(st.integers(min_value=-(10**1200), max_value=10**1200))
+@example(2**64 - 1)
+@example(2**64)
+@example(2**64 + 1)
+def test_digit_count_equals_len_str(x):
+    assert digit_count(x) == len(str(abs(x)))
+
+
+def test_digit_count_of_the_anchor_reads_bits_only():
+    # the anchor h = 13 * (2^2405209 - 1) is far from a power of ten: no
+    # 10**724041 is built (that alone takes about 0.2 s)
+    h = 13 * (2**2405209 - 1)
+    start = time.perf_counter()
+    assert digit_count(h) == 724042
+    assert time.perf_counter() - start < 0.05
 
 
 def str_oracle(x):
@@ -460,6 +489,17 @@ def test_rate_overflow_double_log_form():
         rate_h(Fraction(1, 3_000_000), 1, 2, alpha_double())
     assert exc.value.log10_log10_upper is not None
     assert "10^(10^" in describe_overflow(exc.value)
+
+
+def test_double_log_exponent_prints_in_full():
+    # the exponent of the tower has 400 digits; it prints as its decimal
+    # text, never as ~10^N, so the line keeps the form 10^(10^<digits>)
+    with pytest.raises(RateOverflowError) as exc:
+        rate_h(4, 10**400, 1, alpha_double())
+    expo = math.floor(exc.value.log10_log10_upper) + 1
+    assert len(str(expo)) > 50
+    text = describe_overflow(exc.value)
+    assert text == f"<= 10^(10^{expo}) (digit count itself is astronomical)"
 
 
 def test_rate_overflow_identity_keeps_single_log():
