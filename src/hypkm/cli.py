@@ -47,7 +47,6 @@ from .errors import (
 from .km import km_iterate, residuals_nonincreasing
 from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
 from .rates import (
-    LOG10_2_UPPER,
     _log10_upper,
     decimal_string,
     describe_overflow,
@@ -63,10 +62,6 @@ from .uafpp import RegularityModulus, modulus_table
 #: full decimals are printed up to this many digits; larger rate values are
 #: reported as a sound upper bound, rendered like an overflowed one.
 MAX_PRINT_DIGITS = 1_000_000
-
-#: values of at most this many bits have at most MAX_PRINT_DIGITS digits:
-#: bits * log10(2) <= bits * LOG10_2_UPPER <= MAX_PRINT_DIGITS.
-MAX_PRINT_BITS = int(MAX_PRINT_DIGITS / LOG10_2_UPPER)
 
 
 def _headers(cfg: dict) -> list[str]:
@@ -138,13 +133,12 @@ def _rate_line(name: str, compute) -> str:
         v = compute()
     except RateOverflowError as exc:
         return f"{name} {describe_overflow(exc)}"
-    if v.bit_length() > MAX_PRINT_BITS:
-        digits = digit_count(v)
-        if digits > MAX_PRINT_DIGITS:
-            # v < (lead + 1) * 10^(digits - 5)
-            lead = v // 10 ** (digits - 5)
-            bound = RateOverflowError(log10_upper=digits - 5 + _log10_upper(lead + 1))
-            return f"{name} {describe_overflow(bound)}"
+    digits = digit_count(v)
+    if digits > MAX_PRINT_DIGITS:
+        # v < (lead + 1) * 10^(digits - 5)
+        lead = v // 10 ** (digits - 5)
+        bound = RateOverflowError(log10_upper=digits - 5 + _log10_upper(lead + 1))
+        return f"{name} {describe_overflow(bound)}"
     return f"{name} = {decimal_string(v)}"
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArgumentError, DomainError, DomainEscapeError, ScheduleError
 from .rates import AlphaFn, AlphaLike, alpha_scale_ceil, alpha_table, as_fraction
-from .spaces import HyperbolicSpace, Point, Space
+from .spaces import DEFAULT_ETA, HyperbolicSpace, Point, Space
 
 #: beyond this many terms, partial sums fall back from exact rationals to
 #: compensated float summation (with an explicit slack in comparisons).
@@ -184,12 +184,12 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     violation.  Comparisons are exact wherever the sums are exact.
 
     Closed form: a constant schedule (``sched.constant`` an exact Fraction v
-    with 0 <= v < 1 and v <= 1 - 1/K) whose witness is the catalog alpha(n)
-    = ceil(c*n) (identity: c = 1, double: c = 2, scale_ceil(c): c an exact
-    rational) with c*v >= 1 is valid at every horizon, so it is reported
-    valid without a loop: alpha(n) is a natural and (ceil(c*n) + 1)*v >=
-    c*v*n + v > n.  Every other schedule is checked n by n, and that loop
-    alone finds and words a violation.
+    with 0 <= v < 1 and v <= 1 - 1/K) whose witness is the linear catalog
+    alpha(n) = ceil(c*n) (identity, double and scale_ceil(c)) with c*v >= 1
+    is valid at every horizon, so it is reported valid without a loop:
+    alpha(n) is a natural and (ceil(c*n) + 1)*v >= c*v*n + v > n.  Every
+    other schedule is checked n by n, and that loop alone finds and words a
+    violation.
     """
     if horizon < 0:
         raise ArgumentError(f"horizon must be a natural, got {horizon}")
@@ -197,8 +197,7 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     cap = 1 - Fraction(1, sched.K)
     v, alpha = sched.constant, sched.alpha
     if isinstance(v, Fraction) and 0 <= v < 1 and v <= cap and isinstance(alpha, AlphaFn):
-        c = {"identity": 1, "double": 2, "scale_ceil": alpha.c}.get(alpha.kind)
-        if isinstance(c, (int, Fraction)) and c * v >= 1:
+        if alpha.table is None and alpha.c * v >= 1:
             return ScheduleReport(horizon, True, None, notes)
     float_mode_seen = False
 
@@ -385,7 +384,7 @@ def estimate_residual_inf(
     return km_iterate(space, T, x0, sched, N).final_residual
 
 
-def residuals_nonincreasing(trace: ResidualTrace, tol: float = 1e-9) -> bool:
+def residuals_nonincreasing(trace: ResidualTrace, tol: float = DEFAULT_ETA) -> bool:
     """r[i + 1] <= r[i] + tol for every i."""
     r = trace.residuals
     bounds = map(operator.add, r, itertools.repeat(tol))

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 from .errors import ArgumentError, DomainError
 from .km import Schedule, km_orbit_end, require_valid_schedule
-from .spaces import EuclideanSpace, IntervalSpace, Point, Space
+from .spaces import DEFAULT_ETA, EuclideanSpace, IntervalSpace, Point, Space
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,6 @@ SelectionFunction = NonexpansiveMap
 #: factor), ``slice_space(u)`` (the fiber the first coordinate lives in) and
 #: the product distance.
 ProductMap = NonexpansiveMap
-
-
-def proj1(p: Point) -> Point:
-    return p[0]
-
-
-def proj2(p: Point) -> Point:
-    return p[1]
 
 
 def slice_map(T: ProductMap, u: Point) -> NonexpansiveMap:
@@ -112,10 +104,10 @@ class Counterexample:
 
 
 def falsify_nonexpansive(
-    f: NonexpansiveMap, trials: int, seed: int = 0, eta: float = 1e-9
+    f: NonexpansiveMap, trials: int, seed: int = 0
 ) -> Optional[Counterexample]:
-    """Search sampled pairs for a distance increase beyond eta; None if the
-    claim survives."""
+    """Search sampled pairs for a distance increase beyond DEFAULT_ETA; None
+    if the claim survives."""
     if trials < 1:
         raise ArgumentError("trials must be >= 1")
     rng = random.Random(seed)
@@ -125,7 +117,7 @@ def falsify_nonexpansive(
         y = f.domain.sample(rng)
         dxy = d(x, y)
         dim = d(f(x), f(y))
-        if dim > dxy + eta:
+        if dim > dxy + DEFAULT_ETA:
             return Counterexample(x, y, dxy, dim)
     return None
 

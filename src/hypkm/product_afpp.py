@@ -60,6 +60,12 @@ from .spaces import (
 #: default iteration budget for solver runs.
 DEFAULT_BUDGET = 2000
 
+#: parameters u sampled by family_product to check delta(u) against its fiber.
+SELECTION_SAMPLES = 64
+
+#: violating pairs a FamilyInvarianceReport keeps; later ones are dropped.
+KEPT_VIOLATIONS = 10
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -187,13 +193,11 @@ def family_product(
     delta: SelectionFunction,
     ambient: HyperbolicSpace,
     label: str = "",
-    samples: int = 64,
-    seed: int = 0,
 ) -> FamilyProduct:
     """Build the fibered product, checking delta(u) lands in its fiber on
     sampled u (a selection violating that is a construction error)."""
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(0)
+    for _ in range(SELECTION_SAMPLES):
         u = M.sample(rng)
         if not fiber_of(u).contains(delta(u)):
             raise SelectionError(
@@ -220,10 +224,10 @@ class FamilyInvarianceReport:
 
 
 def check_family_invariance(
-    T: ProductMap, F: FamilyProduct, samples: int, seed: int = 0, keep: int = 10
+    T: ProductMap, F: FamilyProduct, samples: int, seed: int = 0
 ) -> FamilyInvarianceReport:
     """Sample (x, u) in H and flag any pair whose image's first coordinate
-    leaves the fiber at u."""
+    leaves the fiber at u; the report keeps the first KEPT_VIOLATIONS."""
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
     rng = random.Random(seed)
@@ -232,7 +236,7 @@ def check_family_invariance(
         p = F.sample(rng)
         img = T(p)[0]
         if not F.slice_space(p[1]).contains(img):
-            if len(violations) < keep:
+            if len(violations) < KEPT_VIOLATIONS:
                 violations.append((p[0], p[1], img))
     return FamilyInvarianceReport(samples, violations, not violations)
 
@@ -260,7 +264,6 @@ def approx_fixed_pair(
     sched: Schedule,
     oracle: AfppOracle,
     n: int,
-    eta: float = DEFAULT_ETA,
 ) -> AfppStep:
     """Run the lift at index n >= 1 (tolerance 1/n is undefined at 0).
 
@@ -283,7 +286,7 @@ def approx_fixed_pair(
     Tp = T(p)
     residual = T.domain.distance(p, Tp)
     slice_residual = fiber.distance(xz, Tp[0])
-    if residual > max(slice_residual, 1.0 / n) + eta:
+    if residual > max(slice_residual, 1.0 / n) + DEFAULT_ETA:
         raise InvariantError(
             f"lifted residual {residual:.6g} exceeds its structural bound "
             f"max({slice_residual:.6g}, 1/{n})"
@@ -379,7 +382,6 @@ def certified_run(
     eps,
     probe: Callable[[Point], Point],
     budget: int = DEFAULT_BUDGET,
-    eta: float = DEFAULT_ETA,
 ) -> CertifiedRunResult:
     """Run the lift at the certified index for tolerance eps.
 
@@ -405,7 +407,7 @@ def certified_run(
     certified_n, n, truncated = _budgeted_index(
         lambda: rate_g(eps_f, b1_f, b2_f, sched.K, sched.alpha), budget
     )
-    step = approx_fixed_pair(T, delta, sched, oracle, n, eta)
+    step = approx_fixed_pair(T, delta, sched, oracle, n)
     z = step.z
     fiber = T.domain.slice_space(z)
     xstar = probe(z)
@@ -415,24 +417,24 @@ def certified_run(
         )
     d_sel = fiber.distance(delta(z), xstar)
     r_star = fiber.distance(xstar, T.fn((xstar, z))[0])
-    if d_sel > float(b1_f) + eta:
+    if d_sel > float(b1_f) + DEFAULT_ETA:
         raise ProbeContractError(
             f"probe at u={z!r}: distance {d_sel:.6g} from the selection "
             f"value exceeds b1={float(b1_f):.6g}"
         )
-    if r_star > float(b2_f) + eta:
+    if r_star > float(b2_f) + DEFAULT_ETA:
         raise ProbeContractError(
             f"probe at u={z!r}: slice residual {r_star:.6g} exceeds "
             f"b2={float(b2_f):.6g}"
         )
     sel_res = fiber.distance(delta(z), T.fn((delta(z), z))[0])
-    if sel_res > float(2 * b1_f + b2_f) + eta:
+    if sel_res > float(2 * b1_f + b2_f) + DEFAULT_ETA:
         raise InvariantError(
             f"selection displacement {sel_res:.6g} exceeds 2*b1+b2; "
             "the probe contract makes that impossible for a nonexpansive slice"
         )
     guarantee = r_star + float(eps_f)
-    inequality_ok = step.residual <= guarantee + eta
+    inequality_ok = step.residual <= guarantee + DEFAULT_ETA
     if not truncated and not inequality_ok:
         raise InvariantError(
             f"residual {step.residual:.6g} exceeds the certified bound "
@@ -481,8 +483,9 @@ class SolveResult:
     exhausted: bool
 
 
-#: orbit length used by the empirical bounded-orbit precheck.
+#: orbit length and sampled parameters of the bounded-orbit precheck.
 PRECHECK_ORBIT = 200
+PRECHECK_SAMPLES = 8
 
 
 def _precheck_orbit_bound(T, delta, sched, bound, budget, samples, seed, eta):
@@ -520,8 +523,6 @@ def solve_product_afpp(
     b1=None,
     b2=None,
     orbit_bound=None,
-    eta: float = DEFAULT_ETA,
-    precheck_samples: int = 8,
     seed: int = 0,
 ) -> SolveResult:
     """Drive the lift until a pair with residual <= eps appears, or the
@@ -550,7 +551,7 @@ def solve_product_afpp(
         if orbit_bound is None:
             raise ArgumentError("mode bounded-orbit needs orbit_bound")
         _precheck_orbit_bound(
-            T, delta, sched, float(orbit_bound), budget, precheck_samples, seed, eta
+            T, delta, sched, float(orbit_bound), budget, PRECHECK_SAMPLES, seed, DEFAULT_ETA
         )
         bound_f = as_fraction(orbit_bound)
 
@@ -587,15 +588,15 @@ def solve_product_afpp(
         if mode == "sup-rC":
             run = certified_run(
                 T, delta, sched, oracle, b1, b2, eps_k, probe,
-                budget=budget, eta=eta,
+                budget=budget,
             )
             step, truncated, certified_n = run.step, run.truncated, run.certified_n
         else:
             certified_n, n, truncated = _budgeted_index(
                 lambda: rate_g_tilde(eps_k, bound_f, sched.K, sched.alpha), budget
             )
-            step = approx_fixed_pair(T, delta, sched, oracle, n, eta)
-            if not truncated and step.residual > float(eps_k) + eta:
+            step = approx_fixed_pair(T, delta, sched, oracle, n)
+            if not truncated and step.residual > float(eps_k) + DEFAULT_ETA:
                 raise InvariantError(
                     f"residual {step.residual:.6g} exceeds the attempt "
                     f"tolerance {float(eps_k):.6g} at the certified index {n}"
@@ -618,14 +619,13 @@ def estimate_product_residual_inf(
     sched: Schedule,
     oracle: AfppOracle,
     N: int,
-    eta: float = DEFAULT_ETA,
 ) -> float:
     """Upper estimate of the infimum product residual inf_p d(p, T(p)):
     the best lifted residual over indices 1..N; nonincreasing in N."""
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")
     return min(
-        approx_fixed_pair(T, delta, sched, oracle, n, eta).residual
+        approx_fixed_pair(T, delta, sched, oracle, n).residual
         for n in range(1, N + 1)
     )
 
@@ -646,7 +646,6 @@ def check_uniform_displacement(
     b: float,
     samples: int,
     seed: int = 0,
-    eta: float = DEFAULT_ETA,
 ) -> DisplacementReport:
     """Sample parameters u and report the largest selection displacement
     rho(delta(u), T_u(delta(u))), flagging any u beyond the claimed bound b."""
@@ -661,7 +660,7 @@ def check_uniform_displacement(
         disp = fiber.distance(x, T.fn((x, u))[0])
         if disp > worst:
             worst, argmax = disp, u
-        if disp > b + eta and violator is None:
+        if disp > b + DEFAULT_ETA and violator is None:
             violator = u
     return DisplacementReport(
         samples=samples,

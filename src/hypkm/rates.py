@@ -47,8 +47,7 @@ GROWTH_DIGIT_CAP = 20_000
 #: cap on the scan length inside alpha_plus for plain-callable alphas.
 SCAN_CAP = 1_000_000
 
-#: rational upper bounds on common logarithms, used in soundness estimates.
-LOG10_2_UPPER = Fraction(30103, 100000)
+#: rational upper bound on log10(3), used in soundness estimates.
 LOG10_3_UPPER = Fraction(4771213, 10**7)
 
 #: longest rational string, and largest decimal exponent magnitude, that
@@ -203,52 +202,38 @@ class AlphaFn:
     """A catalogued total function on the naturals, used as a sum-divergence
     witness for step-size schedules.
 
-    Catalog membership buys two things: serializability (the function is
-    reconstructible from its descriptor) and exact closed forms inside
-    ``alpha_plus`` that keep the rate recursion feasible for astronomically
-    large first arguments.
+    Two laws: linear (``table`` None), n -> ceil(c*n) for a rational c >= 1
+    held as an int when integral, and a finite table.  Both have exact closed
+    forms inside ``alpha_plus`` that keep the rate recursion feasible for
+    huge first arguments; identity and double are the linear law at c = 1, 2.
     """
 
     kind: str  # "identity" | "double" | "scale_ceil" | "table"
-    c: Optional[Fraction] = None
+    c: Union[int, Fraction, None] = None
     table: Optional[tuple[int, ...]] = None
 
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ArgumentError(f"defined on naturals only, got {n}")
-        if self.kind == "identity":
-            return n
-        if self.kind == "double":
-            return 2 * n
-        if self.kind == "scale_ceil":
+        if self.table is None:
             return math.ceil(self.c * n)
-        if self.kind == "table":
-            return self.table[min(n, len(self.table) - 1)]
-        raise ArgumentError(f"unknown witness kind {self.kind!r}")
+        return self.table[min(n, len(self.table) - 1)]
 
     @property
     def label(self) -> str:
         if self.kind == "scale_ceil":
             return f"scale_ceil({self.c})"
-        if self.kind == "table":
+        if self.table is not None:
             return f"table(len={len(self.table)})"
         return self.kind
 
-    def descriptor(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "scale_ceil":
-            d["c"] = str(self.c)
-        if self.kind == "table":
-            d["values"] = list(self.table)
-        return d
-
 
 def alpha_identity() -> AlphaFn:
-    return AlphaFn("identity")
+    return AlphaFn("identity", c=1)
 
 
 def alpha_double() -> AlphaFn:
-    return AlphaFn("double")
+    return AlphaFn("double", c=2)
 
 
 def alpha_scale_ceil(c) -> AlphaFn:
@@ -260,7 +245,7 @@ def alpha_scale_ceil(c) -> AlphaFn:
     c = as_fraction(c)
     if c < 1:
         raise ArgumentError(f"scale_ceil needs c >= 1, got {c}")
-    return AlphaFn("scale_ceil", c=c)
+    return AlphaFn("scale_ceil", c=c.numerator if c.denominator == 1 else c)
 
 
 def alpha_table(values: Sequence[int]) -> AlphaFn:
@@ -302,18 +287,13 @@ def alpha_plus(alpha: AlphaLike, i: int, n: int) -> int:
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
     if isinstance(alpha, AlphaFn):
-        if alpha.kind == "identity":
-            return n + 1
-        if alpha.kind == "double":
-            return 2 * n + i + 1
-        if alpha.kind == "scale_ceil":
+        if alpha.table is None:
             # c >= 1 makes alpha_prime nondecreasing, so the max sits at j=i
             return alpha_prime(alpha, i, n)
-        if alpha.kind == "table":
-            # beyond the table, alpha_prime decreases strictly; scanning up to
-            # the first clamped index covers the max
-            top = min(i, max(0, len(alpha.table) - n))
-            return max(alpha_prime(alpha, j, n) for j in range(top + 1))
+        # beyond the table, alpha_prime decreases strictly; scanning up to
+        # the first clamped index covers the max
+        top = min(i, max(0, len(alpha.table) - n))
+        return max(alpha_prime(alpha, j, n) for j in range(top + 1))
     if i > SCAN_CAP:
         raise ArgumentError(
             f"alpha_plus scan of {fmt_number(i + 1)} terms exceeds the cap for "
@@ -374,17 +354,7 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
         )
     steps = i - k
     ctx = f"alpha_hat({alpha.label}, {fmt_number(i)}, {fmt_number(n)})"
-    if alpha.kind == "identity" or (alpha.kind == "scale_ceil" and alpha.c == 1):
-        # increment is the constant n+1
-        return a + steps * (n + 1)
-    if alpha.kind == "double":
-        # a <- a + (2n + a + 1)
-        return _affine_jump(a, 2, 2 * n + 1, steps, ctx)
-    if alpha.kind == "scale_ceil" and alpha.c.denominator == 1:
-        c = alpha.c.numerator
-        # a <- a + (c(n+a) - a + 1)
-        return _affine_jump(a, c, c * n + 1, steps, ctx)
-    if alpha.kind == "table":
+    if alpha.table is not None:
         # step literally until the increment goes constant, then jump
         threshold = max(0, len(alpha.table) - n)
         while k < i and a < threshold:
@@ -393,7 +363,11 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
         if k == i:
             return a
         return a + (i - k) * alpha_plus(alpha, a, n)
-    # non-integer scale_ceil: no exact jump; step literally under a growth cap
+    if alpha.c.denominator == 1:
+        c = alpha.c.numerator
+        # a <- a + (c(n+a) - a + 1): at c = 1 the constant increment n+1
+        return _affine_jump(a, c, c * n + 1, steps, ctx)
+    # non-integer c: no exact jump; step literally under a growth cap
     limit = 10**GROWTH_DIGIT_CAP  # a >= limit iff a has more digits than the cap
     while k < i:
         if a >= limit or k - head > STEP_BUDGET:
@@ -467,14 +441,12 @@ def _alpha_hat_overflow(alpha: AlphaLike, e_log10: Fraction, n: int, ctx: str):
     """Build the overflow error for alpha_hat(i, n) when only a log10 upper
     bound on i (via the exponential factor) is available."""
     if isinstance(alpha, AlphaFn):
-        if alpha.kind == "identity" or (
-            alpha.kind == "scale_ceil" and alpha.c == 1
-        ):
+        if alpha.table is None and alpha.c == 1:
             # value = (i+1)(n+1)
             return RateOverflowError(
                 log10_upper=e_log10 + digit_count(n + 1) + 1, context=ctx
             )
-        if alpha.kind == "table":
+        if alpha.table is not None:
             # increments are bounded by the table's final constant
             top = alpha_plus(alpha, len(alpha.table), n)
             base = alpha_tilde(alpha, 0, n)

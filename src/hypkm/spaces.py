@@ -16,9 +16,9 @@ by membership checks at the API boundary.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
@@ -29,7 +29,7 @@ Point = Any
 # Tolerance policy: MEMBERSHIP_SLACK widens closed sets in `contains`, and so
 # every domain check of the iteration; DEFAULT_ETA is the slack of checks on
 # computed values: axioms, the uafpp modulus and Banach checks, and the
-# product_afpp oracle, probe and lifted-residual checks (eta= overrides it).
+# product_afpp oracle, probe and lifted-residual checks.
 
 #: slack used by membership tests on closed sets, to absorb rounding drift
 #: accumulated over long iterations.
@@ -40,6 +40,13 @@ DEFAULT_ETA = 1e-9
 
 #: largest finite mesh any space builds; a larger one raises MeshCapError.
 MESH_POINT_CAP = 2_000_000
+
+
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] widened by MEMBERSHIP_SLACK and clamped to the finite floats,
+    so that comparing against it refuses nan, and +-inf on an unbounded side."""
+    big = sys.float_info.max
+    return max(lo - MEMBERSHIP_SLACK, -big), min(hi + MEMBERSHIP_SLACK, big)
 
 
 class Space:
@@ -108,6 +115,7 @@ class IntervalSpace(HyperbolicSpace):
             raise ArgumentError(f"interval needs a < b, got [{a}, {b}]")
         self.a = float(a)
         self.b = float(b)
+        self._lo, self._hi = _widen(self.a, self.b)
         # infinite endpoints serialize as strings: bare floats would render
         # as Infinity, which is not valid JSON
         def endpoint(v: float):
@@ -125,7 +133,7 @@ class IntervalSpace(HyperbolicSpace):
             v = float(x)
         except (TypeError, ValueError):
             return False
-        return self.a - MEMBERSHIP_SLACK <= v <= self.b + MEMBERSHIP_SLACK
+        return self._lo <= v <= self._hi
 
     def sample(self, rng):
         lo = self.a if math.isfinite(self.a) else (self.b - 20.0 if math.isfinite(self.b) else -10.0)
@@ -155,13 +163,14 @@ class IntervalSpace(HyperbolicSpace):
 class EuclideanSpace(HyperbolicSpace):
     """R^n, or an axis-aligned box, with the Euclidean metric.  Points are tuples.
 
-    ``contains`` and ``combine`` below are the generic kernels.  For dim 2,
-    ``__init__`` binds unrolled instances of both that give bit-identical
-    results: the same float operations in the same left-to-right order
-    (``xi + lam * (yi - xi)`` per coordinate, bounds widened by
-    MEMBERSHIP_SLACK once), points unpacked by iteration as ``zip`` reads
-    them, and the same TypeError/ValueError handling.  An input the unrolled
-    ``combine`` cannot unpack goes to the generic one.
+    ``contains`` and ``combine`` below are the generic kernels; membership
+    compares with bounds widened once by ``_widen``, (-inf, inf) for R^n.
+    For dim 2, ``__init__`` binds unrolled instances of both that give
+    bit-identical results: the same float operations in the same
+    left-to-right order (``xi + lam * (yi - xi)`` per coordinate), points
+    unpacked by iteration as ``zip`` reads them, and the same
+    TypeError/ValueError handling.  An input the unrolled ``combine`` cannot
+    unpack goes to the generic one.
     """
 
     def __init__(self, dim: int, bounds: Optional[Sequence[tuple[float, float]]] = None):
@@ -176,9 +185,7 @@ class EuclideanSpace(HyperbolicSpace):
                 if not lo < hi:
                     raise ArgumentError(f"box needs lo < hi, got ({lo}, {hi})")
         self.bounds = bounds
-        self._widened = None if bounds is None else [
-            (lo - MEMBERSHIP_SLACK, hi + MEMBERSHIP_SLACK) for lo, hi in bounds
-        ]
+        self._widened = [_widen(lo, hi) for lo, hi in bounds or [(-math.inf, math.inf)] * dim]
         if bounds is None:
             self.descriptor = {"kind": "euclidean", "dim": dim}
         else:
@@ -197,26 +204,12 @@ class EuclideanSpace(HyperbolicSpace):
             vals = [float(v) for v in x]
         except (TypeError, ValueError):
             return False
-        if self._widened is None:
-            return True
         return all(lo <= v <= hi for v, (lo, hi) in zip(vals, self._widened))
 
     def combine(self, x, y, lam):
         return tuple(xi + lam * (yi - xi) for xi, yi in zip(x, y))
 
     def _contains_2d(self) -> Callable[[Point], bool]:
-        if self._widened is None:
-            def contains(x):
-                try:
-                    if len(x) != 2:
-                        return False
-                    v0, v1 = x
-                    float(v0), float(v1)
-                except (TypeError, ValueError):
-                    return False
-                return True
-
-            return contains
         (lo0, hi0), (lo1, hi1) = self._widened
 
         def contains(x):
@@ -409,10 +402,9 @@ class CircleSpace(Space):
 
     def contains(self, x):
         try:
-            float(x)
+            return math.isfinite(float(x))
         except (TypeError, ValueError):
             return False
-        return True
 
     def sample(self, rng):
         return rng.uniform(0.0, 2.0 * math.pi)

@@ -303,7 +303,6 @@ def check_uafpp_empirically(
     phi: UafppModulus,
     samples: int = 50,
     seed: int = 0,
-    eta: float = DEFAULT_ETA,
 ) -> UafppCheckReport:
     """Test a claimed displacement modulus against live witness producers.
 
@@ -318,7 +317,7 @@ def check_uafpp_empirically(
     bf = float(as_fraction(b))
     # D may be an astronomically large exact rational; never force it to
     # float (mixed float/Fraction comparisons below are exact anyway)
-    D_slack = as_fraction(phi(eps, b)) + as_fraction(eta)
+    D_slack = as_fraction(phi(eps, b)) + as_fraction(DEFAULT_ETA)
     rng = random.Random(seed)
     total = eligible = 0
     failures = []
@@ -334,7 +333,7 @@ def check_uafpp_empirically(
             rstar = space.distance(xstar, T(xstar))
             if dx > D_slack:
                 failures.append((T.label, x, "displacement", dx, D_slack))
-            if rstar > epsf + eta:
+            if rstar > epsf + DEFAULT_ETA:
                 failures.append((T.label, x, "witness residual", rstar, epsf))
     return UafppCheckReport(
         samples=total, eligible=eligible, failures=failures, ok=not failures

@@ -211,6 +211,19 @@ def test_iterate_escaping_image_is_refused(tmp_path, capsys):
     assert "left the domain" in err
 
 
+def test_iterate_stops_when_a_point_turns_non_finite(tmp_path, capsys):
+    cfg = {
+        "space": {"kind": "euclidean", "dim": 2},
+        "map": {"name": "matrix_affine", "matrix": [["inf", 0], [0, 0]], "offset": [0, 0]},
+        "schedule": {"kind": "constant", "value": "1/3"},
+        "x0": [1, 1],
+        "N": 50,
+    }
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 1 and out == ""
+    assert "iterate left the domain at step 0" in err
+
+
 def test_iterate_missing_keys(tmp_path, capsys):
     for drop in ("map", "schedule", "x0", "N"):
         cfg = {k: v for k, v in ITERATE_CFG.items() if k != drop}
@@ -302,6 +315,48 @@ def test_rates_golden_lines(tmp_path, capsys):
     assert "g = 30" in lines
 
 
+ID, DBL = {"kind": "identity"}, {"kind": "double"}
+C32, TAB = {"kind": "scale_ceil", "c": "3/2"}, {"kind": "table", "values": [1, 2, 4, 7]}
+
+#: sha256 of `rates` stdout less its version line, taken while identity and
+#: double had their own code paths: exact, overflow and tower lines of each
+#: witness law.
+RATES_GOLDEN = {
+    "identity-exact": ({"K": 1, "alpha": ID, "eps": "1/2", "b": 1, "b1": "1/2", "b2": 1},
+        "0ef4eb84ca1f56a375c281fb73ed10194fd844a56f154add66a823d208a0f9e4"),
+    "identity-overflow": ({"K": 1, "alpha": ID, "eps": "1/1000000", "b": 1, "b1": "1/2", "b2": 1},
+        "9d4bcb1a580d4f27a7d3c3eafdecaf8d40872981132ed9f5e0313c19d012df36"),
+    "identity-tower": ({"K": 1, "alpha": ID, "eps": 4, "b": "1e400"},
+        "3c2313dfc9150fbb49f4485afedc504d1026cd9da576d4e544f6b200655c45fb"),
+    "double-exact": ({"K": 1, "alpha": DBL, "eps": 4, "b": 1, "b1": "1/2", "b2": 1},
+        "39c7378edd422dd9148dfc9779477ebc8fffc4df6d203d3600f8ea50818cfa68"),
+    "double-overflow": ({"K": 2, "alpha": DBL, "eps": "1/4", "b": 1},
+        "9eb061f6e6a9447f9c8cdf01a7920c8321f37492b0a14fb7703932279768ef80"),
+    "double-tower": ({"K": 1, "alpha": DBL, "eps": 4, "b": "1e400"},
+        "94d6a50e4702ffb338e1e634b3034ed0b3fb4d7cb6b15a94111659befbc59132"),
+    "scale_ceil-3/2-exact": ({"K": 1, "alpha": C32, "eps": 4, "b": 1, "b1": "1/2", "b2": 1},
+        "27a7cb8755b9fe1806ea6236cad8b1fbe4d80b6716f3ef096ca1a99e88c4e58b"),
+    "scale_ceil-3/2-tower": ({"K": 1, "alpha": C32, "eps": 4, "b": "1e400"},
+        "372f0025f46b883b7ca4a42fa09572cbf62683fb01d85bc69df1c616bdf89791"),
+    "table-exact": ({"K": 3, "alpha": TAB, "eps": "1/100", "b": 1, "b1": "1/2", "b2": 1},
+        "6a7fc98b15d8b0d0cb59265b41e1abc6cd1b2a6c4a016b24f986cd9eb055ee7d"),
+    "table-overflow": ({"K": 1, "alpha": TAB, "eps": "1/1000000", "b": 1},
+        "8482d5f48f024223827619f6ed1681ef021930e362bb120ea26c149757e7f91c"),
+    "table-tower": ({"K": 1, "alpha": TAB, "eps": 4, "b": "1e400"},
+        "573b55d4876ee9ac02f53c433a2f2e8c08e1ee24d57ed3aadc6829d9756088b0"),
+}
+
+
+@pytest.mark.parametrize("name", RATES_GOLDEN)
+def test_rates_match_their_goldens(tmp_path, capsys, name):
+    cfg, digest = RATES_GOLDEN[name]
+    code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 0 and err == ""
+    version, body = out.split("\n", 1)
+    assert version.startswith("# version=")
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 def test_rates_prints_seven_hundred_thousand_digits(tmp_path, capsys):
     cfg = {
         "K": 2,
@@ -371,7 +426,6 @@ def test_rates_unprintable_exact_value_is_bounded_above(tmp_path, capsys, monkey
     # with the print limit at 10 digits, exact values of 34 and 130 digits
     # take the sound-bound line that values past 10^6 digits take
     monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 10)
-    monkeypatch.setattr(cli, "MAX_PRINT_BITS", 33)
     cfg = {"K": 2, "alpha": {"kind": "double"}, "eps": 4, "b": 1}
     code, out, _ = run_cli(tmp_path, capsys, "rates", cfg)
     assert code == 0

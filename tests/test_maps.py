@@ -32,7 +32,7 @@ from hypkm import (
 )
 from hypkm.errors import DomainError
 from hypkm.km import Schedule
-from hypkm.maps import Counterexample, proj1, proj2
+from hypkm.maps import Counterexample
 from hypkm.rates import alpha_identity
 
 
@@ -107,11 +107,6 @@ def test_counterexample_excess():
 # ---------------------------------------------------------------------------
 # product maps and slices
 # ---------------------------------------------------------------------------
-
-
-def test_projections():
-    assert proj1((3.0, 4.0)) == 3.0
-    assert proj2((3.0, 4.0)) == 4.0
 
 
 def test_slice_of_coupled_average():

@@ -216,10 +216,9 @@ def test_alpha_catalog_validation():
 
 
 def test_alpha_descriptors():
-    assert alpha_identity().descriptor() == {"kind": "identity"}
-    assert alpha_scale_ceil(2).descriptor() == {"kind": "scale_ceil", "c": "2"}
-    assert alpha_table((1, 2)).descriptor() == {"kind": "table", "values": [1, 2]}
     assert alpha_scale_ceil(Fraction(3, 2)).label == "scale_ceil(3/2)"
+    assert alpha_identity().label == "identity" and alpha_double().label == "double"
+    assert alpha_table((1, 2, 4, 7)).label == "table(len=4)"
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +296,51 @@ def test_alpha_hat_closed_forms():
             assert alpha_hat(alpha_double(), i, n) == (2 * n + 1) * (2 ** (i + 1) - 1)
     assert alpha_hat(alpha_identity(), 2, 3) == 12
     assert alpha_hat(alpha_double(), 1, 1) == 9
+
+
+def _outcome(compute):
+    """The value, or the bounds a RateOverflowError carries."""
+    try:
+        return compute()
+    except RateOverflowError as exc:
+        return ("overflow", exc.log10_upper, exc.log10_log10_upper)
+
+
+#: identity and double against the linear law at c = 1 and c = 2.
+FOLDS = [(alpha_identity(), alpha_scale_ceil(1)), (alpha_double(), alpha_scale_ceil(2))]
+
+
+@given(
+    n=st.integers(0, 10**20),
+    i=st.one_of(st.integers(0, 2 * HEAD_STEPS), st.integers(0, 10**12)),
+)
+@example(n=0, i=HEAD_STEPS - 1)
+@example(n=3, i=HEAD_STEPS)
+@example(n=3, i=HEAD_STEPS + 1)
+@example(n=7, i=3 * 10**6)
+def test_identity_and_double_are_scale_ceil_one_and_two(n, i):
+    assert alpha_identity()(n) == n and alpha_double()(n) == 2 * n
+    assert type(alpha_scale_ceil("4/2").c) is int
+    # the closed forms identity and double had before they became linear
+    assert alpha_plus(alpha_identity(), i, n) == n + 1
+    assert alpha_plus(alpha_double(), i, n) == 2 * n + i + 1
+    for named, linear in FOLDS:
+        assert alpha_plus(named, i, n) == alpha_plus(linear, i, n)
+        assert _outcome(lambda: alpha_hat(named, i, n)) == _outcome(lambda: alpha_hat(linear, i, n))
+
+
+@given(
+    K=st.integers(1, 5),
+    m=st.integers(10**7, 10**12),
+    b=st.sampled_from([1, Fraction(1, 3), 10**400]),
+)
+def test_folded_witnesses_overflow_with_the_same_bounds(K, m, b):
+    eps = Fraction(1, m)
+    for named, linear in FOLDS:
+        for rate in (rate_h, rate_h_tilde):
+            bound = _outcome(lambda: rate(eps, b, K, named))
+            assert bound[0] == "overflow"
+            assert bound == _outcome(lambda: rate(eps, b, K, linear))
 
 
 def test_alpha_hat_jump_agrees_with_literal_steps():

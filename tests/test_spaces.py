@@ -8,6 +8,7 @@ against a bisection solve of the equidistance equation.
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +31,7 @@ from hypkm import (
     make_star_tree,
     product,
 )
-from hypkm.spaces import AXIOM_NAMES
+from hypkm.spaces import AXIOM_NAMES, EuclideanSpace
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,29 @@ def test_euclidean_unbounded():
     assert math.isinf(e3.diameter())
     with pytest.raises(ArgumentError):
         make_euclidean(0)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_values_are_never_points(v):
+    for dim in (1, 2, 3):
+        space = make_euclidean(dim)
+        for k in range(dim):
+            x = tuple(v if j == k else 0.0 for j in range(dim))
+            # the instance kernel (unrolled for dim 2) and the generic one
+            assert not space.contains(x)
+            assert not EuclideanSpace.contains(space, x)
+    for space in (make_real_line(), make_interval(0.0, math.inf), make_half_line(), make_circle()):
+        assert not space.contains(v)
+
+
+def test_unbounded_spaces_keep_every_finite_float():
+    big = sys.float_info.max
+    for space in (make_euclidean(2), make_euclidean(3)):
+        assert space.contains((big,) * space.dim) and space.contains((-big,) * space.dim)
+        assert EuclideanSpace.contains(space, (-big,) * space.dim)
+    for space in (make_real_line(), make_half_line(), make_circle()):
+        assert space.contains(big)
+    assert make_real_line().contains(-big) and not make_half_line().contains(-big)
 
 
 # ---------------------------------------------------------------------------
