@@ -39,7 +39,6 @@ from .spaces import (
     Space,
     StarTree,
     check_axioms,
-    convex_comb,
     make_box,
     make_circle,
     make_euclidean,

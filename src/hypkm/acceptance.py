@@ -389,10 +389,10 @@ def criterion_8() -> tuple[list[str], str]:
         if canonical_json(left) != canonical_json(right):
             notes.append("family-route certificate differs from the plain route")
     good = EXAMPLES["family_valid"]()
-    if not check_family_invariance(good.T, good.space, samples=500, seed=0).ok:
+    if not check_family_invariance(good.T, samples=500, seed=0).ok:
         notes.append("valid family example was flagged")
     bad = EXAMPLES["family_violating"]()
-    if check_family_invariance(bad.T, bad.space, samples=500, seed=0).ok:
+    if check_family_invariance(bad.T, samples=500, seed=0).ok:
         notes.append("violating family example was not flagged")
     return notes, (
         "constant-fiber certificates match but for the space; violator flagged on 500 samples"

@@ -127,12 +127,12 @@ def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[
     return Schedule(lam=lam, K=K, alpha=alpha, label=f"harmonic(offset={offset})")
 
 
-def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int, term_cap: int = EXACT_SUM_CAP) -> AlphaLike:
+def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int) -> AlphaLike:
     """Minimal sum-divergence witness for the steps lam, tabulated for
     n <= max_n.
 
     Entry n is the least m with sum_{i<=m} lam_i >= n, found by exact
-    rational accumulation.  Raises if the cap is hit before coverage.
+    rational accumulation.  Raises if EXACT_SUM_CAP terms do not cover max_n.
     """
     values = []
     total = Fraction(0)
@@ -140,9 +140,9 @@ def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int, term_cap: int = E
     for n in range(max_n + 1):
         while total < n:
             m += 1
-            if m >= term_cap:
+            if m >= EXACT_SUM_CAP:
                 raise ScheduleError(
-                    f"witness table needs more than {term_cap} exact terms "
+                    f"witness table needs more than {EXACT_SUM_CAP} exact terms "
                     f"to cover n={n}"
                 )
             total += as_fraction(lam(m))
@@ -360,11 +360,9 @@ def km_orbit_end(
     x0: Point,
     sched: Schedule,
     n: int,
-    validate: bool = False,
 ) -> Point:
-    """The n-th iterate only, without building a trace."""
-    if validate:
-        require_valid_schedule(sched, n)
+    """The n-th iterate only, without building a trace or validating the
+    schedule."""
     return _km_walk(space, T, x0, sched, n)[0]
 
 

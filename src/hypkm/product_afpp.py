@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -28,7 +28,7 @@ from .errors import (
     RateOverflowError,
     SelectionError,
 )
-from .km import Schedule, _km_walk, constant_schedule, km_orbit_end, require_valid_schedule
+from .km import Schedule, _km_walk, constant_schedule, require_valid_schedule
 from .maps import (
     NonexpansiveMap,
     ProductMap,
@@ -124,19 +124,16 @@ class GridOracle(AfppOracle):
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
-    skipped points are not part of that minimum.  The floor is min_step, or
+    skipped points are not part of that minimum.  The first step is a
+    quarter of the diameter (at least min_step).  The floor is min_step, or
     the last level whose mesh fits the space's MESH_POINT_CAP, whichever
     comes first.
     """
 
-    def __init__(self, space: Space, initial_step: Optional[float] = None, min_step: float = 1e-7):
-        diam = space.diameter()
-        if initial_step is None:
-            if not math.isfinite(diam):
-                raise ArgumentError("grid refinement needs a bounded space or an explicit initial step")
-            initial_step = max(diam / 4.0, min_step)
+    def __init__(self, space: Space, min_step: float = 1e-7):
+        if not math.isfinite(space.diameter()):
+            raise ArgumentError("grid refinement needs a bounded space")
         self.space = space
-        self.initial_step = initial_step
         self.min_step = min_step
         self.label = "grid"
 
@@ -144,7 +141,7 @@ class GridOracle(AfppOracle):
         distance = self.space.distance
         cut = eps + DEFAULT_ETA
         residuals: dict = {}
-        step = self.initial_step
+        step = max(self.space.diameter() / 4.0, self.min_step)
         mesh = self.space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
@@ -224,18 +221,19 @@ class FamilyInvarianceReport:
 
 
 def check_family_invariance(
-    T: ProductMap, F: FamilyProduct, samples: int, seed: int = 0
+    T: ProductMap, samples: int, seed: int = 0
 ) -> FamilyInvarianceReport:
-    """Sample (x, u) in H and flag any pair whose image's first coordinate
-    leaves the fiber at u; the report keeps the first KEPT_VIOLATIONS."""
+    """Sample (x, u) in T's domain and flag any pair whose image's first
+    coordinate leaves the fiber at u; the report keeps the first
+    KEPT_VIOLATIONS."""
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
     rng = random.Random(seed)
     violations = []
     for _ in range(samples):
-        p = F.sample(rng)
+        p = T.domain.sample(rng)
         img = T(p)[0]
-        if not F.slice_space(p[1]).contains(img):
+        if not T.domain.slice_space(p[1]).contains(img):
             if len(violations) < KEPT_VIOLATIONS:
                 violations.append((p[0], p[1], img))
     return FamilyInvarianceReport(samples, violations, not violations)
@@ -270,7 +268,8 @@ def approx_fixed_pair(
     The emitted residual is re-verified against its structural bound
     max(slice residual at n, 1/n): the second coordinate of T(p) is exactly
     the parameter-space map's value at z, which the oracle brought within
-    1/n of z.
+    1/n of z.  The post-check in AfppOracle.solve evaluated phi_n at z, so
+    x_n(z) is read from phi_n's memo.
     """
     if n < 1:
         raise ArgumentError(f"index must be >= 1, got {n}")
@@ -278,10 +277,7 @@ def approx_fixed_pair(
     phi_n = phi(T, delta, sched, n, memo=memo)
     z = oracle.solve(phi_n, 1.0 / n)
     fiber = T.domain.slice_space(z)
-    if (z, n) in memo:
-        xz = memo[(z, n)]
-    else:
-        xz = km_orbit_end(fiber, slice_map(T, z), delta(z), sched, n)
+    xz = memo[(z, n)]
     p = (xz, z)
     Tp = T(p)
     residual = T.domain.distance(p, Tp)
@@ -322,7 +318,6 @@ class Certificate:
 
 
 def make_certificate(
-    space: Space,
     T: ProductMap,
     point: Point,
     eps_target: float,
@@ -330,19 +325,19 @@ def make_certificate(
     bound_used: Optional[int],
     theorem: str,
 ) -> Certificate:
-    residual = space.distance(point, T(point))
+    residual = T.domain.distance(point, T(point))
     if residual > eps_target:
         raise InvariantError(
             f"certificate residual {residual:.6g} exceeds its target {eps_target:.6g}"
         )
     return Certificate(
-        point_row=tuple(space.point_row(point)),
+        point_row=tuple(T.domain.point_row(point)),
         residual=residual,
         eps_target=eps_target,
         n_used=n_used,
         bound_used=bound_used,
         theorem=theorem,
-        space_descriptor=space.descriptor,
+        space_descriptor=T.domain.descriptor,
         map_label=T.label,
     )
 
@@ -353,12 +348,10 @@ class CertifiedRunResult:
     n_used: int
     certified_n: Optional[int]
     truncated: bool
-    probe_point: Point
     probe_residual: float
     guarantee: float
     inequality_ok: bool
     selection_residual: float
-    certificate: Optional[Certificate]
 
 
 def _budgeted_index(rate: Callable[[], int], budget: int) -> tuple[Optional[int], int, bool]:
@@ -391,9 +384,9 @@ def certified_run(
     the certified index the emitted residual provably satisfies
     residual <= (probe's slice residual) + eps; a violation there is an
     implementation bug and raises.  When the certified index exceeds the
-    budget, the run happens at the budget instead, the inequality is
-    reported rather than asserted, and any certificate carries a
-    budget-truncated tag.
+    budget, the run happens at the budget instead, and the inequality is
+    reported rather than asserted.  No certificate is made here:
+    solve_product_afpp makes the one certificate of a solve.
     """
     eps_f = as_fraction(eps)
     b1_f, b2_f = as_fraction(b1), as_fraction(b2)
@@ -440,27 +433,15 @@ def certified_run(
             f"residual {step.residual:.6g} exceeds the certified bound "
             f"{guarantee:.6g} at the certified index n={n}"
         )
-    certificate = None
-    if step.residual <= guarantee:
-        tag = (
-            "product-lift-rate-certified"
-            if not truncated
-            else "product-lift-budget-truncated"
-        )
-        certificate = make_certificate(
-            T.domain, T, step.point, guarantee, n, certified_n, theorem=tag
-        )
     return CertifiedRunResult(
         step=step,
         n_used=n,
         certified_n=certified_n,
         truncated=truncated,
-        probe_point=xstar,
         probe_residual=r_star,
         guarantee=guarantee,
         inequality_ok=inequality_ok,
         selection_residual=sel_res,
-        certificate=certificate,
     )
 
 
@@ -488,11 +469,11 @@ PRECHECK_ORBIT = 200
 PRECHECK_SAMPLES = 8
 
 
-def _precheck_orbit_bound(T, delta, sched, bound, budget, samples, seed, eta):
+def _precheck_orbit_bound(T, delta, sched, bound, budget, seed):
     rng = random.Random(seed)
     horizon = min(budget, PRECHECK_ORBIT)
     require_valid_schedule(sched, horizon)
-    for _ in range(samples):
+    for _ in range(PRECHECK_SAMPLES):
         u = T.domain.right.sample(rng)
         fiber = T.domain.slice_space(u)
         x0 = delta(u)
@@ -504,7 +485,7 @@ def _precheck_orbit_bound(T, delta, sched, bound, budget, samples, seed, eta):
             # is the earlier fault and is reported instead
             for j, x in enumerate(orbit, 1):
                 d = fiber.distance(x0, x)
-                if d > bound + eta:
+                if d > bound + DEFAULT_ETA:
                     raise ProbeContractError(
                         f"orbit bound {bound} violated at u={u!r}, step {j}: "
                         f"distance {d:.6g}"
@@ -550,9 +531,7 @@ def solve_product_afpp(
     else:
         if orbit_bound is None:
             raise ArgumentError("mode bounded-orbit needs orbit_bound")
-        _precheck_orbit_bound(
-            T, delta, sched, float(orbit_bound), budget, PRECHECK_SAMPLES, seed, DEFAULT_ETA
-        )
+        _precheck_orbit_bound(T, delta, sched, float(orbit_bound), budget, seed)
         bound_f = as_fraction(orbit_bound)
 
     eps_target = float(eps_f)
@@ -571,7 +550,7 @@ def solve_product_afpp(
         certificate = None
         if theorem is not None:
             certificate = make_certificate(
-                T.domain, T, best_point, eps_target, n_used, bound_used, theorem
+                T, best_point, eps_target, n_used, bound_used, theorem
             )
         return SolveResult(
             mode=mode,
@@ -679,19 +658,28 @@ def check_uniform_displacement(
 
 @dataclass
 class ProductExample:
-    """A ready-to-run bundle for the solver and the CLI."""
+    """A ready-to-run bundle for the solver and the CLI.  The space is
+    T.domain; every shipped example steps by 1/2, and all but ``constant``
+    solve the parameter space with a GridOracle."""
 
     name: str
-    space: Space
     T: ProductMap
     delta: SelectionFunction
-    sched: Schedule
-    oracle: AfppOracle
     probe: Optional[Callable[[Point], Point]]
     b1: Fraction
     b2: Fraction
     orbit_bound: Optional[Fraction]
     r_star: Optional[float]
+    sched: Schedule = field(default_factory=lambda: constant_schedule("1/2"))
+    oracle: Optional[AfppOracle] = None
+
+    def __post_init__(self):
+        if self.oracle is None:
+            self.oracle = GridOracle(self.T.domain.right)
+
+    @property
+    def space(self) -> FamilyProduct:
+        return self.T.domain
 
 
 def _unit_interval() -> IntervalSpace:
@@ -701,15 +689,11 @@ def _unit_interval() -> IntervalSpace:
 def diagonal_example() -> ProductExample:
     """T(x,u) = ((x+u)/2, x) on [0,1] x [0,1]: every diagonal pair is fixed,
     so the infimum residual is 0 and the lift should reach it exactly."""
-    C, M = _unit_interval(), _unit_interval()
-    dom = product(C, M)
+    M = _unit_interval()
     return ProductExample(
         name="diagonal",
-        space=dom,
-        T=coupled_average(dom),
+        T=coupled_average(product(_unit_interval(), M)),
         delta=identity_map(M),
-        sched=constant_schedule("1/2"),
-        oracle=GridOracle(M),
         probe=lambda u: u,
         b1=Fraction(1),
         b2=Fraction(1, 10**9),
@@ -721,14 +705,11 @@ def diagonal_example() -> ProductExample:
 def constant_example() -> ProductExample:
     """T(x,u) = (1, 1/2): slices are constant, the parameter-space map is
     constant, and the achieved residual decays like the step products."""
-    C, M = _unit_interval(), _unit_interval()
-    dom = product(C, M)
+    M = _unit_interval()
     return ProductExample(
         name="constant",
-        space=dom,
-        T=constant_pair(dom, 1.0, 0.5),
+        T=constant_pair(product(_unit_interval(), M), 1.0, 0.5),
         delta=constant_map(M, 0.0),
-        sched=constant_schedule("1/2"),
         oracle=AnalyticOracle(
             M, lambda f, eps: f(0.5), label="constant-map analytic"
         ),
@@ -743,15 +724,11 @@ def constant_example() -> ProductExample:
 def drop_example() -> ProductExample:
     """T(x,u) = (max(x-1, 0), u) on [0,10] x [0,1] from selection 5: the
     orbit walks to the fixed point 0, residual 1 until x dips below 1."""
-    C, M = make_interval(0.0, 10.0), _unit_interval()
-    dom = product(C, M)
+    M = _unit_interval()
     return ProductExample(
         name="drop",
-        space=dom,
-        T=clamped_drop(dom, 1.0),
+        T=clamped_drop(product(make_interval(0.0, 10.0), M), 1.0),
         delta=NonexpansiveMap(M, lambda u: 5.0, "constant(5.0)"),
-        sched=constant_schedule("1/2"),
-        oracle=GridOracle(M),
         probe=lambda u: 0.0,
         b1=Fraction(5),
         b2=Fraction(1, 10**9),
@@ -763,15 +740,11 @@ def drop_example() -> ProductExample:
 def drift_example() -> ProductExample:
     """T(x,u) = (x+1, u) on the real line x [0,1]: displacement is
     identically 1, so 1 is the exact infimum product residual."""
-    C, M = make_real_line(), _unit_interval()
-    dom = product(C, M)
+    M = _unit_interval()
     return ProductExample(
         name="drift",
-        space=dom,
-        T=unit_drift(dom),
+        T=unit_drift(product(make_real_line(), M)),
         delta=constant_map(M, 0.0),
-        sched=constant_schedule("1/2"),
-        oracle=GridOracle(M),
         probe=lambda u: 0.0,
         b1=Fraction(1, 10**9),
         b2=Fraction(1),
@@ -799,11 +772,8 @@ def family_valid_example() -> ProductExample:
     H = _growing_family_space()
     return ProductExample(
         name="family_valid",
-        space=H,
         T=family_halving(H),
         delta=constant_map(H.right, 0.0),
-        sched=constant_schedule("1/2"),
-        oracle=GridOracle(H.right),
         probe=lambda u: 0.0,
         b1=Fraction(1, 10**9),
         b2=Fraction(1, 10**9),
@@ -818,11 +788,8 @@ def family_violating_example() -> ProductExample:
     H = _growing_family_space()
     return ProductExample(
         name="family_violating",
-        space=H,
         T=family_drift(H),
         delta=constant_map(H.right, 0.0),
-        sched=constant_schedule("1/2"),
-        oracle=GridOracle(H.right),
         probe=None,
         b1=Fraction(1),
         b2=Fraction(1),
@@ -839,11 +806,8 @@ def family_const_example() -> ProductExample:
     H = family_product(M, lambda u: C, identity_map(M), C, label="interval[0,1]")
     return ProductExample(
         name="family_const",
-        space=H,
         T=coupled_average(H),
         delta=identity_map(M),
-        sched=constant_schedule("1/2"),
-        oracle=GridOracle(M),
         probe=lambda u: u,
         b1=Fraction(1),
         b2=Fraction(1, 10**9),

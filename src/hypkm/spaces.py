@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import ArgumentError, DomainError, MeshCapError
+from .errors import ArgumentError, MeshCapError
 
 Point = Any
 
@@ -91,17 +91,6 @@ class HyperbolicSpace(Space):
         raise NotImplementedError(f"{type(self).__name__} has no finite mesh")
 
 
-def convex_comb(space: HyperbolicSpace, x: Point, y: Point, lam: float) -> Point:
-    """Validated convex combination ``(1-lam) x (+) lam y`` along a geodesic."""
-    if not 0.0 <= lam <= 1.0:
-        raise ArgumentError(f"interpolation parameter {lam!r} outside [0, 1]")
-    if not space.contains(x):
-        raise DomainError(f"{x!r} is not a member of {space!r}")
-    if not space.contains(y):
-        raise DomainError(f"{y!r} is not a member of {space!r}")
-    return space.combine(x, y, lam)
-
-
 # ---------------------------------------------------------------------------
 # concrete instances
 # ---------------------------------------------------------------------------
@@ -131,7 +120,7 @@ class IntervalSpace(HyperbolicSpace):
     def contains(self, x):
         try:
             v = float(x)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
         return self._lo <= v <= self._hi
 
@@ -169,8 +158,8 @@ class EuclideanSpace(HyperbolicSpace):
     bit-identical results: the same float operations in the same
     left-to-right order (``xi + lam * (yi - xi)`` per coordinate), points
     unpacked by iteration as ``zip`` reads them, and the same
-    TypeError/ValueError handling.  An input the unrolled ``combine`` cannot
-    unpack goes to the generic one.
+    TypeError/ValueError/OverflowError handling.  An input the unrolled
+    ``combine`` cannot unpack goes to the generic one.
     """
 
     def __init__(self, dim: int, bounds: Optional[Sequence[tuple[float, float]]] = None):
@@ -202,7 +191,7 @@ class EuclideanSpace(HyperbolicSpace):
             if len(x) != self.dim:
                 return False
             vals = [float(v) for v in x]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
         return all(lo <= v <= hi for v, (lo, hi) in zip(vals, self._widened))
 
@@ -218,7 +207,7 @@ class EuclideanSpace(HyperbolicSpace):
                     return False
                 v0, v1 = x
                 v0, v1 = float(v0), float(v1)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 return False
             return lo0 <= v0 <= hi0 and lo1 <= v1 <= hi1
 
@@ -290,7 +279,7 @@ class PoincareDisk(HyperbolicSpace):
     def contains(self, x):
         try:
             z = complex(x)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
         return abs(z) < 1.0
 
@@ -403,7 +392,7 @@ class CircleSpace(Space):
     def contains(self, x):
         try:
             return math.isfinite(float(x))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             return False
 
     def sample(self, rng):

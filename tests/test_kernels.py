@@ -80,7 +80,7 @@ def test_iterate_outputs_match_their_goldens(tmp_path):
 
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-12, -1e-12, 1.0 + 1e-12]
 reals = st.one_of(st.floats(), st.sampled_from(SPECIAL), st.integers(-3, 3))
-coords = st.one_of(reals, st.sampled_from(["0.5", "-0", "nan", "inf", "1e400", "x", "", None, True]))
+coords = st.one_of(reals, st.sampled_from(["0.5", "-0", "nan", "inf", "1e400", 10**400, "x", "", None, True]))
 points = st.one_of(
     st.tuples(reals, reals),
     st.lists(coords, min_size=0, max_size=3),
@@ -116,6 +116,7 @@ def test_dim_two_binds_the_unrolled_kernels():
 @example((0.0, 1.0), (0.0, 1.0), (0.5, math.nan))
 @example((0.0, 1.0), (0.0, 1.0), ("0.5", "1"))
 @example((0.0, 1.0), (0.0, 1.0), (0.5, 0.5, 0.5))
+@example((0.0, 1.0), (0.0, 1.0), (0.5, 10**400))
 def test_contains_2d_equals_generic(b0, b1, x):
     for space in _spaces(b0, b1):
         assert _outcome(space.contains, x) == _outcome(EuclideanSpace.contains, space, x)
@@ -125,6 +126,7 @@ def test_contains_2d_equals_generic(b0, b1, x):
 @example((0.0, 1.0), (0.0, 1.0), (-0.0, 0.0), (0.0, -0.0), 0.0)
 @example((0.0, 1.0), (0.0, 1.0), (0.5, 0.5), (0.5, 0.5, 9.0), 0.5)
 @example((0.0, 1.0), (0.0, 1.0), (math.inf, 0.5), (-math.inf, 0.5), 0.5)
+@example((0.0, 1.0), (0.0, 1.0), (10**400, 0.5), (0.5, 0.5), 0.5)
 def test_combine_2d_equals_generic(b0, b1, x, y, lam):
     for space in _spaces(b0, b1):
         assert _outcome(space.combine, x, y, lam) == _outcome(EuclideanSpace.combine, space, x, y, lam)
@@ -133,6 +135,7 @@ def test_combine_2d_equals_generic(b0, b1, x, y, lam):
 @given(st.lists(reals.map(float), min_size=6, max_size=6), points)
 @example([0.0, 0.0, 0.0, 0.0, -0.0, -0.0], (-0.0, -0.0))
 @example([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0.5, 0.25, 9.0))
+@example([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (10**400, 0.5))
 def test_affine_2d_equals_generic(entries, x):
     a, b, c, d, t0, t1 = entries
     rows, t = [(a, b), (c, d)], (t0, t1)

@@ -102,7 +102,7 @@ def test_tabulate_alpha_for_constant_steps():
 
 def test_tabulate_alpha_cap():
     with pytest.raises(ScheduleError):
-        tabulate_alpha(lambda n: Fraction(1, 10**9), 1, term_cap=100)
+        tabulate_alpha(lambda n: Fraction(1, 10**9), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +361,7 @@ def _escape_by_path(path):
         dom = product(space, make_interval(0.0, 1.0))
         PT = NonexpansiveMap(dom, lambda p: (p[0] + 0.6, p[1]), "shift_pair")
         delta = NonexpansiveMap(dom.right, lambda u: 0.9, "constant(0.9)")
-        _precheck_orbit_bound(PT, delta, sched, 10.0, 200, 4, 0, 1e-9)
+        _precheck_orbit_bound(PT, delta, sched, 10.0, 200, 0)
 
 
 @pytest.mark.parametrize("path", ["iterate", "orbit_end", "witness", "witness_stop", "precheck"])
@@ -378,7 +378,7 @@ def test_precheck_reports_a_broken_bound_before_a_later_escape():
     PT = NonexpansiveMap(dom, lambda p: (p[0] + 0.3, p[1]), "shift_pair")
     delta = NonexpansiveMap(dom.right, lambda u: 0.0, "constant(0)")
     with pytest.raises(ProbeContractError, match="step 2: distance 0.3"):
-        _precheck_orbit_bound(PT, delta, constant_schedule("1/2"), 0.2, 200, 4, 0, 1e-9)
+        _precheck_orbit_bound(PT, delta, constant_schedule("1/2"), 0.2, 200, 0)
 
 
 def test_fejer_displacement_bound():

@@ -20,7 +20,9 @@ from hypkm import (
     DomainError,
     FamilyProduct,
     check_axioms,
-    convex_comb,
+    constant_schedule,
+    identity_map,
+    km_iterate,
     make_box,
     make_circle,
     make_euclidean,
@@ -43,29 +45,6 @@ def test_interval_distance():
     space = make_interval(0.0, 1.0)
     assert space.distance(0.2, 0.9) == pytest.approx(0.7)
     assert space.distance(0.9, 0.2) == pytest.approx(0.7)
-
-
-def test_interval_convex_comb_exact():
-    space = make_interval(0.0, 10.0)
-    assert convex_comb(space, 0.0, 10.0, 0.3) == pytest.approx(3.0)
-    assert convex_comb(space, 0.0, 10.0, 0.0) == 0.0
-    assert convex_comb(space, 0.0, 10.0, 1.0) == 10.0
-
-
-def test_convex_comb_validates_lambda():
-    space = make_interval(0.0, 1.0)
-    with pytest.raises(ArgumentError):
-        convex_comb(space, 0.0, 1.0, 1.5)
-    with pytest.raises(ArgumentError):
-        convex_comb(space, 0.0, 1.0, -0.1)
-
-
-def test_convex_comb_validates_membership():
-    space = make_interval(0.0, 1.0)
-    with pytest.raises(DomainError):
-        convex_comb(space, 2.0, 0.5, 0.5)
-    with pytest.raises(DomainError):
-        convex_comb(space, 0.5, -3.0, 0.5)
 
 
 def test_interval_needs_ordered_endpoints():
@@ -111,6 +90,25 @@ def test_non_finite_values_are_never_points(v):
             assert not EuclideanSpace.contains(space, x)
     for space in (make_real_line(), make_interval(0.0, math.inf), make_half_line(), make_circle()):
         assert not space.contains(v)
+
+
+def test_ints_beyond_float_range_are_never_points():
+    # float(10**400) and complex(10**400) raise OverflowError; contains says
+    # no instead of letting it through
+    big = 10**400
+    for space in (make_interval(0.0, 1.0), make_real_line(), make_circle(), make_poincare_disk()):
+        assert not space.contains(big)
+    for space in (make_euclidean(2), make_euclidean(3), make_box([(0.0, 1.0)]), make_box([(0.0, 1.0)] * 2)):
+        for k in range(space.dim):
+            x = tuple(big if j == k else 0.0 for j in range(space.dim))
+            # the instance kernel (unrolled for dim 2) and the generic one
+            assert not space.contains(x)
+            assert not EuclideanSpace.contains(space, x)
+    assert not make_star_tree(3, 1.0).contains((0, big))
+    assert not product(make_interval(0.0, 1.0), make_interval(0.0, 1.0)).contains((big, 0.5))
+    line = make_real_line()
+    with pytest.raises(DomainError, match="start"):
+        km_iterate(line, identity_map(line), big, constant_schedule("1/2"), 3)
 
 
 def test_unbounded_spaces_keep_every_finite_float():
