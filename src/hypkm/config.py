@@ -3,8 +3,9 @@
 Configs are JSON; rationals are written as "p/q" strings so preconditions
 are checked exactly rather than on parsed floats.  One dispatcher builds
 every descriptor from its kind's table entry, which reads each field once
-through a typed reader; every failure is a ConfigError naming the key or
-the kind.  The canonical serialization gives a stable hash for outputs.
+through a typed reader; a key the entry did not read is refused, and every
+failure is a ConfigError naming the key or the kind.  The canonical
+serialization gives a stable hash for outputs.
 """
 
 from __future__ import annotations
@@ -167,15 +168,18 @@ def _dim(cfg: dict, key: str) -> int:
 def fields(cfg: dict, where: str) -> Callable:
     """field(key, read=None, default=required): cfg[key] through the typed
     reader `read` (the raw value without one), `default` when the key is
-    absent; a missing required key is a ConfigError saying `where` needs it."""
+    absent; a missing required key is a ConfigError saying `where` needs it.
+    ``field.read`` is the set of keys asked for so far."""
 
     def field(key: str, read: Optional[Callable] = None, default=_REQUIRED):
+        field.read.add(key)
         if key not in cfg:
             if default is _REQUIRED:
                 raise ConfigError(f"{where} needs {key!r}")
             return default
         return cfg[key] if read is None else read(cfg, key)
 
+    field.read = set()
     return field
 
 
@@ -189,16 +193,23 @@ def lookup(table: dict, kind, what: str):
 
 def _dispatch(table: dict, desc, what: str, *args, tag: str = "kind"):
     """Build `desc` with table[desc[tag]](field, *args), where field reads
-    desc's fields; the one place that checks a descriptor's shape and kind
-    and names the kind in argument errors."""
+    desc's fields; the one place that checks a descriptor's shape and kind,
+    refuses a key the kind's entry did not read, and names the kind in
+    argument errors."""
     if not isinstance(desc, dict):
         raise ConfigError(f"{what} descriptor must be an object, got {desc!r}")
     kind = fields(desc, f"{what} descriptor")(tag)
     entry = lookup(table, kind, f"{what} {tag}")
+    field = fields(desc, f"{what} {kind!r}")
     try:
-        return entry(fields(desc, f"{what} {kind!r}"), *args)
+        built = entry(field, *args)
     except ArgumentError as exc:
         raise ConfigError(f"{what} {kind!r}: {exc}") from exc
+    unknown = [key for key in desc if key != tag and key not in field.read]
+    if unknown:
+        keys = "key" if len(unknown) == 1 else "keys"
+        raise ConfigError(f"{what} {kind!r}: unknown {keys} {', '.join(map(repr, unknown))}")
+    return built
 
 
 # ---------------------------------------------------------------------------

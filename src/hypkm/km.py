@@ -7,7 +7,11 @@ and alpha certifies divergence of their sums (n <= sum_{i<=alpha(n)} lam_i).
 Both clauses are the hard preconditions of the rate bounds in `rates`.
 
 Every orbit in the package is walked by the one loop `_km_walk`, with the
-same domain checks, reading its steps from `Schedule.float_steps`.
+same domain checks, reading its steps from `Schedule.float_steps`.  Under a
+constant schedule the loop ends once the orbit is stationary (an iterate
+repeats its predecessor bit for bit) and fills in the rest of the orbit,
+which then repeats; this relies on every map being a function of its
+argument.
 """
 
 from __future__ import annotations
@@ -293,14 +297,25 @@ def _km_walk(
     stop_eps: Optional[float] = None,
 ) -> tuple:
     """The averaged iteration: up to n steps from x0, evaluating T once per
-    step.  An image or iterate outside the space raises DomainEscapeError
-    naming the step: escaping iterates would silently falsify
-    nonexpansiveness, so they are never clamped.  Iterates x_1.. go to
-    ``points`` and residuals rho(x_k, T(x_k)) to ``residuals`` when given;
-    with ``stop_eps`` the walk stops at the first x_k (k < n) with residual
-    <= stop_eps.  Returns (x_k, k, r): where it stopped, and the residual
-    there if ``residuals`` or ``stop_eps`` asked for residuals (else None).
-    A NonexpansiveMap is called through its ``fn``, as its ``__call__`` does.
+    step until the orbit is stationary under a constant schedule.  An image
+    or iterate outside the space raises DomainEscapeError naming the step:
+    escaping iterates would silently falsify nonexpansiveness, so they are
+    never clamped.  Iterates x_1.. go to ``points`` and residuals
+    rho(x_k, T(x_k)) to ``residuals`` when given; with ``stop_eps`` the walk
+    stops at the first x_k (k < n) with residual <= stop_eps.  Returns
+    (x_k, k, r): where it stopped, and the residual there if ``residuals``
+    or ``stop_eps`` asked for residuals (else None).  A NonexpansiveMap is
+    called through its ``fn``, as its ``__call__`` does.
+
+    Stationary exit: under a constant schedule one step x -> W(x, T(x), lam)
+    is a fixed function of x, since T is a function of its argument.  Once
+    an iterate repeats its predecessor bit for bit (``==`` and the same
+    ``repr``, so -0.0 and 0.0 differ), every later point, image and residual
+    repeats too: no later domain check can fail and ``stop_eps`` cannot
+    fire.  The walk then pads ``points`` and ``residuals`` to index n and
+    returns (x, n, r) exactly as the remaining steps would.  Other schedules
+    walk every step: a repeat under one step size says nothing about the
+    next (a zero step repeats every point).
     """
     if n < 0:
         raise ArgumentError(f"step count must be a natural, got {n}")
@@ -312,6 +327,7 @@ def _km_walk(
     if not contains(x0):
         raise DomainError(f"start {x0!r} is not a member of {space!r}")
     track = residuals is not None or stop_eps is not None
+    constant = sched.constant is not None
     x, r = x0, None
     for k, lam in zip(range(n), sched.float_steps()):
         Tx = T(x)
@@ -323,11 +339,18 @@ def _km_walk(
                 residuals.append(r)
             if stop_eps is not None and r <= stop_eps:
                 return x, k, r
-        x = combine(x, Tx, lam)
-        if not contains(x):
-            raise DomainEscapeError(k, x)
+        y = combine(x, Tx, lam)
+        if not contains(y):
+            raise DomainEscapeError(k, y)
         if points is not None:
-            points.append(x)
+            points.append(y)
+        if constant and y == x and repr(y) == repr(x):
+            if points is not None:
+                points.extend(itertools.repeat(x, n - k - 1))
+            if residuals is not None:
+                residuals.extend(itertools.repeat(r, n - k))
+            return x, n, r
+        x = y
     if track:
         Tx = T(x)
         if not contains(Tx):

@@ -20,7 +20,11 @@ from .spaces import DEFAULT_ETA, EuclideanSpace, IntervalSpace, Point, Space
 @dataclass(frozen=True)
 class NonexpansiveMap:
     """A claimed Lipschitz-1 self-map of ``domain``; also used for selection
-    functions (maps from one space into another with the same claim)."""
+    functions (maps from one space into another with the same claim).
+
+    ``fn`` must be a function of its argument: points that are equal bit for
+    bit have equal images.  The averaged iteration relies on it to end a
+    walk whose orbit has turned stationary."""
 
     domain: Space
     fn: Callable[[Point], Point]

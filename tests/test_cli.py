@@ -883,6 +883,31 @@ def test_lax_input_exits_2_naming_the_key(tmp_path, capsys, command, cfg, path, 
     assert code == 2 and out == "" and repr(path[-1]) in err and "Traceback" not in err
 
 
+UNKNOWN_KEYS = [
+    ("axioms", {"space": {"kind": "interval", "a": 0, "b": 1, "c": 5}, "samples": 10}, "c"),
+    ("axioms", {"space": {"kind": "poincare", "dim": 2}, "samples": 10}, "dim"),
+    ("axioms", {"space": {"kind": "product", "left": {"kind": "interval", "a": 0, "b": 1},
+                          "right": {"kind": "euclidean", "dim": 1, "dimm": 7}}, "samples": 10}, "dimm"),
+    ("iterate", _with(ITERATE_CFG, ("map", "slope"), 2), "slope"),
+    ("iterate", _with(ITERATE_CFG, ("schedule", "offset"), 3), "offset"),
+    ("rates", _with(TABLE_CFG, ("alpha", "c"), 2), "c"),
+    ("uafpp", _with(UAFPP_CFG, ("modulus", "D"), 1), "D"),
+]
+
+
+@pytest.mark.parametrize("command, cfg, key", UNKNOWN_KEYS)
+def test_unknown_descriptor_key_exits_2_naming_the_key(tmp_path, capsys, command, cfg, key):
+    code, out, err = run_cli(tmp_path, capsys, command, cfg)
+    assert code == 2 and out == "" and f"unknown key {key!r}" in err
+
+
+def test_unknown_descriptor_keys_are_all_named():
+    with pytest.raises(ConfigError, match="space 'interval': unknown keys 'c', 'd'"):
+        build_space({"kind": "interval", "a": 0, "b": 1, "c": 5, "d": 6})
+    # optional keys a kind reads stay accepted, present or absent
+    assert build_schedule({"kind": "harmonic", "offset": 3, "K": 2}).K == 2
+
+
 def test_unhashable_example_is_a_config_error(tmp_path, capsys):
     cfg = {"example": ["diagonal"], "eps": "1/100"}
     code, out, err = run_cli(tmp_path, capsys, "product", cfg)

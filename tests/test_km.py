@@ -16,10 +16,12 @@ from hypkm import (
     ArgumentError,
     ScheduleError,
     Schedule,
+    affine_map,
     alpha_double,
     alpha_identity,
     alpha_scale_ceil,
     alpha_table,
+    constant_map,
     constant_schedule,
     estimate_residual_inf,
     harmonic_schedule,
@@ -28,8 +30,11 @@ from hypkm import (
     km_iterate,
     km_orbit_end,
     make_half_line,
+    make_box,
     make_interval,
+    make_poincare_disk,
     make_real_line,
+    make_star_tree,
     require_valid_schedule,
     residuals_nonincreasing,
     tabulate_alpha,
@@ -414,6 +419,158 @@ def test_estimate_residual_inf():
     assert (
         estimate_residual_inf(line, identity_map(line), 3.0, sched, 5) == 0.0
     )
+
+
+# ---------------------------------------------------------------------------
+# the stationary exit: the walk against a plain KM loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(space, T, x0, sched, n):
+    """A plain KM loop: every step evaluated, no early exit of any kind."""
+    points, residuals, x = [x0], [], x0
+    for k in range(n):
+        Tx = T(x)
+        if not space.contains(Tx):
+            raise DomainEscapeError(k, Tx)
+        residuals.append(space.distance(x, Tx))
+        x = space.combine(x, Tx, float(sched.lam_at(k)))
+        if not space.contains(x):
+            raise DomainEscapeError(k, x)
+        points.append(x)
+    Tx = T(x)
+    if not space.contains(Tx):
+        raise DomainEscapeError(n, Tx)
+    residuals.append(space.distance(x, Tx))
+    return points, residuals
+
+
+_UNIT_FLOAT = st.floats(0.0, 1.0)
+_SIGNED_FLOAT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _walk_case(draw):
+    """(space, map, start): a contraction or a constant map on the interval,
+    the 2-D box, the Poincare disk or the star tree."""
+    kind = draw(st.sampled_from(["interval", "box", "poincare", "star_tree"]))
+    contraction = draw(st.booleans())
+    if kind == "interval":
+        space = make_interval(-1.0, 1.0)
+        if contraction:
+            slope = draw(st.floats(-0.9, 0.9))
+            T = interval_affine(space, slope, draw(_SIGNED_FLOAT) * 0.99 * (1 - abs(slope)))
+        else:
+            T = constant_map(space, draw(_SIGNED_FLOAT))
+        return space, T, draw(_SIGNED_FLOAT)
+    if kind == "box":
+        space = make_box([(0.0, 1.0), (0.0, 1.0)])
+        if contraction:
+            # rows of absolute sum <= 1/2 about the offset 1/2 keep the box
+            a, b, c, d = (draw(st.floats(-0.25, 0.25)) for _ in range(4))
+            T = affine_map(space, [[a, b], [c, d]], [0.5, 0.5])
+        else:
+            T = constant_map(space, (draw(_UNIT_FLOAT), draw(_UNIT_FLOAT)))
+        return space, T, (draw(_UNIT_FLOAT), draw(_UNIT_FLOAT))
+
+    def disk_point():
+        r, t = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 2 * math.pi))
+        return complex(r * math.cos(t), r * math.sin(t))
+
+    if kind == "poincare":
+        space = make_poincare_disk()
+        # z -> t*z is a holomorphic self-map of the disk: Schwarz-Pick
+        t = draw(st.floats(0.0, 0.9))
+        T = NonexpansiveMap(space, lambda z: t * z, f"scale({t})") if contraction else constant_map(space, disk_point())
+        return space, T, disk_point()
+    space = make_star_tree(3, 2.0)
+    star_point = st.tuples(st.integers(0, 2), st.floats(0.0, 2.0))
+    if contraction:
+        T = NonexpansiveMap(space, lambda p: (p[0], p[1] / 2), "halve")  # towards the hub
+    else:
+        T = constant_map(space, draw(star_point))
+    return space, T, draw(star_point)
+
+
+_SCHEDULES = {
+    "1/2": lambda: constant_schedule("1/2"),
+    "1/3": lambda: constant_schedule("1/3"),
+    "3/4": lambda: constant_schedule("3/4"),
+    "1/10": lambda: constant_schedule("1/10"),
+    "harmonic": lambda: harmonic_schedule(),
+    # x_1 == x_0 after the zero step, yet the orbit moves on at step 1
+    "0, then 1/2": lambda: Schedule(lam=lambda n: Fraction(1, 2) if n else Fraction(0), K=2, alpha=alpha_identity()),
+}
+
+
+@settings(max_examples=150)
+@given(case=_walk_case(), sched=st.sampled_from(sorted(_SCHEDULES)), n=st.integers(0, 400),
+       stop_eps=st.one_of(st.none(), st.floats(0.0, 0.5)))
+def test_walk_matches_a_plain_km_loop(case, sched, n, stop_eps):
+    space, T, x0 = case
+    sched = _SCHEDULES[sched]()
+    points, residuals = _reference_walk(space, T, x0, sched, n)
+    trace = km_iterate(space, T, x0, sched, n, validate=False)
+    assert list(map(repr, trace.points)) == list(map(repr, points))
+    assert list(map(repr, trace.residuals)) == list(map(repr, residuals))
+    assert repr(km_orbit_end(space, T, x0, sched, n)) == repr(points[-1])
+    stop = -math.inf if stop_eps is None else stop_eps
+    k = next((i for i in range(n) if residuals[i] <= stop), n)
+    run = km_witness(space, T, x0, sched, n, stop_eps=stop_eps)
+    assert (repr(run.point), run.steps, repr(run.residual)) == (repr(points[k]), k, repr(residuals[k]))
+
+
+def test_walk_from_minus_zero_keeps_the_sign_of_each_point():
+    # -0.0 == 0.0 but the two are different floats: the first step moves
+    # -0.0 to 0.0, so the walk is not yet stationary there
+    space = make_interval(-1.0, 1.0)
+    trace = km_iterate(space, constant_map(space, 0.0), -0.0, constant_schedule("1/2"), 4)
+    assert list(map(repr, trace.points)) == ["-0.0", "0.0", "0.0", "0.0", "0.0"]
+    assert list(map(repr, trace.residuals)) == ["0.0"] * 5
+    assert trace.csv_lines()[1:4] == ["0,0,-0", "1,0,0", "2,0,0"]
+
+
+def _counting(T):
+    calls = []
+    return calls, NonexpansiveMap(T.domain, lambda x: calls.append(x) or T.fn(x), T.label)
+
+
+def test_stationary_walk_stops_calling_the_map():
+    # the orbit of x -> x/2 + 1/4 under steps 1/2 settles, within a few
+    # hundred steps, on a float next to the fixed point 1/2
+    space = make_interval(0.0, 1.0)
+    plain = interval_affine(space, 0.5, 0.25)
+    sched = constant_schedule("1/2")
+    points, residuals = _reference_walk(space, plain, 0.0, sched, 300)
+    calls, T = _counting(plain)
+    assert repr(km_orbit_end(space, T, 0.0, sched, 10**6)) == repr(points[-1])
+    assert len(calls) < 200
+    calls.clear()
+    trace = km_iterate(space, T, 0.0, sched, 10**4)
+    assert len(calls) < 200 and len(trace.points) == len(trace.residuals) == 10**4 + 1
+    assert trace.points[:301] == points and trace.residuals[:301] == residuals
+    assert set(trace.points[300:]) == {points[-1]} and set(trace.residuals[300:]) == {residuals[-1]}
+
+
+def test_harmonic_walk_calls_the_map_every_step():
+    space = make_interval(0.0, 1.0)
+    calls, T = _counting(interval_affine(space, 0.5, 0.25))
+    km_orbit_end(space, T, 0.0, harmonic_schedule(), 10**4)
+    assert len(calls) == 10**4
+
+
+def test_escape_before_stationarity_names_the_same_step():
+    # x -> x + 0.3 on [0, 1] from 0 with steps 1/2: x_k = 0.15 k, and the
+    # image T(x_5) = 1.05 leaves the interval
+    space = make_interval(0.0, 1.0)
+    T = NonexpansiveMap(space, lambda x: x + 0.3, "shift")
+    sched = constant_schedule("1/2")
+    with pytest.raises(DomainEscapeError) as ref:
+        _reference_walk(space, T, 0.0, sched, 20)
+    with pytest.raises(DomainEscapeError) as exc:
+        km_iterate(space, T, 0.0, sched, 20)
+    assert ref.value.step == exc.value.step == 5
+    assert repr(exc.value.point) == repr(ref.value.point)
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,23 @@ def test_grid_oracle_lift_work_count(monkeypatch):
     assert len(calls) - len(set(calls)) == 1
 
 
+@pytest.mark.parametrize(
+    "n, z, point, residual",
+    [
+        (100, "0.1875", "(0.1958333333333333, 0.1875)", "0.004166666666666652"),
+        (500, "0.203125", "(0.20104166666666667, 0.203125)", "0.001041666666666663"),
+        (2000, "0.19921875", "(0.1997395833333333, 0.19921875)", "0.00026041666666665186"),
+        (4000, "0.2001953125", "(0.20006510416666667, 0.2001953125)", "6.510416666666297e-05"),
+    ],
+)
+def test_scaled_coupling_lift_golden(n, z, point, residual):
+    # every slice orbit of this lift turns stationary long before step n;
+    # the lift must not change when the walk ends there
+    T = scaled_coupling(product(make_interval(0.0, 1.0), UNIT), 0.5, 0.1)
+    step = approx_fixed_pair(T, identity_map(UNIT), constant_schedule("1/2"), GridOracle(UNIT), n)
+    assert (repr(step.z), repr(step.point), repr(step.residual)) == (z, point, residual)
+
+
 def test_grid_oracle_needs_bounded_space_or_step():
     # an unbounded space has no meshes, so no step makes it usable
     from hypkm import make_real_line
