@@ -12,6 +12,7 @@ exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -88,6 +89,7 @@ def cmd_axioms(cfg: dict, args) -> int:
     space = build_space(f("space"))
     samples = f("samples", config_positive_int, 10_000)
     seed, eta = f("seed", config_natural, 0), f("eta", config_real, DEFAULT_ETA)
+    f.done()
     rep = check_axioms(space, samples, seed=seed, eta=eta)
     lines = _headers(cfg)
     lines.append(f"# space={canonical_json(space.descriptor)}")
@@ -107,6 +109,7 @@ def cmd_iterate(cfg: dict, args) -> int:
     sched = build_schedule(f("schedule"))
     x0 = parse_point(space, f("x0"), "x0")
     N, eta = f("N", config_natural), f("eta", config_real, DEFAULT_ETA)
+    f.done()
     try:
         trace = km_iterate(space, T, x0, sched, N)
     except ScheduleError as exc:
@@ -148,6 +151,7 @@ def cmd_rates(cfg: dict, args) -> int:
     alpha = build_alpha(f("alpha"))
     eps = f("eps", config_positive)
     b, b1, b2 = (f(key, config_positive, None) for key in ("b", "b1", "b2"))
+    f.done()
     lines = _headers(cfg)
     if b is not None:
         lines.append(_rate_line("h", lambda: rate_h(eps, b, K, alpha)))
@@ -167,8 +171,10 @@ def cmd_product(cfg: dict, args) -> int:
     ex = lookup(EXAMPLES, name, "product example")()
     eps = f("eps", config_rational)
     budget, seed = f("budget", config_positive_int, DEFAULT_BUDGET), f("seed", config_natural, 0)
+    mode = f("mode", default=None)
+    f.done()
     try:
-        res = solve_example(ex, eps, mode=cfg.get("mode"), budget=budget, seed=seed)
+        res = solve_example(ex, eps, mode=mode, budget=budget, seed=seed)
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from exc
     doc = {
@@ -201,6 +207,7 @@ def cmd_uafpp(cfg: dict, args) -> int:
     value_col = "N" if isinstance(modulus, RegularityModulus) else "D"
     eps_values = f("eps_values", list_of(config_positive))
     b_values = f("b_values", list_of(config_positive))
+    f.done()
     try:
         rows = modulus_table(modulus, eps_values, b_values)
     except (ArgumentError, RateOverflowError) as exc:
@@ -237,7 +244,10 @@ COMMANDS = {
 }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main() call of a process and
+    reused by every later one; parse_args leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="hypkm",
         description="averaged iteration on hyperbolic spaces: axioms, rates, "
@@ -251,7 +261,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--budget", help="override the iteration budget")
         p.add_argument("--out", help="write output here instead of stdout")
         p.add_argument("--eta", help="override the test tolerance (rational)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
 
     # exact values are legitimately enormous; raise the print guard for this
     # call only, restoring the caller's setting on return

@@ -169,7 +169,8 @@ def fields(cfg: dict, where: str) -> Callable:
     """field(key, read=None, default=required): cfg[key] through the typed
     reader `read` (the raw value without one), `default` when the key is
     absent; a missing required key is a ConfigError saying `where` needs it.
-    ``field.read`` is the set of keys asked for so far."""
+    ``field.read`` is the set of keys asked for so far; ``field.done()``
+    refuses the keys of cfg never asked for, naming each."""
 
     def field(key: str, read: Optional[Callable] = None, default=_REQUIRED):
         field.read.add(key)
@@ -179,7 +180,14 @@ def fields(cfg: dict, where: str) -> Callable:
             return default
         return cfg[key] if read is None else read(cfg, key)
 
+    def done() -> None:
+        unknown = [key for key in cfg if key not in field.read]
+        if unknown:
+            keys = "key" if len(unknown) == 1 else "keys"
+            raise ConfigError(f"{where}: unknown {keys} {', '.join(map(repr, unknown))}")
+
     field.read = set()
+    field.done = done
     return field
 
 
@@ -201,14 +209,12 @@ def _dispatch(table: dict, desc, what: str, *args, tag: str = "kind"):
     kind = fields(desc, f"{what} descriptor")(tag)
     entry = lookup(table, kind, f"{what} {tag}")
     field = fields(desc, f"{what} {kind!r}")
+    field.read.add(tag)
     try:
         built = entry(field, *args)
     except ArgumentError as exc:
         raise ConfigError(f"{what} {kind!r}: {exc}") from exc
-    unknown = [key for key in desc if key != tag and key not in field.read]
-    if unknown:
-        keys = "key" if len(unknown) == 1 else "keys"
-        raise ConfigError(f"{what} {kind!r}: unknown {keys} {', '.join(map(repr, unknown))}")
+    field.done()
     return built
 
 

@@ -16,6 +16,7 @@ report a sound magnitude.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import re
 import sys
@@ -30,9 +31,11 @@ try:
 except ImportError:  # pure-Python decimal: its multiplication is quadratic
     _decimal = None
 
-#: steps of the alpha_hat recursion always evaluated literally, even when a
-#: closed-form jump could cover them; keeps the tested range on the real
-#: recursion rather than on algebra derived from it.
+#: steps of the alpha_hat recursion always evaluated literally, one step at a
+#: time, even when a closed-form jump could cover them; keeps the tested range
+#: on the real recursion rather than on algebra derived from it.  On the
+#: linear law a step is a <- ceil(c(n+a)) + 1, evaluated inline; tables and
+#: plain callables step through alpha_plus.
 HEAD_STEPS = 512
 
 #: cap on literal recursion steps for alphas with no closed-form jump.
@@ -288,8 +291,12 @@ def alpha_plus(alpha: AlphaLike, i: int, n: int) -> int:
         raise ArgumentError("indices must be naturals")
     if isinstance(alpha, AlphaFn):
         if alpha.table is None:
-            # c >= 1 makes alpha_prime nondecreasing, so the max sits at j=i
-            return alpha_prime(alpha, i, n)
+            # c >= 1 makes alpha_prime nondecreasing, so the max sits at j=i:
+            # ceil(c(n+i)) - i + 1, the ceiling as -floor(-p(n+i)/q)
+            c = alpha.c
+            if type(c) is int:
+                return c * (n + i) - i + 1
+            return -(-c.numerator * (n + i) // c.denominator) - i + 1
         # beyond the table, alpha_prime decreases strictly; scanning up to
         # the first clamped index covers the max
         top = min(i, max(0, len(alpha.table) - n))
@@ -339,12 +346,20 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
     a = alpha_tilde(alpha, 0, n)
-    k = 0
     is_catalog = isinstance(alpha, AlphaFn)
-    head = min(i, HEAD_STEPS if is_catalog else STEP_BUDGET)
-    while k < head:
-        a += alpha_plus(alpha, a, n)
-        k += 1
+    head = k = min(i, HEAD_STEPS if is_catalog else STEP_BUDGET)
+    if is_catalog and alpha.table is None:
+        # a + alpha_plus(a, n) = ceil(c(n+a)) + 1, stepped without a call
+        p, q = alpha.c.numerator, alpha.c.denominator
+        if q == 1:
+            for _ in range(head):
+                a = p * (n + a) + 1
+        else:
+            for _ in range(head):
+                a = -(-p * (n + a) // q) + 1
+    else:
+        for _ in range(head):
+            a += alpha_plus(alpha, a, n)
     if k == i:
         return a
     if not is_catalog:
@@ -363,10 +378,9 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
         if k == i:
             return a
         return a + (i - k) * alpha_plus(alpha, a, n)
-    if alpha.c.denominator == 1:
-        c = alpha.c.numerator
+    if q == 1:
         # a <- a + (c(n+a) - a + 1): at c = 1 the constant increment n+1
-        return _affine_jump(a, c, c * n + 1, steps, ctx)
+        return _affine_jump(a, p, p * n + 1, steps, ctx)
     # non-integer c: no exact jump; step literally under a growth cap
     limit = 10**GROWTH_DIGIT_CAP  # a >= limit iff a has more digits than the cap
     while k < i:
@@ -380,7 +394,7 @@ def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
                 log10_upper=r * _log10_upper(c) + _log10_upper(envelope),
                 context=ctx,
             )
-        a += alpha_plus(alpha, a, n)
+        a = -(-p * (n + a) // q) + 1
         k += 1
     return a
 
@@ -399,6 +413,14 @@ _EXP1_HI = sum(Fraction(1, math.factorial(k)) for k in range(66)) + Fraction(
 _EXP_EXACT_CAP = 2_000_000
 
 
+@functools.cache
+def _exp1_hi_power(e: int) -> Fraction:
+    """_EXP1_HI**e, kept once computed: ceil_exp_upper asks only for
+    1 <= e <= 64, about 180 KB for all 64, and one rates run repeats
+    exponents (g_tilde repeats h_tilde's)."""
+    return _EXP1_HI**e
+
+
 def ceil_exp_upper(c, e: int) -> int:
     """A natural number N >= ceil(c * exp(e)), never smaller.
 
@@ -414,7 +436,7 @@ def ceil_exp_upper(c, e: int) -> int:
     if e == 0:
         return math.ceil(c)
     if e <= 64:
-        return math.ceil(c * _EXP1_HI**e)
+        return math.ceil(c * _exp1_hi_power(e))
     if e <= _EXP_EXACT_CAP:
         return math.ceil(c * Fraction(3) ** e)
     raise RateOverflowError(

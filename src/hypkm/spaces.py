@@ -644,7 +644,6 @@ def check_axioms(
         cxy2 = space.combine(x, y, lam2)
         record("W2", abs(d(cxy, cxy2) - abs(lam - lam2) * dxy), (x, y, lam, lam2))
         record("W3", d(cxy, space.combine(y, x, 1.0 - lam)), (x, y, lam))
-        czw = space.combine(z, w, lam)
         cxz = space.combine(x, z, lam)
         cyw = space.combine(y, w, lam)
         record("W4", d(cxz, cyw) - ((1 - lam) * dxy + lam * d(z, w)), (x, y, z, w, lam))

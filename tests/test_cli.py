@@ -1,6 +1,7 @@
 """Command line front end: golden outputs, exit codes, config builders, and
 the stable hashing that makes reruns byte-identical."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -96,6 +97,48 @@ def test_axioms_out_file(tmp_path, capsys):
 def test_axioms_bad_kind_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(tmp_path, capsys, "axioms", {"space": {"kind": "torus"}})
     assert code == 2 and "config error" in err
+
+
+#: sha256 of `axioms` stdout less its version line, 2,000 samples at seeds
+#: 0, 1, 2 per space, taken while every sample also built an unused
+#: combine(z, w, lam): dropping it draws nothing from the RNG.
+AXIOMS_GOLDEN = {
+    "interval": ({"kind": "interval", "a": 0, "b": 1}, 0, (
+        "2fe7a6d57395f032639e18e265af3efd45071768bf5b31dcd692d725d2e2255f",
+        "9d1c778697f92a85058145484fd0bd932ee458fcaa851e0e74b531f655595f96",
+        "fb9ef1a2ab078e5de8706fa0f422ea2a2178527e84b9d1eba7e3d9ca35c65e20")),
+    "box2": ({"kind": "box", "bounds": [[0, 1], [0, 1]]}, 0, (
+        "e551eb1e3ba1921d6f6182804ec114887290800d53e758db21a1292c8635f097",
+        "76d0a05175106147f571e7e992e2935f918fa472f5ac3f82cb289420a3af628c",
+        "a16257345b294008e9c9851ada18148d0e9e3330beed1fa7413d1bded9b03110")),
+    "poincare": ({"kind": "poincare"}, 0, (
+        "7074e492f9382a39438b8c7e1383b956e80f40e3b942e28ee076ae08c25d230b",
+        "bb52c43c92c798876a2756d4e2aaed2c80060bf7187ed13575bf2d4887693adf",
+        "a83aae137a84ce0c627899d656b6ac9d810bf7dec83d33bd39c6af30323cbea8")),
+    "star_tree": ({"kind": "star_tree", "rays": 3, "length": 2}, 0, (
+        "823f32169244fa72df72e4cc2ccadc0bebde819b780d24a5c6926b643eac93ad",
+        "409a0bbca4dd2802413332fb8975d7ea1602534e4144c61cb466c1038883252c",
+        "219c8177bde607bb55fb446feedd0eb7d8da29eadefd832a48fd8bb634b70458")),
+    "broken_w": ({"kind": "broken_w", "base": {"kind": "interval", "a": 0, "b": 1}}, 1, (
+        "202b6f4fa981ede70cf433e1e326f6da4ad585d3e278a1aee4ae88090df4a613",
+        "7862ed51f37fa068a92b3f8d6dfda36ee0d628d37e7347018685521bd5adcdf2",
+        "a5232ffe8e466efd19903b92ac9ff038accf31b33ddefd045f9f7b754f34d985")),
+    "circle": ({"kind": "circle"}, 0, (
+        "e506ea50239f5ad6436dafa6a715758527517fb7091954d98a834249e034657d",
+        "713cc9abfcb8d68d2dd8c5f8ee898e9f19a181286548f109825a011ddca73f80",
+        "356f24dc839b6d5c18fd7b71d48934638900ba4e0a25fedddc6daa66ba4c7956")),
+}
+
+
+@pytest.mark.parametrize("name", AXIOMS_GOLDEN)
+def test_axioms_match_their_goldens(tmp_path, capsys, name):
+    space, expected_code, digests = AXIOMS_GOLDEN[name]
+    for seed, digest in enumerate(digests):
+        code, out, err = run_cli(tmp_path, capsys, "axioms", {"space": space, "samples": 2000, "seed": seed})
+        assert code == expected_code and err == ""
+        version, body = out.split("\n", 1)
+        assert version.startswith("# version=")
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 AXIOMS_CFG = {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 300, "seed": 3}
@@ -676,15 +719,48 @@ def test_demo_runs_all_criteria(tmp_path, capsys):
     assert all("[pass]" in l for l in criterion_lines)
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_m_hypkm(*argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(hypkm.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "hypkm", "demo", "--help"],
+    return subprocess.run(
+        [sys.executable, "-m", "hypkm", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python_m_hypkm("demo", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: hypkm demo")
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    cfg = {"K": 1, "alpha": {"kind": "identity"}, "eps": 4, "b": 1}
+    assert run_cli(tmp_path, capsys, "rates", cfg)[0] == 0
+    assert built and built[0] == "hypkm"
+    first = len(built)
+    assert run_cli(tmp_path, capsys, "rates", cfg)[0] == 0
+    assert len(built) == first
+
+
+def test_a_flag_does_not_leak_into_the_next_call(tmp_path, capsys):
+    cfg = {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 200}
+    code, seeded, _ = run_cli(tmp_path, capsys, "axioms", cfg, "--seed", "7")
+    assert code == 0
+    code, out, err = run_cli(tmp_path, capsys, "axioms", cfg)
+    assert code == 0 and err == "" and out != seeded
+    proc = _python_m_hypkm("axioms", "--config", str(tmp_path / "config.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert out == proc.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -906,6 +982,26 @@ def test_unknown_descriptor_keys_are_all_named():
         build_space({"kind": "interval", "a": 0, "b": 1, "c": 5, "d": 6})
     # optional keys a kind reads stay accepted, present or absent
     assert build_schedule({"kind": "harmonic", "offset": 3, "K": 2}).K == 2
+
+
+#: per command, a config, the function that does its work, and keys no
+#: field read asks for
+UNKNOWN_TOP_LEVEL_KEYS = [
+    ("axioms", INTERVAL_CFG, "check_axioms", {"budget": 300}),
+    ("iterate", ITERATE_CFG, "km_iterate", {"seed": 1}),
+    ("rates", TABLE_CFG, "rate_h", {"samples": 10, "b3": 1}),
+    ("product", PRODUCT_CFG, "solve_example", {"dimm": 7}),
+    ("uafpp", UAFPP_CFG, "modulus_table", {"eps": 1}),
+]
+
+
+@pytest.mark.parametrize("command, cfg, work, extra", UNKNOWN_TOP_LEVEL_KEYS)
+def test_unknown_top_level_keys_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, cfg, work, extra):
+    monkeypatch.setattr(hypkm.cli, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+    code, out, err = run_cli(tmp_path, capsys, command, {**cfg, **extra})
+    keys = "key" if len(extra) == 1 else "keys"
+    assert code == 2 and out == ""
+    assert f"config error: {command}: unknown {keys} {', '.join(map(repr, extra))}\n" == err
 
 
 def test_unhashable_example_is_a_config_error(tmp_path, capsys):

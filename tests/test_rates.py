@@ -39,7 +39,16 @@ from hypkm import (
     rate_h,
     rate_h_tilde,
 )
-from hypkm.rates import _STR_BITS, HEAD_STEPS, SCAN_CAP, decimal_string, fmt_number, monus
+from hypkm.rates import (
+    _EXP1_HI,
+    _STR_BITS,
+    HEAD_STEPS,
+    SCAN_CAP,
+    _exp1_hi_power,
+    decimal_string,
+    fmt_number,
+    monus,
+)
 
 mpmath.mp.dps = 80
 
@@ -55,6 +64,18 @@ def mirror_alpha_hat(alpha, i, n):
     a = 0 + scan_alpha_plus(alpha, 0, n)
     for _ in range(i):
         a += scan_alpha_plus(alpha, a, n)
+    return a
+
+
+def linear_alpha_hat(c, i, n):
+    """alpha_hat on the linear law m -> ceil(c m), c >= 1, stepped in
+    Fractions: a(0) = ceil(c n) + 1 and a(k+1) = a(k) + alpha_plus(a(k), n) =
+    ceil(c (n + a(k))) + 1, since ceil(c (n + j)) - j + 1 is nondecreasing
+    in j."""
+    c = Fraction(c)
+    a = math.ceil(c * n) + 1
+    for _ in range(i):
+        a = math.ceil(c * (n + a)) + 1
     return a
 
 
@@ -344,20 +365,44 @@ def test_folded_witnesses_overflow_with_the_same_bounds(K, m, b):
 
 
 def test_alpha_hat_jump_agrees_with_literal_steps():
-    # beyond HEAD_STEPS the catalog kinds switch to closed-form jumps; the
-    # literal route (one alpha_plus increment at a time) must agree exactly
+    # beyond HEAD_STEPS the catalog kinds switch to closed-form jumps; a
+    # literal route written here, one step at a time, must agree exactly
     i = HEAD_STEPS + 88
-    for alpha, n in [
-        (alpha_identity(), 4),
-        (alpha_double(), 2),
-        (alpha_scale_ceil(3), 1),
-        (alpha_scale_ceil(Fraction(3, 2)), 1),
-        (alpha_table((0, 2, 9, 20)), 0),
+    for alpha, c, n in [
+        (alpha_identity(), 1, 4),
+        (alpha_double(), 2, 2),
+        (alpha_scale_ceil(3), 3, 1),
+        (alpha_scale_ceil(Fraction(3, 2)), Fraction(3, 2), 1),
     ]:
-        a = alpha_tilde(alpha, 0, n)
-        for _ in range(i):
-            a += alpha_plus(alpha, a, n)
-        assert alpha_hat(alpha, i, n) == a
+        assert alpha_hat(alpha, i, n) == linear_alpha_hat(c, i, n)
+    # the table is constant from index 3 on, where alpha(j) - j + 1 only
+    # falls: the scan may stop at j = 3
+    table = alpha_table((0, 2, 9, 20))
+    a = scan_alpha_plus(table, 0, 0)
+    for _ in range(i):
+        a += scan_alpha_plus(table, min(a, 3), 0)
+    assert alpha_hat(table, i, 0) == a
+
+
+#: the linear law's scale: an int 1..5, or p/q >= 1 with q up to 10^6
+LINEAR_C = st.one_of(
+    st.integers(1, 5),
+    st.integers(1, 10**6).flatmap(lambda q: st.integers(q, 5 * q).map(lambda p: Fraction(p, q))),
+)
+
+
+@given(c=LINEAR_C, n=st.integers(0, 10**20), i=st.integers(0, 2 * HEAD_STEPS))
+@example(c=2, n=0, i=HEAD_STEPS - 1)
+@example(c=Fraction(7, 3), n=10**20, i=HEAD_STEPS)
+@example(c=Fraction(999_999, 999_998), n=1, i=HEAD_STEPS + 1)
+@example(c=Fraction(3, 2), n=1, i=2 * HEAD_STEPS)
+@example(c=Fraction(3, 2), n=10**20, i=HEAD_STEPS + 300)
+def test_linear_law_against_a_fraction_loop(c, n, i):
+    # the head (i <= HEAD_STEPS), the jump of integer c and the literal tail
+    # of non-integer c (scale_ceil(3/2) past HEAD_STEPS), against Fractions
+    alpha, cf = alpha_scale_ceil(c), Fraction(c)
+    assert alpha_plus(alpha, i, n) == max(math.ceil(cf * (n + j)) - j + 1 for j in range(i + 1))
+    assert alpha_hat(alpha, i, n) == linear_alpha_hat(c, i, n)
 
 
 def test_alpha_hat_monotone_in_i():
@@ -395,6 +440,14 @@ def test_ceil_exp_upper_against_mpmath():
             true = exp_ceiling_oracle(c, e)
             got = ceil_exp_upper(c, e)
             assert true <= got <= true + 1
+
+
+def test_cached_e_powers_are_the_powers():
+    for e in range(1, 65):
+        assert _exp1_hi_power(e) == _EXP1_HI**e
+    for e in range(200):
+        ceil_exp_upper(Fraction(1, 3), e)
+    assert _exp1_hi_power.cache_info().currsize <= 64
 
 
 def test_ceil_exp_upper_large_exponent_fallback():
