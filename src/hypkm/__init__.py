@@ -104,7 +104,6 @@ from .maps import (
 from .product_afpp import (
     AfppOracle,
     AfppStep,
-    AnalyticOracle,
     Certificate,
     CertifiedRunResult,
     EXAMPLES,

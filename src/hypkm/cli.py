@@ -152,15 +152,18 @@ def cmd_rates(cfg: dict, args) -> int:
     eps = f("eps", config_positive)
     b, b1, b2 = (f(key, config_positive, None) for key in ("b", "b1", "b2"))
     f.done()
+    if (b1 is None) != (b2 is None):
+        given, missing = ("b2", "b1") if b1 is None else ("b1", "b2")
+        raise ConfigError(f"rates needs {missing!r} for g: {given!r} is given without it")
+    if b is None and b1 is None:
+        raise ConfigError("rates needs 'b' (for h, h_tilde, g_tilde) or 'b1' and 'b2' (for g)")
     lines = _headers(cfg)
     if b is not None:
         lines.append(_rate_line("h", lambda: rate_h(eps, b, K, alpha)))
         lines.append(_rate_line("h_tilde", lambda: rate_h_tilde(eps, b, K, alpha)))
         lines.append(_rate_line("g_tilde", lambda: rate_g_tilde(eps, b, K, alpha)))
-    if b1 is not None and b2 is not None:
+    if b1 is not None:
         lines.append(_rate_line("g", lambda: rate_g(eps, b1, b2, K, alpha)))
-    if b is None and (b1 is None or b2 is None):
-        raise ConfigError("rates needs 'b' (for h, h_tilde, g_tilde) or 'b1' and 'b2' (for g)")
     _emit(lines, args.out)
     return 0
 

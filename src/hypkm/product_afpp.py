@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -109,7 +109,8 @@ class GridOracle(AfppOracle):
     2-Lipschitz, so if near-fixed points exist at all, a fine enough mesh
     sees one.  The meshes space.mesh(step) are scanned in order, halving the
     step after each level, and the best point so far is kept with a strict
-    comparison, so ties go to the earliest point scanned.
+    comparison, so ties go to the earliest point scanned.  A point with
+    residual 0 ends the scan at once: no later point can displace it.
 
     Each point is evaluated at most once per solve: its residual is cached
     and reused when a later mesh contains it again.  A new point u is
@@ -149,6 +150,8 @@ class GridOracle(AfppOracle):
                 if u in residuals or any(r - 2.0 * distance(u, w) > cut for w, r in residuals.items()):
                     continue
                 r = residuals[u] = distance(u, f(u))
+                if r == 0.0:
+                    return u
                 if r < best_r:
                     best_u, best_r = u, r
             if best_r <= eps:
@@ -164,19 +167,6 @@ class GridOracle(AfppOracle):
                     f"best residual {best_r:.6g} > tolerance {eps:.6g} "
                     "(the map may have no approximate fixed points)"
                 )
-
-
-class AnalyticOracle(AfppOracle):
-    """Wraps a caller-supplied closed-form solver; answers are post-checked
-    like any other oracle's."""
-
-    def __init__(self, space: Space, solver: Callable[[NonexpansiveMap, float], Point], label: str = "analytic"):
-        self.space = space
-        self.solver = solver
-        self.label = label
-
-    def _solve(self, f, eps):
-        return self.solver(f, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +211,14 @@ class FamilyInvarianceReport:
 
 
 def check_family_invariance(
-    T: ProductMap, samples: int, seed: int = 0
+    T: ProductMap, samples: int
 ) -> FamilyInvarianceReport:
     """Sample (x, u) in T's domain and flag any pair whose image's first
     coordinate leaves the fiber at u; the report keeps the first
     KEPT_VIOLATIONS."""
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     violations = []
     for _ in range(samples):
         p = T.domain.sample(rng)
@@ -345,7 +335,6 @@ def make_certificate(
 @dataclass
 class CertifiedRunResult:
     step: AfppStep
-    n_used: int
     certified_n: Optional[int]
     truncated: bool
     probe_residual: float
@@ -435,7 +424,6 @@ def certified_run(
         )
     return CertifiedRunResult(
         step=step,
-        n_used=n,
         certified_n=certified_n,
         truncated=truncated,
         probe_residual=r_star,
@@ -624,13 +612,12 @@ def check_uniform_displacement(
     delta: SelectionFunction,
     b: float,
     samples: int,
-    seed: int = 0,
 ) -> DisplacementReport:
     """Sample parameters u and report the largest selection displacement
     rho(delta(u), T_u(delta(u))), flagging any u beyond the claimed bound b."""
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst, argmax, violator = -math.inf, None, None
     for _ in range(samples):
         u = T.domain.right.sample(rng)
@@ -659,8 +646,8 @@ def check_uniform_displacement(
 @dataclass
 class ProductExample:
     """A ready-to-run bundle for the solver and the CLI.  The space is
-    T.domain; every shipped example steps by 1/2, and all but ``constant``
-    solve the parameter space with a GridOracle."""
+    T.domain; every example steps by 1/2 and solves the parameter space
+    with a GridOracle on T.domain.right."""
 
     name: str
     T: ProductMap
@@ -670,16 +657,18 @@ class ProductExample:
     b2: Fraction
     orbit_bound: Optional[Fraction]
     r_star: Optional[float]
-    sched: Schedule = field(default_factory=lambda: constant_schedule("1/2"))
-    oracle: Optional[AfppOracle] = None
-
-    def __post_init__(self):
-        if self.oracle is None:
-            self.oracle = GridOracle(self.T.domain.right)
 
     @property
     def space(self) -> FamilyProduct:
         return self.T.domain
+
+    @property
+    def sched(self) -> Schedule:
+        return constant_schedule("1/2")
+
+    @property
+    def oracle(self) -> GridOracle:
+        return GridOracle(self.T.domain.right)
 
 
 def _unit_interval() -> IntervalSpace:
@@ -710,9 +699,6 @@ def constant_example() -> ProductExample:
         name="constant",
         T=constant_pair(product(_unit_interval(), M), 1.0, 0.5),
         delta=constant_map(M, 0.0),
-        oracle=AnalyticOracle(
-            M, lambda f, eps: f(0.5), label="constant-map analytic"
-        ),
         probe=lambda u: 1.0,
         b1=Fraction(1),
         b2=Fraction(1, 10**9),

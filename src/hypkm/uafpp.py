@@ -243,7 +243,7 @@ class GkReport:
 
 
 def gk_boundedness_check(
-    C: Space, D1, samples: int, seed: int = 0
+    C: Space, D1, samples: int
 ) -> GkReport:
     """A uniform displacement modulus D1 at tolerance 1 forces the whole set
     inside diameter 2*D1+1.
@@ -255,7 +255,7 @@ def gk_boundedness_check(
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
     bound = 2 * float(as_fraction(D1)) + 1
-    rng = random.Random(seed)
+    rng = random.Random(0)
     worst, worst_pair, violation = -math.inf, None, None
     for _ in range(samples):
         x, y = C.sample(rng), C.sample(rng)

@@ -435,6 +435,18 @@ def test_rates_argument_errors(tmp_path, capsys):
     assert code == 2 and "'eps'" in err
 
 
+@pytest.mark.parametrize("b", [None, 1])
+@pytest.mark.parametrize("given, missing", [("b1", "b2"), ("b2", "b1")])
+def test_rates_refuses_half_a_g_pair(tmp_path, capsys, b, given, missing):
+    # g needs both of b1 and b2; one of them alone is refused by name, with
+    # or without the b that h, h_tilde and g_tilde read
+    cfg = {"K": 1, "alpha": ID, "eps": 4, given: "1/4"}
+    if b is not None:
+        cfg["b"] = b
+    code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 2 and out == "" and f"rates needs {missing!r}" in err
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -594,6 +606,78 @@ def test_product_accepts_integral_spellings(tmp_path, capsys):
         doc = json.loads(out)
         assert doc.pop("config_hash") == config_hash(cfg)
         assert doc == {k: v for k, v in expected.items() if k != "config_hash"}
+
+
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+
+#: (exit code, sha256 of `product` stdout less its version entry) at eps
+#: 1/100 for budgets 300, 2000 (outer) and modes default, sup-rC,
+#: bounded-orbit (inner), taken while `constant` had a closed-form oracle
+#: of its own and each example could set its schedule and oracle
+PRODUCT_GOLDEN = {
+    "diagonal": (
+        (0, "8b5d851a60080c30321bed4169b614a2344e7eeb10dcd706c0b4c42149dd6811"),
+        (0, "70029d03cae3f024d84a7cca278d7b0ad7959f4242da033fd5f46217f5d09ca7"),
+        (0, "a8bcf148f5573f6fdd4c4812c1788a441034e617ca6c3131bd52992600810fe3"),
+        (0, "e0efdd4c450639fd1b47f4bced612c7e7954d283cdd015aadd48b36b47e0d620"),
+        (0, "f2527bc6ac414e6edb5ca4826850a0c14732372fa93ceda119fccbaa8019462d"),
+        (0, "4b3acb1482d11c8d72c114fbd849eb22590a743003272159c36dfbab289830a8"),
+    ),
+    "constant": (
+        (0, "c7148103e15fb4500b15b6870ed64d1f4a4676855eec89fd0c6bb7ef819f6459"),
+        (0, "236a6a794a0f879f6f85a708aabffc0904ccba1fdf4263f24e1c31f3a31d8724"),
+        (0, "b94598813d5a7ac04793273ee47e0bcd278ffa943e3cdb19d2381fadeb39a044"),
+        (0, "78f3f6f76a3e7b2890faade3d7203e1db04e5091f0e955804ab7e3067557f140"),
+        (0, "9c1cb7b922f4ac5652e015d861a203d53eb75930156e821165167d22f6094a57"),
+        (0, "658d9b18191a119733b5d44eb62ddeaa434f07b50560f6abaf4bcb5fa50b0022"),
+    ),
+    "drop": (
+        (0, "a58195b7fffb3aa26c423bf19d12458c5b2e6d071ffa932b5cc0b1b52d385a0d"),
+        (0, "7de0eea55a34f702d58d57b908f36858c09c59a6971f25a583cc834eee43f01d"),
+        (0, "3c907bb483c8a97bad3cb010991802c5aa424d28ad053a46a6f464cf0a051723"),
+        (0, "e22280f6547f073624064c7dee277bd622439e156b3397bd45595043ba053147"),
+        (0, "e9cecd49e426203e01fe678e80d933cf4fdfa903eacfe5643a5d825a7b20fc6a"),
+        (0, "98ec5afda17d93f0f24ae76e7a024844965be5e5fee5388cd50d650e36be44e2"),
+    ),
+    "drift": (
+        (3, "4d474fa80310e6ef06bca1a3adc00530150d6367232b2d386d9dde70ef469712"),
+        (3, "8a07dfcfa789a4026e1640f9b16fea2bde764aa0ba7ceda22ed4a190559c642b"),
+        (2, NO_OUTPUT),
+        (3, "0ccba5296abbe0b977c89e5ceac2855ba7899a355c7d01cb8e207a37e2df42b6"),
+        (3, "83ef2797233a7a5f53bba34bf86633ca922b7ba89704a16e7901a0c58d353b09"),
+        (2, NO_OUTPUT),
+    ),
+    "family_valid": (
+        (0, "8a7d4824a6a77a67a05e61eccb7ab8c1fcf4488919f15519eab94cacce36d624"),
+        (0, "3eed6223636f3f4fd50dfc577589758aa168b1201ac9ab79256ab8edc29a52ff"),
+        (0, "13434fb2263bc2ac76de013bb46554822acfac8b84f6cafd86b89769e48ec957"),
+        (0, "4173f8ef9c8458886bcc3de9122388809863faba9c59fc80ebff53637da248d6"),
+        (0, "e071b4b479e39e032b64d44e4a96c304588dc6c2d012e5eb8c5ee6cdf3de3d72"),
+        (0, "808f180631e18a7b124c6f4e2db8c136943363094963634958e95cb738f3a42b"),
+    ),
+    "family_violating": ((2, NO_OUTPUT),) * 6,
+    "family_const": (
+        (0, "041df3d0ecd67c53984ba57f3a071406496826dbf660a763bf4eca78b43e6b5f"),
+        (0, "ffb083d1cdb2de5f0a4c345edb3dfb79542ca0e7b19f24b24d50a16ec6c088a5"),
+        (0, "0f381c49d4f014352bdd19ecb8a0d8cbce4aac9f081055c6d50946c37035d2d6"),
+        (0, "d7bab38c78a88c3b40f0a4f5ec6a77959eb7973e7f20fed4316d7dd859d4e286"),
+        (0, "4c220a19ce35cc5f79cb6bce953d9c71f9e9b5bf4fc8a953911baa0a762ef2fe"),
+        (0, "6dd32ee315210bc8bd6f8bd10c5241ceeaeb8532e7fbba7b6bd31a1a5133c959"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_GOLDEN)
+def test_product_matches_its_goldens(tmp_path, capsys, name):
+    runs = [(budget, mode) for budget in (300, 2000) for mode in (None, "sup-rC", "bounded-orbit")]
+    for (budget, mode), (expected_code, digest) in zip(runs, PRODUCT_GOLDEN[name], strict=True):
+        cfg = {"example": name, "eps": "1/100", "budget": budget}
+        if mode is not None:
+            cfg["mode"] = mode
+        code, out, _ = run_cli(tmp_path, capsys, "product", cfg)
+        body = out.replace(f'"version": "{hypkm.__version__}"', "")
+        assert code == expected_code
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

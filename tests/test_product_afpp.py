@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypkm import (
-    AnalyticOracle,
+    AfppOracle,
     ArgumentError,
     GridOracle,
     InvariantError,
@@ -113,23 +113,34 @@ def _clamp(x, lo=0.0, hi=1.0):
 #: a permutation of the residues mod the prime 65537 so that simple draws
 #: do not all sit near 0; fixed points then mostly fall between mesh points
 UNIT_PARAMS = st.integers(1, 65536).map(lambda k: k * 40503 % 65537 / 65537)
-SIGNED_PARAMS = UNIT_PARAMS.map(lambda v: 2.0 * v - 1.0)
 
-#: 1-Lipschitz self-maps of [0, 1]: constants, clamped translations, clamped
-#: affine maps with |slope| <= 1, and pointwise min/max of these
-UNIT_MAPS = st.recursive(
-    st.one_of(
-        UNIT_PARAMS.map(lambda c: lambda u: c),
-        SIGNED_PARAMS.map(lambda t: lambda u: _clamp(u + t)),
-        st.tuples(st.one_of(st.sampled_from((-1.0, 1.0)), SIGNED_PARAMS), SIGNED_PARAMS).map(
-            lambda ab: lambda u: _clamp(ab[0] * u + ab[1])
+#: parameters in [0, 1] on the dyadic meshes down to step 1/64: fixed points
+#: then often sit on mesh points, where the residual is exactly 0
+DYADIC_PARAMS = st.integers(0, 64).map(lambda k: k / 64)
+
+
+def unit_maps(params):
+    """1-Lipschitz self-maps of [0, 1] with parameters drawn from ``params``:
+    constants, clamped translations, clamped affine maps with |slope| <= 1,
+    and pointwise min/max of these."""
+    signed = params.map(lambda v: 2.0 * v - 1.0)
+    return st.recursive(
+        st.one_of(
+            params.map(lambda c: lambda u: c),
+            signed.map(lambda t: lambda u: _clamp(u + t)),
+            st.tuples(st.one_of(st.sampled_from((-1.0, 1.0)), signed), signed).map(
+                lambda ab: lambda u: _clamp(ab[0] * u + ab[1])
+            ),
         ),
-    ),
-    lambda inner: st.tuples(st.sampled_from((min, max)), inner, inner).map(
-        lambda t: lambda u: t[0](t[1](u), t[2](u))
-    ),
-    max_leaves=4,
-)
+        lambda inner: st.tuples(st.sampled_from((min, max)), inner, inner).map(
+            lambda t: lambda u: t[0](t[1](u), t[2](u))
+        ),
+        max_leaves=4,
+    )
+
+
+SIGNED_PARAMS = UNIT_PARAMS.map(lambda v: 2.0 * v - 1.0)
+UNIT_MAPS = unit_maps(UNIT_PARAMS)
 
 #: nonexpansive self-maps of the box [0,1]^2: coordinatewise products of
 #: unit-interval maps, and a scaled rotation about the centre plus a shift,
@@ -169,6 +180,7 @@ STAR_MAPS = st.recursive(
 #: quadratically
 ORACLE_SPACES = {
     "interval": (UNIT, UNIT_MAPS, (1e-4, 1e-3, 0.05)),
+    "dyadic": (UNIT, unit_maps(DYADIC_PARAMS), (1e-4, 1e-3, 0.05)),
     "box": (make_box([(0.0, 1.0), (0.0, 1.0)]), BOX_MAPS, (0.01, 0.05)),
     "star": (STAR, STAR_MAPS, (1e-3, 0.05)),
 }
@@ -207,9 +219,9 @@ def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
     assert GridOracle(UNIT).solve(f, 0.05) == 0.125 == full_mesh_scan(UNIT, f, 0.05, 1e-7)
 
 
-def test_grid_oracle_lift_work_count(monkeypatch):
-    # the scaled_coupling lift at n=2000: the full scan evaluates all 257
-    # points of the finest mesh, each one a 2000-step slice orbit
+def count_phi_calls(monkeypatch) -> list:
+    """Make every parameter-space map built by the lift record each point
+    it is called at; returns the list of those points."""
     calls = []
     real_phi = product_afpp.phi
 
@@ -223,6 +235,13 @@ def test_grid_oracle_lift_work_count(monkeypatch):
         return NonexpansiveMap(f.domain, fn, f.label)
 
     monkeypatch.setattr(product_afpp, "phi", counting_phi)
+    return calls
+
+
+def test_grid_oracle_lift_work_count(monkeypatch):
+    # the scaled_coupling lift at n=2000: the full scan evaluates all 257
+    # points of the finest mesh, each one a 2000-step slice orbit
+    calls = count_phi_calls(monkeypatch)
     T = scaled_coupling(product(make_interval(0.0, 1.0), UNIT), 0.5, 0.1)
     step = approx_fixed_pair(T, identity_map(UNIT), constant_schedule("1/2"), GridOracle(UNIT), 2000)
     assert step.z == 0.19921875
@@ -230,6 +249,26 @@ def test_grid_oracle_lift_work_count(monkeypatch):
     # each point is evaluated once per solve; the post-check in solve
     # evaluates the answer z a second time
     assert len(calls) - len(set(calls)) == 1
+
+
+def test_grid_oracle_stops_at_a_zero_residual(monkeypatch):
+    # drift's parameter-space map is the identity, so the first mesh point
+    # 0.0 has residual 0 and the scan ends there: one slice orbit for the
+    # scan and one for the post-check, not one per point of the first mesh
+    calls = count_phi_calls(monkeypatch)
+    ex = drift_example()
+    step = approx_fixed_pair(ex.T, ex.delta, ex.sched, ex.oracle, 2000)
+    assert step.z == 0.0 and step.residual == 1.0
+    assert calls == [0.0, 0.0]
+
+
+def test_grid_oracle_zero_residual_spares_later_points():
+    # the slice at u=0 of the fiber violator is stationary at 0, but the
+    # slice at u=1/4 leaves its fiber [0, 5/4] by step 3: the scan returns
+    # the exactly fixed pair at u=0 and never walks the escaping orbit
+    ex = family_violating_example()
+    step = approx_fixed_pair(ex.T, ex.delta, ex.sched, ex.oracle, 5)
+    assert step.point == (0.0, 0.0) and step.residual == 0.0
 
 
 @pytest.mark.parametrize(
@@ -258,16 +297,27 @@ def test_grid_oracle_needs_bounded_space_or_step():
             GridOracle(make_real_line(), **kwargs)
 
 
-def test_analytic_oracle_post_checks_membership():
-    bad = AnalyticOracle(UNIT, lambda f, eps: 3.0, label="escapes")
+class FixedAnswerOracle(AfppOracle):
+    """Answers u for every map, right or wrong: only the post-check in
+    AfppOracle.solve stands between it and its callers."""
+
+    def __init__(self, space, u):
+        self.space, self.u = space, u
+
+    def _solve(self, f, eps):
+        return self.u
+
+
+def test_oracle_post_checks_membership():
+    bad = FixedAnswerOracle(UNIT, 3.0)
     with pytest.raises(OracleError) as exc:
         bad.solve(identity_map(UNIT), 0.1)
     assert "not a member" in str(exc.value)
 
 
-def test_analytic_oracle_post_checks_residual():
+def test_oracle_post_checks_residual():
     # claims u=0 solves f(u)=1: residual 1 > 0.1
-    bad = AnalyticOracle(UNIT, lambda f, eps: 0.0, label="liar")
+    bad = FixedAnswerOracle(UNIT, 0.0)
     with pytest.raises(OracleError) as exc:
         bad.solve(constant_map(UNIT, 1.0), 0.1)
     assert "residual" in str(exc.value)
@@ -386,7 +436,7 @@ def test_certified_run_rate_certified_small_constants():
         b1=Fraction(1, 1000), b2=Fraction(1, 1000), eps=4, probe=lambda u: u,
     )
     assert run.truncated is False
-    assert run.certified_n == 3 and run.n_used == 3
+    assert run.certified_n == 3 and run.step.n == 3
     assert run.step.residual == 0.0
     assert run.probe_residual == 0.0 and run.selection_residual == 0.0
     assert run.guarantee == 4.0 and run.inequality_ok
@@ -401,7 +451,7 @@ def test_certified_run_budget_truncated():
         b1=ex.b1, b2=ex.b2, eps=Fraction(1, 100), probe=ex.probe, budget=300,
     )
     assert run.truncated is True and run.certified_n is None
-    assert run.n_used == 300
+    assert run.step.n == 300
     assert run.step.residual == 0.0 and run.inequality_ok
 
 
@@ -415,7 +465,7 @@ def test_certified_run_large_but_finite_bound_still_truncates():
     )
     assert run.truncated is True
     assert run.certified_n is not None and run.certified_n > 10**400
-    assert run.n_used == 200
+    assert run.step.n == 200
 
 
 def test_probe_contract_distance_violation():
