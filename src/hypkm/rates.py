@@ -144,6 +144,12 @@ def decimal_string(x: int) -> str:
     rounding raises instead of changing a digit.  Divide and conquer after
     CPython's _pylong.int_to_decimal (gh-90716).  Without the C decimal
     module this is str(x).
+
+    A block of w bits that is all 0s or all 1s is 0 or 2**w - 1 and is not
+    split further.  The closed forms at c = 2, 2**s*(a + add) - add, are
+    long runs of 1s, so the anchor's split visits 55 blocks, not
+    32,767.  Each 2**w is the square of the cached 2**(w >> 1), doubled when
+    w is odd.
     """
     if x.bit_length() < _STR_BITS or _decimal is None:
         return str(x)
@@ -152,14 +158,28 @@ def decimal_string(x: int) -> str:
     )
     ctx.traps[decimal.Inexact] = True
     D = decimal.Decimal
-    powers: dict[int, decimal.Decimal] = {}  # 2**w per split width, this call only
+    powers: dict[int, decimal.Decimal] = {}  # 2**w per width, this call only
 
     def pow2(w: int) -> decimal.Decimal:
-        if w not in powers:
-            powers[w] = D(2) ** w
-        return powers[w]
+        p = powers.get(w)
+        if p is None:
+            if w <= _LEAF_BITS:
+                p = D(1 << w)
+            else:
+                p = pow2(w >> 1)
+                p *= p
+                if w & 1:
+                    p += p
+            powers[w] = p
+        return p
 
     def inner(n: int, w: int) -> decimal.Decimal:
+        # n < 2**w: the top block is |x| at its bit length, and each split
+        # keeps its halves below their widths
+        if n == 0:
+            return D(0)
+        if n.bit_count() == w:
+            return pow2(w) - 1
         if w <= _LEAF_BITS:
             return D(n)
         lo_w = w >> 1

@@ -3,6 +3,7 @@ the stable hashing that makes reruns byte-identical."""
 
 import argparse
 import contextlib
+import decimal
 import hashlib
 import importlib.util
 import io
@@ -411,8 +412,12 @@ def test_rates_prints_seven_hundred_thousand_digits(tmp_path, capsys):
     assert code == 0
     lines = out.splitlines()
     h_line = next(l for l in lines if l.startswith("h = "))
-    sys.set_int_max_str_digits(1_100_000)
-    expected = str(13 * (2**2405209 - 1))
+    # the oracle is 13 * 2^2405209 - 13 in exact decimal arithmetic, not the
+    # binary split the CLI renders with; str() of that int takes seconds
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    ctx.traps[decimal.Inexact] = True
+    with decimal.localcontext(ctx):
+        expected = str(decimal.Decimal(13) * decimal.Decimal(2) ** 2405209 - 13)
     assert len(expected) == 724042
     assert h_line == f"h = {expected}"
     # the bounded-orbit variant overflows the digit budget and degrades to a

@@ -41,6 +41,7 @@ from hypkm import (
 )
 from hypkm.rates import (
     _EXP1_HI,
+    _LEAF_BITS,
     _STR_BITS,
     HEAD_STEPS,
     SCAN_CAP,
@@ -179,7 +180,9 @@ def str_oracle(x):
 @st.composite
 def renderer_inputs(draw):
     # random values up to ~200k bits, clustered on both sides of the str()
-    # cutover, plus the shapes whose digits are all 0 or all 9 in some base
+    # cutover, plus the shapes whose digits are all 0 or all 9 in some base,
+    # the closed-form shapes m*2**k -/+ r, and runs of 0s and 1s whose
+    # lengths straddle both the leaf width and the str() cutover
     bits = draw(
         st.one_of(
             st.integers(0, 200_000),
@@ -187,7 +190,20 @@ def renderer_inputs(draw):
             st.integers(100_000, 200_000),
         )
     )
-    shape = draw(st.sampled_from(["random", "10**k", "10**k - 1", "2**k - 1"]))
+    shape = draw(
+        st.sampled_from(
+            [
+                "random",
+                "10**k",
+                "10**k - 1",
+                "2**k - 1",
+                "2**k",
+                "m*2**k - r",
+                "m*2**k + r",
+                "runs",
+            ]
+        )
+    )
     k10 = bits * 30103 // 100000
     if shape == "random":
         x = random.Random(draw(st.integers(0, 2**32))).getrandbits(bits)
@@ -195,8 +211,27 @@ def renderer_inputs(draw):
         x = 10**k10
     elif shape == "10**k - 1":
         x = 10**k10 - 1
-    else:
+    elif shape == "2**k - 1":
         x = 2**bits - 1
+    elif shape == "2**k":
+        x = 2**bits
+    elif shape == "runs":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        x, width, bit = 0, 0, rng.getrandbits(1)
+        while width < bits:
+            run = rng.choice(
+                [
+                    rng.randint(1, _LEAF_BITS - 1),
+                    rng.randint(_LEAF_BITS, _STR_BITS),
+                    rng.randint(_STR_BITS + 1, 2 * _STR_BITS),
+                ]
+            )
+            x = (x << run) | (bit * ((1 << run) - 1))
+            width, bit = width + run, bit ^ 1
+    else:
+        m = draw(st.integers(1, 1000))
+        r = draw(st.integers(0, 1000))
+        x = m * 2**bits - r if shape == "m*2**k - r" else m * 2**bits + r
     return x if draw(st.booleans()) else -x
 
 
@@ -208,6 +243,9 @@ def renderer_inputs(draw):
 @example(-(2**_STR_BITS))
 @example(10**60_000)
 @example(10**60_000 - 1)
+@example(13 * (2**60_000 - 1))
+@example(-13 * (2**60_000 - 1))
+@example(2**60_000)
 def test_decimal_string_matches_str(x):
     assert decimal_string(x) == str_oracle(x)
 
