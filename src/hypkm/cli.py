@@ -30,7 +30,7 @@ from .config import (
     config_positive,
     config_positive_int,
     config_rational,
-    config_real,
+    config_tolerance,
     fields,
     list_of,
     load_config,
@@ -88,7 +88,7 @@ def cmd_axioms(cfg: dict, args) -> int:
     f = fields(cfg, "axioms")
     space = build_space(f("space"))
     samples = f("samples", config_positive_int, 10_000)
-    seed, eta = f("seed", config_natural, 0), f("eta", config_real, DEFAULT_ETA)
+    seed, eta = f("seed", config_natural, 0), f("eta", config_tolerance, DEFAULT_ETA)
     f.done()
     rep = check_axioms(space, samples, seed=seed, eta=eta)
     lines = _headers(cfg)
@@ -108,7 +108,7 @@ def cmd_iterate(cfg: dict, args) -> int:
     T = build_map(space, f("map"))
     sched = build_schedule(f("schedule"))
     x0 = parse_point(space, f("x0"), "x0")
-    N, eta = f("N", config_natural), f("eta", config_real, DEFAULT_ETA)
+    N, eta = f("N", config_natural), f("eta", config_tolerance, DEFAULT_ETA)
     f.done()
     try:
         trace = km_iterate(space, T, x0, sched, N)

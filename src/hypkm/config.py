@@ -67,10 +67,23 @@ def _parse_int(literal: str) -> int:
     return int(literal)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, refusing a key that appears twice: json.load
+    alone would keep the last value without a word."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"config key {key!r} appears more than once")
+            seen.add(key)
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_int=_parse_int)
+            cfg = json.load(fh, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -141,6 +154,15 @@ def config_real(cfg: dict, key: str) -> Optional[float]:
         return None if value is None else float(value)
     except OverflowError:
         raise ConfigError(f"config key {key!r}: must lie within float range") from None
+
+
+def config_tolerance(cfg: dict, key: str) -> Optional[float]:
+    """Read a real-valued key that must be >= 0 ("inf" qualifies; "-1" and
+    "-inf" do not)."""
+    value = config_real(cfg, key)
+    if value is not None and value < 0:
+        raise ConfigError(f"config key {key!r}: must be >= 0, got {cfg[key]!r}")
+    return value
 
 
 def list_of(*reads: Callable, n: Optional[int] = None) -> Callable:

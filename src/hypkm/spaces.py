@@ -41,6 +41,11 @@ DEFAULT_ETA = 1e-9
 #: largest finite mesh any space builds; a larger one raises MeshCapError.
 MESH_POINT_CAP = 2_000_000
 
+# Samplers draw through ``rng.random`` with the arithmetic of
+# ``random.uniform(a, b)``, which is ``a + (b - a) * random()``: the same
+# stream and the same floats, without a method call per coordinate.  Where
+# a = 0.0 the sum is dropped, since 0.0 + v is v for every v >= 0.
+
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
     """[lo, hi] widened by MEMBERSHIP_SLACK and clamped to the finite floats,
@@ -113,6 +118,9 @@ class IntervalSpace(HyperbolicSpace):
             return "inf" if v > 0 else "-inf"
 
         self.descriptor = {"kind": "interval", "a": endpoint(self.a), "b": endpoint(self.b)}
+        lo = self.a if math.isfinite(self.a) else (self.b - 20.0 if math.isfinite(self.b) else -10.0)
+        hi = self.b if math.isfinite(self.b) else lo + 20.0
+        self._draw_lo, self._draw_width = lo, hi - lo
 
     def distance(self, x, y):
         return abs(float(x) - float(y))
@@ -125,9 +133,7 @@ class IntervalSpace(HyperbolicSpace):
         return self._lo <= v <= self._hi
 
     def sample(self, rng):
-        lo = self.a if math.isfinite(self.a) else (self.b - 20.0 if math.isfinite(self.b) else -10.0)
-        hi = self.b if math.isfinite(self.b) else lo + 20.0
-        return rng.uniform(lo, hi)
+        return self._draw_lo + self._draw_width * rng.random()
 
     def diameter(self):
         return self.b - self.a
@@ -154,11 +160,11 @@ class EuclideanSpace(HyperbolicSpace):
 
     ``contains`` and ``combine`` below are the generic kernels; membership
     compares with bounds widened once by ``_widen``, (-inf, inf) for R^n.
-    For dim 2, ``__init__`` binds unrolled instances of both that give
-    bit-identical results: the same float operations in the same
-    left-to-right order (``xi + lam * (yi - xi)`` per coordinate), points
-    unpacked by iteration as ``zip`` reads them, and the same
-    TypeError/ValueError/OverflowError handling.  An input the unrolled
+    For dim 2, ``__init__`` binds unrolled instances of both, and of
+    ``sample``, that give bit-identical results: the same float operations
+    in the same left-to-right order (``xi + lam * (yi - xi)`` per
+    coordinate), points unpacked by iteration as ``zip`` reads them, and the
+    same TypeError/ValueError/OverflowError handling.  An input the unrolled
     ``combine`` cannot unpack goes to the generic one.
     """
 
@@ -175,6 +181,8 @@ class EuclideanSpace(HyperbolicSpace):
                     raise ArgumentError(f"box needs lo < hi, got ({lo}, {hi})")
         self.bounds = bounds
         self._widened = [_widen(lo, hi) for lo, hi in bounds or [(-math.inf, math.inf)] * dim]
+        # (a, b - a) per coordinate; R^n draws from [-10, 10]^n
+        self._draws = [(lo, hi - lo) for lo, hi in bounds or [(-10.0, 10.0)] * dim]
         if bounds is None:
             self.descriptor = {"kind": "euclidean", "dim": dim}
         else:
@@ -182,6 +190,7 @@ class EuclideanSpace(HyperbolicSpace):
         if dim == 2:
             self.contains = self._contains_2d()
             self.combine = self._combine_2d()
+            self.sample = self._sample_2d()
 
     def distance(self, x, y):
         return math.dist(x, y)
@@ -224,10 +233,18 @@ class EuclideanSpace(HyperbolicSpace):
 
         return combine
 
+    def _sample_2d(self) -> Callable[[random.Random], Point]:
+        (lo0, w0), (lo1, w1) = self._draws
+
+        def sample(rng):
+            rand = rng.random
+            return (lo0 + w0 * rand(), lo1 + w1 * rand())
+
+        return sample
+
     def sample(self, rng):
-        if self.bounds is None:
-            return tuple(rng.uniform(-10.0, 10.0) for _ in range(self.dim))
-        return tuple(rng.uniform(lo, hi) for lo, hi in self.bounds)
+        rand = rng.random
+        return tuple([lo + w * rand() for lo, w in self._draws])
 
     def diameter(self):
         if self.bounds is None:
@@ -263,7 +280,9 @@ class PoincareDisk(HyperbolicSpace):
     Points are complex numbers with |z| < 1.  The convexity operator moves x
     to the origin by a Mobius disk automorphism, interpolates along the ray
     (geodesics through 0 are diameters, parameterized by arclength via
-    r -> 2 artanh r), and moves back.
+    r -> 2 artanh r), and moves back.  ``distance`` and ``combine`` take the
+    complex points that ``parse_point``, ``sample`` and the disk's maps make
+    and do not coerce them; ``contains`` is the membership check and does.
     """
 
     def __init__(self):
@@ -272,8 +291,7 @@ class PoincareDisk(HyperbolicSpace):
     def distance(self, x, y):
         # |phi_y(x)| for the automorphism phi_a(z) = (z - a) / (1 - conj(a) z)
         # that moves a = y to the origin
-        a, z = complex(y), complex(x)
-        w = (z - a) / (1 - a.conjugate() * z)
+        w = (x - y) / (1 - y.conjugate() * x)
         return 2.0 * math.atanh(abs(w))
 
     def contains(self, x):
@@ -285,20 +303,21 @@ class PoincareDisk(HyperbolicSpace):
 
     def sample(self, rng):
         # radius capped at 0.9 to keep axiom arithmetic well away from the rim
-        r = 0.9 * math.sqrt(rng.random())
-        t = rng.uniform(0.0, 2.0 * math.pi)
+        rand = rng.random
+        r = 0.9 * math.sqrt(rand())
+        t = math.tau * rand()
         return complex(r * math.cos(t), r * math.sin(t))
 
     def combine(self, x, y, lam):
         # y1 = phi_x(y); the point at fraction lam of the ray to y1 goes back
         # by the inverse automorphism z -> (z + x) / (1 + conj(x) z)
-        x, y = complex(x), complex(y)
-        y1 = (y - x) / (1 - x.conjugate() * y)
+        xc = x.conjugate()
+        y1 = (y - x) / (1 - xc * y)
         r = abs(y1)
         if r == 0.0:
             return x
         m = math.tanh(lam * math.atanh(r)) * (y1 / r)
-        return (m + x) / (1 + x.conjugate() * m)
+        return (m + x) / (1 + xc * m)
 
     def point_columns(self):
         return ["re", "im"]
@@ -344,7 +363,7 @@ class StarTree(HyperbolicSpace):
         )
 
     def sample(self, rng):
-        return (rng.randrange(self.rays), rng.uniform(0.0, self.length))
+        return (rng.randrange(self.rays), self.length * rng.random())
 
     def diameter(self):
         return 2.0 * self.length
@@ -396,7 +415,7 @@ class CircleSpace(Space):
             return False
 
     def sample(self, rng):
-        return rng.uniform(0.0, 2.0 * math.pi)
+        return math.tau * rng.random()
 
     def diameter(self):
         return math.pi
@@ -603,53 +622,86 @@ def check_axioms(
     """Evaluate metric axioms (and W1-W4 when applicable) on random tuples.
 
     The report records, per axiom, the largest observed violation and the
-    first sampled tuple exceeding ``eta``.
+    first sampled tuple exceeding ``eta``.  Two contracts hold:
+
+    - The draws per tuple come in the order x, y, z, then (for a space with
+      a combine operator) w, lam, lam2, all from ``random.Random(seed)``.
+      The order is part of the output: the same seed gives the same report.
+    - ``eta >= 0``.  Then a violation above ``eta`` that comes before any
+      other also beats the running maximum (which starts at 0), so a
+      witness tuple is built only on a new maximum.
     """
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
+    if not eta >= 0:
+        raise ArgumentError(f"eta must be >= 0, got {eta!r}")
     rng = random.Random(seed)
     report = AxiomReport(space=space.descriptor, samples=samples, seed=seed, eta=eta)
     has_w = isinstance(space, HyperbolicSpace)
-    names = AXIOM_NAMES if has_w else AXIOM_NAMES[:4]
-    for name in names:
-        report.results[name] = AxiomResult(name)
-
-    def record(name: str, violation: float, witness: tuple):
-        r = report.results[name]
-        if violation > r.max_violation:
-            r.max_violation = violation
-        if violation > eta and r.counterexample is None:
-            r.counterexample = witness
-
-    d = space.distance
+    d, draw, rand = space.distance, space.sample, rng.random
+    W = space.combine if has_w else None
+    # running maximum and first witness per axiom, in AXIOM_NAMES order
+    m0 = m1 = m2 = m3 = m4 = m5 = m6 = m7 = m8 = 0.0
+    c0 = c1 = c2 = c3 = c4 = c5 = c6 = c7 = c8 = None
     for _ in range(samples):
-        x = space.sample(rng)
-        y = space.sample(rng)
-        z = space.sample(rng)
+        x = draw(rng)
+        y = draw(rng)
+        z = draw(rng)
         dxy = d(x, y)
-        dyx = d(y, x)
         dxz = d(x, z)
         dyz = d(y, z)
-        record("metric_nonneg", -min(dxy, dxz, dyz), (x, y, z))
-        record("metric_identity", abs(d(x, x)), (x,))
-        record("metric_symmetry", abs(dxy - dyx), (x, y))
-        record("metric_triangle", dxz - (dxy + dyz), (x, y, z))
-        if not has_w:
+        v = -min(dxy, dxz, dyz)
+        if v > m0:
+            m0 = v
+            if v > eta and c0 is None:
+                c0 = (x, y, z)
+        v = abs(d(x, x))
+        if v > m1:
+            m1 = v
+            if v > eta and c1 is None:
+                c1 = (x,)
+        v = abs(dxy - d(y, x))
+        if v > m2:
+            m2 = v
+            if v > eta and c2 is None:
+                c2 = (x, y)
+        v = dxz - (dxy + dyz)
+        if v > m3:
+            m3 = v
+            if v > eta and c3 is None:
+                c3 = (x, y, z)
+        if W is None:
             continue
-        w = space.sample(rng)
-        lam = rng.random()
-        lam2 = rng.random()
-        cxy = space.combine(x, y, lam)
-        record("W1", d(z, cxy) - ((1 - lam) * dxz + lam * dyz), (x, y, z, lam))
-        cxy2 = space.combine(x, y, lam2)
-        record("W2", abs(d(cxy, cxy2) - abs(lam - lam2) * dxy), (x, y, lam, lam2))
-        record("W3", d(cxy, space.combine(y, x, 1.0 - lam)), (x, y, lam))
-        cxz = space.combine(x, z, lam)
-        cyw = space.combine(y, w, lam)
-        record("W4", d(cxz, cyw) - ((1 - lam) * dxy + lam * d(z, w)), (x, y, z, w, lam))
-        record(
-            "endpoints",
-            max(d(space.combine(x, y, 0.0), x), d(space.combine(x, y, 1.0), y)),
-            (x, y),
-        )
+        w = draw(rng)
+        lam = rand()
+        lam2 = rand()
+        cxy = W(x, y, lam)
+        v = d(z, cxy) - ((1 - lam) * dxz + lam * dyz)
+        if v > m4:
+            m4 = v
+            if v > eta and c4 is None:
+                c4 = (x, y, z, lam)
+        v = abs(d(cxy, W(x, y, lam2)) - abs(lam - lam2) * dxy)
+        if v > m5:
+            m5 = v
+            if v > eta and c5 is None:
+                c5 = (x, y, lam, lam2)
+        v = d(cxy, W(y, x, 1.0 - lam))
+        if v > m6:
+            m6 = v
+            if v > eta and c6 is None:
+                c6 = (x, y, lam)
+        v = d(W(x, z, lam), W(y, w, lam)) - ((1 - lam) * dxy + lam * d(z, w))
+        if v > m7:
+            m7 = v
+            if v > eta and c7 is None:
+                c7 = (x, y, z, w, lam)
+        v = max(d(W(x, y, 0.0), x), d(W(x, y, 1.0), y))
+        if v > m8:
+            m8 = v
+            if v > eta and c8 is None:
+                c8 = (x, y)
+    found = zip((m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8))
+    for name, (top, witness) in zip(AXIOM_NAMES if has_w else AXIOM_NAMES[:4], found):
+        report.results[name] = AxiomResult(name, top, witness)
     return report

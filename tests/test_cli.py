@@ -102,7 +102,10 @@ def test_axioms_bad_kind_is_config_error(tmp_path, capsys):
 
 #: sha256 of `axioms` stdout less its version line, 2,000 samples at seeds
 #: 0, 1, 2 per space, taken while every sample also built an unused
-#: combine(z, w, lam): dropping it draws nothing from the RNG.
+#: combine(z, w, lam): dropping it draws nothing from the RNG.  The entries
+#: from r1 on were taken while the samplers still called rng.uniform and
+#: the axiom loop still called a record() closure per axiom; interval_wide
+#: fails on rounding at magnitude 1e8 and pins the counterexample lines.
 AXIOMS_GOLDEN = {
     "interval": ({"kind": "interval", "a": 0, "b": 1}, 0, (
         "2fe7a6d57395f032639e18e265af3efd45071768bf5b31dcd692d725d2e2255f",
@@ -128,6 +131,26 @@ AXIOMS_GOLDEN = {
         "e506ea50239f5ad6436dafa6a715758527517fb7091954d98a834249e034657d",
         "713cc9abfcb8d68d2dd8c5f8ee898e9f19a181286548f109825a011ddca73f80",
         "356f24dc839b6d5c18fd7b71d48934638900ba4e0a25fedddc6daa66ba4c7956")),
+    "r1": ({"kind": "euclidean", "dim": 1}, 0, (
+        "3089cbc979bda3708ed1f405791de32fbdecb31a9b3294e3e1648317ef30f85a",
+        "06c91cca6401a3fda3dd02532da4da576854880e3229eefa2f61c27aca7a4a2f",
+        "79375648811bc988a5539e6178c2af61d3f4339d5954b4adcf115ed0e53ecb43")),
+    "r2": ({"kind": "euclidean", "dim": 2}, 0, (
+        "9472b2bb1646e898830797993c398e896fab5bd5189ed7928e2e4f6de8c8c001",
+        "2600eb924de61056d6dbe73ef850674cb1e3b2a67bd1e565a8c1a72bfc1abe44",
+        "a7e0f1c89df85a88104b6de929587355c7ad03ed8ee7914442f6549fcbb426a6")),
+    "r3": ({"kind": "euclidean", "dim": 3}, 0, (
+        "8c22fdc6d0eece5249a2f62c985886599e3444ccf8247001e4a0698548708954",
+        "90a6473c0514af3874812972e1ec81f22717e452b8e68acf17ab3f4ac6d45012",
+        "dab363a9803b3f26e89879d7f87b309be1c301a8ed9b0db9524cb157452c5eba")),
+    "box3": ({"kind": "box", "bounds": [[0, 1], [-2, 3], [0, 0.5]]}, 0, (
+        "13296be7f502b173653cc5a7350108c032433b95bb4357bf7a7adf1ea9bbd5f3",
+        "a3003a0774885ab27d8287d3d72cf6127404dd6f8def393822aa76f840e5ebdb",
+        "fd5f5c00ada24d523969671310ed7948658bac55c8089c57134fbb9cb1f2bcdc")),
+    "interval_wide": ({"kind": "interval", "a": -1e8, "b": 1e8}, 1, (
+        "1f57be1a9270e3edc2931d70f0b492cebe169ce8f8a29d6511c420d313f0b8e9",
+        "dbe01ed0f25ff3a8f0388d8337b0ee65a69907b19e1fa00c4ee722501df4b8c1",
+        "5a6dece41d44e2e38a2ffb10a970f125d3a0a4b7db70b64f64983614f86da8d3")),
 }
 
 
@@ -1039,6 +1062,12 @@ LAX_INPUTS = [
         ("iterate", MATRIX_CFG, ("x0",)),
     ]
     for value in (True, 2.5, "x")
+] + [
+    ("axioms", INTERVAL_CFG, ("eta",), "-1"),
+    ("axioms", INTERVAL_CFG, ("eta",), "-inf"),
+    ("iterate", ITERATE_CFG, ("eta",), "-1/1000000"),
+    ("iterate", ITERATE_CFG, ("eta",), -1e-300),
+    ("iterate", ITERATE_CFG, ("eta",), "-inf"),
 ]
 
 
@@ -1046,6 +1075,39 @@ LAX_INPUTS = [
 def test_lax_input_exits_2_naming_the_key(tmp_path, capsys, command, cfg, path, value):
     code, out, err = run_cli(tmp_path, capsys, command, _with(cfg, path, value))
     assert code == 2 and out == "" and repr(path[-1]) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, cfg", [("axioms", INTERVAL_CFG), ("iterate", ITERATE_CFG)])
+@pytest.mark.parametrize("eta", ["-1", "-1/1000000", "-inf"])
+def test_negative_eta_flag_exits_2(tmp_path, capsys, command, cfg, eta):
+    code, out, err = run_cli(tmp_path, capsys, command, cfg, f"--eta={eta}")
+    assert code == 2 and out == "" and "config key 'eta'" in err
+
+
+@pytest.mark.parametrize("eta", ["0", "-0", "inf"])
+def test_zero_and_infinite_eta_are_tolerances(tmp_path, capsys, eta):
+    cfg = dict(INTERVAL_CFG, space={"kind": "broken_w", "base": {"kind": "interval", "a": 0, "b": 1}})
+    code, out, _ = run_cli(tmp_path, capsys, "axioms", cfg, "--eta", eta)
+    # broken_w fails W2 at any finite tolerance
+    assert code == (0 if eta == "inf" else 1)
+    assert ("W2" in out.splitlines()[-1]) == (eta != "inf")
+
+
+DUPLICATE_KEYS = [
+    ("axioms", '{"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 10, "samples": 20}', "samples"),
+    ("axioms", '{"space": {"kind": "interval", "a": 0, "a": 0.5, "b": 1}, "samples": 10}', "a"),
+    ("rates", '{"K": 1, "alpha": {"kind": "identity"}, "eps": 4, "eps": 2, "b": 1}', "eps"),
+    ("rates", '{"K": 1, "alpha": {"kind": "identity"}, "eps": 4, "b": 1, "eps": 4}', "eps"),
+]
+
+
+@pytest.mark.parametrize("command, text, key", DUPLICATE_KEYS)
+def test_duplicate_keys_exit_2_naming_the_key(tmp_path, capsys, command, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code = main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and f"config key {key!r} appears more than once" in captured.err
 
 
 UNKNOWN_KEYS = [

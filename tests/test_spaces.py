@@ -11,7 +11,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from hypkm import (
@@ -33,7 +33,15 @@ from hypkm import (
     make_star_tree,
     product,
 )
-from hypkm.spaces import AXIOM_NAMES, EuclideanSpace
+from hypkm.spaces import (
+    AXIOM_NAMES,
+    CircleSpace,
+    EuclideanSpace,
+    HyperbolicSpace,
+    IntervalSpace,
+    PoincareDisk,
+    StarTree,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +329,226 @@ def test_broken_w_fails_w2_with_predicted_magnitude():
     )
     assert observed == pytest.approx(predicted)
     assert w2.max_violation > 0.1
+
+
+def uniform_sample(space, rng):
+    """A point of `space` drawn as the samplers drew before they called
+    rng.random directly: rng.uniform per coordinate, rng.randrange for a ray."""
+    if isinstance(space, IntervalSpace):
+        lo = space.a if math.isfinite(space.a) else (space.b - 20.0 if math.isfinite(space.b) else -10.0)
+        hi = space.b if math.isfinite(space.b) else lo + 20.0
+        return rng.uniform(lo, hi)
+    if isinstance(space, EuclideanSpace):
+        if space.bounds is None:
+            return tuple(rng.uniform(-10.0, 10.0) for _ in range(space.dim))
+        return tuple(rng.uniform(lo, hi) for lo, hi in space.bounds)
+    if isinstance(space, PoincareDisk):
+        r = 0.9 * math.sqrt(rng.random())
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        return complex(r * math.cos(t), r * math.sin(t))
+    if isinstance(space, StarTree):
+        return (rng.randrange(space.rays), rng.uniform(0.0, space.length))
+    if isinstance(space, CircleSpace):
+        return rng.uniform(0.0, 2.0 * math.pi)
+    if isinstance(space, BrokenW):
+        return uniform_sample(space.base, rng)
+    assert isinstance(space, FamilyProduct)
+    u = uniform_sample(space.right, rng)
+    return (uniform_sample(space.fiber_of(u), rng), u)
+
+
+def record_check_axioms(space, samples, seed, eta):
+    """The axiom loop before it kept its maxima in locals: one record() call
+    per axiom and tuple, drawing through uniform_sample.  Returns
+    {name: (max_violation, counterexample)}."""
+    rng = random.Random(seed)
+    has_w = isinstance(space, HyperbolicSpace)
+    results = {name: [0.0, None] for name in (AXIOM_NAMES if has_w else AXIOM_NAMES[:4])}
+
+    def record(name, violation, witness):
+        r = results[name]
+        if violation > r[0]:
+            r[0] = violation
+        if violation > eta and r[1] is None:
+            r[1] = witness
+
+    d = space.distance
+    for _ in range(samples):
+        x = uniform_sample(space, rng)
+        y = uniform_sample(space, rng)
+        z = uniform_sample(space, rng)
+        dxy = d(x, y)
+        dyx = d(y, x)
+        dxz = d(x, z)
+        dyz = d(y, z)
+        record("metric_nonneg", -min(dxy, dxz, dyz), (x, y, z))
+        record("metric_identity", abs(d(x, x)), (x,))
+        record("metric_symmetry", abs(dxy - dyx), (x, y))
+        record("metric_triangle", dxz - (dxy + dyz), (x, y, z))
+        if not has_w:
+            continue
+        w = uniform_sample(space, rng)
+        lam = rng.random()
+        lam2 = rng.random()
+        cxy = space.combine(x, y, lam)
+        record("W1", d(z, cxy) - ((1 - lam) * dxz + lam * dyz), (x, y, z, lam))
+        cxy2 = space.combine(x, y, lam2)
+        record("W2", abs(d(cxy, cxy2) - abs(lam - lam2) * dxy), (x, y, lam, lam2))
+        record("W3", d(cxy, space.combine(y, x, 1.0 - lam)), (x, y, lam))
+        cxz = space.combine(x, z, lam)
+        cyw = space.combine(y, w, lam)
+        record("W4", d(cxz, cyw) - ((1 - lam) * dxy + lam * d(z, w)), (x, y, z, w, lam))
+        record(
+            "endpoints",
+            max(d(space.combine(x, y, 0.0), x), d(space.combine(x, y, 1.0), y)),
+            (x, y),
+        )
+    return {name: tuple(r) for name, r in results.items()}
+
+
+class JitteredInterval(IntervalSpace):
+    """[0, 1] with a distance off by a smooth jitter of up to 0.05, so that
+    every axiom fails, by amounts that vary from tuple to tuple."""
+
+    def distance(self, x, y):
+        return abs(x - y) + 0.05 * math.sin(50.0 * x + 7.0 * y)
+
+
+#: every kernel and sampler, on bounded, open and unbounded carriers; the
+#: wide interval fails on rounding, the jittered one on every axiom
+REFERENCE_SPACES = {
+    "jittered": JitteredInterval(0.0, 1.0),
+    "interval": make_interval(0.0, 1.0),
+    "interval_wide": make_interval(-1e8, 1e8),
+    "real_line": make_real_line(),
+    "half_line": make_half_line(),
+    "ray_down": make_interval(-math.inf, 5.0),
+    "r1": make_euclidean(1),
+    "r2": make_euclidean(2),
+    "r3": make_euclidean(3),
+    "box1": make_box(((0.0, 1.0),)),
+    "box2": make_box(((0.0, 1.0), (-2.0, 3.0))),
+    "box2_huge": make_box(((-1e300, 1e300), (0.5, 0.75))),
+    "box3": make_box(((0.0, 1.0), (-2.0, 3.0), (0.0, 0.5))),
+    "poincare": make_poincare_disk(),
+    "star_tree": make_star_tree(3, 2.0),
+    "circle": make_circle(),
+    "broken_w": BrokenW(make_interval(0.0, 1.0)),
+    "broken_box": BrokenW(make_box(((0.0, 1.0), (0.0, 1.0)))),
+    "product": product(make_box(((0.0, 1.0), (0.0, 1.0))), make_star_tree(3, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPACES)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    samples=st.integers(1, 40),
+    eta=st.sampled_from([0.0, 1e-12, 1e-9, 10.0, math.inf]),
+)
+@example(seed=0, samples=400, eta=0.0)
+@example(seed=0, samples=400, eta=1e-9)
+def test_check_axioms_matches_the_record_loop(name, seed, samples, eta):
+    space = REFERENCE_SPACES[name]
+    report = check_axioms(space, samples, seed=seed, eta=eta)
+    expected = record_check_axioms(space, samples, seed, eta)
+    assert list(report.results) == list(expected)
+    for axiom, (top, witness) in expected.items():
+        got = report.results[axiom]
+        assert repr(got.max_violation) == repr(top), axiom
+        assert repr(got.counterexample) == repr(witness), axiom
+
+
+def bits(v):
+    """The exact value of a point or number: floats by float.hex, which
+    also tells -0.0 from 0.0; tuples item by item."""
+    if isinstance(v, tuple):
+        return tuple(bits(item) for item in v)
+    if isinstance(v, complex):
+        return ("complex", v.real.hex(), v.imag.hex())
+    if isinstance(v, float):
+        return ("float", v.hex())
+    return (type(v).__name__, v)
+
+
+@pytest.mark.parametrize("name", REFERENCE_SPACES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_samplers_draw_what_uniform_draws(name, seed):
+    space = REFERENCE_SPACES[name]
+    rng, ref = random.Random(seed), random.Random(seed)
+    drawn = [space.sample(rng) for _ in range(25)]
+    assert [bits(p) for p in drawn] == [bits(uniform_sample(space, ref)) for _ in range(25)]
+    assert rng.getstate() == ref.getstate()
+
+
+def coercing_distance(x, y):
+    # the disk distance as it was when it coerced both points with complex()
+    a, z = complex(y), complex(x)
+    w = (z - a) / (1 - a.conjugate() * z)
+    return 2.0 * math.atanh(abs(w))
+
+
+def coercing_combine(x, y, lam):
+    # the disk combine as it was when it coerced both points with complex()
+    x, y = complex(x), complex(y)
+    y1 = (y - x) / (1 - x.conjugate() * y)
+    r = abs(y1)
+    if r == 0.0:
+        return x
+    m = math.tanh(lam * math.atanh(r)) * (y1 / r)
+    return (m + x) / (1 + x.conjugate() * m)
+
+
+def outcome(fn, *args):
+    """bits of fn(*args), or the type of the error it raises."""
+    try:
+        return bits(fn(*args))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+RIM = 1.0 - 2.0**-40
+DISK_POINTS = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    complex(RIM, 0.0), complex(-RIM, 0.0), complex(0.0, RIM), complex(0.0, -RIM),
+    complex(RIM * math.cos(1.0), RIM * math.sin(1.0)), complex(RIM * math.cos(4.0), RIM * math.sin(4.0)),
+    0.5 + 0j, 0.3 + 0.1j, -0.2 + 0.4j, complex(1e-300, -1e-300),
+]
+disk_points = st.one_of(
+    st.sampled_from(DISK_POINTS),
+    st.builds(
+        lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
+        st.floats(0.0, RIM), st.floats(0.0, 2.0 * math.pi),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disk_points, disk_points, st.floats(0.0, 1.0))
+@example(0j, 0j, 0.5)
+@example(complex(RIM, 0.0), complex(-RIM, 0.0), 0.5)
+@example(complex(0.0, RIM), complex(0.0, RIM), 0.25)
+def test_disk_kernels_match_the_coercing_formulas(x, y, lam):
+    disk = make_poincare_disk()
+    for p, q in ((x, y), (y, x), (x, x), (y, y)):
+        assert outcome(disk.distance, p, q) == outcome(coercing_distance, p, q)
+        assert outcome(disk.combine, p, q, lam) == outcome(coercing_combine, p, q, lam)
+
+
+def test_disk_combine_of_equal_points_returns_the_point():
+    # the r == 0 branch, at the origin and near the rim
+    disk = make_poincare_disk()
+    for x in DISK_POINTS:
+        for lam in (0.0, 0.5, 1.0):
+            assert bits(disk.combine(x, x, lam)) == bits(coercing_combine(x, x, lam)) == bits(x)
+        assert disk.distance(x, x) == 0.0
+
+
+@pytest.mark.parametrize("eta", [-1.0, -1e-300, -math.inf, math.nan])
+def test_check_axioms_needs_eta_at_least_zero(eta):
+    with pytest.raises(ArgumentError, match="eta"):
+        check_axioms(make_interval(0.0, 1.0), samples=10, eta=eta)
 
 
 def test_axiom_report_summary_lines():
