@@ -55,6 +55,7 @@ from .rates import (
     alpha_scale_ceil,
     alpha_table,
     alpha_tilde,
+    ceil_exp_upper,
     digit_count,
     rate_g,
     rate_h,
@@ -226,46 +227,47 @@ def criterion_4() -> tuple[list[str], str]:
     h_tilde = 178, g = 30."""
     notes = []
     id_cat, dbl_cat = alpha_identity(), alpha_double()
+    raw_id, raw_dbl = (lambda m: m), (lambda m: 2 * m)
 
-    def raw_id(n):
-        return n
+    def literal_hat(law, i, n):
+        # the definition, each alpha_plus(a, n) a scan of law(n + j) - j + 1
+        a = 0
+        for _ in range(i + 1):
+            a += max(law(n + j) - j + 1 for j in range(a + 1))
+        return a
 
-    def raw_dbl(n):
-        return 2 * n
+    def literal_h(eps, b, coeff, m_num):
+        # rate_h (coeff 2) or rate_h_tilde (coeff 12) at K = 1 on the identity
+        M = math.ceil(Fraction(1 + m_num * b, eps))
+        return literal_hat(raw_id, ceil_exp_upper(coeff * b, M + 1) - 1, M)
 
-    closed_bad = 0
+    closed_bad = recursion_bad = 0
     for n in (0, 1, 5, 50):
         for i in range(65):
             if alpha_hat(id_cat, i, n) != (i + 1) * (n + 1):
                 closed_bad += 1
             if alpha_hat(dbl_cat, i, n) != (2 * n + 1) * (2 ** (i + 1) - 1):
                 closed_bad += 1
-    if closed_bad:
-        notes.append(f"{closed_bad} closed-form mismatches for i <= 64")
-    # the same recursion evaluated without closed forms: plain callables are
-    # scanned literally, so the grid is kept where the scan is affordable
-    recursion_bad = 0
-    for n in (0, 1, 5, 50):
+        # the same recursion with no closed form: the literal route scans
+        # plain int laws, so the grid is kept where the scan is affordable
         for i in (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 64):
-            if alpha_hat(raw_id, i, n) != (i + 1) * (n + 1):
+            if literal_hat(raw_id, i, n) != (i + 1) * (n + 1):
                 recursion_bad += 1
         for i in range(11):
-            if alpha_hat(raw_dbl, i, n) != (2 * n + 1) * (2 ** (i + 1) - 1):
+            if literal_hat(raw_dbl, i, n) != (2 * n + 1) * (2 ** (i + 1) - 1):
                 recursion_bad += 1
+    if closed_bad:
+        notes.append(f"{closed_bad} closed-form mismatches for i <= 64")
     if recursion_bad:
         notes.append(f"{recursion_bad} literal-recursion mismatches")
     anchors = (
-        ("h(4,1,1,id)", rate_h(4, 1, 1, id_cat), rate_h(4, 1, 1, raw_id), 30),
-        (
-            "h_tilde(7,1,1,id)",
-            rate_h_tilde(7, 1, 1, id_cat),
-            rate_h_tilde(7, 1, 1, raw_id),
-            178,
-        ),
+        ("h(4,1,1,id)", rate_h(4, 1, 1, id_cat), literal_h(4, 1, 2, 2), 30),
+        ("h_tilde(7,1,1,id)", rate_h_tilde(7, 1, 1, id_cat), literal_h(7, 1, 12, 6), 178),
         (
             "g(4,1/4,1/2,1,id)",
             rate_g(4, Fraction(1, 4), Fraction(1, 2), 1, id_cat),
-            rate_g(4, Fraction(1, 4), Fraction(1, 2), 1, raw_id),
+            # max(ceil(1/eps) + 1, rate_h at b = 2*b1 + b2 = 1)
+            max(2, literal_h(4, 1, 2, 2)),
             30,
         ),
     )

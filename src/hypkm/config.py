@@ -128,6 +128,8 @@ def config_positive(cfg: dict, key: str) -> Optional[Fraction]:
 def config_natural(cfg: dict, key: str) -> Optional[int]:
     """Read a key that must be an integer >= 0 (0, "3" and 3.0 qualify;
     -1, 2.5, "x" and true do not)."""
+    if type(cfg.get(key)) is int and cfg[key] >= 0:
+        return cfg[key]  # a JSON natural, read without a Fraction
     value = config_rational(cfg, key)
     if value is not None and (value < 0 or value.denominator != 1):
         raise ConfigError(f"config key {key!r}: must be a natural, got {cfg[key]!r}")

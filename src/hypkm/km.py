@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArgumentError, DomainError, DomainEscapeError, ScheduleError
-from .rates import AlphaFn, AlphaLike, alpha_scale_ceil, alpha_table, as_fraction
+from .rates import AlphaFn, alpha_scale_ceil, alpha_table, as_fraction, require_alpha_fn
 from .spaces import DEFAULT_ETA, HyperbolicSpace, Point, Space
 
 #: beyond this many terms, partial sums fall back from exact rationals to
@@ -46,11 +46,14 @@ class Schedule:
 
     lam: Callable[[int], Fraction]
     K: int
-    alpha: AlphaLike
+    alpha: AlphaFn
     label: str = ""
     constant: Optional[Fraction] = None  # set when lam is constant: O(1) sums
     # starts empty on every instance, dataclasses.replace included
     _cums: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        require_alpha_fn(self.alpha)
 
     def lam_at(self, n: int) -> Fraction:
         v = self.lam(n)
@@ -91,7 +94,7 @@ class Schedule:
         return math.fsum(float(self.lam_at(i)) for i in range(m + 1))
 
 
-def constant_schedule(value, K: Optional[int] = None, alpha: Optional[AlphaLike] = None) -> Schedule:
+def constant_schedule(value, K: Optional[int] = None, alpha: Optional[AlphaFn] = None) -> Schedule:
     """Constant steps lam == value in (0,1), with derived default witnesses.
 
     Defaults: K is the least natural with value <= 1 - 1/K; alpha(n) =
@@ -114,7 +117,7 @@ def constant_schedule(value, K: Optional[int] = None, alpha: Optional[AlphaLike]
     )
 
 
-def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[AlphaLike] = None, alpha_horizon: int = 6) -> Schedule:
+def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[AlphaFn] = None, alpha_horizon: int = 6) -> Schedule:
     """Steps lam_n = 1/(n+offset), offset >= 2.
 
     The sum witness defaults to a table of minimal indices computed by exact
@@ -131,7 +134,7 @@ def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[
     return Schedule(lam=lam, K=K, alpha=alpha, label=f"harmonic(offset={offset})")
 
 
-def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int) -> AlphaLike:
+def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int) -> AlphaFn:
     """Minimal sum-divergence witness for the steps lam, tabulated for
     n <= max_n.
 
@@ -165,7 +168,7 @@ FLOAT_SUM_SLACK = 2.0**-50
 @dataclass
 class ScheduleViolation:
     n: int
-    clause: str  # "lambda_range" | "lambda_cap" | "alpha_range" | "sum_witness"
+    clause: str  # "lambda_range" | "lambda_cap" | "sum_witness"
     detail: str
 
 
@@ -200,7 +203,7 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     notes: list[str] = []
     cap = 1 - Fraction(1, sched.K)
     v, alpha = sched.constant, sched.alpha
-    if isinstance(v, Fraction) and 0 <= v < 1 and v <= cap and isinstance(alpha, AlphaFn):
+    if isinstance(v, Fraction) and 0 <= v < 1 and v <= cap:
         if alpha.table is None and alpha.c * v >= 1:
             return ScheduleReport(horizon, True, None, notes)
     float_mode_seen = False
@@ -215,8 +218,6 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
         if lam_n > cap:
             return violation(n, "lambda_cap", f"lam_{n}={lam_n} > 1-1/K={cap}")
         a_n = sched.alpha(n)
-        if not isinstance(a_n, int) or a_n < 0:
-            return violation(n, "alpha_range", f"alpha({n})={a_n!r} not a natural")
         s = sched.partial_sum(a_n)
         if isinstance(s, float):
             slack = (a_n + 1) * FLOAT_SUM_SLACK
@@ -280,10 +281,6 @@ class ResidualTrace:
             for n, (p, r) in enumerate(zip(self.points, self.residuals))
         )
         return lines
-
-    def to_csv(self, path, meta: Optional[dict] = None) -> None:
-        with open(path, "w", newline="") as f:
-            f.write("\n".join(self.csv_lines(meta)) + "\n")
 
 
 def _km_walk(

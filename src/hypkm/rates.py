@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import decimal
 import functools
+import itertools
 import math
 import re
 import sys
@@ -31,14 +32,14 @@ try:
 except ImportError:  # pure-Python decimal: its multiplication is quadratic
     _decimal = None
 
-#: steps of the alpha_hat recursion always evaluated literally, one step at a
-#: time, even when a closed-form jump could cover them; keeps the tested range
-#: on the real recursion rather than on algebra derived from it.  On the
-#: linear law a step is a <- ceil(c(n+a)) + 1, evaluated inline; tables and
-#: plain callables step through alpha_plus.
+#: steps of the alpha_hat recursion on the linear law always evaluated
+#: literally, one step a <- ceil(c(n+a)) + 1 at a time, even when a
+#: closed-form jump could cover them; keeps the tested range on the real
+#: recursion rather than on algebra derived from it.  Tables step through
+#: their prefix maxima instead.
 HEAD_STEPS = 512
 
-#: cap on literal recursion steps for alphas with no closed-form jump.
+#: cap on literal steps past the head for non-integer c (no closed-form jump).
 STEP_BUDGET = 300_000
 
 #: largest exact integer we will materialize, in decimal digits.
@@ -46,9 +47,6 @@ DIGIT_BUDGET = 1_050_000
 
 #: digit cap for intermediate values in the literal-recursion fallback.
 GROWTH_DIGIT_CAP = 20_000
-
-#: cap on the scan length inside alpha_plus for plain-callable alphas.
-SCAN_CAP = 1_000_000
 
 #: rational upper bound on log10(3), used in soundness estimates.
 LOG10_3_UPPER = Fraction(4771213, 10**7)
@@ -222,18 +220,26 @@ def _log10_upper(c) -> Fraction:
 
 @dataclass(frozen=True)
 class AlphaFn:
-    """A catalogued total function on the naturals, used as a sum-divergence
-    witness for step-size schedules.
+    """A catalogued total function on the naturals: the one type of
+    sum-divergence witness for step-size schedules.
 
     Two laws: linear (``table`` None), n -> ceil(c*n) for a rational c >= 1
-    held as an int when integral, and a finite table.  Both have exact closed
-    forms inside ``alpha_plus`` that keep the rate recursion feasible for
-    huge first arguments; identity and double are the linear law at c = 1, 2.
+    held as an int when integral, and a nonempty table of naturals.  Both
+    have exact closed forms inside ``alpha_plus`` that keep the rate
+    recursion feasible for huge first arguments; identity and double are
+    the linear law at c = 1, 2.
     """
 
     kind: str  # "identity" | "double" | "scale_ceil" | "table"
     c: Union[int, Fraction, None] = None
     table: Optional[tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.table is None:
+            if type(self.c) not in (int, Fraction) or self.c < 1:
+                raise ArgumentError(f"the linear law needs a rational c >= 1, got {self.c}")
+        elif not self.table or any(type(v) is not int or v < 0 for v in self.table):
+            raise ArgumentError("table must be a nonempty sequence of naturals")
 
     def __call__(self, n: int) -> int:
         if n < 0:
@@ -266,26 +272,23 @@ def alpha_scale_ceil(c) -> AlphaFn:
     closed form used by alpha_plus relies on.
     """
     c = as_fraction(c)
-    if c < 1:
-        raise ArgumentError(f"scale_ceil needs c >= 1, got {c}")
     return AlphaFn("scale_ceil", c=c.numerator if c.denominator == 1 else c)
 
 
 def alpha_table(values: Sequence[int]) -> AlphaFn:
-    """A finite table, clamped to its last entry beyond the covered range.
+    """A finite table, clamped to its last entry beyond the covered range;
+    any other function on the naturals is a witness only tabulated so.
 
     The clamp keeps the function total; schedule validation beyond the
     covered horizon will fail honestly if the clamped tail is too small.
     """
-    vals = tuple(int(v) for v in values)
-    if not vals:
-        raise ArgumentError("table must be nonempty")
-    if any(v < 0 for v in vals):
-        raise ArgumentError("table values must be naturals")
-    return AlphaFn("table", table=vals)
+    return AlphaFn("table", table=tuple(int(v) for v in values))
 
 
-AlphaLike = Union[AlphaFn, Callable[[int], int]]
+def require_alpha_fn(alpha) -> None:
+    """Refuse a witness that is not an AlphaFn, naming the way to make one."""
+    if not isinstance(alpha, AlphaFn):
+        raise ArgumentError(f"a {type(alpha).__name__} is no witness: tabulate it with alpha_table")
 
 
 # ---------------------------------------------------------------------------
@@ -293,43 +296,40 @@ AlphaLike = Union[AlphaFn, Callable[[int], int]]
 # ---------------------------------------------------------------------------
 
 
-def alpha_prime(alpha: AlphaLike, i: int, n: int) -> int:
+def alpha_prime(alpha: AlphaFn, i: int, n: int) -> int:
     """alpha(n+i) - i + 1; may be negative."""
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
     return alpha(n + i) - i + 1
 
 
-def alpha_plus(alpha: AlphaLike, i: int, n: int) -> int:
-    """max{alpha_prime(j, n) : 0 <= j <= i}.
+def _table_plus(table: tuple[int, ...], n: int) -> list[int]:
+    """alpha_plus(j, n) of the table law for j = 0 .. max(0, len - n): the
+    prefix maxima of table[min(n+j, len-1)] - j + 1.  Past the first
+    clamped index alpha_prime decreases strictly, so the last entry is
+    alpha_plus(i, n) for every larger i."""
+    terms = table[n:] + table[-1:]
+    return list(itertools.accumulate((v - j + 1 for j, v in enumerate(terms)), max))
 
-    Always >= 1, since the j=0 term is alpha(n)+1.  Catalogued alphas use
-    exact closed forms; a plain callable is scanned literally, so its first
-    argument is capped.
-    """
+
+def alpha_plus(alpha: AlphaFn, i: int, n: int) -> int:
+    """max{alpha_prime(j, n) : 0 <= j <= i}, always >= 1, since the j=0 term
+    is alpha(n)+1.  Exact closed forms: on the linear law the max sits at
+    j = i, and a table indexes its prefix maxima."""
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
-    if isinstance(alpha, AlphaFn):
-        if alpha.table is None:
-            # c >= 1 makes alpha_prime nondecreasing, so the max sits at j=i:
-            # ceil(c(n+i)) - i + 1, the ceiling as -floor(-p(n+i)/q)
-            c = alpha.c
-            if type(c) is int:
-                return c * (n + i) - i + 1
-            return -(-c.numerator * (n + i) // c.denominator) - i + 1
-        # beyond the table, alpha_prime decreases strictly; scanning up to
-        # the first clamped index covers the max
-        top = min(i, max(0, len(alpha.table) - n))
-        return max(alpha_prime(alpha, j, n) for j in range(top + 1))
-    if i > SCAN_CAP:
-        raise ArgumentError(
-            f"alpha_plus scan of {fmt_number(i + 1)} terms exceeds the cap for "
-            "non-catalog witness functions"
-        )
-    return max(alpha(n + j) - j + 1 for j in range(i + 1))
+    if alpha.table is not None:
+        plus = _table_plus(alpha.table, n)
+        return plus[min(i, len(plus) - 1)]
+    # c >= 1 makes alpha_prime nondecreasing, so the max sits at j=i:
+    # ceil(c(n+i)) - i + 1, the ceiling as -floor(-p(n+i)/q)
+    c = alpha.c
+    if type(c) is int:
+        return c * (n + i) - i + 1
+    return -(-c.numerator * (n + i) // c.denominator) - i + 1
 
 
-def alpha_tilde(alpha: AlphaLike, i: int, n: int) -> int:
+def alpha_tilde(alpha: AlphaFn, i: int, n: int) -> int:
     """i + alpha_plus(i, n)."""
     return i + alpha_plus(alpha, i, n)
 
@@ -354,53 +354,43 @@ def _affine_jump(a: int, mult: int, add: int, steps: int, context: str) -> int:
     return ms * a + add * (ms - 1) // (mult - 1)
 
 
-def alpha_hat(alpha: AlphaLike, i: int, n: int) -> int:
+def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
     """The settling-index recursion: a(0) = alpha_tilde(0, n), a(k+1) =
     alpha_tilde(a(k), n); returns a(i), exactly.
 
-    The first HEAD_STEPS iterations always run literally.  Beyond that,
-    catalogued alphas switch to exact closed-form jumps (the recursion is
-    affine in a(k) for every catalog kind); results over the digit budget
-    raise RateOverflowError with a sound magnitude bound.
+    A table steps through its prefix maxima, built once, until a reaches
+    the first clamped index, where the increment goes constant, and then
+    jumps.  The linear law runs HEAD_STEPS iterations literally, then jumps
+    in closed form (the recursion is affine in a(k)), or for non-integer c
+    steps on under a growth cap; results over the digit budget raise
+    RateOverflowError with a sound magnitude bound.
     """
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
+    if alpha.table is not None:
+        plus = _table_plus(alpha.table, n)
+        last = len(plus) - 1
+        a, k = plus[0], 0
+        while k < i and a < last:
+            a += plus[a]
+            k += 1
+        return a + (i - k) * plus[last]
     a = alpha_tilde(alpha, 0, n)
-    is_catalog = isinstance(alpha, AlphaFn)
-    head = k = min(i, HEAD_STEPS if is_catalog else STEP_BUDGET)
-    if is_catalog and alpha.table is None:
-        # a + alpha_plus(a, n) = ceil(c(n+a)) + 1, stepped without a call
-        p, q = alpha.c.numerator, alpha.c.denominator
-        if q == 1:
-            for _ in range(head):
-                a = p * (n + a) + 1
-        else:
-            for _ in range(head):
-                a = -(-p * (n + a) // q) + 1
+    head = k = min(i, HEAD_STEPS)
+    # a + alpha_plus(a, n) = ceil(c(n+a)) + 1, stepped without a call
+    p, q = alpha.c.numerator, alpha.c.denominator
+    if q == 1:
+        for _ in range(head):
+            a = p * (n + a) + 1
     else:
         for _ in range(head):
-            a += alpha_plus(alpha, a, n)
+            a = -(-p * (n + a) // q) + 1
     if k == i:
         return a
-    if not is_catalog:
-        raise ArgumentError(
-            f"literal recursion to i={fmt_number(i)} exceeds the step budget; "
-            "use a catalogued witness function"
-        )
-    steps = i - k
     ctx = f"alpha_hat({alpha.label}, {fmt_number(i)}, {fmt_number(n)})"
-    if alpha.table is not None:
-        # step literally until the increment goes constant, then jump
-        threshold = max(0, len(alpha.table) - n)
-        while k < i and a < threshold:
-            a += alpha_plus(alpha, a, n)
-            k += 1
-        if k == i:
-            return a
-        return a + (i - k) * alpha_plus(alpha, a, n)
     if q == 1:
         # a <- a + (c(n+a) - a + 1): at c = 1 the constant increment n+1
-        return _affine_jump(a, p, p * n + 1, steps, ctx)
+        return _affine_jump(a, p, p * n + 1, i - k, ctx)
     # non-integer c: no exact jump; step literally under a growth cap
     limit = 10**GROWTH_DIGIT_CAP  # a >= limit iff a has more digits than the cap
     while k < i:
@@ -470,7 +460,8 @@ def ceil_exp_upper(c, e: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _validate_rate_args(eps: Fraction, b: Fraction, K: int) -> None:
+def _validate_rate_args(eps: Fraction, b: Fraction, K: int, alpha: AlphaFn) -> None:
+    require_alpha_fn(alpha)
     if eps <= 0:
         raise ArgumentError(f"eps must be positive, got {eps}")
     if b <= 0:
@@ -479,28 +470,26 @@ def _validate_rate_args(eps: Fraction, b: Fraction, K: int) -> None:
         raise ArgumentError(f"K must be a natural >= 1, got {K!r}")
 
 
-def _alpha_hat_overflow(alpha: AlphaLike, e_log10: Fraction, n: int, ctx: str):
+def _alpha_hat_overflow(alpha: AlphaFn, e_log10: Fraction, n: int, ctx: str):
     """Build the overflow error for alpha_hat(i, n) when only a log10 upper
     bound on i (via the exponential factor) is available."""
-    if isinstance(alpha, AlphaFn):
-        if alpha.table is None and alpha.c == 1:
-            # value = (i+1)(n+1)
-            return RateOverflowError(
-                log10_upper=e_log10 + digit_count(n + 1) + 1, context=ctx
-            )
-        if alpha.table is not None:
-            # increments are bounded by the table's final constant
-            top = alpha_plus(alpha, len(alpha.table), n)
-            base = alpha_tilde(alpha, 0, n)
-            return RateOverflowError(
-                log10_upper=e_log10 + digit_count(base + top) + 1, context=ctx
-            )
+    if alpha.table is None and alpha.c == 1:
+        # value = (i+1)(n+1)
+        return RateOverflowError(
+            log10_upper=e_log10 + digit_count(n + 1) + 1, context=ctx
+        )
+    if alpha.table is not None:
+        # increments are bounded by the table's final constant
+        plus = _table_plus(alpha.table, n)
+        return RateOverflowError(
+            log10_upper=e_log10 + digit_count(plus[0] + plus[-1]) + 1, context=ctx
+        )
     # geometric growth: the digit count itself is astronomical
     return RateOverflowError(log10_log10_upper=e_log10 + 1, context=ctx)
 
 
 def _settling_bound(
-    eps: Fraction, b: Fraction, K: int, alpha: AlphaLike, coeff: int, m_num: int
+    eps: Fraction, b: Fraction, K: int, alpha: AlphaFn, coeff: int, m_num: int
 ) -> int:
     """Shared core of rate_h / rate_h_tilde.
 
@@ -517,7 +506,7 @@ def _settling_bound(
     return alpha_hat(alpha, monus(E, 1), M)
 
 
-def rate_h(eps, b, K: int, alpha: AlphaLike) -> int:
+def rate_h(eps, b, K: int, alpha: AlphaFn) -> int:
     """Iterations after which the residual is within eps of its infimum.
 
     Valid for averaged iterations of a nonexpansive map, from any start
@@ -525,15 +514,15 @@ def rate_h(eps, b, K: int, alpha: AlphaLike) -> int:
     cap witness K and sum-divergence witness alpha.  Exact integer.
     """
     eps, b = as_fraction(eps), as_fraction(b)
-    _validate_rate_args(eps, b, K)
+    _validate_rate_args(eps, b, K, alpha)
     return _settling_bound(eps, b, K, alpha, coeff=2, m_num=2)
 
 
-def rate_h_tilde(eps, b, K: int, alpha: AlphaLike) -> int:
+def rate_h_tilde(eps, b, K: int, alpha: AlphaFn) -> int:
     """Iterations after which the residual is below eps outright, given the
     whole orbit stays within distance b of the start.  Exact integer."""
     eps, b = as_fraction(eps), as_fraction(b)
-    _validate_rate_args(eps, b, K)
+    _validate_rate_args(eps, b, K, alpha)
     return _settling_bound(eps, b, K, alpha, coeff=12, m_num=6)
 
 
@@ -551,7 +540,7 @@ def _with_floor(floor: int, inner: Callable[[], int], ctx: str) -> int:
         ) from None
 
 
-def rate_g(eps, b1, b2, K: int, alpha: AlphaLike) -> int:
+def rate_g(eps, b1, b2, K: int, alpha: AlphaFn) -> int:
     """Product-space certificate index: max(ceil(1/eps)+1, rate_h with
     displacement budget 2*b1 + b2).
 
@@ -561,7 +550,7 @@ def rate_g(eps, b1, b2, K: int, alpha: AlphaLike) -> int:
     eps, b1, b2 = as_fraction(eps), as_fraction(b1), as_fraction(b2)
     if b1 <= 0 or b2 <= 0:
         raise ArgumentError(f"b1, b2 must be positive, got {b1}, {b2}")
-    _validate_rate_args(eps, b1, K)
+    _validate_rate_args(eps, b1, K, alpha)
     floor = math.ceil(1 / eps) + 1
     return _with_floor(
         floor,
@@ -570,7 +559,7 @@ def rate_g(eps, b1, b2, K: int, alpha: AlphaLike) -> int:
     )
 
 
-def rate_g_tilde(eps, b, K: int, alpha: AlphaLike) -> int:
+def rate_g_tilde(eps, b, K: int, alpha: AlphaFn) -> int:
     """Bounded-orbit analogue of rate_g: max(ceil(1/eps)+1, rate_h_tilde).
 
     This is the canonical completion of the bounded-orbit product argument:
@@ -578,7 +567,7 @@ def rate_g_tilde(eps, b, K: int, alpha: AlphaLike) -> int:
     drives the second coordinate's tolerance below eps.
     """
     eps, b = as_fraction(eps), as_fraction(b)
-    _validate_rate_args(eps, b, K)
+    _validate_rate_args(eps, b, K, alpha)
     floor = math.ceil(1 / eps) + 1
     return _with_floor(
         floor,

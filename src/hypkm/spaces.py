@@ -338,8 +338,8 @@ class StarTree(HyperbolicSpace):
     def __init__(self, rays: int, length: float):
         if rays < 2:
             raise ArgumentError(f"star tree needs >= 2 rays, got {rays}")
-        if not length > 0:
-            raise ArgumentError(f"ray length must be positive, got {length}")
+        if not 0 < length < math.inf:
+            raise ArgumentError(f"ray 'length' must be positive and finite, got {length}")
         self.rays = rays
         self.length = float(length)
         self.descriptor = {"kind": "star_tree", "rays": rays, "length": self.length}

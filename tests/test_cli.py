@@ -411,6 +411,10 @@ RATES_GOLDEN = {
         "8482d5f48f024223827619f6ed1681ef021930e362bb120ea26c149757e7f91c"),
     "table-tower": ({"K": 1, "alpha": TAB, "eps": 4, "b": "1e400"},
         "573b55d4876ee9ac02f53c433a2f2e8c08e1ee24d57ed3aadc6829d9756088b0"),
+    # taken while each alpha_plus call rescanned the table (about 2 s)
+    "table-2000-exact": ({"K": 2, "alpha": {"kind": "table", "values": list(range(0, 4000, 2))},
+                          "eps": "1/2", "b": 1},
+        "4e45eb572bb4b16eec1d291153af884e927369057659add0f8a1f9efdf2e1e14"),
 }
 
 
@@ -1068,6 +1072,8 @@ LAX_INPUTS = [
     ("iterate", ITERATE_CFG, ("eta",), "-1/1000000"),
     ("iterate", ITERATE_CFG, ("eta",), -1e-300),
     ("iterate", ITERATE_CFG, ("eta",), "-inf"),
+    ("axioms", _with(INTERVAL_CFG, ("space",), {"kind": "star_tree", "rays": 3, "length": 2}),
+     ("space", "length"), "inf"),
 ]
 
 

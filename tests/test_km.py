@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hypkm import (
+    AlphaFn,
     ArgumentError,
     ScheduleError,
     Schedule,
@@ -35,6 +36,10 @@ from hypkm import (
     make_poincare_disk,
     make_real_line,
     make_star_tree,
+    rate_g,
+    rate_g_tilde,
+    rate_h,
+    rate_h_tilde,
     require_valid_schedule,
     residuals_nonincreasing,
     tabulate_alpha,
@@ -148,11 +153,44 @@ def test_validate_harmonic_with_identity_alpha():
     assert "invalid at n=1" in report.summary()
 
 
-def test_validate_rejects_non_natural_alpha():
-    sched = Schedule(lam=lambda n: Fraction(1, 2), K=2, alpha=lambda n: -1)
-    report = validate_schedule(sched, 3)
-    assert not report.valid
-    assert report.first_violation.clause == "alpha_range"
+def test_alpha_fn_built_directly_refuses_non_natural_laws():
+    # a schedule holds only an AlphaFn, and an AlphaFn only a law whose
+    # values are naturals: a negative table entry or c < 1 is refused at
+    # construction, as alpha_table and alpha_scale_ceil refuse them
+    for kwargs in [
+        {"table": (0, -1, 2)},
+        {"table": ()},
+        {"table": (1, True)},
+        {"c": Fraction(1, 2)},
+        {"c": 0},
+        {"c": 1.5},
+        {},
+    ]:
+        with pytest.raises(ArgumentError):
+            AlphaFn("table" if "table" in kwargs else "scale_ceil", **kwargs)
+    assert AlphaFn("table", table=(0, 3))(5) == 3
+    assert AlphaFn("scale_ceil", c=Fraction(3, 2))(3) == 5
+
+
+_PLAIN = lambda n: 2 * n
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Schedule(lam=lambda n: Fraction(1, 2), K=2, alpha=_PLAIN),
+        lambda: constant_schedule("1/2", alpha=_PLAIN),
+        lambda: harmonic_schedule(2, alpha=_PLAIN),
+        lambda: rate_h(4, 1, 1, _PLAIN),
+        lambda: rate_h_tilde(4, 1, 1, _PLAIN),
+        lambda: rate_g(4, 1, 1, 1, _PLAIN),
+        lambda: rate_g_tilde(4, 1, 1, _PLAIN),
+    ],
+    ids=["Schedule", "constant_schedule", "harmonic_schedule", "rate_h", "rate_h_tilde", "rate_g", "rate_g_tilde"],
+)
+def test_plain_callable_witness_is_refused(build):
+    with pytest.raises(ArgumentError, match="alpha_table"):
+        build()
 
 
 def test_require_valid_schedule_raises():
@@ -188,11 +226,11 @@ def test_require_valid_schedule_raises_on_every_call():
 
 
 def test_validate_float_summation_notes_slack():
-    # alpha far beyond the exact cap forces float partial sums; the report
-    # carries a note and the comparison still passes
+    # table entries beyond the exact cap force float partial sums; the
+    # report carries a note and the comparison still passes
     sched = constant_schedule("1/2")
     sched = Schedule(
-        lam=sched.lam, K=2, alpha=lambda n: max(2 * n, EXACT_SUM_CAP + 10)
+        lam=sched.lam, K=2, alpha=alpha_table([EXACT_SUM_CAP + 10] * 3)
     )
     report = validate_schedule(sched, 2)
     assert report.valid
@@ -590,13 +628,11 @@ def test_csv_lines_golden():
     assert lines[5] == "3,1,1.5"
 
 
-def test_csv_seventeen_digit_roundtrip(tmp_path):
+def test_csv_seventeen_digit_roundtrip():
     space = make_interval(0.0, 1.0)
     T = interval_affine(space, 0.7, 0.1)
     trace = km_iterate(space, T, 1.0 / 3.0, constant_schedule("1/2"), 5)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path, meta={"k": "v"})
-    rows = path.read_text().strip().split("\n")
+    rows = trace.csv_lines(meta={"k": "v"})
     assert rows[0] == "# k=v"
     header = rows[1].split(",")
     assert header == ["n", "residual", "x"]

@@ -44,7 +44,6 @@ from hypkm.rates import (
     _LEAF_BITS,
     _STR_BITS,
     HEAD_STEPS,
-    SCAN_CAP,
     _exp1_hi_power,
     decimal_string,
     fmt_number,
@@ -311,14 +310,6 @@ def test_alpha_plus_matches_scan(alpha):
             assert alpha_plus(alpha, i, n) >= 1
 
 
-def test_alpha_plus_plain_callable():
-    plain = lambda n: 2 * n
-    for i in range(30):
-        assert alpha_plus(plain, i, 3) == alpha_plus(alpha_double(), i, 3)
-    with pytest.raises(ArgumentError):
-        alpha_plus(plain, SCAN_CAP + 1, 0)
-
-
 def test_alpha_tilde_definition():
     for alpha in CATALOG:
         for i in range(10):
@@ -340,11 +331,39 @@ def test_alpha_hat_matches_mirror_recursion(alpha):
         assert i >= 5  # every catalog kind gets a meaningful depth
 
 
-def test_alpha_hat_plain_callable_routes():
-    # a bare lambda exercises the scan path end to end
-    for i in range(12):
-        assert alpha_hat(lambda n: n, i, 3) == alpha_hat(alpha_identity(), i, 3)
-        assert alpha_hat(lambda n: 2 * n, i, 1) == alpha_hat(alpha_double(), i, 1)
+@st.composite
+def table_laws(draw):
+    """(table, n, i, i_hat): 1-30 entries in 0-60 after a run of zeros, n in
+    0-40 (so n >= len occurs) but inside the table half the time, i in 0-600
+    for alpha_plus, and i_hat for alpha_hat.  The zeros make the walk to the
+    first clamped index long, with increments that grow on the way.  The
+    mirror walk scans about (max(table) + 1) * i_hat**2 / 2 terms, so i_hat
+    is drawn under a budget of 30,000 scans: up to 244 on zero entries, 31
+    on entries of 60.  An example takes it to 600, past HEAD_STEPS."""
+    values = draw(st.lists(st.integers(0, 60), min_size=1, max_size=30))
+    zeros = draw(st.integers(0, len(values)))
+    table = alpha_table([0] * zeros + values[zeros:])
+    n = draw(st.one_of(st.integers(0, len(values) - 1), st.integers(0, 40)))
+    i = draw(st.integers(0, 600))
+    i_hat = draw(st.integers(0, math.isqrt(60_000 // (max(table.table) + 1))))
+    return table, n, i, i_hat
+
+
+@given(table_laws())
+@example((alpha_table([0] * 30), 0, 600, 600))
+@example((alpha_table([60] * 30), 0, 600, 31))
+@example((alpha_table((0, 2, 9, 20)), 3, 1, 50))
+@example((alpha_table((7,)), 40, 0, 5))
+@example((alpha_table(range(60, 30, -1)), 29, 2, 70))
+@example((alpha_table([0] * 29 + [60]), 0, 29, 40))
+def test_table_law_matches_the_scans(case):
+    # the prefix maxima against a scan per call, at every i up to two past
+    # the first clamped index and at a random i; alpha_hat against a walk
+    # that scans at every step
+    table, n, i, i_hat = case
+    for j in [*range(len(table.table) + 2), i]:
+        assert alpha_plus(table, j, n) == scan_alpha_plus(table, j, n)
+    assert alpha_hat(table, i_hat, n) == mirror_alpha_hat(table, i_hat, n)
 
 
 def test_alpha_hat_closed_forms():
