@@ -20,11 +20,10 @@ class DomainError(HypkmError):
 class DomainEscapeError(DomainError):
     """An iterate left the domain of its map; carries the offending step."""
 
-    def __init__(self, step: int, point, message: str = ""):
+    def __init__(self, step: int, point):
         self.step = step
         self.point = point
-        detail = message or f"iterate left the domain at step {step}: {point!r}"
-        super().__init__(detail)
+        super().__init__(f"iterate left the domain at step {step}: {point!r}")
 
 
 class ScheduleError(HypkmError):

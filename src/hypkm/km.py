@@ -254,7 +254,6 @@ class ResidualTrace:
     space: Space
     points: list
     residuals: list[float]
-    schedule_label: str = ""
 
     def __len__(self) -> int:
         return len(self.points)
@@ -371,7 +370,7 @@ def km_iterate(
         require_valid_schedule(sched, N)
     points, residuals = [x0], []
     _km_walk(space, T, x0, sched, N, points=points, residuals=residuals)
-    return ResidualTrace(space, points, residuals, sched.label)
+    return ResidualTrace(space, points, residuals)
 
 
 def km_orbit_end(

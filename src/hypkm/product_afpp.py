@@ -126,23 +126,21 @@ class GridOracle(AfppOracle):
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
     skipped points are not part of that minimum.  The first step is a
-    quarter of the diameter (at least min_step).  The floor is min_step, or
-    the last level whose mesh fits the space's MESH_POINT_CAP, whichever
-    comes first.
+    quarter of the diameter; the floor is the last level whose mesh fits
+    the space's MESH_POINT_CAP.
     """
 
-    def __init__(self, space: Space, min_step: float = 1e-7):
-        if not math.isfinite(space.diameter()):
-            raise ArgumentError("grid refinement needs a bounded space")
+    def __init__(self, space: Space):
+        if not math.isfinite(space.diameter()) or not hasattr(space, "mesh"):
+            raise ArgumentError("grid refinement needs a bounded space with a mesh")
         self.space = space
-        self.min_step = min_step
         self.label = "grid"
 
     def _solve(self, f, eps):
         distance = self.space.distance
         cut = eps + DEFAULT_ETA
         residuals: dict = {}
-        step = max(self.space.diameter() / 4.0, self.min_step)
+        step = self.space.diameter() / 4.0
         mesh = self.space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
@@ -158,15 +156,13 @@ class GridOracle(AfppOracle):
                 return best_u
             step /= 2.0
             try:
-                mesh = self.space.mesh(step) if step >= self.min_step else None
+                mesh = self.space.mesh(step)
             except MeshCapError:
-                mesh = None
-            if mesh is None:
                 raise OracleError(
                     f"grid refinement floor reached at step {step * 2:.3g}; "
                     f"best residual {best_r:.6g} > tolerance {eps:.6g} "
                     "(the map may have no approximate fixed points)"
-                )
+                ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +442,6 @@ class SolveResult:
     mode: str
     eps_target: float
     certificate: Optional[Certificate]
-    best_point: Point
     best_residual: float
     attempts: list
     exhausted: bool
@@ -499,12 +494,13 @@ def solve_product_afpp(
 
     mode "sup-rC": needs (probe, b1, b2) as in certified_run; each attempt
     halves the internal tolerance, which can only help when the slice
-    residual infimum is below eps.  mode "bounded-orbit": needs orbit_bound,
-    an empirically prechecked bound on how far slice orbits stray from their
-    start; the certified index then guarantees residual <= attempt tolerance
-    outright.  Once the certified index stops fitting the budget, one final
-    run at the budget is made; if even that misses eps the result is a
-    partial report, not a certificate.
+    residual infimum is below eps, until the least usable index
+    ceil(1/eps_k) + 1 passes the budget.  mode "bounded-orbit": needs
+    orbit_bound, an empirically prechecked bound on how far slice orbits
+    stray from their start; the certified index then guarantees residual <=
+    attempt tolerance outright.  Once the certified index stops fitting the
+    budget, one final run at the budget is made.  A solve that misses eps
+    ends in a partial report of its attempts, not a certificate.
     """
     eps_f = as_fraction(eps)
     if not 0 < eps_f <= sys.float_info.max:
@@ -544,7 +540,6 @@ def solve_product_afpp(
             mode=mode,
             eps_target=eps_target,
             certificate=certificate,
-            best_point=best_point,
             best_residual=best_residual,
             attempts=attempts,
             exhausted=certificate is None,
@@ -578,6 +573,9 @@ def solve_product_afpp(
             # shrinking the tolerance cannot change a budget-pinned run
             return finish(None, None, step.n)
         eps_k = eps_k / 2
+        if mode == "sup-rC" and math.ceil(1 / eps_k) + 1 > budget:
+            # certified_run refuses a budget below rate_g's least value
+            return finish(None, None, step.n)
 
 
 def estimate_product_residual_inf(

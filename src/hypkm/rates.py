@@ -226,8 +226,8 @@ class AlphaFn:
     Two laws: linear (``table`` None), n -> ceil(c*n) for a rational c >= 1
     held as an int when integral, and a nonempty table of naturals.  Both
     have exact closed forms inside ``alpha_plus`` that keep the rate
-    recursion feasible for huge first arguments; identity and double are
-    the linear law at c = 1, 2.
+    recursion feasible for huge first arguments.  ``kind`` must name the
+    law: identity and double are the linear law at c = 1, 2.
     """
 
     kind: str  # "identity" | "double" | "scale_ceil" | "table"
@@ -235,11 +235,16 @@ class AlphaFn:
     table: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        if self.table is None:
+        linear = self.table is None
+        if linear:
             if type(self.c) not in (int, Fraction) or self.c < 1:
                 raise ArgumentError(f"the linear law needs a rational c >= 1, got {self.c}")
         elif not self.table or any(type(v) is not int or v < 0 for v in self.table):
             raise ArgumentError("table must be a nonempty sequence of naturals")
+        names = {"identity": linear and self.c == 1, "double": linear and self.c == 2,
+                 "scale_ceil": linear, "table": not linear and self.c is None}
+        if not names.get(self.kind, False):
+            raise ArgumentError(f"alpha kind {self.kind!r} does not name its law")
 
     def __call__(self, n: int) -> int:
         if n < 0:

@@ -38,7 +38,7 @@ MEMBERSHIP_SLACK = 1e-12
 #: default tolerance for axiom, property and certification checks.
 DEFAULT_ETA = 1e-9
 
-#: largest finite mesh any space builds; a larger one raises MeshCapError.
+#: most points in a finite mesh of any space; a larger one raises MeshCapError.
 MESH_POINT_CAP = 2_000_000
 
 # Samplers draw through ``rng.random`` with the arithmetic of
@@ -91,10 +91,6 @@ class HyperbolicSpace(Space):
         """Return ``W(x, y, lam)`` without argument validation."""
         raise NotImplementedError
 
-    def mesh(self, step: float) -> list[Point]:
-        """Deterministic finite mesh with spacing <= step (bounded spaces only)."""
-        raise NotImplementedError(f"{type(self).__name__} has no finite mesh")
-
 
 # ---------------------------------------------------------------------------
 # concrete instances
@@ -145,7 +141,7 @@ class IntervalSpace(HyperbolicSpace):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ArgumentError("mesh needs a bounded interval")
         n = max(1, math.ceil((self.b - self.a) / step))
-        if n > MESH_POINT_CAP:
+        if n + 1 > MESH_POINT_CAP:
             raise MeshCapError(f"mesh of {n + 1} points exceeds the sanity cap")
         pts = [self.a + k * (self.b - self.a) / n for k in range(n)]
         pts.append(self.b)
@@ -384,7 +380,7 @@ class StarTree(HyperbolicSpace):
 
     def mesh(self, step):
         n = max(1, math.ceil(self.length / step))
-        if n * self.rays > MESH_POINT_CAP:
+        if 1 + n * self.rays > MESH_POINT_CAP:
             raise MeshCapError("mesh size exceeds the sanity cap")
         pts = [(0, 0.0)]
         for r in range(self.rays):
@@ -419,12 +415,6 @@ class CircleSpace(Space):
 
     def diameter(self):
         return math.pi
-
-    def mesh(self, step):
-        n = max(1, math.ceil(2.0 * math.pi / step))
-        if n > MESH_POINT_CAP:
-            raise MeshCapError("mesh size exceeds the sanity cap")
-        return [2.0 * math.pi * k / n for k in range(n)]
 
     def point_columns(self):
         return ["angle"]
@@ -592,9 +582,6 @@ class AxiomResult:
 
 @dataclass
 class AxiomReport:
-    space: dict
-    samples: int
-    seed: int
     eta: float
     results: dict[str, AxiomResult] = field(default_factory=dict)
 
@@ -636,7 +623,7 @@ def check_axioms(
     if not eta >= 0:
         raise ArgumentError(f"eta must be >= 0, got {eta!r}")
     rng = random.Random(seed)
-    report = AxiomReport(space=space.descriptor, samples=samples, seed=seed, eta=eta)
+    report = AxiomReport(eta=eta)
     has_w = isinstance(space, HyperbolicSpace)
     d, draw, rand = space.distance, space.sample, rng.random
     W = space.combine if has_w else None

@@ -1217,9 +1217,11 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, cfg, fl
 # ---------------------------------------------------------------------------
 
 
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
 def _readme_configs():
-    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"^`(\w+)\.json`.*?```json\n(.*?)```", fh.read(), re.S | re.M)
     configs = {name: json.loads(body) for name, body in blocks}
     # a huge count makes a long run, not a bad input
@@ -1247,6 +1249,15 @@ def _on_alarm(signum, frame):
 
 def test_readme_configs_are_the_five_subcommands():
     assert sorted(README_CONFIGS) == ["axioms", "iterate", "product", "rates", "uafpp"]
+
+
+def test_readme_python_blocks_run_on_their_own():
+    # each block runs in a fresh namespace, so it must import what it uses
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)```", fh.read(), re.S | re.M)
+    assert len(blocks) == 4
+    for i, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
 
 
 @pytest.mark.parametrize("command", sorted(README_CONFIGS))

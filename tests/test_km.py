@@ -156,18 +156,23 @@ def test_validate_harmonic_with_identity_alpha():
 def test_alpha_fn_built_directly_refuses_non_natural_laws():
     # a schedule holds only an AlphaFn, and an AlphaFn only a law whose
     # values are naturals: a negative table entry or c < 1 is refused at
-    # construction, as alpha_table and alpha_scale_ceil refuse them
-    for kwargs in [
-        {"table": (0, -1, 2)},
-        {"table": ()},
-        {"table": (1, True)},
-        {"c": Fraction(1, 2)},
-        {"c": 0},
-        {"c": 1.5},
-        {},
+    # construction, as alpha_table and alpha_scale_ceil refuse them; so is
+    # a kind that does not name the law, since it labels every rate context
+    for kind, kwargs in [
+        ("table", {"table": (0, -1, 2)}),
+        ("table", {"table": ()}),
+        ("table", {"table": (1, True)}),
+        ("scale_ceil", {"c": Fraction(1, 2)}),
+        ("scale_ceil", {"c": 0}),
+        ("scale_ceil", {"c": 1.5}),
+        ("scale_ceil", {}),
+        ("table", {"c": 2}),
+        ("identity", {"c": 3}),
+        ("nonsense", {"c": 2}),
+        ("scale_ceil", {"table": (1, 2)}),
     ]:
         with pytest.raises(ArgumentError):
-            AlphaFn("table" if "table" in kwargs else "scale_ceil", **kwargs)
+            AlphaFn(kind, **kwargs)
     assert AlphaFn("table", table=(0, 3))(5) == 3
     assert AlphaFn("scale_ceil", c=Fraction(3, 2))(3) == 5
 

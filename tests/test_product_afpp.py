@@ -37,8 +37,9 @@ from hypkm import (
     solve_example,
     solve_product_afpp,
 )
-from hypkm import product_afpp
+from hypkm import product_afpp, spaces
 from hypkm.config import canonical_json
+from hypkm.errors import MeshCapError
 from hypkm.product_afpp import (
     EXAMPLES,
     constant_example,
@@ -70,13 +71,14 @@ def test_grid_oracle_identity_immediate():
     assert UNIT.contains(u)
 
 
-def test_grid_oracle_refinement_floor():
-    # residual >= 0.5 everywhere, so refinement exhausts and reports the best
+def test_grid_oracle_refinement_floor(monkeypatch):
+    # residual >= 0.5 everywhere, so refinement exhausts and reports the best;
+    # under a cap of 1023 points the last mesh of [0, 1] has 513 points
+    monkeypatch.setattr(spaces, "MESH_POINT_CAP", 1023)
     jump = NonexpansiveMap(UNIT, lambda u: 0.0 if u > 0.5 else 1.0, "jump")
-    oracle = GridOracle(UNIT, min_step=1e-3)
     with pytest.raises(OracleError) as exc:
-        oracle.solve(jump, 0.1)
-    assert "refinement floor" in str(exc.value)
+        GridOracle(UNIT).solve(jump, 0.1)
+    assert "refinement floor reached at step 0.00195;" in str(exc.value)
 
 
 def test_grid_oracle_floor_at_the_mesh_cap():
@@ -89,20 +91,24 @@ def test_grid_oracle_floor_at_the_mesh_cap():
     assert str(exc.value).startswith("grid refinement floor reached at step 9.54e-07; best residual 0.5 >")
 
 
-def full_mesh_scan(space, f, eps, min_step):
-    """The unpruned refinement loop: every point of every mesh evaluated."""
-    step = max(space.diameter() / 4.0, min_step)
+def full_mesh_scan(space, f, eps):
+    """The unpruned refinement loop: every point of every mesh evaluated,
+    down to the last mesh within the space's point cap."""
+    step = space.diameter() / 4.0
+    mesh = space.mesh(step)
     best_u, best_r = None, math.inf
     while True:
-        for u in space.mesh(step):
+        for u in mesh:
             r = space.distance(u, f(u))
             if r < best_r:
                 best_u, best_r = u, r
         if best_r <= eps:
             return best_u
         step /= 2.0
-        if step < min_step:
-            raise OracleError(f"refinement floor; best residual {best_r}")
+        try:
+            mesh = space.mesh(step)
+        except MeshCapError:
+            raise OracleError(f"refinement floor; best residual {best_r}") from None
 
 
 def _clamp(x, lo=0.0, hi=1.0):
@@ -176,13 +182,14 @@ STAR_MAPS = st.recursive(
     max_leaves=3,
 )
 
-#: (space, maps, floor steps): the box keeps coarse floors, its meshes grow
-#: quadratically
+#: (space, maps, mesh point caps): each cap ends refinement at a step of
+#: about 1e-4, 1e-3, 0.01 or 0.05; the box keeps coarse floors, its meshes
+#: grow quadratically
 ORACLE_SPACES = {
-    "interval": (UNIT, UNIT_MAPS, (1e-4, 1e-3, 0.05)),
-    "dyadic": (UNIT, unit_maps(DYADIC_PARAMS), (1e-4, 1e-3, 0.05)),
-    "box": (make_box([(0.0, 1.0), (0.0, 1.0)]), BOX_MAPS, (0.01, 0.05)),
-    "star": (STAR, STAR_MAPS, (1e-3, 0.05)),
+    "interval": (UNIT, UNIT_MAPS, (16383, 1023, 31)),
+    "dyadic": (UNIT, unit_maps(DYADIC_PARAMS), (16383, 1023, 31)),
+    "box": (make_box([(0.0, 1.0), (0.0, 1.0)]), BOX_MAPS, (33488, 575)),
+    "star": (STAR, STAR_MAPS, (3071, 95)),
 }
 
 #: tolerances spread over [2^-11, 1/2)
@@ -197,18 +204,21 @@ TOLERANCES = st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(2, 11)
 def test_grid_oracle_matches_full_mesh_scan(kind, data, eps):
     # pruning never skips a point with residual <= eps, so the pruned oracle
     # stops at the same level as the full scan and returns the same point
-    space, maps, floors = ORACLE_SPACES[kind]
+    space, maps, caps = ORACLE_SPACES[kind]
     f = NonexpansiveMap(space, data.draw(maps), "random")
-    min_step = data.draw(st.sampled_from(floors))
-    oracle = GridOracle(space, min_step=min_step)
-    try:
-        expected = full_mesh_scan(space, f, eps, min_step)
-    except OracleError:
-        with pytest.raises(OracleError) as exc:
-            oracle.solve(f, eps)
-        assert "refinement floor" in str(exc.value)
-    else:
-        assert oracle.solve(f, eps) == expected
+    cap = data.draw(st.sampled_from(caps))
+    oracle = GridOracle(space)
+    # a function-scoped monkeypatch fixture would span every example
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "MESH_POINT_CAP", cap)
+        try:
+            expected = full_mesh_scan(space, f, eps)
+        except OracleError:
+            with pytest.raises(OracleError) as exc:
+                oracle.solve(f, eps)
+            assert "refinement floor" in str(exc.value)
+        else:
+            assert oracle.solve(f, eps) == expected
 
 
 def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
@@ -216,7 +226,7 @@ def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
     # evaluated point 0 (r = 0.3) bounds r(1/8) below by 0.3 - 2/8 = 0.05 = eps,
     # so 1/8 must not be pruned
     f = NonexpansiveMap(UNIT, lambda u: _clamp(0.3 - u), "reflect")
-    assert GridOracle(UNIT).solve(f, 0.05) == 0.125 == full_mesh_scan(UNIT, f, 0.05, 1e-7)
+    assert GridOracle(UNIT).solve(f, 0.05) == 0.125 == full_mesh_scan(UNIT, f, 0.05)
 
 
 def count_phi_calls(monkeypatch) -> list:
@@ -289,12 +299,12 @@ def test_scaled_coupling_lift_golden(n, z, point, residual):
 
 
 def test_grid_oracle_needs_bounded_space_or_step():
-    # an unbounded space has no meshes, so no step makes it usable
-    from hypkm import make_real_line
+    # an unbounded space has no meshes, and a bounded space may define none
+    from hypkm import BrokenW, make_real_line
 
-    for kwargs in ({}, {"min_step": 1.0}):
+    for space in (make_real_line(), BrokenW(make_interval(0.0, 1.0))):
         with pytest.raises(ArgumentError, match="bounded space"):
-            GridOracle(make_real_line(), **kwargs)
+            GridOracle(space)
 
 
 class FixedAnswerOracle(AfppOracle):
@@ -516,6 +526,20 @@ def test_certified_run_argument_validation():
 # ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------
+
+
+def test_solver_halving_stops_where_the_budget_refuses_the_tolerance(monkeypatch):
+    # a stand-in rate_g at its least value ceil(1/eps) + 1 keeps every
+    # attempt certified; drift's residual is 1 everywhere, so the solver
+    # halves eps from 1/2 until eps = 1/64 needs index 65 > budget 50, and
+    # then reports its five attempts instead of raising
+    monkeypatch.setattr(product_afpp, "rate_g", lambda eps, *args: math.ceil(1 / eps) + 1)
+    res = solve_example(drift_example(), Fraction(1, 2), budget=50)
+    assert [(a.eps_attempt, a.n, a.truncated) for a in res.attempts] == [
+        (0.5, 3, False), (0.25, 5, False), (0.125, 9, False), (0.0625, 17, False), (0.03125, 33, False),
+    ]
+    assert res.exhausted and res.certificate is None
+    assert res.best_residual == 1.0
 
 
 def test_solver_diagonal_residual_certified_at_budget():

@@ -33,6 +33,8 @@ from hypkm import (
     make_star_tree,
     product,
 )
+from hypkm import spaces
+from hypkm.errors import MeshCapError
 from hypkm.spaces import (
     AXIOM_NAMES,
     CircleSpace,
@@ -615,6 +617,24 @@ def test_box_and_tree_meshes():
     tree_mesh = tree.mesh(0.5)
     assert all(tree.contains(p) for p in tree_mesh)
     assert (0, 0.0) in tree_mesh
+
+
+@pytest.mark.parametrize(
+    "space, step, points",
+    [
+        (make_interval(0.0, 1.0), 0.25, 5),
+        (make_box(((0.0, 1.0), (0.0, 1.0))), 0.5, 9),
+        (make_star_tree(3, 1.0), 0.5, 7),
+    ],
+)
+def test_meshes_refuse_more_than_the_cap_points(monkeypatch, space, step, points):
+    # one rule for every mesh: at most MESH_POINT_CAP points
+    assert len(space.mesh(step)) == points
+    monkeypatch.setattr(spaces, "MESH_POINT_CAP", points)
+    assert len(space.mesh(step)) == points
+    monkeypatch.setattr(spaces, "MESH_POINT_CAP", points - 1)
+    with pytest.raises(MeshCapError):
+        space.mesh(step)
 
 
 def test_samples_stay_in_space():
