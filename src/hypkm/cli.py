@@ -14,8 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from . import __version__
 from .config import (
@@ -45,7 +46,7 @@ from .errors import (
     RateOverflowError,
     ScheduleError,
 )
-from .km import km_iterate, residuals_nonincreasing
+from .km import csv_header, km_blocks, residuals_nonincreasing
 from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
 from .rates import (
     _log10_upper,
@@ -69,14 +70,33 @@ def _headers(cfg: dict) -> list[str]:
     return [f"# version={__version__}", f"# config_hash={config_hash(cfg)}"]
 
 
-def _emit(lines: list[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _text(lines: Iterable[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _write(texts: list[str], out: Optional[str]) -> None:
+    """Write ``texts`` in order to stdout, or to the file ``out``.  A file
+    that cannot be opened or written is a config error naming --out, and a
+    partly written file is removed."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as f:
-            f.write(text)
-        print(f"wrote {out}")
+        sys.stdout.writelines(texts)
+        return
+    try:
+        f = open(out, "w")
+    except OSError as exc:
+        raise ConfigError(f"--out {out!r} cannot be written: {exc.strerror}") from None
+    try:
+        with f:
+            f.writelines(texts)
+    except OSError as exc:
+        if os.path.isfile(out):
+            os.remove(out)
+        raise ConfigError(f"--out {out!r} cannot be written: {exc.strerror}") from None
+    print(f"wrote {out}")
+
+
+def _emit(lines: list[str], out: Optional[str]) -> None:
+    _write([_text(lines)], out)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +130,6 @@ def cmd_iterate(cfg: dict, args) -> int:
     x0 = parse_point(space, f("x0"), "x0")
     N, eta = f("N", config_natural), f("eta", config_tolerance, DEFAULT_ETA)
     f.done()
-    try:
-        trace = km_iterate(space, T, x0, sched, N)
-    except ScheduleError as exc:
-        raise ConfigError(f"schedule invalid up to N={N}: {exc}") from exc
     meta = {
         "version": __version__,
         "config_hash": config_hash(cfg),
@@ -121,8 +137,20 @@ def cmd_iterate(cfg: dict, args) -> int:
         "map": T.label,
         "schedule": sched.label,
     }
-    _emit(trace.csv_lines(meta), args.out)
-    if not residuals_nonincreasing(trace, tol=eta):
+    # each block is rendered and then dropped; nothing is written before
+    # the whole walk has finished
+    texts = [_text(csv_header(space, meta))]
+    ok, last = True, None
+    try:
+        for block in km_blocks(space, T, x0, sched, N):
+            texts.append(_text(block.csv_rows()))
+            ok = ok and (last is None or block.residuals[0] <= last + eta)
+            ok = ok and residuals_nonincreasing(block, tol=eta)
+            last = block.final_residual
+    except ScheduleError as exc:
+        raise ConfigError(f"schedule invalid up to N={N}: {exc}") from exc
+    _write(texts, args.out)
+    if not ok:
         print("residuals are not nonincreasing: map is not nonexpansive "
               "or schedule is out of range", file=sys.stderr)
         return 1

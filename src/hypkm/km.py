@@ -11,7 +11,9 @@ same domain checks, reading its steps from `Schedule.float_steps`.  Under a
 constant schedule the loop ends once the orbit is stationary (an iterate
 repeats its predecessor bit for bit) and fills in the rest of the orbit,
 which then repeats; this relies on every map being a function of its
-argument.
+argument.  ``_km_walk(start=k)`` resumes an orbit at its k-th iterate, so
+`km_blocks` walks one orbit as consecutive blocks of rows, each ending where
+the next begins, and step numbers in errors stay absolute.
 """
 
 from __future__ import annotations
@@ -64,12 +66,12 @@ class Schedule:
     def lam_float(self, n: int) -> float:
         return float(self.lam_at(n))
 
-    def float_steps(self) -> Iterator[float]:
-        """lam_0, lam_1, ... as floats, converted lazily, one per step drawn.
-        A constant schedule repeats one float."""
+    def float_steps(self, start: int = 0) -> Iterator[float]:
+        """lam_start, lam_start+1, ... as floats, converted lazily, one per
+        step drawn.  A constant schedule repeats one float."""
         if self.constant is not None:
             return itertools.repeat(float(self.constant))
-        return (float(self.lam_at(k)) for k in itertools.count())
+        return (float(self.lam_at(k)) for k in itertools.count(start))
 
     def partial_sum(self, m: int) -> Union[Fraction, float]:
         """sum_{i=0}^{m} lam_i; exact Fraction when affordable, float beyond.
@@ -247,13 +249,28 @@ def require_valid_schedule(sched: Schedule, horizon: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: rows per block of a streamed trace (`km_blocks`)
+BLOCK_ROWS = 2048
+
+
+def csv_header(space: Space, meta: Optional[dict] = None) -> list[str]:
+    """The lines above the rows of a trace CSV: ``meta`` entries as leading
+    `# key=value` comment lines, then `n,residual,<point columns>`."""
+    lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
+    lines.append("n,residual," + ",".join(space.point_columns()))
+    return lines
+
+
 @dataclass
 class ResidualTrace:
-    """Orbit x_0..x_N with residual rho(x_n, T(x_n)) at every index."""
+    """Orbit x_first..x_(first+len-1) with residual rho(x_n, T(x_n)) at every
+    index; ``first`` is 0 for a whole orbit and a block's first index in a
+    stream (`km_blocks`)."""
 
     space: Space
     points: list
     residuals: list[float]
+    first: int = 0
 
     def __len__(self) -> int:
         return len(self.points)
@@ -262,23 +279,26 @@ class ResidualTrace:
     def final_residual(self) -> float:
         return self.residuals[-1]
 
-    def csv_lines(self, meta: Optional[dict] = None) -> list[str]:
-        """`n,residual,<point columns>` rows at 17 significant digits.
+    def csv_rows(self) -> Iterator[str]:
+        """`n,residual,<point columns>` rows at 17 significant digits, n
+        counted from ``first``.
 
-        ``meta`` entries become leading `# key=value` comment lines.  Every
-        row is ``"%d,%.17g" + ",%.17g" * columns`` applied to (n, residual,
-        *point_row): ``%.17g`` writes the same text as ``format(v, ".17g")``
-        for floats and ints, and round-trips every float.
+        Every row is ``"%d,%.17g" + ",%.17g" * columns`` applied to (n,
+        residual, *point_row): ``%.17g`` writes the same text as
+        ``format(v, ".17g")`` for floats and ints, and round-trips every
+        float.
         """
-        lines = [f"# {k}={v}" for k, v in (meta or {}).items()]
-        columns = self.space.point_columns()
-        lines.append("n,residual," + ",".join(columns))
-        row = "%d,%.17g" + ",%.17g" * len(columns)
+        row = "%d,%.17g" + ",%.17g" * len(self.space.point_columns())
         point_row = self.space.point_row
-        lines.extend(
+        return (
             row % (n, r, *point_row(p))
-            for n, (p, r) in enumerate(zip(self.points, self.residuals))
+            for n, (p, r) in enumerate(zip(self.points, self.residuals), self.first)
         )
+
+    def csv_lines(self, meta: Optional[dict] = None) -> list[str]:
+        """`csv_header` lines, then `csv_rows`."""
+        lines = csv_header(self.space, meta)
+        lines.extend(self.csv_rows())
         return lines
 
 
@@ -291,12 +311,14 @@ def _km_walk(
     points: Optional[list] = None,
     residuals: Optional[list] = None,
     stop_eps: Optional[float] = None,
+    start: int = 0,
 ) -> tuple:
-    """The averaged iteration: up to n steps from x0, evaluating T once per
-    step until the orbit is stationary under a constant schedule.  An image
-    or iterate outside the space raises DomainEscapeError naming the step:
+    """The averaged iteration: steps start..n-1 from x0 = x_start, evaluating
+    T once per step until the orbit is stationary under a constant schedule.
+    Step k uses lam_k, and an image or iterate outside the space raises
+    DomainEscapeError naming the absolute step k:
     escaping iterates would silently falsify nonexpansiveness, so they are
-    never clamped.  Iterates x_1.. go to ``points`` and residuals
+    never clamped.  Iterates x_start+1.. go to ``points`` and residuals
     rho(x_k, T(x_k)) to ``residuals`` when given; with ``stop_eps`` the walk
     stops at the first x_k (k < n) with residual <= stop_eps.  Returns
     (x_k, k, r): where it stopped, and the residual there if ``residuals``
@@ -325,7 +347,7 @@ def _km_walk(
     track = residuals is not None or stop_eps is not None
     constant = sched.constant is not None
     x, r = x0, None
-    for k, lam in zip(range(n), sched.float_steps()):
+    for k, lam in zip(range(start, n), sched.float_steps(start)):
         Tx = T(x)
         if not contains(Tx):
             raise DomainEscapeError(k, Tx)
@@ -371,6 +393,35 @@ def km_iterate(
     points, residuals = [x0], []
     _km_walk(space, T, x0, sched, N, points=points, residuals=residuals)
     return ResidualTrace(space, points, residuals)
+
+
+def km_blocks(
+    space: HyperbolicSpace,
+    T: Callable[[Point], Point],
+    x0: Point,
+    sched: Schedule,
+    N: int,
+) -> Iterator[ResidualTrace]:
+    """The trace of ``km_iterate(space, T, x0, sched, N)`` as consecutive
+    blocks of at most BLOCK_ROWS rows that cover rows 0..N, so that a caller
+    can render each block and drop it.  The schedule is validated once,
+    when the first block is drawn.
+
+    Each block walks from where the last one ended.  A block that ends
+    before row N walks one step past its last row, to the next block's first
+    point; the residual there is computed again as the next block's first,
+    with the same bits, since T is a function of its argument.
+    """
+    require_valid_schedule(sched, N)
+    x = x0
+    for start in range(0, N + 1, BLOCK_ROWS):
+        end = start + BLOCK_ROWS
+        points, residuals = [x], []
+        _km_walk(space, T, x, sched, min(end, N), points, residuals, start=start)
+        if end <= N:
+            x = points.pop()
+            residuals.pop()
+        yield ResidualTrace(space, points, residuals, start)
 
 
 def km_orbit_end(

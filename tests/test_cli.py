@@ -8,12 +8,14 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypkm
-from hypkm import ConfigError, alpha_double, cli, make_euclidean, make_interval, rate_h, rate_h_tilde
+from hypkm import ConfigError, alpha_double, cli, km, make_euclidean, make_interval, rate_h, rate_h_tilde
 from hypkm.cli import main
+from hypkm.errors import DomainEscapeError
+from hypkm.km import km_iterate, residuals_nonincreasing
 from hypkm.product_afpp import solve_example
 from hypkm.config import (
     build_alpha,
@@ -357,6 +361,187 @@ def test_iterate_rejects_metric_only_space(tmp_path, capsys):
     cfg["space"] = {"kind": "circle"}
     code, _, err = run_cli(tmp_path, capsys, "iterate", cfg)
     assert code == 2 and "combine" in err
+
+
+# ---------------------------------------------------------------------------
+# iterate in blocks
+# ---------------------------------------------------------------------------
+
+
+def _whole_trace_run(cfg):
+    """(exit code, stdout, stderr) of `iterate` on ``cfg`` computed from one
+    whole km_iterate trace: the reference the streamed command must match."""
+    space = build_space(cfg["space"])
+    T = build_map(space, cfg["map"])
+    sched = build_schedule(cfg["schedule"])
+    x0 = parse_point(space, cfg["x0"], "x0")
+    try:
+        trace = km_iterate(space, T, x0, sched, cfg["N"])
+    except DomainEscapeError as exc:
+        return 1, "", f"error: {exc}\n"
+    meta = {"version": hypkm.__version__, "config_hash": config_hash(cfg),
+            "space": canonical_json(space.descriptor), "map": T.label, "schedule": sched.label}
+    out = "\n".join(trace.csv_lines(meta)) + "\n"
+    if residuals_nonincreasing(trace):
+        return 0, out, ""
+    return 1, out, ("residuals are not nonincreasing: map is not nonexpansive "
+                    "or schedule is out of range\n")
+
+
+#: per kind a space, a map and start points that keep every orbit inside
+STREAM_CASES = {
+    "interval": ({"kind": "interval", "a": 0, "b": 1}, {"name": "affine", "slope": -0.5, "intercept": 0.7},
+                 [0, 0.1, 1]),
+    "box": ({"kind": "box", "bounds": [[0, 1], [0, 1]]},
+            {"name": "matrix_affine", "matrix": [[0.4, -0.3], [0.3, 0.4]], "offset": [0.3, 0.1]},
+            [[0.9, 0.05], [0, 1]]),
+    "poincare": ({"kind": "poincare"}, {"name": "constant", "value": [0.1, 0.2]}, [[-0.5, 0.6], [0.1, 0.2]]),
+    "star_tree": ({"kind": "star_tree", "rays": 3, "length": 2}, {"name": "constant", "value": [1, 1.5]},
+                  [[2, 0.7], [1, 0]]),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(STREAM_CASES) + ["settling"]), rows=st.sampled_from([1, 2, 7]),
+       data=st.data())
+def test_streamed_iterate_prints_the_whole_trace(tmp_path_factory, kind, rows, data):
+    harmonic = data.draw(st.booleans(), label="harmonic")
+    # the harmonic witness is tabulated by exact sums, affordable up to N = 7
+    N = data.draw(st.integers(0, min(3 * rows + 1, 7) if harmonic else 3 * rows + 1), label="N")
+    if harmonic:
+        schedule = {"kind": "harmonic", "offset": data.draw(st.sampled_from([2, 3])), "alpha_horizon": N}
+    else:
+        schedule = {"kind": "constant", "value": data.draw(st.sampled_from(["1/2", "1/3", "3/4"]))}
+    if kind == "settling":
+        # under steps 1/2 the orbit of 0 from 2^(j - 1074) turns stationary
+        # at step j, inside a block or where one opens
+        space, T = STREAM_CASES["interval"][0], {"name": "constant", "value": 0}
+        x0 = math.ldexp(1.0, data.draw(st.integers(0, 3 * rows + 1), label="j") - 1074)
+    else:
+        space, T, starts = STREAM_CASES[kind]
+        x0 = data.draw(st.sampled_from(starts), label="x0")
+    cfg = {"space": space, "map": T, "schedule": schedule, "x0": x0, "N": N}
+    path = tmp_path_factory.mktemp("stream") / "config.json"
+    path.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "BLOCK_ROWS", rows)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["iterate", "--config", str(path)])
+    assert (code, out.getvalue(), err.getvalue()) == _whole_trace_run(cfg)
+
+
+#: x -> x + 0.3 on [0, 1] from 0 with steps 1/2: the image of x_5 escapes
+ESCAPE_CFG = dict(ITERATE_CFG, map={"name": "affine", "slope": 1, "intercept": 0.3}, N=10)
+
+#: x -> diag(0, 3) x from (-1, 2^-13) with steps 1/2: the residual
+#: (2^-k, 2^(k-12)) falls through row 6 and first rises at row 7
+RISE_CFG = {
+    "space": {"kind": "euclidean", "dim": 2},
+    "map": {"name": "matrix_affine", "matrix": [[0, 0], [0, 3]], "offset": [0, 0]},
+    "schedule": {"kind": "constant", "value": "1/2"},
+    "x0": [-1, 0.0001220703125],
+    "N": 7,
+}
+
+
+@pytest.mark.parametrize("rows", [2, 5, 7])
+def test_escape_in_a_block_or_at_its_boundary_prints_nothing(tmp_path, capsys, monkeypatch, rows):
+    # with 5 rows a block, the image that escapes is the first block's tail
+    monkeypatch.setattr(km, "BLOCK_ROWS", rows)
+    code, out, err = run_cli(tmp_path, capsys, "iterate", ESCAPE_CFG)
+    assert (code, out, err) == (1, "", "error: iterate left the domain at step 5: 1.0499999999999998\n")
+
+
+@pytest.mark.parametrize("rows", [2, 7, 8])
+def test_first_residual_rise_across_a_block_boundary_exits_1(tmp_path, capsys, monkeypatch, rows):
+    # with 7 rows a block the rise from row 6 to row 7 is the only pair that
+    # straddles two blocks, and the second block holds row 7 alone
+    monkeypatch.setattr(km, "BLOCK_ROWS", rows)
+    code, out, err = run_cli(tmp_path, capsys, "iterate", RISE_CFG)
+    assert code == 1 and err.startswith("residuals are not nonincreasing")
+    assert out.splitlines()[-2:] == ["6,0.022097086912079612,-0.015625,0.0078125",
+                                     "7,0.032211762700137973,-0.0078125,0.015625"]
+    assert (code, out, err) == _whole_trace_run(RISE_CFG)
+
+
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(km, "BLOCK_ROWS", 2)
+    cfg = dict(ITERATE_CFG, N=9)
+    code, stdout, _ = run_cli(tmp_path, capsys, "iterate", cfg)
+    target = tmp_path / "trace.csv"
+    assert run_cli(tmp_path, capsys, "iterate", cfg, "--out", str(target))[:2] == (code, f"wrote {target}\n")
+    assert code == 0 and target.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("command, cfg", [("iterate", ITERATE_CFG),
+                                          ("rates", {"K": 1, "alpha": {"kind": "identity"}, "eps": 4, "b": 1})])
+@pytest.mark.parametrize("target", ["directory", "missing/trace.csv"])
+def test_unwritable_out_exits_2_naming_it(tmp_path, capsys, command, cfg, target):
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    code, out, err = run_cli(tmp_path, capsys, command, cfg, "--out", str(path))
+    assert code == 2 and out == "" and err.startswith(f"config error: --out {str(path)!r} cannot be written: ")
+    assert path.is_dir() != (target == "missing/trace.csv") and not (tmp_path / "missing").exists()
+
+
+def test_out_that_fails_midway_leaves_no_file(tmp_path):
+    # a file size limit of 1000 bytes, set in the child, makes the write
+    # fail with EFBIG
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(ITERATE_CFG, N=200)))
+    target = tmp_path / "trace.csv"
+    child = ("import resource, signal, sys\n"
+             "from hypkm.cli import main\n"
+             "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+             "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    p = subprocess.run([sys.executable, "-c", child, "iterate", "--config", str(path), "--out", str(target)],
+                       capture_output=True, text=True, timeout=60,
+                       env=dict(os.environ, PYTHONPATH=os.path.dirname(hypkm.__path__[0])))
+    assert p.returncode == 2 and p.stdout == "" and not target.exists()
+    assert p.stderr.startswith(f"config error: --out {str(target)!r} cannot be written: ")
+
+
+class _LengthSink:
+    """A stdout that keeps only the length of what is written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+    def writelines(self, texts):
+        for text in texts:
+            self.write(text)
+
+
+def test_iterate_memory_stays_within_three_times_its_output(tmp_path):
+    # 50,000 rows of a 2-D orbit: whole-orbit lists of points, residuals
+    # and row strings, then their join, took about 6x the output
+    angle = 0.7
+    cfg = {
+        "space": {"kind": "euclidean", "dim": 2},
+        "map": {"name": "matrix_affine", "offset": [0.3, -0.2],
+                "matrix": [[0.8 * math.cos(angle), -0.8 * math.sin(angle)],
+                           [0.8 * math.sin(angle), 0.8 * math.cos(angle)]]},
+        "schedule": {"kind": "constant", "value": "1/10000"},
+        "x0": [3.1, -2.4],
+        "N": 50_000,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    sink = _LengthSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["iterate", "--config", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.length > 3_000_000 and peak <= 3 * sink.length
 
 
 # ---------------------------------------------------------------------------
@@ -1145,7 +1330,7 @@ def test_unknown_descriptor_keys_are_all_named():
 #: field read asks for
 UNKNOWN_TOP_LEVEL_KEYS = [
     ("axioms", INTERVAL_CFG, "check_axioms", {"budget": 300}),
-    ("iterate", ITERATE_CFG, "km_iterate", {"seed": 1}),
+    ("iterate", ITERATE_CFG, "km_blocks", {"seed": 1}),
     ("rates", TABLE_CFG, "rate_h", {"samples": 10, "b3": 1}),
     ("product", PRODUCT_CFG, "solve_example", {"dimm": 7}),
     ("uafpp", UAFPP_CFG, "modulus_table", {"eps": 1}),

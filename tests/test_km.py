@@ -6,6 +6,7 @@ orbits with a drift tolerance.
 """
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -45,9 +46,10 @@ from hypkm import (
     tabulate_alpha,
     validate_schedule,
 )
+from hypkm import km
 from hypkm.acceptance import affine_map_family
 from hypkm.errors import DomainError, DomainEscapeError, ProbeContractError
-from hypkm.km import EXACT_SUM_CAP, ResidualTrace
+from hypkm.km import EXACT_SUM_CAP, ResidualTrace, _km_walk, km_blocks
 from hypkm.maps import NonexpansiveMap
 from hypkm.product_afpp import _precheck_orbit_bound
 from hypkm.spaces import product
@@ -614,6 +616,101 @@ def test_escape_before_stationarity_names_the_same_step():
         km_iterate(space, T, 0.0, sched, 20)
     assert ref.value.step == exc.value.step == 5
     assert repr(exc.value.point) == repr(ref.value.point)
+
+
+# ---------------------------------------------------------------------------
+# the trace in blocks
+# ---------------------------------------------------------------------------
+
+#: steps 1/2 and 1/3 in turn; the witness ceil(3n) holds since every step is
+#: at least 1/3, and validation walks n by n
+_ALTERNATING = lambda: Schedule(
+    lam=lambda n: Fraction(1, 3) if n % 2 else Fraction(1, 2), K=2, alpha=alpha_scale_ceil(3),
+    label="alternating")
+
+
+@pytest.mark.parametrize(
+    "make_sched", [lambda: constant_schedule("1/3"), harmonic_schedule, _ALTERNATING],
+    ids=["constant", "harmonic", "alternating"],
+)
+def test_float_steps_from_k_skip_the_first_k(make_sched):
+    for k in (0, 1, 5, 2049):
+        head = list(itertools.islice(make_sched().float_steps(), k, k + 20))
+        assert list(itertools.islice(make_sched().float_steps(k), 20)) == head
+
+
+def test_walk_from_a_later_start_names_the_absolute_step():
+    # x -> x + 0.3 on [0, 1] from 0 with steps 1/2: x_k = 0.15 k, and the
+    # image T(x_5) = 1.05 leaves the interval, in a step or in the tail
+    space = make_interval(0.0, 1.0)
+    T = NonexpansiveMap(space, lambda x: x + 0.3, "shift")
+    sched = constant_schedule("1/2")
+    ref_points, _ = _reference_walk(space, T, 0.0, sched, 4)
+    ref_points.append(space.combine(ref_points[-1], T(ref_points[-1]), 0.5))
+    for start in range(6):
+        for n in (5, 9):
+            points = [ref_points[start]]
+            with pytest.raises(DomainEscapeError) as exc:
+                _km_walk(space, T, ref_points[start], sched, n, points, [], start=start)
+            assert exc.value.step == 5 and exc.value.point == T(ref_points[5])
+            assert points == ref_points[start:]
+
+
+def _joined(blocks):
+    """Points, residuals and row numbers of consecutive blocks, checking
+    that each starts where the last one ended."""
+    points, residuals, rows = [], [], []
+    for block in blocks:
+        assert block.first == len(points) and 1 <= len(block) <= km.BLOCK_ROWS
+        assert len(block.points) == len(block.residuals)
+        points += block.points
+        residuals += block.residuals
+        rows += block.csv_rows()
+    return points, residuals, rows
+
+
+_BLOCK_SCHEDULES = {
+    "1/2": lambda: constant_schedule("1/2"),
+    "1/3": lambda: constant_schedule("1/3"),
+    "3/4": lambda: constant_schedule("3/4"),
+    "alternating": _ALTERNATING,
+}
+
+
+@settings(max_examples=150)
+@given(case=_walk_case(), sched=st.sampled_from(sorted(_BLOCK_SCHEDULES)),
+       rows=st.sampled_from([1, 2, 7]), data=st.data())
+def test_blocks_join_to_the_whole_trace(case, sched, rows, data):
+    space, T, x0 = case
+    N = data.draw(st.integers(0, 3 * rows + 1), label="N")
+    sched = _BLOCK_SCHEDULES[sched]()
+    whole = km_iterate(space, T, x0, sched, N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(km, "BLOCK_ROWS", rows)
+        points, residuals, csv_rows = _joined(km_blocks(space, T, x0, sched, N))
+    assert list(map(repr, points)) == list(map(repr, whole.points))
+    assert list(map(repr, residuals)) == list(map(repr, whole.residuals))
+    assert csv_rows == whole.csv_lines()[1:]
+
+
+@pytest.mark.parametrize("turns", [0, 6, 7, 10, 14], ids=lambda k: f"step{k}")
+def test_a_stationary_orbit_costs_one_step_per_later_block(monkeypatch, turns):
+    # x0 = 2^(turns - 1074) halves toward 0 under steps 1/2 down to the least
+    # subnormal, which the step keeps: x_(turns+1) == x_turns.  With blocks
+    # of 7 rows, steps 0, 7 and 14 open a block and 6 and 10 are inside one.
+    space = make_interval(0.0, 1.0)
+    calls, T = _counting(constant_map(space, 0.0))
+    x0, sched, N = math.ldexp(1.0, turns - 1074), constant_schedule("1/2"), 40
+    whole = km_iterate(space, T, x0, sched, N)
+    assert len(calls) == turns + 1  # the whole walk stops at step `turns`
+    monkeypatch.setattr(km, "BLOCK_ROWS", 7)
+    calls.clear()
+    points, residuals, _ = _joined(km_blocks(space, T, x0, sched, N))
+    assert (points, residuals) == (whole.points, whole.residuals)
+    # six blocks open at 0, 7, ..., 35; each of the five that do not hold the
+    # turn costs one call more: one step if it opens after the turn, or the
+    # tail that computes the next block's first residual once more
+    assert len(calls) == turns + 1 + 5
 
 
 # ---------------------------------------------------------------------------
