@@ -81,22 +81,16 @@ def _write(texts: list[str], out: Optional[str]) -> None:
     if out is None:
         sys.stdout.writelines(texts)
         return
+    opened = False
     try:
-        f = open(out, "w")
-    except OSError as exc:
-        raise ConfigError(f"--out {out!r} cannot be written: {exc.strerror}") from None
-    try:
-        with f:
+        with open(out, "w") as f:
+            opened = True
             f.writelines(texts)
     except OSError as exc:
-        if os.path.isfile(out):
+        if opened and os.path.isfile(out):
             os.remove(out)
         raise ConfigError(f"--out {out!r} cannot be written: {exc.strerror}") from None
     print(f"wrote {out}")
-
-
-def _emit(lines: list[str], out: Optional[str]) -> None:
-    _write([_text(lines)], out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +110,7 @@ def cmd_axioms(cfg: dict, args) -> int:
     lines.extend(rep.summary_lines())
     verdict = "all axioms pass" if rep.passed else f"FAILED: {', '.join(rep.failures())}"
     lines.append(verdict)
-    _emit(lines, args.out)
+    _write([_text(lines)], args.out)
     return 0 if rep.passed else 1
 
 
@@ -131,15 +125,13 @@ def cmd_iterate(cfg: dict, args) -> int:
     N, eta = f("N", config_natural), f("eta", config_tolerance, DEFAULT_ETA)
     f.done()
     meta = {
-        "version": __version__,
-        "config_hash": config_hash(cfg),
         "space": canonical_json(space.descriptor),
         "map": T.label,
         "schedule": sched.label,
     }
     # each block is rendered and then dropped; nothing is written before
     # the whole walk has finished
-    texts = [_text(csv_header(space, meta))]
+    texts = [_text(_headers(cfg) + csv_header(space, meta))]
     ok, last = True, None
     try:
         for block in km_blocks(space, T, x0, sched, N):
@@ -192,7 +184,7 @@ def cmd_rates(cfg: dict, args) -> int:
         lines.append(_rate_line("g_tilde", lambda: rate_g_tilde(eps, b, K, alpha)))
     if b1 is not None:
         lines.append(_rate_line("g", lambda: rate_g(eps, b1, b2, K, alpha)))
-    _emit(lines, args.out)
+    _write([_text(lines)], args.out)
     return 0
 
 
@@ -208,6 +200,11 @@ def cmd_product(cfg: dict, args) -> int:
         res = solve_example(ex, eps, mode=mode, budget=budget, seed=seed)
     except ArgumentError as exc:
         raise ConfigError(str(exc)) from exc
+    record = res.certificate and res.certificate.to_record()
+    bound = record and record["bound_used"]
+    if bound is not None:
+        # json.dumps writes an int through str(), quadratic in its digits
+        record["bound_used"] = "<bound_used>"
     doc = {
         "version": __version__,
         "config_hash": config_hash(cfg),
@@ -226,9 +223,12 @@ def cmd_product(cfg: dict, args) -> int:
             }
             for a in res.attempts
         ],
-        "certificate": res.certificate.to_record() if res.certificate else None,
+        "certificate": record,
     }
-    _emit([json.dumps(doc, sort_keys=True, indent=2)], args.out)
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    if bound is not None:
+        text = text.replace('"<bound_used>"', decimal_string(bound), 1)
+    _write([_text([text])], args.out)
     return 0 if res.certificate is not None else 3
 
 
@@ -247,7 +247,7 @@ def cmd_uafpp(cfg: dict, args) -> int:
     lines.append(f"# modulus={modulus.label}")
     lines.append(f"eps,b,{value_col}")
     lines.extend(",".join(row) for row in rows)
-    _emit(lines, args.out)
+    _write([_text(lines)], args.out)
     return 0
 
 
@@ -256,11 +256,10 @@ def cmd_demo(cfg: dict, args) -> int:
 
     results = run_all()
     lines = [f"# version={__version__}"]
-    for r in results:
-        lines.append(r.line())
+    lines.extend(r.line() for r in results)
     ok = all(r.passed for r in results)
     lines.append("all criteria pass" if ok else "SOME CRITERIA FAILED")
-    _emit(lines, args.out)
+    _write([_text(lines)], args.out)
     return 0 if ok else 1
 
 
@@ -312,9 +311,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         if args.command == "demo":
             cfg = {}
+        elif not args.config:
+            raise ConfigError(f"{args.command} needs --config")
         else:
-            if not args.config:
-                raise ConfigError(f"{args.command} needs --config")
             cfg = load_config(args.config)
         # flags override config keys of the same name; merged in before
         # dispatch so that config_hash covers the effective config
@@ -327,6 +326,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except HypkmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the rest of stdout's buffer goes to devnull, not to a second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
         return 1
     finally:
         if guarded:

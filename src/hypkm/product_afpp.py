@@ -49,7 +49,6 @@ from .spaces import (
     DEFAULT_ETA,
     FamilyProduct,
     HyperbolicSpace,
-    IntervalSpace,
     Point,
     Space,
     make_interval,
@@ -520,33 +519,9 @@ def solve_product_afpp(
 
     eps_target = float(eps_f)
     attempts: list[Attempt] = []
-    best_point, best_residual = None, math.inf
-
-    def record(step: AfppStep, eps_attempt: Fraction, truncated: bool):
-        nonlocal best_point, best_residual
-        attempts.append(
-            Attempt(float(eps_attempt), step.n, truncated, step.residual)
-        )
-        if step.residual < best_residual:
-            best_point, best_residual = step.point, step.residual
-
-    def finish(theorem: Optional[str], bound_used: Optional[int], n_used: int):
-        certificate = None
-        if theorem is not None:
-            certificate = make_certificate(
-                T, best_point, eps_target, n_used, bound_used, theorem
-            )
-        return SolveResult(
-            mode=mode,
-            eps_target=eps_target,
-            certificate=certificate,
-            best_residual=best_residual,
-            attempts=attempts,
-            exhausted=certificate is None,
-        )
-
+    best_residual, certificate = math.inf, None
     eps_k = eps_f
-    while True:
+    while certificate is None:
         if mode == "sup-rC":
             run = certified_run(
                 T, delta, sched, oracle, b1, b2, eps_k, probe,
@@ -563,19 +538,28 @@ def solve_product_afpp(
                     f"residual {step.residual:.6g} exceeds the attempt "
                     f"tolerance {float(eps_k):.6g} at the certified index {n}"
                 )
-        record(step, eps_k, truncated)
-        if best_residual <= eps_target:
+        attempts.append(Attempt(float(eps_k), step.n, truncated, step.residual))
+        best_residual = min(best_residual, step.residual)
+        if step.residual <= eps_target:
+            # the first attempt within eps ends the solve: it holds the best pair
             tag = f"product-afpp[{mode}]" + (
                 ":residual-certified-at-budget" if truncated else ":rate-certified"
             )
-            return finish(tag, certified_n, step.n)
-        if truncated:
-            # shrinking the tolerance cannot change a budget-pinned run
-            return finish(None, None, step.n)
-        eps_k = eps_k / 2
-        if mode == "sup-rC" and math.ceil(1 / eps_k) + 1 > budget:
-            # certified_run refuses a budget below rate_g's least value
-            return finish(None, None, step.n)
+            certificate = make_certificate(T, step.point, eps_target, step.n, certified_n, tag)
+        elif truncated or (mode == "sup-rC" and math.ceil(2 / eps_k) + 1 > budget):
+            # shrinking the tolerance cannot change a budget-pinned run, and
+            # certified_run refuses a budget below ceil(1 / (eps_k / 2)) + 1
+            break
+        else:
+            eps_k = eps_k / 2
+    return SolveResult(
+        mode=mode,
+        eps_target=eps_target,
+        certificate=certificate,
+        best_residual=best_residual,
+        attempts=attempts,
+        exhausted=certificate is None,
+    )
 
 
 def estimate_product_residual_inf(
@@ -669,17 +653,13 @@ class ProductExample:
         return GridOracle(self.T.domain.right)
 
 
-def _unit_interval() -> IntervalSpace:
-    return make_interval(0.0, 1.0)
-
-
 def diagonal_example() -> ProductExample:
     """T(x,u) = ((x+u)/2, x) on [0,1] x [0,1]: every diagonal pair is fixed,
     so the infimum residual is 0 and the lift should reach it exactly."""
-    M = _unit_interval()
+    M = make_interval(0.0, 1.0)
     return ProductExample(
         name="diagonal",
-        T=coupled_average(product(_unit_interval(), M)),
+        T=coupled_average(product(make_interval(0.0, 1.0), M)),
         delta=identity_map(M),
         probe=lambda u: u,
         b1=Fraction(1),
@@ -692,10 +672,10 @@ def diagonal_example() -> ProductExample:
 def constant_example() -> ProductExample:
     """T(x,u) = (1, 1/2): slices are constant, the parameter-space map is
     constant, and the achieved residual decays like the step products."""
-    M = _unit_interval()
+    M = make_interval(0.0, 1.0)
     return ProductExample(
         name="constant",
-        T=constant_pair(product(_unit_interval(), M), 1.0, 0.5),
+        T=constant_pair(product(make_interval(0.0, 1.0), M), 1.0, 0.5),
         delta=constant_map(M, 0.0),
         probe=lambda u: 1.0,
         b1=Fraction(1),
@@ -708,7 +688,7 @@ def constant_example() -> ProductExample:
 def drop_example() -> ProductExample:
     """T(x,u) = (max(x-1, 0), u) on [0,10] x [0,1] from selection 5: the
     orbit walks to the fixed point 0, residual 1 until x dips below 1."""
-    M = _unit_interval()
+    M = make_interval(0.0, 1.0)
     return ProductExample(
         name="drop",
         T=clamped_drop(product(make_interval(0.0, 10.0), M), 1.0),
@@ -724,7 +704,7 @@ def drop_example() -> ProductExample:
 def drift_example() -> ProductExample:
     """T(x,u) = (x+1, u) on the real line x [0,1]: displacement is
     identically 1, so 1 is the exact infimum product residual."""
-    M = _unit_interval()
+    M = make_interval(0.0, 1.0)
     return ProductExample(
         name="drift",
         T=unit_drift(product(make_real_line(), M)),
@@ -738,7 +718,7 @@ def drift_example() -> ProductExample:
 
 
 def _growing_family_space() -> FamilyProduct:
-    M = _unit_interval()
+    M = make_interval(0.0, 1.0)
     ambient = make_interval(0.0, 2.0)
     delta = constant_map(M, 0.0)
     return family_product(
@@ -786,7 +766,7 @@ def family_const_example() -> ProductExample:
     """The diagonal example routed through the family machinery with a
     constant fiber: must reproduce the plain-product run in everything but
     the space descriptor."""
-    C, M = _unit_interval(), _unit_interval()
+    C, M = make_interval(0.0, 1.0), make_interval(0.0, 1.0)
     H = family_product(M, lambda u: C, identity_map(M), C, label="interval[0,1]")
     return ProductExample(
         name="family_const",

@@ -363,6 +363,43 @@ def test_iterate_rejects_metric_only_space(tmp_path, capsys):
     assert code == 2 and "combine" in err
 
 
+def test_iterate_invalid_harmonic_schedule_is_a_config_error(tmp_path, capsys):
+    # the default witness table covers n <= 6 and clamps at 614 beyond
+    cfg = dict(ITERATE_CFG, schedule={"kind": "harmonic"}, N=10)
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and out == ""
+    assert err == ("config error: schedule invalid up to N=10: invalid at n=7: "
+                   "sum_witness (sum of lam_0..lam_614 = 6.00127 < n = 7)\n")
+
+
+@pytest.mark.parametrize("K, alpha, code, tail", [
+    (3, "double", 0, ["n,residual,x", "0,0.25,0.5", "1,0.125,0.375", "2,0.0625,0.3125",
+                      "3,0.03125,0.28125"]),
+    (1, "double", 2, "invalid at n=0: lambda_cap (lam_0=1/2 > 1-1/K=0)"),
+    (3, "identity", 2, "invalid at n=2: sum_witness (sum of lam_0..lam_2 = 1.5 < n = 2)"),
+], ids=["K3-double", "K1-double", "K3-identity"])
+def test_iterate_constant_schedule_reads_K_and_alpha(tmp_path, capsys, K, alpha, code, tail):
+    cfg = dict(ITERATE_CFG, map={"name": "constant", "value": 0.25}, x0=0.5, N=3,
+               schedule={"kind": "constant", "value": "1/2", "K": K, "alpha": {"kind": alpha}})
+    got, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert got == code
+    if code == 0:
+        assert out.splitlines()[-5:] == tail and err == ""
+    else:
+        assert out == "" and err == f"config error: schedule invalid up to N=3: {tail}\n"
+
+
+def test_iterate_on_broken_w(tmp_path, capsys):
+    # combine returns x, so under the identity every row is the start
+    cfg = dict(ITERATE_CFG, space={"kind": "broken_w", "base": {"kind": "interval", "a": 0, "b": 1}},
+               map={"name": "identity"}, x0=0.5, N=3)
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert '# space={"base":{"a":0.0,"b":1.0,"kind":"interval"},"kind":"broken_w"}' in lines
+    assert lines[-5:] == ["n,residual,x", "0,0,0.5", "1,0,0.5", "2,0,0.5", "3,0,0.5"]
+
+
 # ---------------------------------------------------------------------------
 # iterate in blocks
 # ---------------------------------------------------------------------------
@@ -897,6 +934,17 @@ def test_product_matches_its_goldens(tmp_path, capsys, name):
         assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+def test_product_prints_a_million_digit_bound_under_a_low_int_str_limit(tmp_path, capsys, monkeypatch):
+    # the certified index of drop at eps 9/2 has 979,883 digits; main raises
+    # the int-to-str limit only to 10,000 here, so the certificate's
+    # bound_used must be rendered without str()
+    monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 5_000)
+    code, out, err = run_cli(tmp_path, capsys, "product", {"example": "drop", "eps": "9/2"})
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "570cec40e8f2ddffe17ad7df5806cdea479fb7a773ee4c93acd4d588f7f2dd91"
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--seed", "-1"), ("--seed", "2.5"), ("--seed", "x"),
@@ -1033,6 +1081,34 @@ def test_python_dash_m_runs_the_cli():
     proc = _python_m_hypkm("demo", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: hypkm demo")
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # 10^4 rows of a 2-D orbit, far more than a pipe buffer holds: the
+    # reader takes one line and closes its end while iterate still writes
+    cfg = {
+        "space": {"kind": "euclidean", "dim": 2},
+        "map": {"name": "matrix_affine", "matrix": [[0.573636, -0.515379], [0.515379, 0.573636]],
+                "offset": [0.3, -0.2]},
+        "schedule": {"kind": "constant", "value": "1/10000"},
+        "x0": [3.1, -2.4],
+        "N": 10_000,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypkm.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "hypkm", "iterate", "--config", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == f"# version={hypkm.__version__}\n" and proc.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    assert err == "error: stdout was closed before all output was written\n"
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
