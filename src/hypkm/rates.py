@@ -32,20 +32,20 @@ try:
 except ImportError:  # pure-Python decimal: its multiplication is quadratic
     _decimal = None
 
-#: steps of the alpha_hat recursion on the linear law always evaluated
-#: literally, one step a <- ceil(c(n+a)) + 1 at a time, even when a
-#: closed-form jump could cover them; keeps the tested range on the real
-#: recursion rather than on algebra derived from it.  Tables step through
-#: their prefix maxima instead.
+#: steps of the alpha_hat recursion on the linear law of integer c
+#: evaluated literally, one step a <- c(n+a) + 1 at a time, before the
+#: closed-form jump, unless they would pass the digit budget; keeps the
+#: tested range on the real recursion rather than on algebra derived from
+#: it.  Tables step through their prefix maxima instead.
 HEAD_STEPS = 512
 
-#: cap on literal steps past the head for non-integer c (no closed-form jump).
+#: the literal walk of non-integer c raises at step HEAD_STEPS + STEP_BUDGET + 1.
 STEP_BUDGET = 300_000
 
 #: largest exact integer we will materialize, in decimal digits.
 DIGIT_BUDGET = 1_050_000
 
-#: digit cap for intermediate values in the literal-recursion fallback.
+#: the literal walk of non-integer c raises once a has more digits.
 GROWTH_DIGIT_CAP = 20_000
 
 #: rational upper bound on log10(3), used in soundness estimates.
@@ -92,24 +92,25 @@ def monus(a: int, b: int) -> int:
     return a - b if a > b else 0
 
 
-#: digit_count trusts its float estimate e of log10|x| only when e lies
-#: farther than _DIGIT_MARGIN_ABS + e * _DIGIT_MARGIN_REL from an integer.
-#: The estimate's error (math.log10 of 64 bits, s * log10(2), one sum) is a
-#: few units in the last place of numbers below e + 20: far inside that.
+#: digit_count trusts its float estimate power * e of power * log10|x| only
+#: when it lies farther than power * (_DIGIT_MARGIN_ABS + e * _DIGIT_MARGIN_REL)
+#: from an integer.  Its error (math.log10 of 64 bits, s * log10(2), a sum and
+#: a product) is power times a few units in the last place of e + 20.
 _DIGIT_MARGIN_REL = 2.0**-40
 _DIGIT_MARGIN_ABS = 1e-9
 _LOG10_2 = math.log10(2)
 
 
-def digit_count(x: int) -> int:
-    """Number of decimal digits of |x|, computed without a str() round trip.
+def digit_count(x: int, power: int = 1) -> int:
+    """Number of decimal digits of |x|**power, without building the power.
 
     With s = max(0, bits - 64) and top = |x| >> s, top * 2^s <= |x| <
-    (top + 1) * 2^s, so floor(log10|x|) lies in [log10(top) + s*log10(2),
-    log10(top + 1) + s*log10(2)).  Widened by the stated margin, that
-    interval is far shorter than 1; when no integer lies in it the floor is
-    read off, and otherwise one exact comparison with 10**k decides.  Only
-    values within about 1e-9 (relative) of a power of ten pay for 10**k.
+    (top + 1) * 2^s and |x| = top at s = 0, so log10|x| lies in [log10(top),
+    log10(top + (s > 0))] + s*log10(2).  Scaled by power and widened by the
+    margin, that is far shorter than 1: if it holds no integer the count is
+    read off, and otherwise one exact comparison with the integer k in it
+    decides: |x| with 10**(k // power) if power divides k, else |x|**power
+    with 10**k.  Only values within about 1e-9 of a power of ten pay for it.
     """
     if x == 0:
         return 1
@@ -117,11 +118,13 @@ def digit_count(x: int) -> int:
     s = max(0, x.bit_length() - 64)
     top = x >> s
     base = s * _LOG10_2
-    margin = _DIGIT_MARGIN_ABS + base * _DIGIT_MARGIN_REL
-    k = math.floor(math.log10(top + 1) + base + margin)
-    if math.floor(math.log10(top) + base - margin) == k:
+    margin = power * (_DIGIT_MARGIN_ABS + base * _DIGIT_MARGIN_REL)
+    k = math.floor(power * (math.log10(top + (s > 0)) + base) + margin)
+    if math.floor(power * (math.log10(top) + base) - margin) == k:
         return k + 1
-    return k + 1 if x >= 10**k else k
+    if k % power == 0:
+        return k + 1 if x >= 10 ** (k // power) else k
+    return k + 1 if x**power >= 10**k else k
 
 
 #: below this bit length decimal_string defers to str(): at most 4,215
@@ -209,8 +212,7 @@ def _log10_upper(c) -> Fraction:
     c = Fraction(c)
     if c <= 0:
         raise ArgumentError(f"positive rational required, got {c}")
-    p, q = c.numerator, c.denominator
-    return Fraction(digit_count(p**256) - (digit_count(q**256) - 1), 256)
+    return Fraction(digit_count(c.numerator, 256) - digit_count(c.denominator, 256) + 1, 256)
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +349,10 @@ def _affine_jump(a: int, mult: int, add: int, steps: int, context: str) -> int:
     """
     if mult == 1:
         return a + steps * add
-    log_mult = _log10_upper(mult)
-    bulk = a + add  # value <= mult**steps * (a + add)
-    estimate = steps * log_mult + digit_count(bulk) + 2
-    if estimate > DIGIT_BUDGET:
+    lg = steps * _log10_upper(mult) + digit_count(a + add)  # value <= mult**steps * (a + add)
+    if lg + 2 > DIGIT_BUDGET:
         raise RateOverflowError(
-            log10_upper=steps * log_mult + digit_count(bulk),
+            log10_upper=lg,
             context=context,
         )
     ms = mult**steps
@@ -365,10 +365,10 @@ def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
 
     A table steps through its prefix maxima, built once, until a reaches
     the first clamped index, where the increment goes constant, and then
-    jumps.  The linear law runs HEAD_STEPS iterations literally, then jumps
-    in closed form (the recursion is affine in a(k)), or for non-integer c
-    steps on under a growth cap; results over the digit budget raise
-    RateOverflowError with a sound magnitude bound.
+    jumps.  The linear law of integer c runs HEAD_STEPS iterations literally,
+    then jumps in closed form (the recursion is affine in a(k)); non-integer
+    c steps literally under a growth cap from the first step.  Results over
+    the digit budget raise RateOverflowError with a sound magnitude bound.
     """
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
@@ -381,25 +381,26 @@ def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
             k += 1
         return a + (i - k) * plus[last]
     a = alpha_tilde(alpha, 0, n)
-    head = k = min(i, HEAD_STEPS)
-    # a + alpha_plus(a, n) = ceil(c(n+a)) + 1, stepped without a call
     p, q = alpha.c.numerator, alpha.c.denominator
-    if q == 1:
-        for _ in range(head):
-            a = p * (n + a) + 1
-    else:
-        for _ in range(head):
-            a = -(-p * (n + a) // q) + 1
-    if k == i:
-        return a
     ctx = f"alpha_hat({alpha.label}, {fmt_number(i)}, {fmt_number(n)})"
     if q == 1:
-        # a <- a + (c(n+a) - a + 1): at c = 1 the constant increment n+1
-        return _affine_jump(a, p, p * n + 1, i - k, ctx)
-    # non-integer c: no exact jump; step literally under a growth cap
-    limit = 10**GROWTH_DIGIT_CAP  # a >= limit iff a has more digits than the cap
-    while k < i:
-        if a >= limit or k - head > STEP_BUDGET:
+        # a <- c(n+a) + 1 = c*a + add literally, unless _affine_jump's estimate
+        # puts the head over budget (it is < 0.31 * bits + 3, so a head these
+        # bits allow fits); then the jump over all i steps raises
+        head, add = min(i, HEAD_STEPS), p * n + 1
+        bits = head * p.bit_length() + (a + add).bit_length()
+        if bits > DIGIT_BUDGET and head * _log10_upper(p) + digit_count(a + add) + 2 > DIGIT_BUDGET:
+            head = 0
+        for _ in range(head):
+            a = p * a + add
+        return a if head == i else _affine_jump(a, p, add, i - head, ctx)
+    # non-integer c: step literally, capped from the first step; a < 8**cap
+    # while it has at most 3*cap bits, so the limit is built once, if at all
+    limit = None
+    for k in range(i):
+        if limit is None and a.bit_length() > 3 * GROWTH_DIGIT_CAP:
+            limit = 10**GROWTH_DIGIT_CAP
+        if k > HEAD_STEPS + STEP_BUDGET or limit is not None and a >= limit:
             c = alpha.c
             # per step, a' <= c*a + c*n + 2, so after r more steps
             # a <= c**r * (a + (c*n + 2)/(c - 1))
@@ -410,7 +411,6 @@ def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
                 context=ctx,
             )
         a = -(-p * (n + a) // q) + 1
-        k += 1
     return a
 
 

@@ -650,6 +650,58 @@ def test_rates_match_their_goldens(tmp_path, capsys, name):
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+#: `rates` configs whose literal head built millions of digits only to print
+#: a bound: 52 s to over 600 s each, about 0.1 s now.  sha256 of stdout less
+#: its version line, and the h, h_tilde and g_tilde lines.  Each line was
+#: old -> new:
+#: - big3, c = (10^100 + 1)/3: the non-integer walk now raises at the first
+#:   step past GROWTH_DIGIT_CAP, not after a 512-step head.
+#:   h <= 3.052e+218361 (decimal digits <= 218362) ->
+#:   h <= 7.568e+218362 (decimal digits <= 218363);
+#:   h_tilde and g_tilde <= 5.004e+3904279440 (decimal digits <= 3904279441) ->
+#:   <= 1.242e+3904279442 (decimal digits <= 3904279443).
+#: - nines, c = 10^4300 - 1: the integer head would pass the digit budget, so
+#:   the jump over all steps raises.
+#:   h <= 4.033e+1277100 (decimal digits <= 1277101) ->
+#:   h <= 1.001e+1277101 (decimal digits <= 1277102);
+#:   h_tilde and g_tilde <= 1.001e+3089507001 (decimal digits <= 3089507002) ->
+#:   <= 1.001e+3089507002 (decimal digits <= 3089507003).
+#: - nines2, c = (10^4298 - 1)/2: as big3.  The old lines were never printed
+#:   (killed after 600 s); the old head with the new digit estimator gives
+#:   h <= 1.584e+1276417 (decimal digits <= 1276418) ->
+#:   h <= 1.878e+1276417 (decimal digits <= 1276418);
+#:   h_tilde and g_tilde <= 3.621e+3087853912 (decimal digits <= 3087853913) ->
+#:   <= 4.828e+3087853912 (decimal digits <= 3087853913).
+RATES_PAST_THE_HEAD = {
+    "big3": ({"K": 1, "alpha": {"kind": "scale_ceil", "c": "1" + "0" * 99 + "1/3"}, "eps": "1/2", "b": 1},
+        "76c756f57fcac0a0e98d2dd265bbaee30f3de7cce6ac34ce44f7a26db312604c",
+        ["h <= 7.568e+218362 (decimal digits <= 218363)",
+         "h_tilde <= 1.242e+3904279442 (decimal digits <= 3904279443)",
+         "g_tilde <= 1.242e+3904279442 (decimal digits <= 3904279443)"]),
+    "nines": ({"K": 1, "alpha": {"kind": "scale_ceil", "c": "9" * 4300}, "eps": "3/4", "b": 1},
+        "89172dbfe4925af827fbd413dcf33bb965e2187dd29e6ff54292e82ec1c43864",
+        ["h <= 1.001e+1277101 (decimal digits <= 1277102)",
+         "h_tilde <= 1.001e+3089507002 (decimal digits <= 3089507003)",
+         "g_tilde <= 1.001e+3089507002 (decimal digits <= 3089507003)"]),
+    "nines2": ({"K": 1, "alpha": {"kind": "scale_ceil", "c": "9" * 4298 + "/2"}, "eps": "3/4", "b": 1},
+        "5d68395427bb9c43ed8cd2736463101a599fea965b71319a540d32174d5a0895",
+        ["h <= 1.878e+1276417 (decimal digits <= 1276418)",
+         "h_tilde <= 4.828e+3087853912 (decimal digits <= 3087853913)",
+         "g_tilde <= 4.828e+3087853912 (decimal digits <= 3087853913)"]),
+}
+
+
+@pytest.mark.parametrize("name", RATES_PAST_THE_HEAD)
+def test_rates_bound_what_the_head_would_build(tmp_path, capsys, name):
+    cfg, digest, rate_lines = RATES_PAST_THE_HEAD[name]
+    code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 0 and err == ""
+    version, body = out.split("\n", 1)
+    assert version.startswith("# version=")
+    assert body.splitlines()[1:] == rate_lines
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 def test_rates_prints_seven_hundred_thousand_digits(tmp_path, capsys):
     cfg = {
         "K": 2,

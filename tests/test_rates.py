@@ -43,8 +43,11 @@ from hypkm.rates import (
     _EXP1_HI,
     _LEAF_BITS,
     _STR_BITS,
+    GROWTH_DIGIT_CAP,
     HEAD_STEPS,
+    STEP_BUDGET,
     _exp1_hi_power,
+    _log10_upper,
     decimal_string,
     fmt_number,
     monus,
@@ -174,6 +177,65 @@ def str_oracle(x):
         return str(x)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+#: (x, power): x up to about 2,000 bits at small powers, and below 200 bits
+#: at the power _log10_upper takes
+DIGIT_POWERS = st.one_of(
+    st.tuples(st.integers(-(2**2000), 2**2000), st.sampled_from([1, 2, 3, 7])),
+    st.tuples(st.integers(-(2**200), 2**200), st.just(256)),
+)
+
+
+@given(DIGIT_POWERS)
+@example((0, 7))
+@example((1, 256))
+@example((2**63, 256))
+@example((2**64, 256))
+@example((2**64 - 1, 3))
+@example((10**19 - 1, 256))
+@example((10**19, 256))
+@example((10**19 + 1, 256))
+@example((10**60 - 1, 256))
+@example((-(10**60), 256))
+@example((10**600 + 1, 7))
+@example((10**600 - 1, 7))
+def test_digit_count_of_a_power_equals_len_str(x_power):
+    # below 2**64 the estimate is log10|x| itself: an upper end at
+    # log10(|x| + 1), scaled by 256, spans several integers, and counted 77
+    # digits for 1**256 and 122 for 2**256 (which has 78)
+    x, power = x_power
+    assert digit_count(x, power) == len(str_oracle(abs(x) ** power))
+
+
+def log10_upper_by_powers(c):
+    """_log10_upper as it was written before digit_count took a power: from
+    the digit counts of p**256 and q**256, built."""
+    c = Fraction(c)
+    return Fraction(digit_count(c.numerator**256) - digit_count(c.denominator**256) + 1, 256)
+
+
+@given(
+    p=st.integers(1, 2**1000),
+    q=st.one_of(st.just(1), st.integers(1, 2**300)),
+)
+@example(p=1, q=1)
+@example(p=2, q=1)
+@example(p=10, q=1)
+@example(p=10**19, q=1)
+@example(p=10**40 + 1, q=10**20 - 1)
+@example(p=2**64 - 1, q=2**64 + 1)
+@example(p=2**200 + 1, q=3)
+def test_log10_upper_equals_the_built_powers(p, q):
+    c = Fraction(p, q)
+    u = _log10_upper(c)
+    assert u == log10_upper_by_powers(c)
+    if c.denominator == 1:
+        assert _log10_upper(c.numerator) == u
+    if p < 2**300:
+        # sound: c**256 < 10**(256 u)
+        e = int(256 * u)
+        assert c.numerator**256 * 10 ** max(0, -e) < c.denominator**256 * 10 ** max(0, e)
 
 
 @st.composite
@@ -678,6 +740,87 @@ def test_alpha_hat_noninteger_scale_growth_cap(monkeypatch):
     lg = exc.value.log10_upper
     # sound: at least the size already reached, within the envelope's slack
     assert lg is not None and 500 < lg < 800
+
+
+def head_then_capped_walk(c, i, n, head_steps, step_budget, cap):
+    """alpha_hat of non-integer c as it ran with an uncapped literal head:
+    head_steps steps, then a walk that raises at the first k with a >=
+    10**cap or at k = head + step_budget + 1.  Returns whether some a(k), k
+    < min(i, head_steps), reached 10**cap, and the value or _outcome's
+    triple of an overflow."""
+    p, q = c.numerator, c.denominator
+    limit = 10**cap
+    a = (p * n + q - 1) // q + 1
+    head = min(i, head_steps)
+    crossed = False
+    for _ in range(head):
+        crossed = crossed or a >= limit
+        a = (p * (n + a) + q - 1) // q + 1
+    for k in range(head, i):
+        if a >= limit or k - head > step_budget:
+            envelope = Fraction(a) + (c * n + 2) / (c - 1)
+            bound = (i - k) * log10_upper_by_powers(c) + log10_upper_by_powers(envelope)
+            return crossed, ("overflow", bound, None)
+        a = (p * (n + a) + q - 1) // q + 1
+    return crossed, a
+
+
+@given(
+    q=st.integers(2, 50),
+    p_over_q=st.integers(1, 40),
+    n=st.one_of(st.integers(0, 1000), st.integers(0, 10**70)),
+    i=st.integers(0, 120),
+)
+@example(q=2, p_over_q=1, n=0, i=59)
+@example(q=2, p_over_q=1, n=0, i=60)
+@example(q=2, p_over_q=20, n=10**3, i=8)
+@example(q=2, p_over_q=20, n=10**55, i=8)
+@example(q=3, p_over_q=30, n=1, i=40)
+@example(q=7, p_over_q=1, n=10**61, i=5)
+def test_the_walk_raises_where_the_head_and_walk_raised(q, p_over_q, n, i):
+    # the walk, capped from its first step, gives the value or the exact
+    # bound of an uncapped head followed by the capped walk whenever that
+    # head stays under the cap; when the head crosses it, the walk raises
+    import hypkm.rates as rates_module
+
+    c = Fraction(p_over_q * q + 1, q)  # 1 < c <= 41, never an integer
+    crossed, reference = head_then_capped_walk(c, i, n, 8, 50, 60)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates_module, "HEAD_STEPS", 8)
+        mp.setattr(rates_module, "STEP_BUDGET", 50)
+        mp.setattr(rates_module, "GROWTH_DIGIT_CAP", 60)
+        got = _outcome(lambda: alpha_hat(alpha_scale_ceil(c), i, n))
+    assert got[0] == "overflow" if crossed else got == reference
+
+
+def test_the_walk_ends_on_the_step_budget():
+    # c = 1 + 10**-6 grows a by about n + 2 per step, far below the digit
+    # cap, so the walk raises at step HEAD_STEPS + STEP_BUDGET + 1, as the
+    # head and walk did
+    c, n, i = Fraction(1000001, 1000000), 5, 10**6
+    crossed, reference = head_then_capped_walk(c, i, n, HEAD_STEPS, STEP_BUDGET, GROWTH_DIGIT_CAP)
+    assert not crossed and reference[0] == "overflow"
+    assert _outcome(lambda: alpha_hat(alpha_scale_ceil(c), i, n)) == reference
+
+
+@given(p=st.integers(2, 10**6), n=st.integers(0, 10**30), i=st.integers(0, 40))
+@example(p=10**6, n=10**30, i=40)
+@example(p=10**6, n=0, i=33)
+@example(p=10**6, n=0, i=32)
+@example(p=2, n=0, i=40)
+def test_the_integer_head_obeys_the_digit_budget(p, n, i):
+    # budget 200 digits, head 40 steps: a head that _affine_jump's own
+    # estimate puts over the budget is never built, and the jump over all i
+    # steps raises with its bound; any other head is stepped exactly
+    import hypkm.rates as rates_module
+
+    a, add = p * n + 1, p * n + 1  # alpha_tilde(0, n) and the jump's increment
+    estimate = i * log10_upper_by_powers(p) + digit_count(a + add) + 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates_module, "DIGIT_BUDGET", 200)
+        mp.setattr(rates_module, "HEAD_STEPS", 40)
+        got = _outcome(lambda: alpha_hat(alpha_scale_ceil(p), i, n))
+    assert got == (("overflow", estimate - 2, None) if estimate > 200 else linear_alpha_hat(p, i, n))
 
 
 def test_describe_overflow_mantissa_is_upper_bound():
