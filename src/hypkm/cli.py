@@ -158,8 +158,10 @@ def _rate_line(name: str, compute) -> str:
         return f"{name} {describe_overflow(exc)}"
     digits = digit_count(v)
     if digits > MAX_PRINT_DIGITS:
-        # v < (lead + 1) * 10^(digits - 5)
-        lead = v // 10 ** (digits - 5)
+        # v < (lead + 1) * 10^k; floor(floor(v/2^k)/5^k) = floor(v/10^k),
+        # and 5**k costs half what 10**k does
+        k = digits - 5
+        lead = (v >> k) // 5**k
         bound = RateOverflowError(log10_upper=digits - 5 + _log10_upper(lead + 1))
         return f"{name} {describe_overflow(bound)}"
     return f"{name} = {decimal_string(v)}"

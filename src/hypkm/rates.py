@@ -134,6 +134,9 @@ _STR_BITS = 14_000
 #: leaves of the decimal_string split, converted by Decimal(int) directly.
 _LEAF_BITS = 200
 
+#: decimal_string sums a block of at most this many edges by its runs.
+_RUN_EDGES = 16
+
 
 def decimal_string(x: int) -> str:
     """Exact decimal text of x, equal to str(x).
@@ -144,16 +147,31 @@ def decimal_string(x: int) -> str:
     interpreter's int-to-str digit limit.  The context traps Inexact, so a
     rounding raises instead of changing a digit.  Divide and conquer after
     CPython's _pylong.int_to_decimal (gh-90716).  Without the C decimal
-    module this is str(x).
+    module this is str(x), with the digit limit lifted for the call.
 
-    A block of w bits that is all 0s or all 1s is 0 or 2**w - 1 and is not
-    split further.  The closed forms at c = 2, 2**s*(a + add) - add, are
-    long runs of 1s, so the anchor's split visits 55 blocks, not
-    32,767.  Each 2**w is the square of the cached 2**(w >> 1), doubled when
-    w is odd.
+    An edge of a block n is a bit that differs from the next bit up: the set
+    bits of n ^ (n >> 1), the top bit included.  n is a sum of runs of 1s,
+    each run [s, e) adding 2**e - 2**s.  A block of at most _RUN_EDGES edges
+    is not split but summed by Horner's rule from its top edge down, one
+    power of two per gap between edges and from the last edge to bit 0,
+    unless two gaps are longer than a leaf: Horner's rule would then
+    multiply two large numbers, where the split is cheaper.  That covers 0,
+    2**w - 1 and the closed forms at c = 2: for small a and add,
+    2**s*(a + add) - add is a few edges at each end of one long gap, so the
+    anchor costs one power ladder and a few linear steps.  Each 2**w is the
+    square of the cached 2**(w >> 1), doubled when w is odd.
     """
-    if x.bit_length() < _STR_BITS or _decimal is None:
+    if x.bit_length() < _STR_BITS:
         return str(x)
+    if _decimal is None:
+        if not hasattr(sys, "set_int_max_str_digits"):
+            return str(x)  # an interpreter without the digit limit
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(x)
+        finally:
+            sys.set_int_max_str_digits(limit)
     ctx = decimal.Context(
         prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
     )
@@ -174,15 +192,41 @@ def decimal_string(x: int) -> str:
             powers[w] = p
         return p
 
+    def run_gaps(n: int) -> Optional[list[int]]:
+        # the gaps from each edge t_0 > t_1 > ... of n to the next, the last
+        # to bit 0, counted from t_j + 1; None for more than _RUN_EDGES edges
+        # (the lowest _LEAF_BITS + 1 bits of most such blocks show it at a
+        # glance) or once two gaps are longer than a leaf, where Horner's rule
+        # would multiply two large numbers
+        low = n & ((2 << _LEAF_BITS) - 1)
+        if ((low ^ (low >> 1)) & ((1 << _LEAF_BITS) - 1)).bit_count() > _RUN_EDGES:
+            return None
+        edges = n ^ (n >> 1)
+        if edges.bit_count() > _RUN_EDGES:
+            return None
+        gaps, top, long = [], edges.bit_length(), 0
+        while edges:
+            edges ^= 1 << (top - 1)
+            gap, top = top - edges.bit_length(), edges.bit_length()
+            long += gap > _LEAF_BITS
+            if long > 1:
+                return None
+            gaps.append(gap)
+        return gaps
+
     def inner(n: int, w: int) -> decimal.Decimal:
         # n < 2**w: the top block is |x| at its bit length, and each split
         # keeps its halves below their widths
-        if n == 0:
-            return D(0)
-        if n.bit_count() == w:
-            return pow2(w) - 1
         if w <= _LEAF_BITS:
             return D(n)
+        gaps = run_gaps(n)
+        if gaps is not None:
+            # n = 2**(t_0+1) - 2**(t_1+1) + ..., less 1 when the edge count
+            # is odd and the last run reaches bit 0
+            acc = D(0)
+            for j, gap in enumerate(gaps):
+                acc = (acc - 1 if j & 1 else acc + 1) * pow2(gap)
+            return acc - (len(gaps) & 1)
         lo_w = w >> 1
         hi, lo = n >> lo_w, n & ((1 << lo_w) - 1)
         return inner(hi, w - lo_w) * pow2(lo_w) + inner(lo, lo_w)
@@ -355,7 +399,8 @@ def _affine_jump(a: int, mult: int, add: int, steps: int, context: str) -> int:
             log10_upper=lg,
             context=context,
         )
-    ms = mult**steps
+    # a power of two is a shift, not a chain of squarings
+    ms = 1 << steps * (mult.bit_length() - 1) if mult & (mult - 1) == 0 else mult**steps
     return ms * a + add * (ms - 1) // (mult - 1)
 
 

@@ -801,6 +801,19 @@ def test_rates_unprintable_exact_value_is_bounded_above(tmp_path, capsys, monkey
         assert len(str(exact[name])) <= int(m.group(4))
 
 
+def test_rates_bounds_an_exact_value_past_the_print_limit(tmp_path, capsys):
+    # h has 1,023,437 digits, past MAX_PRINT_DIGITS: its line is a bound read
+    # off its 5 leading digits, found as (h >> k) // 5**k with no 10**k
+    # built; sha256 of stdout taken while the lead was h // 10**k
+    cfg = {"K": 1, "alpha": {"kind": "scale_ceil", "c": 2}, "eps": "3/20", "b": "13/25"}
+    code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
+    assert code == 0 and err == ""
+    assert out.splitlines()[2] == "h <= 8.355e+1023436 (decimal digits <= 1023437)"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "09f1a61147dcd7e1456214a5381c24c711d1f56c28bdeeee40c1f1a435673b04"
+    )
+
+
 @pytest.mark.parametrize("eps", ["1e10000000", "1" * 10**6])
 def test_rates_refuses_slow_rational_strings(tmp_path, capsys, eps):
     cfg = {"K": 1, "alpha": {"kind": "identity"}, "eps": eps, "b": 1}

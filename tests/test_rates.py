@@ -42,10 +42,12 @@ from hypkm import (
 from hypkm.rates import (
     _EXP1_HI,
     _LEAF_BITS,
+    _RUN_EDGES,
     _STR_BITS,
     GROWTH_DIGIT_CAP,
     HEAD_STEPS,
     STEP_BUDGET,
+    _affine_jump,
     _exp1_hi_power,
     _log10_upper,
     decimal_string,
@@ -296,6 +298,50 @@ def renderer_inputs(draw):
     return x if draw(st.booleans()) else -x
 
 
+def from_runs(widths):
+    """The int whose runs of equal bits, from its top bit down, have these
+    widths, 1s first: it has one edge per run."""
+    x = 0
+    for j, width in enumerate(widths):
+        x = (x << width) | ((1 << width) - 1 if j % 2 == 0 else 0)
+    return x
+
+
+def test_from_runs_has_one_edge_per_run():
+    for widths in ([1], [3, 2], [1] * 7 + [60_000] + [1] * 8, [5_000] * _RUN_EDGES):
+        x = from_runs(widths)
+        assert x.bit_length() == sum(widths)
+        assert (x ^ (x >> 1)).bit_count() == len(widths)
+
+
+#: renderer inputs at the edges of the run sum: exactly _RUN_EDGES edges and
+#: one more, with one long gap or with many; the anchor's shape at the str()
+#: cutover; a long run of 0s; gaps of _LEAF_BITS and one more; and an edge on
+#: the first midpoint split
+RUN_EXAMPLES = [
+    from_runs([1] * 7 + [60_000] + [1] * 8),
+    from_runs([1] * 8 + [60_000] + [1] * 8),
+    from_runs([2] * 7 + [60_000] + [3] * 9),
+    from_runs([5_000] * _RUN_EDGES),
+    from_runs([5_000] * (_RUN_EDGES + 1)),
+    13 * (2**_STR_BITS - 1),
+    977 * 2**60_000 + 123_456_789,
+    from_runs([_LEAF_BITS, 60_000, _LEAF_BITS]),
+    from_runs([_LEAF_BITS + 1, 60_000, _LEAF_BITS + 1]),
+    from_runs([3, _LEAF_BITS, 3, 60_000, 1, _LEAF_BITS + 1]),
+    from_runs([_STR_BITS, _STR_BITS]),
+    from_runs([_STR_BITS + 1, _STR_BITS]),
+    from_runs([1] * 20 + [_STR_BITS - 20, _STR_BITS]),
+]
+
+
+def with_run_examples(test):
+    """test with each of RUN_EXAMPLES and its negative as an @example."""
+    for x in RUN_EXAMPLES:
+        test = example(-x)(example(x)(test))
+    return test
+
+
 @given(renderer_inputs())
 @example(0)
 @example(-1)
@@ -307,8 +353,40 @@ def renderer_inputs(draw):
 @example(13 * (2**60_000 - 1))
 @example(-13 * (2**60_000 - 1))
 @example(2**60_000)
+@with_run_examples
 def test_decimal_string_matches_str(x):
     assert decimal_string(x) == str_oracle(x)
+
+
+def test_decimal_string_without_the_c_decimal_module(monkeypatch):
+    # the fallback is str() with the int-to-str digit limit lifted for the
+    # call only; 2**20000 has 6,021 digits, past the default limit
+    import hypkm.rates as rates_module
+
+    monkeypatch.setattr(rates_module, "_decimal", None)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for x in (2**20_000, -(2**20_000) + 1, 13 * (2**60_000 - 1)):
+            assert decimal_string(x) == str_oracle(x)
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@given(
+    a=st.integers(0, 10**30),
+    mult=st.sampled_from([2, 4, 8, 2**20]),
+    add=st.integers(1, 10**30),
+    steps=st.integers(0, 3_000),
+)
+@example(a=0, mult=2, add=1, steps=0)
+@example(a=10**30, mult=2**20, add=10**30, steps=3_000)
+def test_affine_jump_by_a_power_of_two(a, mult, add, steps):
+    # steps iterations of x -> mult*x + add from a, written out as the
+    # geometric sum with the power built by **
+    ms = mult**steps
+    assert _affine_jump(a, mult, add, steps, "test") == ms * a + add * (ms - 1) // (mult - 1)
 
 
 # ---------------------------------------------------------------------------
