@@ -91,7 +91,7 @@ class AfppOracle:
                 f"{self.label} returned {u!r}, not a member of {self.space!r}"
             )
         r = self.space.distance(u, f(u))
-        if r > eps + DEFAULT_ETA:
+        if not (r <= eps + DEFAULT_ETA):
             raise OracleError(
                 f"{self.label} returned residual {r:.6g} > tolerance {eps:.6g}"
             )
@@ -111,16 +111,18 @@ class GridOracle(AfppOracle):
     comparison, so ties go to the earliest point scanned.  A point with
     residual 0 ends the scan at once: no later point can displace it.
 
-    Each point is evaluated at most once per solve: its residual is cached
-    and reused when a later mesh contains it again.  A new point u is
-    skipped, not evaluated, when some evaluated w has
-    r(w) - 2 d(u, w) > eps + DEFAULT_ETA; the Lipschitz bound then puts
-    r(u) above eps (Piyavskii 1972, Shubert 1972).  A point with r <= eps is
-    never skipped, so the first level holding one is the same level that
-    an exhaustive scan stops at, its first minimiser is evaluated, and the
-    same point is returned.  The meshes need not be nested.  The pruning
-    assumes the claimed nonexpansiveness up to DEFAULT_ETA; the post-check
-    in AfppOracle.solve does not, so a bad map still cannot yield a bad point.
+    A point is evaluated at most once per solve, and a new point u is
+    skipped when some evaluated w has r(w) - 2 d(u, w) > eps + DEFAULT_ETA;
+    the Lipschitz bound then puts r(u) above eps (Piyavskii 1972, Shubert
+    1972).  As d >= 0, only a w with r(w) above that cut can fire; these
+    pruners are kept in a list, and the one that fires is swapped to its
+    front.  Whether one fires does not depend on that order, so the order
+    changes no evaluation, answer or error.  A point with r <= eps is never
+    skipped, so the first level holding one is the same level that an
+    exhaustive scan stops at, its first minimiser is evaluated, and the same
+    point is returned.  The meshes need not be nested.  The pruning assumes
+    the claimed nonexpansiveness up to DEFAULT_ETA; the post-check in
+    AfppOracle.solve does not, so a bad map still cannot yield a bad point.
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
@@ -138,19 +140,27 @@ class GridOracle(AfppOracle):
     def _solve(self, f, eps):
         distance = self.space.distance
         cut = eps + DEFAULT_ETA
-        residuals: dict = {}
+        evaluated, pruners = set(), []
         step = self.space.diameter() / 4.0
         mesh = self.space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
             for u in mesh:
-                if u in residuals or any(r - 2.0 * distance(u, w) > cut for w, r in residuals.items()):
+                if u in evaluated:
                     continue
-                r = residuals[u] = distance(u, f(u))
-                if r == 0.0:
-                    return u
-                if r < best_r:
-                    best_u, best_r = u, r
+                for i, (w, r) in enumerate(pruners):
+                    if r - 2.0 * distance(u, w) > cut:
+                        pruners[0], pruners[i] = pruners[i], pruners[0]
+                        break
+                else:
+                    evaluated.add(u)
+                    r = distance(u, f(u))
+                    if r == 0.0:
+                        return u
+                    if r > cut:
+                        pruners.append((u, r))
+                    if r < best_r:
+                        best_u, best_r = u, r
             if best_r <= eps:
                 return best_u
             step /= 2.0
@@ -267,7 +277,7 @@ def approx_fixed_pair(
     Tp = T(p)
     residual = T.domain.distance(p, Tp)
     slice_residual = fiber.distance(xz, Tp[0])
-    if residual > max(slice_residual, 1.0 / n) + DEFAULT_ETA:
+    if not (residual <= max(slice_residual, 1.0 / n) + DEFAULT_ETA):
         raise InvariantError(
             f"lifted residual {residual:.6g} exceeds its structural bound "
             f"max({slice_residual:.6g}, 1/{n})"
@@ -311,7 +321,7 @@ def make_certificate(
     theorem: str,
 ) -> Certificate:
     residual = T.domain.distance(point, T(point))
-    if residual > eps_target:
+    if not (residual <= eps_target):
         raise InvariantError(
             f"certificate residual {residual:.6g} exceeds its target {eps_target:.6g}"
         )

@@ -111,6 +111,37 @@ def full_mesh_scan(space, f, eps):
             raise OracleError(f"refinement floor; best residual {best_r}") from None
 
 
+def pruned_mesh_scan(space, f, eps):
+    """The Lipschitz-pruned refinement loop with every evaluated point a
+    candidate pruner, tried in the order evaluated: the rule GridOracle
+    follows, whatever order it tries its pruners in."""
+    cut = eps + spaces.DEFAULT_ETA
+    residuals = {}
+    step = space.diameter() / 4.0
+    mesh = space.mesh(step)
+    best_u, best_r = None, math.inf
+    while True:
+        for u in mesh:
+            if u in residuals or any(r - 2.0 * space.distance(u, w) > cut for w, r in residuals.items()):
+                continue
+            r = residuals[u] = space.distance(u, f(u))
+            if r == 0.0:
+                return u
+            if r < best_r:
+                best_u, best_r = u, r
+        if best_r <= eps:
+            return best_u
+        step /= 2.0
+        try:
+            mesh = space.mesh(step)
+        except MeshCapError:
+            raise OracleError(
+                f"grid refinement floor reached at step {step * 2:.3g}; "
+                f"best residual {best_r:.6g} > tolerance {eps:.6g} "
+                "(the map may have no approximate fixed points)"
+            ) from None
+
+
 def _clamp(x, lo=0.0, hi=1.0):
     return min(max(x, lo), hi)
 
@@ -221,6 +252,34 @@ def test_grid_oracle_matches_full_mesh_scan(kind, data, eps):
             assert oracle.solve(f, eps) == expected
 
 
+@pytest.mark.parametrize("kind", sorted(ORACLE_SPACES))
+@settings(max_examples=100)
+@given(data=st.data(), eps=TOLERANCES)
+def test_grid_oracle_evaluates_what_the_unordered_rule_evaluates(kind, data, eps):
+    # whether some evaluated point prunes u does not depend on the order the
+    # candidates are tried in, so the oracle calls the map at the same
+    # points in the same order as the reference, and ends the same way
+    space, maps, caps = ORACLE_SPACES[kind]
+    g = data.draw(maps)
+    cap = data.draw(st.sampled_from(caps))
+    runs = []
+    for scan in (GridOracle(space).solve, lambda f, eps: pruned_mesh_scan(space, f, eps)):
+        calls = []
+        f = NonexpansiveMap(space, lambda u: calls.append(u) or g(u), "random")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "MESH_POINT_CAP", cap)
+            try:
+                outcome = scan(f, eps)
+            except OracleError as exc:
+                outcome = str(exc)
+        runs.append((calls, outcome))
+    (calls, outcome), (expected_calls, expected) = runs
+    if not isinstance(expected, str):
+        # the post-check in solve evaluates the answer once more
+        expected_calls.append(expected)
+    assert (calls, outcome) == (expected_calls, expected)
+
+
 def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
     # r(u) = |2u - 0.3| near 0 is exactly 2-Lipschitz: at step 1/8 the
     # evaluated point 0 (r = 0.3) bounds r(1/8) below by 0.3 - 2/8 = 0.05 = eps,
@@ -259,6 +318,30 @@ def test_grid_oracle_lift_work_count(monkeypatch):
     # each point is evaluated once per solve; the post-check in solve
     # evaluates the answer z a second time
     assert len(calls) - len(set(calls)) == 1
+
+
+@pytest.mark.parametrize("n, evaluations", [(100, 12), (500, 23), (2000, 35), (4000, 47)])
+def test_grid_oracle_lift_evaluations_pinned(monkeypatch, n, evaluations):
+    # the oracle's map evaluations on the scaled_coupling lift, each one an
+    # n-step slice orbit, then the post-check's at the answer z
+    calls = count_phi_calls(monkeypatch)
+    T = scaled_coupling(product(make_interval(0.0, 1.0), UNIT), 0.5, 0.1)
+    step = approx_fixed_pair(T, identity_map(UNIT), constant_schedule("1/2"), GridOracle(UNIT), n)
+    assert len(calls) == evaluations + 1 and calls[-1] == step.z
+
+
+def test_grid_oracle_lift_points_pinned(monkeypatch):
+    # the scaled_coupling lift at n=100 evaluates the first mesh, four points
+    # of the second and four of the third, where 0.1875 is within 1/100
+    calls = count_phi_calls(monkeypatch)
+    T = scaled_coupling(product(make_interval(0.0, 1.0), UNIT), 0.5, 0.1)
+    approx_fixed_pair(T, identity_map(UNIT), constant_schedule("1/2"), GridOracle(UNIT), 100)
+    assert calls == [
+        0.0, 0.25, 0.5, 0.75, 1.0,
+        0.125, 0.375, 0.625,
+        0.0625, 0.1875, 0.3125, 0.4375,
+        0.1875,
+    ]
 
 
 def test_grid_oracle_stops_at_a_zero_residual(monkeypatch):
@@ -333,6 +416,14 @@ def test_oracle_post_checks_residual():
     assert "residual" in str(exc.value)
 
 
+def test_oracle_post_check_rejects_a_nan_residual():
+    # nan > tolerance is False: the check must pass only r <= tolerance
+    bad = FixedAnswerOracle(UNIT, 0.5)
+    with pytest.raises(OracleError) as exc:
+        bad.solve(NonexpansiveMap(UNIT, lambda u: math.nan, "nan"), 0.1)
+    assert "residual nan" in str(exc.value)
+
+
 def test_oracle_rejects_nonpositive_tolerance():
     with pytest.raises(ArgumentError):
         GridOracle(UNIT).solve(identity_map(UNIT), 0.0)
@@ -341,6 +432,21 @@ def test_oracle_rejects_nonpositive_tolerance():
 # ---------------------------------------------------------------------------
 # the lift at a fixed index
 # ---------------------------------------------------------------------------
+
+
+def test_approx_fixed_pair_rejects_a_nan_residual():
+    # phi_2 is the identity, so the grid returns z = 0 with residual 0; the
+    # slice orbit 0, 1/2, 3/4 never evaluates the first coordinate at 3/4,
+    # where it is nan, so only the structural bound sees the lifted residual
+    T = ProductMap(
+        product(make_interval(0.0, 1.0), UNIT),
+        lambda p: (1.0 if p[0] < 0.75 else math.nan, p[1]),
+        "nan at 3/4",
+    )
+    delta = NonexpansiveMap(UNIT, lambda u: 0.0, "zero")
+    with pytest.raises(InvariantError) as exc:
+        approx_fixed_pair(T, delta, constant_schedule("1/2"), GridOracle(UNIT), 2)
+    assert "lifted residual nan" in str(exc.value)
 
 
 def test_approx_fixed_pair_rejects_index_zero():
@@ -625,6 +731,13 @@ def test_make_certificate_recomputes_and_rejects():
         make_certificate(ex.T, (0.9, 0.1), 0.5, 1, None, "tag")
     cert = make_certificate(ex.T, (0.3, 0.3), 0.5, 1, None, "tag")
     assert cert.residual == 0.0
+
+
+def test_make_certificate_rejects_a_nan_residual():
+    T = ProductMap(product(make_interval(0.0, 1.0), UNIT), lambda p: (math.nan, p[1]), "nan")
+    with pytest.raises(InvariantError) as exc:
+        make_certificate(T, (0.3, 0.3), 0.5, 1, None, "tag")
+    assert "certificate residual nan" in str(exc.value)
 
 
 def test_certificate_record_shape():
