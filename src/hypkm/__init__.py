@@ -68,7 +68,6 @@ from .rates import (
     alpha_hat,
     alpha_identity,
     alpha_plus,
-    alpha_prime,
     alpha_scale_ceil,
     alpha_table,
     alpha_tilde,

@@ -312,6 +312,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if unread:
             raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
         if args.command == "demo":
+            if args.config is not None:
+                raise ConfigError("demo does not read --config")
             cfg = {}
         elif not args.config:
             raise ConfigError(f"{args.command} needs --config")
@@ -337,7 +339,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     finally:
         if guarded:
             sys.set_int_max_str_digits(previous)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

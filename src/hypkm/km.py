@@ -179,7 +179,6 @@ class ScheduleReport:
     horizon: int
     valid: bool
     first_violation: Optional[ScheduleViolation]
-    notes: list[str]
 
     def summary(self) -> str:
         if self.valid:
@@ -202,16 +201,14 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     """
     if horizon < 0:
         raise ArgumentError(f"horizon must be a natural, got {horizon}")
-    notes: list[str] = []
     cap = 1 - Fraction(1, sched.K)
     v, alpha = sched.constant, sched.alpha
     if isinstance(v, Fraction) and 0 <= v < 1 and v <= cap:
         if alpha.table is None and alpha.c * v >= 1:
-            return ScheduleReport(horizon, True, None, notes)
-    float_mode_seen = False
+            return ScheduleReport(horizon, True, None)
 
     def violation(n: int, clause: str, detail: str) -> ScheduleReport:
-        return ScheduleReport(horizon, False, ScheduleViolation(n, clause, detail), notes)
+        return ScheduleReport(horizon, False, ScheduleViolation(n, clause, detail))
 
     for n in range(horizon + 1):
         lam_n = sched.lam_at(n)
@@ -224,17 +221,11 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
         if isinstance(s, float):
             slack = (a_n + 1) * FLOAT_SUM_SLACK
             ok = n <= s - slack
-            if not float_mode_seen:
-                notes.append(
-                    "partial sums beyond the exact cap use float summation "
-                    f"with slack {slack:.3e} per comparison"
-                )
-                float_mode_seen = True
         else:
             ok = n <= s
         if not ok:
             return violation(n, "sum_witness", f"sum of lam_0..lam_{a_n} = {float(s):.6g} < n = {n}")
-    return ScheduleReport(horizon, True, None, notes)
+    return ScheduleReport(horizon, True, None)
 
 
 def require_valid_schedule(sched: Schedule, horizon: int) -> None:

@@ -121,7 +121,7 @@ def falsify_nonexpansive(
         y = f.domain.sample(rng)
         dxy = d(x, y)
         dim = d(f(x), f(y))
-        if dim > dxy + DEFAULT_ETA:
+        if not (dim <= dxy + DEFAULT_ETA):
             return Counterexample(x, y, dxy, dim)
     return None
 

@@ -204,16 +204,6 @@ class FamilyInvarianceReport:
     violations: list
     ok: bool
 
-    def summary(self) -> str:
-        if self.ok:
-            return f"fiber invariance held on {self.samples} samples"
-        x, u, img = self.violations[0]
-        return (
-            f"fiber invariance failed on {len(self.violations)} of "
-            f"{self.samples} samples; first: T({x!r}, {u!r}) has first "
-            f"coordinate {img!r} outside the fiber at u"
-        )
-
 
 def check_family_invariance(
     T: ProductMap, samples: int
@@ -404,18 +394,18 @@ def certified_run(
         )
     d_sel = fiber.distance(delta(z), xstar)
     r_star = fiber.distance(xstar, T.fn((xstar, z))[0])
-    if d_sel > float(b1_f) + DEFAULT_ETA:
+    if not (d_sel <= float(b1_f) + DEFAULT_ETA):
         raise ProbeContractError(
             f"probe at u={z!r}: distance {d_sel:.6g} from the selection "
             f"value exceeds b1={float(b1_f):.6g}"
         )
-    if r_star > float(b2_f) + DEFAULT_ETA:
+    if not (r_star <= float(b2_f) + DEFAULT_ETA):
         raise ProbeContractError(
             f"probe at u={z!r}: slice residual {r_star:.6g} exceeds "
             f"b2={float(b2_f):.6g}"
         )
     sel_res = fiber.distance(delta(z), T.fn((delta(z), z))[0])
-    if sel_res > float(2 * b1_f + b2_f) + DEFAULT_ETA:
+    if not (sel_res <= float(2 * b1_f + b2_f) + DEFAULT_ETA):
         raise InvariantError(
             f"selection displacement {sel_res:.6g} exceeds 2*b1+b2; "
             "the probe contract makes that impossible for a nonexpansive slice"
@@ -477,7 +467,7 @@ def _precheck_orbit_bound(T, delta, sched, bound, budget, seed):
             # is the earlier fault and is reported instead
             for j, x in enumerate(orbit, 1):
                 d = fiber.distance(x0, x)
-                if d > bound + DEFAULT_ETA:
+                if not (d <= bound + DEFAULT_ETA):
                     raise ProbeContractError(
                         f"orbit bound {bound} violated at u={u!r}, step {j}: "
                         f"distance {d:.6g}"
@@ -543,7 +533,7 @@ def solve_product_afpp(
                 lambda: rate_g_tilde(eps_k, bound_f, sched.K, sched.alpha), budget
             )
             step = approx_fixed_pair(T, delta, sched, oracle, n)
-            if not truncated and step.residual > float(eps_k) + DEFAULT_ETA:
+            if not truncated and not (step.residual <= float(eps_k) + DEFAULT_ETA):
                 raise InvariantError(
                     f"residual {step.residual:.6g} exceeds the attempt "
                     f"tolerance {float(eps_k):.6g} at the certified index {n}"
@@ -618,7 +608,7 @@ def check_uniform_displacement(
         disp = fiber.distance(x, T.fn((x, u))[0])
         if disp > worst:
             worst, argmax = disp, u
-        if disp > b + DEFAULT_ETA and violator is None:
+        if not (disp <= b + DEFAULT_ETA) and violator is None:
             violator = u
     return DisplacementReport(
         samples=samples,
@@ -641,7 +631,6 @@ class ProductExample:
     T.domain; every example steps by 1/2 and solves the parameter space
     with a GridOracle on T.domain.right."""
 
-    name: str
     T: ProductMap
     delta: SelectionFunction
     probe: Optional[Callable[[Point], Point]]
@@ -668,7 +657,6 @@ def diagonal_example() -> ProductExample:
     so the infimum residual is 0 and the lift should reach it exactly."""
     M = make_interval(0.0, 1.0)
     return ProductExample(
-        name="diagonal",
         T=coupled_average(product(make_interval(0.0, 1.0), M)),
         delta=identity_map(M),
         probe=lambda u: u,
@@ -684,7 +672,6 @@ def constant_example() -> ProductExample:
     constant, and the achieved residual decays like the step products."""
     M = make_interval(0.0, 1.0)
     return ProductExample(
-        name="constant",
         T=constant_pair(product(make_interval(0.0, 1.0), M), 1.0, 0.5),
         delta=constant_map(M, 0.0),
         probe=lambda u: 1.0,
@@ -700,7 +687,6 @@ def drop_example() -> ProductExample:
     orbit walks to the fixed point 0, residual 1 until x dips below 1."""
     M = make_interval(0.0, 1.0)
     return ProductExample(
-        name="drop",
         T=clamped_drop(product(make_interval(0.0, 10.0), M), 1.0),
         delta=NonexpansiveMap(M, lambda u: 5.0, "constant(5.0)"),
         probe=lambda u: 0.0,
@@ -716,7 +702,6 @@ def drift_example() -> ProductExample:
     identically 1, so 1 is the exact infimum product residual."""
     M = make_interval(0.0, 1.0)
     return ProductExample(
-        name="drift",
         T=unit_drift(product(make_real_line(), M)),
         delta=constant_map(M, 0.0),
         probe=lambda u: 0.0,
@@ -745,7 +730,6 @@ def family_valid_example() -> ProductExample:
     [0, (1+u)/2], inside every fiber, and 0 is fixed in each slice."""
     H = _growing_family_space()
     return ProductExample(
-        name="family_valid",
         T=family_halving(H),
         delta=constant_map(H.right, 0.0),
         probe=lambda u: 0.0,
@@ -761,7 +745,6 @@ def family_violating_example() -> ProductExample:
     exercise the invariance checker."""
     H = _growing_family_space()
     return ProductExample(
-        name="family_violating",
         T=family_drift(H),
         delta=constant_map(H.right, 0.0),
         probe=None,
@@ -779,7 +762,6 @@ def family_const_example() -> ProductExample:
     C, M = make_interval(0.0, 1.0), make_interval(0.0, 1.0)
     H = family_product(M, lambda u: C, identity_map(M), C, label="interval[0,1]")
     return ProductExample(
-        name="family_const",
         T=coupled_average(H),
         delta=identity_map(M),
         probe=lambda u: u,

@@ -319,7 +319,7 @@ def alpha_double() -> AlphaFn:
 def alpha_scale_ceil(c) -> AlphaFn:
     """n -> ceil(c*n) for rational c >= 1.
 
-    c >= 1 keeps alpha_prime nondecreasing in its first argument, which the
+    c >= 1 keeps alpha(n+i) - i + 1 nondecreasing in i, which the
     closed form used by alpha_plus relies on.
     """
     c = as_fraction(c)
@@ -347,24 +347,17 @@ def require_alpha_fn(alpha) -> None:
 # ---------------------------------------------------------------------------
 
 
-def alpha_prime(alpha: AlphaFn, i: int, n: int) -> int:
-    """alpha(n+i) - i + 1; may be negative."""
-    if i < 0 or n < 0:
-        raise ArgumentError("indices must be naturals")
-    return alpha(n + i) - i + 1
-
-
 def _table_plus(table: tuple[int, ...], n: int) -> list[int]:
     """alpha_plus(j, n) of the table law for j = 0 .. max(0, len - n): the
     prefix maxima of table[min(n+j, len-1)] - j + 1.  Past the first
-    clamped index alpha_prime decreases strictly, so the last entry is
+    clamped index the terms decrease strictly, so the last entry is
     alpha_plus(i, n) for every larger i."""
     terms = table[n:] + table[-1:]
     return list(itertools.accumulate((v - j + 1 for j, v in enumerate(terms)), max))
 
 
 def alpha_plus(alpha: AlphaFn, i: int, n: int) -> int:
-    """max{alpha_prime(j, n) : 0 <= j <= i}, always >= 1, since the j=0 term
+    """max{alpha(n+j) - j + 1 : 0 <= j <= i}, always >= 1, since the j=0 term
     is alpha(n)+1.  Exact closed forms: on the linear law the max sits at
     j = i, and a table indexes its prefix maxima."""
     if i < 0 or n < 0:
@@ -372,7 +365,7 @@ def alpha_plus(alpha: AlphaFn, i: int, n: int) -> int:
     if alpha.table is not None:
         plus = _table_plus(alpha.table, n)
         return plus[min(i, len(plus) - 1)]
-    # c >= 1 makes alpha_prime nondecreasing, so the max sits at j=i:
+    # c >= 1 makes each term nondecreasing in j, so the max sits at j=i:
     # ceil(c(n+i)) - i + 1, the ceiling as -floor(-p(n+i)/q)
     c = alpha.c
     if type(c) is int:

@@ -572,7 +572,6 @@ AXIOM_NAMES = (
 
 @dataclass
 class AxiomResult:
-    name: str
     max_violation: float = 0.0
     counterexample: Optional[tuple] = None
 
@@ -690,5 +689,5 @@ def check_axioms(
                 c8 = (x, y)
     found = zip((m0, m1, m2, m3, m4, m5, m6, m7, m8), (c0, c1, c2, c3, c4, c5, c6, c7, c8))
     for name, (top, witness) in zip(AXIOM_NAMES if has_w else AXIOM_NAMES[:4], found):
-        report.results[name] = AxiomResult(name, top, witness)
+        report.results[name] = AxiomResult(top, witness)
     return report

@@ -228,19 +228,6 @@ class GkReport:
     first_violation: Optional[tuple]
     ok: bool
 
-    def summary(self) -> str:
-        if self.ok:
-            return (
-                f"all {self.samples} sampled pairs within 2*D1+1 = "
-                f"{self.bound:.6g} (max {self.max_distance:.6g})"
-            )
-        x, y = self.first_violation
-        return (
-            f"distance {self.max_distance:.6g} > {self.bound:.6g} at "
-            f"({x!r}, {y!r}): the set is too wide for a uniform displacement "
-            "modulus with this D1"
-        )
-
 
 def gk_boundedness_check(
     C: Space, D1, samples: int
@@ -262,7 +249,7 @@ def gk_boundedness_check(
         d = C.distance(x, y)
         if d > worst:
             worst, worst_pair = d, (x, y)
-        if d > bound and violation is None:
+        if not (d <= bound) and violation is None:
             violation = (x, y)
     return GkReport(
         samples=samples,
@@ -288,10 +275,11 @@ class UafppCheckReport:
         if self.ok:
             return head + "; every witness met both clauses"
         label, x, clause, value, bound = self.failures[0]
+        found = repr(value) if bound is None else f"{fmt_number(value)} > {fmt_number(bound)}"
         return (
             head
             + f"; {len(self.failures)} failures, first on {label} at x={x!r}:"
-            f" {clause} {fmt_number(value)} > {fmt_number(bound)}"
+            f" {clause} {found}"
         )
 
 
@@ -307,9 +295,9 @@ def check_uafpp_empirically(
     """Test a claimed displacement modulus against live witness producers.
 
     entries pair each map with a probe(T, x) -> x*.  For sampled starts whose
-    residual is within b, the probe's candidate must sit within D(eps, b) of
-    the start and have residual at most eps.  Failures are listed, not
-    raised: refuting a bad modulus is a supported outcome.
+    residual is within b, the probe's candidate must lie in space, sit within
+    D(eps, b) of the start and have residual at most eps.  Failures are
+    listed, not raised: refuting a bad modulus is a supported outcome.
     """
     if samples < 1:
         raise ArgumentError("samples must be >= 1")
@@ -329,11 +317,14 @@ def check_uafpp_empirically(
                 continue
             eligible += 1
             xstar = probe(T, x)
+            if not space.contains(xstar):
+                failures.append((T.label, x, "witness outside the space", xstar, None))
+                continue
             dx = space.distance(x, xstar)
             rstar = space.distance(xstar, T(xstar))
-            if dx > D_slack:
+            if not (dx <= D_slack):
                 failures.append((T.label, x, "displacement", dx, D_slack))
-            if rstar > epsf + DEFAULT_ETA:
+            if not (rstar <= epsf + DEFAULT_ETA):
                 failures.append((T.label, x, "witness residual", rstar, epsf))
     return UafppCheckReport(
         samples=total, eligible=eligible, failures=failures, ok=not failures

@@ -1538,6 +1538,12 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, cfg, fl
     assert code == 2 and out == "" and flags[0] in err
 
 
+def test_demo_refuses_a_config_exit_2(tmp_path, capsys):
+    # demo reads no config: a file given to it is refused, not ignored
+    code, out, err = run_cli(tmp_path, capsys, "demo", {"junk": 1})
+    assert (code, out, err) == (2, "", "config error: demo does not read --config\n")
+
+
 # ---------------------------------------------------------------------------
 # fuzz: one bad leaf in each README config never escapes as an exception
 # ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ def test_falsify_finds_expansion():
         falsify_nonexpansive(identity_map(space), 0)
 
 
+def test_falsify_flags_nan_images():
+    # nan > bound is False: an image that is not a number must not pass
+    space = make_interval(0.0, 1.0)
+    ce = falsify_nonexpansive(NonexpansiveMap(space, lambda x: math.nan, "nan"), 50, seed=0)
+    assert ce is not None and math.isnan(ce.d_images)
+
+
 def test_counterexample_excess():
     ce = Counterexample(x=0.0, y=1.0, dxy=1.0, d_images=1.5)
     assert ce.excess == 0.5

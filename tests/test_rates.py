@@ -26,7 +26,6 @@ from hypkm import (
     alpha_hat,
     alpha_identity,
     alpha_plus,
-    alpha_prime,
     alpha_scale_ceil,
     alpha_table,
     alpha_tilde,
@@ -431,15 +430,6 @@ CATALOG = [
     alpha_table((0, 2, 9, 20)),
     alpha_table((5, 5, 5)),
 ]
-
-
-def test_alpha_prime_formula():
-    for alpha in CATALOG:
-        for i in range(8):
-            for n in range(6):
-                assert alpha_prime(alpha, i, n) == alpha(n + i) - i + 1
-    # may be negative once i outruns the witness
-    assert alpha_prime(alpha_table((0,)), 5, 0) == -4
 
 
 @pytest.mark.parametrize("alpha", CATALOG, ids=lambda a: a.label)

@@ -276,7 +276,6 @@ def test_km_witness_budget_exhaustion(monkeypatch):
 def test_gk_boundedness_unit_interval_passes():
     rep = gk_boundedness_check(UNIT, 1, samples=40)
     assert rep.ok and rep.max_distance <= 1.0
-    assert "within 2*D1+1 = 3" in rep.summary()
 
 
 def test_gk_boundedness_tight_diameter_passes():
@@ -290,9 +289,18 @@ def test_gk_boundedness_refutes_wide_set():
     rep = gk_boundedness_check(make_interval(0.0, 20.0), Fraction(9, 2), samples=40)
     assert not rep.ok and rep.first_violation is not None
     assert rep.max_distance > 10.0
-    assert "too wide" in rep.summary()
     with pytest.raises(ArgumentError):
         gk_boundedness_check(UNIT, 1, samples=0)
+
+
+def test_gk_boundedness_refutes_a_nan_distance():
+    # nan > bound is False: a distance that is not a number must not pass
+    class NanDistance(type(UNIT)):
+        def distance(self, x, y):
+            return math.nan
+
+    rep = gk_boundedness_check(NanDistance(0.0, 1.0), 1, samples=20)
+    assert not rep.ok and rep.first_violation is not None
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +360,35 @@ def test_check_uafpp_refutes_small_modulus():
     assert "failures, first on" in report.summary()
     with pytest.raises(ArgumentError):
         check_uafpp_empirically(UNIT, [(T, good_probe)], 1, 1, phi, samples=0)
+
+
+def test_check_uafpp_flags_a_nan_witness():
+    # a nan witness is outside every space, and its distances compare False
+    phi = UafppModulus(D_of=lambda e, b: Fraction(1), label="diam")
+    T = interval_affine(UNIT, 0.5, 0.0)
+    report = check_uafpp_empirically(UNIT, [(T, lambda T, x: math.nan)], Fraction(1, 4), 2, phi)
+    assert not report.ok
+    assert len(report.failures) == report.eligible == report.samples
+    assert {f[2] for f in report.failures} == {"witness outside the space"}
+    assert "witness outside the space nan" in report.summary()
+    # the witness 0 is a point of [0, 1], but the map is nan there
+    T = NonexpansiveMap(UNIT, lambda x: math.nan if x == 0.0 else x / 2, "nan at 0")
+    report = check_uafpp_empirically(UNIT, [(T, lambda T, x: 0.0)], Fraction(1, 4), 2, phi)
+    assert not report.ok
+    assert len(report.failures) == report.samples
+    assert {f[2] for f in report.failures} == {"witness residual"}
+
+
+def test_check_uafpp_flags_a_witness_outside_the_space():
+    # the identity fixes 3/2 and every x in [1/2, 1] is within D = 1 of it,
+    # but 3/2 is not a point of [0, 1]
+    phi = UafppModulus(D_of=lambda e, b: Fraction(1), label="diam")
+    T = NonexpansiveMap(UNIT, lambda x: x, "identity")
+    report = check_uafpp_empirically(UNIT, [(T, lambda T, x: 1.5)], Fraction(1, 4), 2, phi)
+    assert not report.ok
+    assert len(report.failures) == report.samples
+    assert {f[2] for f in report.failures} == {"witness outside the space"}
+    assert report.failures[0][3:] == (1.5, None)
 
 
 def test_check_uafpp_astronomical_modulus_stays_exact():
