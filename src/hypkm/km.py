@@ -263,9 +263,6 @@ class ResidualTrace:
     residuals: list[float]
     first: int = 0
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     @property
     def final_residual(self) -> float:
         return self.residuals[-1]

@@ -102,10 +102,6 @@ class Counterexample:
     dxy: float
     d_images: float
 
-    @property
-    def excess(self) -> float:
-        return self.d_images - self.dxy
-
 
 def falsify_nonexpansive(
     f: NonexpansiveMap, trials: int, seed: int = 0

@@ -606,7 +606,7 @@ def check_uniform_displacement(
         fiber = T.domain.slice_space(u)
         x = delta(u)
         disp = fiber.distance(x, T.fn((x, u))[0])
-        if disp > worst:
+        if not (disp <= worst or math.isnan(worst)):  # the first nan stays the max
             worst, argmax = disp, u
         if not (disp <= b + DEFAULT_ETA) and violator is None:
             violator = u
@@ -638,10 +638,6 @@ class ProductExample:
     b2: Fraction
     orbit_bound: Optional[Fraction]
     r_star: Optional[float]
-
-    @property
-    def space(self) -> FamilyProduct:
-        return self.T.domain
 
     @property
     def sched(self) -> Schedule:

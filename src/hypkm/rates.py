@@ -32,21 +32,12 @@ try:
 except ImportError:  # pure-Python decimal: its multiplication is quadratic
     _decimal = None
 
-#: steps of the alpha_hat recursion on the linear law of integer c
-#: evaluated literally, one step a <- c(n+a) + 1 at a time, before the
-#: closed-form jump, unless they would pass the digit budget; keeps the
-#: tested range on the real recursion rather than on algebra derived from
-#: it.  Tables step through their prefix maxima instead.
-HEAD_STEPS = 512
-
-#: the literal walk of non-integer c raises at step HEAD_STEPS + STEP_BUDGET + 1.
+#: the jump of non-integer c raises past this many steps: values that grow
+#: slowly are stepped literally, one step at a time.
 STEP_BUDGET = 300_000
 
 #: largest exact integer we will materialize, in decimal digits.
 DIGIT_BUDGET = 1_050_000
-
-#: the literal walk of non-integer c raises once a has more digits.
-GROWTH_DIGIT_CAP = 20_000
 
 #: rational upper bound on log10(3), used in soundness estimates.
 LOG10_3_UPPER = Fraction(4771213, 10**7)
@@ -378,23 +369,46 @@ def alpha_tilde(alpha: AlphaFn, i: int, n: int) -> int:
     return i + alpha_plus(alpha, i, n)
 
 
-def _affine_jump(a: int, mult: int, add: int, steps: int, context: str) -> int:
-    """Exact result of `steps` iterations of x -> mult*x + add from a.
+def _linear_jump(a: int, p: int, q: int, n: int, steps: int, context: str) -> int:
+    """Exact result of `steps` steps of the linear law's recursion a <- f(a)
+    = ceil(p(n + a)/q) + 1 from a, for c = p/q >= 1.
 
-    Refuses (with a sound log10 upper bound) when the result would exceed
-    the digit budget.
+    f(x) <= c*x + (p*n + 2q - 1)/q, so with e = ceil((p*n + 2q - 1)/d), d =
+    q for c >= 2 and p - q below, f(x) + e <= c(x + e) and the value is
+    below c**steps * (a + e).  Refuses, with that sound log10 upper bound,
+    when the value would exceed the digit budget, or when c is not an
+    integer and steps exceed the step budget.  Integer c has a closed form
+    (f is affine); otherwise f(q*m + r) = p*m + f(r), so f**k(q**k * m + r)
+    = p**k * m + f**k(r), and k is split in halves down to literal leaves.
     """
-    if mult == 1:
-        return a + steps * add
-    lg = steps * _log10_upper(mult) + digit_count(a + add)  # value <= mult**steps * (a + add)
-    if lg + 2 > DIGIT_BUDGET:
-        raise RateOverflowError(
-            log10_upper=lg,
-            context=context,
-        )
-    # a power of two is a shift, not a chain of squarings
-    ms = 1 << steps * (mult.bit_length() - 1) if mult & (mult - 1) == 0 else mult**steps
-    return ms * a + add * (ms - 1) // (mult - 1)
+    if p == q:  # c = 1: f(a) = a + n + 1
+        return a + steps * (n + 1)
+    e = -(-(p * n + 2 * q - 1) // (q if p >= 2 * q else p - q))
+    over_steps = q > 1 and steps > STEP_BUDGET
+    # within 3 * DIGIT_BUDGET bits the bound is below 0.92 * DIGIT_BUDGET + 1
+    if over_steps or steps * p.bit_length() + (a + e).bit_length() > 3 * DIGIT_BUDGET:
+        lg = steps * _log10_upper(Fraction(p, q)) + digit_count(a + e)
+        if over_steps or lg + 2 > DIGIT_BUDGET:
+            raise RateOverflowError(log10_upper=lg, context=context)
+    if q == 1:
+        # a power of two is a shift, not a chain of squarings
+        ps = 1 << steps * (p.bit_length() - 1) if p & (p - 1) == 0 else p**steps
+        return ps * a + e * (ps - 1) // (p - 1)
+    power = functools.cache(pow)  # p**k and q**k, each built once per call
+
+    def jump(x: int, k: int) -> int:
+        # x < 2**(k * (bits(q) - 1)) <= q**k means m = 0: q**k is not built
+        m = 0
+        if x.bit_length() > k * (q.bit_length() - 1):
+            m, x = divmod(x, power(q, k))
+        if k <= 64:
+            for _ in range(k):
+                x = -(-p * (n + x) // q) + 1
+        else:
+            x = jump(jump(x, k >> 1), k - (k >> 1))
+        return power(p, k) * m + x if m else x
+
+    return jump(a, steps)
 
 
 def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
@@ -403,10 +417,9 @@ def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
 
     A table steps through its prefix maxima, built once, until a reaches
     the first clamped index, where the increment goes constant, and then
-    jumps.  The linear law of integer c runs HEAD_STEPS iterations literally,
-    then jumps in closed form (the recursion is affine in a(k)); non-integer
-    c steps literally under a growth cap from the first step.  Results over
-    the digit budget raise RateOverflowError with a sound magnitude bound.
+    jumps.  The linear law jumps over all i steps at once (_linear_jump).
+    Results over the digit budget raise RateOverflowError with a sound
+    magnitude bound.
     """
     if i < 0 or n < 0:
         raise ArgumentError("indices must be naturals")
@@ -418,38 +431,8 @@ def alpha_hat(alpha: AlphaFn, i: int, n: int) -> int:
             a += plus[a]
             k += 1
         return a + (i - k) * plus[last]
-    a = alpha_tilde(alpha, 0, n)
-    p, q = alpha.c.numerator, alpha.c.denominator
     ctx = f"alpha_hat({alpha.label}, {fmt_number(i)}, {fmt_number(n)})"
-    if q == 1:
-        # a <- c(n+a) + 1 = c*a + add literally, unless _affine_jump's estimate
-        # puts the head over budget (it is < 0.31 * bits + 3, so a head these
-        # bits allow fits); then the jump over all i steps raises
-        head, add = min(i, HEAD_STEPS), p * n + 1
-        bits = head * p.bit_length() + (a + add).bit_length()
-        if bits > DIGIT_BUDGET and head * _log10_upper(p) + digit_count(a + add) + 2 > DIGIT_BUDGET:
-            head = 0
-        for _ in range(head):
-            a = p * a + add
-        return a if head == i else _affine_jump(a, p, add, i - head, ctx)
-    # non-integer c: step literally, capped from the first step; a < 8**cap
-    # while it has at most 3*cap bits, so the limit is built once, if at all
-    limit = None
-    for k in range(i):
-        if limit is None and a.bit_length() > 3 * GROWTH_DIGIT_CAP:
-            limit = 10**GROWTH_DIGIT_CAP
-        if k > HEAD_STEPS + STEP_BUDGET or limit is not None and a >= limit:
-            c = alpha.c
-            # per step, a' <= c*a + c*n + 2, so after r more steps
-            # a <= c**r * (a + (c*n + 2)/(c - 1))
-            r = i - k
-            envelope = Fraction(a) + (c * n + 2) / (c - 1)
-            raise RateOverflowError(
-                log10_upper=r * _log10_upper(c) + _log10_upper(envelope),
-                context=ctx,
-            )
-        a = -(-p * (n + a) // q) + 1
-    return a
+    return _linear_jump(alpha_tilde(alpha, 0, n), alpha.c.numerator, alpha.c.denominator, n, i, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,8 @@ def banach_fixed_point(T: NonexpansiveMap, x: Point, k, tol) -> BanachRun:
     space = T.domain
     target = (1 - kf) * tolf
     r0 = space.distance(x, T(x))
+    if not math.isfinite(r0):
+        raise ArgumentError(f"initial residual {r0} is not finite")
     if r0 <= target:
         return BanachRun(x, 0, r0, r0, r0 / (1 - kf))
     # residuals shrink by k per step, so this many always suffice
@@ -188,15 +190,15 @@ def banach_fixed_point(T: NonexpansiveMap, x: Point, k, tol) -> BanachRun:
     for n in range(cap):
         nxt = T(cur)
         r_next = space.distance(nxt, T(nxt))
-        if r_next > kf * r + DEFAULT_ETA:
+        if not (r_next <= kf * r + DEFAULT_ETA):
             raise ArgumentError(
-                f"ratio test failed at step {n}: residual {r_next:.6g} > "
+                f"ratio test failed at step {n}: residual {r_next:.6g} is not <= "
                 f"k * {r:.6g}; {k} is not a contraction constant for this map"
             )
         cur, r = nxt, r_next
         if r <= target:
             bound = r0 / (1 - kf)
-            if space.distance(x, cur) > bound + DEFAULT_ETA:
+            if not (space.distance(x, cur) <= bound + DEFAULT_ETA):
                 raise InvariantError(
                     "displacement exceeded its geometric-series bound"
                 )
@@ -247,7 +249,7 @@ def gk_boundedness_check(
     for _ in range(samples):
         x, y = C.sample(rng), C.sample(rng)
         d = C.distance(x, y)
-        if d > worst:
+        if not (d <= worst or math.isnan(worst)):  # the first nan stays the max
             worst, worst_pair = d, (x, y)
         if not (d <= bound) and violation is None:
             violation = (x, y)

@@ -317,7 +317,7 @@ def test_orbit_to_zero_map():
     assert trace.points == [1.0, 0.5, 0.25, 0.125, 0.0625]
     assert trace.residuals == [1.0, 0.5, 0.25, 0.125, 0.0625]
     assert trace.final_residual == 0.0625
-    assert len(trace) == 5
+    assert len(trace.points) == 5
 
 
 def test_orbit_identity_residuals_zero():
@@ -660,7 +660,7 @@ def _joined(blocks):
     that each starts where the last one ended."""
     points, residuals, rows = [], [], []
     for block in blocks:
-        assert block.first == len(points) and 1 <= len(block) <= km.BLOCK_ROWS
+        assert block.first == len(points) and 1 <= len(block.points) <= km.BLOCK_ROWS
         assert len(block.points) == len(block.residuals)
         points += block.points
         residuals += block.residuals

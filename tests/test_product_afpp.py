@@ -770,7 +770,7 @@ def test_certificate_record_shape():
     assert rec["point"] == [0.96875, 0.5]
     assert rec["residual"] == "0.03125"
     assert rec["n_used"] == 5 and rec["bound_used"] == 7
-    assert rec["space"] == ex.space.descriptor
+    assert rec["space"] == ex.T.domain.descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +805,7 @@ def test_family_drift_violation_arithmetic():
     bad = family_violating_example()
     img = bad.T((1.5, 0.1))[0]
     assert img == 1.6
-    assert not bad.space.slice_space(0.1).contains(img)
+    assert not bad.T.domain.slice_space(0.1).contains(img)
 
 
 def test_family_const_run_matches_diagonal_byte_for_byte():
@@ -844,6 +844,8 @@ def test_displacement_flags_a_nan_displacement():
     delta = NonexpansiveMap(UNIT, lambda u: 0.0, "zero")
     rep = check_uniform_displacement(T, delta, 1.0, samples=20)
     assert not rep.ok and rep.first_violation is not None
+    # the running maximum reports the first nan and its parameter, not -inf
+    assert math.isnan(rep.max_displacement) and rep.argmax == rep.first_violation
 
 
 def test_displacement_drift_bound_one_tight():
@@ -874,7 +876,7 @@ def test_examples_catalog_complete():
     }
     for build in EXAMPLES.values():
         ex = build()
-        assert ex.space.contains(ex.space.sample(__import__("random").Random(0)))
+        assert ex.T.domain.contains(ex.T.domain.sample(__import__("random").Random(0)))
 
 
 def test_estimate_within_two_eps_of_infimum():

@@ -43,11 +43,9 @@ from hypkm.rates import (
     _LEAF_BITS,
     _RUN_EDGES,
     _STR_BITS,
-    GROWTH_DIGIT_CAP,
-    HEAD_STEPS,
     STEP_BUDGET,
-    _affine_jump,
     _exp1_hi_power,
+    _linear_jump,
     _log10_upper,
     decimal_string,
     fmt_number,
@@ -373,19 +371,34 @@ def test_decimal_string_without_the_c_decimal_module(monkeypatch):
         sys.set_int_max_str_digits(limit)
 
 
+def literal_linear_steps(a, p, q, n, k):
+    """k steps of a <- ceil(p(n + a)/q) + 1, one at a time."""
+    for _ in range(k):
+        a = -(-p * (n + a) // q) + 1
+    return a
+
+
 @given(
+    q=st.integers(1, 50),
+    p_minus_q=st.one_of(st.integers(0, 3), st.integers(0, 60 * 50)),
+    n=st.one_of(st.integers(0, 10**3), st.integers(0, 10**30)),
     a=st.integers(0, 10**30),
-    mult=st.sampled_from([2, 4, 8, 2**20]),
-    add=st.integers(1, 10**30),
-    steps=st.integers(0, 3_000),
+    k=st.integers(0, 2_000),
 )
-@example(a=0, mult=2, add=1, steps=0)
-@example(a=10**30, mult=2**20, add=10**30, steps=3_000)
-def test_affine_jump_by_a_power_of_two(a, mult, add, steps):
-    # steps iterations of x -> mult*x + add from a, written out as the
-    # geometric sum with the power built by **
-    ms = mult**steps
-    assert _affine_jump(a, mult, add, steps, "test") == ms * a + add * (ms - 1) // (mult - 1)
+@example(q=1, p_minus_q=2**20 - 1, n=10**30, a=10**30, k=2_000)  # p = 2**20: a shift
+@example(q=2, p_minus_q=1, n=0, a=0, k=64)
+@example(q=2, p_minus_q=1, n=0, a=0, k=65)
+@example(q=7, p_minus_q=3, n=10**3, a=10**30, k=65)
+@example(q=3, p_minus_q=100, n=5, a=2**100 - 1, k=100)  # a.bit_length() == k*(bits(q) - 1)
+@example(q=3, p_minus_q=100, n=5, a=2**100, k=100)
+@example(q=4, p_minus_q=1, n=0, a=2**140 - 1, k=70)
+@example(q=4, p_minus_q=1, n=0, a=2**140, k=70)  # a = q**k: m = 1, r = 0
+@example(q=50, p_minus_q=0, n=10**30, a=10**30, k=2_000)  # c = 1, p = q = 50
+def test_linear_jump_matches_the_literal_loop(q, p_minus_q, n, a, k):
+    # the jump against the recursion stepped literally; the budgets never
+    # bind here (c <= 3,001 or p = 2**20: at most 12,100 digits)
+    p = q + p_minus_q
+    assert _linear_jump(a, p, q, n, k, "test") == literal_linear_steps(a, p, q, n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +482,7 @@ def table_laws(draw):
     first clamped index long, with increments that grow on the way.  The
     mirror walk scans about (max(table) + 1) * i_hat**2 / 2 terms, so i_hat
     is drawn under a budget of 30,000 scans: up to 244 on zero entries, 31
-    on entries of 60.  An example takes it to 600, past HEAD_STEPS."""
+    on entries of 60.  An example takes it to 600."""
     values = draw(st.lists(st.integers(0, 60), min_size=1, max_size=30))
     zeros = draw(st.integers(0, len(values)))
     table = alpha_table([0] * zeros + values[zeros:])
@@ -520,11 +533,11 @@ FOLDS = [(alpha_identity(), alpha_scale_ceil(1)), (alpha_double(), alpha_scale_c
 
 @given(
     n=st.integers(0, 10**20),
-    i=st.one_of(st.integers(0, 2 * HEAD_STEPS), st.integers(0, 10**12)),
+    i=st.one_of(st.integers(0, 1024), st.integers(0, 10**12)),
 )
-@example(n=0, i=HEAD_STEPS - 1)
-@example(n=3, i=HEAD_STEPS)
-@example(n=3, i=HEAD_STEPS + 1)
+@example(n=0, i=511)
+@example(n=3, i=512)
+@example(n=3, i=513)
 @example(n=7, i=3 * 10**6)
 def test_identity_and_double_are_scale_ceil_one_and_two(n, i):
     assert alpha_identity()(n) == n and alpha_double()(n) == 2 * n
@@ -552,9 +565,9 @@ def test_folded_witnesses_overflow_with_the_same_bounds(K, m, b):
 
 
 def test_alpha_hat_jump_agrees_with_literal_steps():
-    # beyond HEAD_STEPS the catalog kinds switch to closed-form jumps; a
-    # literal route written here, one step at a time, must agree exactly
-    i = HEAD_STEPS + 88
+    # the catalog kinds jump in closed form; a literal route written here,
+    # one step at a time, must agree exactly
+    i = 600
     for alpha, c, n in [
         (alpha_identity(), 1, 4),
         (alpha_double(), 2, 2),
@@ -578,18 +591,30 @@ LINEAR_C = st.one_of(
 )
 
 
-@given(c=LINEAR_C, n=st.integers(0, 10**20), i=st.integers(0, 2 * HEAD_STEPS))
-@example(c=2, n=0, i=HEAD_STEPS - 1)
-@example(c=Fraction(7, 3), n=10**20, i=HEAD_STEPS)
-@example(c=Fraction(999_999, 999_998), n=1, i=HEAD_STEPS + 1)
-@example(c=Fraction(3, 2), n=1, i=2 * HEAD_STEPS)
-@example(c=Fraction(3, 2), n=10**20, i=HEAD_STEPS + 300)
+@given(c=LINEAR_C, n=st.integers(0, 10**20), i=st.integers(0, 1024))
+@example(c=2, n=0, i=511)
+@example(c=Fraction(7, 3), n=10**20, i=512)
+@example(c=Fraction(999_999, 999_998), n=1, i=513)
+@example(c=Fraction(3, 2), n=1, i=1024)
+@example(c=Fraction(3, 2), n=10**20, i=812)
 def test_linear_law_against_a_fraction_loop(c, n, i):
-    # the head (i <= HEAD_STEPS), the jump of integer c and the literal tail
-    # of non-integer c (scale_ceil(3/2) past HEAD_STEPS), against Fractions
+    # the closed form of integer c and the split jump of non-integer c
+    # (leaves of 64 steps and their halves), against Fractions
     alpha, cf = alpha_scale_ceil(c), Fraction(c)
     assert alpha_plus(alpha, i, n) == max(math.ceil(cf * (n + j)) - j + 1 for j in range(i + 1))
     assert alpha_hat(alpha, i, n) == linear_alpha_hat(c, i, n)
+
+
+def test_a_non_integer_law_is_exact_inside_the_digit_budget():
+    # rate_h at c = (10^100 + 1)/3, eps 1/2, b 1, K 1: h has 218,354 digits,
+    # where a walk capped at 20,000 digits could only bound it; it is the
+    # literal recursion over E - 1 = 2,193 steps from M = 6
+    c = Fraction(10**100 + 1, 3)
+    E = exp_ceiling_oracle(Fraction(2), 7)
+    assert E - 1 == 2_193
+    h = rate_h(Fraction(1, 2), 1, 1, alpha_scale_ceil(c))
+    assert digit_count(h) == 218_354
+    assert h == linear_alpha_hat(c, E - 1, 6)
 
 
 def test_alpha_hat_monotone_in_i():
@@ -796,79 +821,59 @@ def test_rate_overflow_identity_keeps_single_log():
     assert "e+" in describe_overflow(exc.value)
 
 
-def test_alpha_hat_noninteger_scale_growth_cap(monkeypatch):
-    # the literal fallback for fractional scales refuses once intermediates
-    # outgrow the digit cap, reporting the geometric-envelope bound
-    import hypkm.rates as rates_module
-
-    monkeypatch.setattr(rates_module, "GROWTH_DIGIT_CAP", 500)
-    n = 10**501
-    with pytest.raises(RateOverflowError) as exc:
-        alpha_hat(alpha_scale_ceil(Fraction(3, 2)), 600, n)
-    lg = exc.value.log10_upper
-    # sound: at least the size already reached, within the envelope's slack
-    assert lg is not None and 500 < lg < 800
-
-
-def head_then_capped_walk(c, i, n, head_steps, step_budget, cap):
-    """alpha_hat of non-integer c as it ran with an uncapped literal head:
-    head_steps steps, then a walk that raises at the first k with a >=
-    10**cap or at k = head + step_budget + 1.  Returns whether some a(k), k
-    < min(i, head_steps), reached 10**cap, and the value or _outcome's
-    triple of an overflow."""
+def linear_bound(c, n, i):
+    """The jump's log10 bound on alpha_hat(scale_ceil(c), i, n), written out:
+    a(k+1) <= c*a(k) + (p*n + 2q - 1)/q <= c*(a(k) + e) - e for e =
+    ceil((p*n + 2q - 1)/d), d = q at c >= 2 and p - q below, so a(i) <
+    c**i * (a(0) + e)."""
     p, q = c.numerator, c.denominator
-    limit = 10**cap
-    a = (p * n + q - 1) // q + 1
-    head = min(i, head_steps)
-    crossed = False
-    for _ in range(head):
-        crossed = crossed or a >= limit
-        a = (p * (n + a) + q - 1) // q + 1
-    for k in range(head, i):
-        if a >= limit or k - head > step_budget:
-            envelope = Fraction(a) + (c * n + 2) / (c - 1)
-            bound = (i - k) * log10_upper_by_powers(c) + log10_upper_by_powers(envelope)
-            return crossed, ("overflow", bound, None)
-        a = (p * (n + a) + q - 1) // q + 1
-    return crossed, a
+    a, d = (p * n + q - 1) // q + 1, q if c >= 2 else p - q
+    return i * log10_upper_by_powers(c) + digit_count(a + (p * n + 2 * q - 1 + d - 1) // d)
 
 
 @given(
-    q=st.integers(2, 50),
+    q=st.integers(1, 50),
     p_over_q=st.integers(1, 40),
+    r=st.integers(0, 49),
     n=st.one_of(st.integers(0, 1000), st.integers(0, 10**70)),
-    i=st.integers(0, 120),
+    i=st.integers(0, 400),
 )
-@example(q=2, p_over_q=1, n=0, i=59)
-@example(q=2, p_over_q=1, n=0, i=60)
-@example(q=2, p_over_q=20, n=10**3, i=8)
-@example(q=2, p_over_q=20, n=10**55, i=8)
-@example(q=3, p_over_q=30, n=1, i=40)
-@example(q=7, p_over_q=1, n=10**61, i=5)
-def test_the_walk_raises_where_the_head_and_walk_raised(q, p_over_q, n, i):
-    # the walk, capped from its first step, gives the value or the exact
-    # bound of an uncapped head followed by the capped walk whenever that
-    # head stays under the cap; when the head crosses it, the walk raises
+@example(q=2, p_over_q=1, r=1, n=0, i=100)
+@example(q=2, p_over_q=1, r=1, n=0, i=101)
+@example(q=1, p_over_q=2, r=0, n=0, i=400)
+@example(q=1, p_over_q=40, r=0, n=10**70, i=80)
+@example(q=3, p_over_q=30, r=1, n=1, i=120)
+@example(q=7, p_over_q=1, r=1, n=10**61, i=5)
+def test_the_jump_raises_exactly_over_the_digit_budget(q, p_over_q, r, n, i):
+    # budget 200 digits, 100 steps for non-integer c: alpha_hat raises when
+    # the bound plus 2 passes 200, or past 100 steps of non-integer c, and
+    # then with a bound above log10 of the literal value; otherwise it
+    # returns that value
     import hypkm.rates as rates_module
 
-    c = Fraction(p_over_q * q + 1, q)  # 1 < c <= 41, never an integer
-    crossed, reference = head_then_capped_walk(c, i, n, 8, 50, 60)
+    c = Fraction(p_over_q * q + r % q, q)  # 1 <= c <= 40 + 49/50
+    bound = linear_bound(c, n, i) if c > 1 else None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rates_module, "HEAD_STEPS", 8)
-        mp.setattr(rates_module, "STEP_BUDGET", 50)
-        mp.setattr(rates_module, "GROWTH_DIGIT_CAP", 60)
+        mp.setattr(rates_module, "DIGIT_BUDGET", 200)
+        mp.setattr(rates_module, "STEP_BUDGET", 100)
         got = _outcome(lambda: alpha_hat(alpha_scale_ceil(c), i, n))
-    assert got[0] == "overflow" if crossed else got == reference
+    value = linear_alpha_hat(c, i, n)
+    if c > 1 and (bound + 2 > 200 or c.denominator > 1 and i > 100):
+        assert got == ("overflow", bound, None)
+        assert value**bound.denominator < 10**bound.numerator
+    else:
+        assert got == value
 
 
 def test_the_walk_ends_on_the_step_budget():
     # c = 1 + 10**-6 grows a by about n + 2 per step, far below the digit
-    # cap, so the walk raises at step HEAD_STEPS + STEP_BUDGET + 1, as the
-    # head and walk did
-    c, n, i = Fraction(1000001, 1000000), 5, 10**6
-    crossed, reference = head_then_capped_walk(c, i, n, HEAD_STEPS, STEP_BUDGET, GROWTH_DIGIT_CAP)
-    assert not crossed and reference[0] == "overflow"
-    assert _outcome(lambda: alpha_hat(alpha_scale_ceil(c), i, n)) == reference
+    # budget: the value at STEP_BUDGET steps is exact and one step more
+    # raises with the jump's bound
+    c, n = Fraction(1000001, 1000000), 5
+    alpha = alpha_scale_ceil(c)
+    assert alpha_hat(alpha, STEP_BUDGET, n) == linear_alpha_hat(c, STEP_BUDGET, n)
+    for i in (STEP_BUDGET + 1, 10**6):
+        assert _outcome(lambda: alpha_hat(alpha, i, n)) == ("overflow", linear_bound(c, n, i), None)
 
 
 @given(p=st.integers(2, 10**6), n=st.integers(0, 10**30), i=st.integers(0, 40))
@@ -877,16 +882,14 @@ def test_the_walk_ends_on_the_step_budget():
 @example(p=10**6, n=0, i=32)
 @example(p=2, n=0, i=40)
 def test_the_integer_head_obeys_the_digit_budget(p, n, i):
-    # budget 200 digits, head 40 steps: a head that _affine_jump's own
-    # estimate puts over the budget is never built, and the jump over all i
-    # steps raises with its bound; any other head is stepped exactly
+    # budget 200 digits: the jump over all i steps raises with its bound
+    # when that bound plus 2 passes the budget, and is exact otherwise
     import hypkm.rates as rates_module
 
     a, add = p * n + 1, p * n + 1  # alpha_tilde(0, n) and the jump's increment
     estimate = i * log10_upper_by_powers(p) + digit_count(a + add) + 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rates_module, "DIGIT_BUDGET", 200)
-        mp.setattr(rates_module, "HEAD_STEPS", 40)
         got = _outcome(lambda: alpha_hat(alpha_scale_ceil(p), i, n))
     assert got == (("overflow", estimate - 2, None) if estimate > 200 else linear_alpha_hat(p, i, n))
 

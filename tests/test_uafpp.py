@@ -12,6 +12,7 @@ import hypkm.uafpp as uafpp_module
 from hypkm import (
     ArgumentError,
     BudgetExhausted,
+    InvariantError,
     NonexpansiveMap,
     RegularityModulus,
     Schedule,
@@ -183,6 +184,35 @@ def test_banach_fixed_point_ratio_test():
     assert "ratio test" in str(exc.value)
 
 
+def test_banach_fixed_point_ratio_test_fails_a_nan_residual():
+    # nan > k * r is False: a map that turns nan mid-run fails the ratio
+    # test, not the step bound
+    T = NonexpansiveMap(LINE, lambda x: x / 2.0 if x > 0.3 else math.nan, "halve, then nan")
+    with pytest.raises(ArgumentError) as exc:
+        banach_fixed_point(T, 1.0, Fraction(1, 2), Fraction(1, 100))
+    assert "ratio test failed at step 1: residual nan" in str(exc.value)
+
+
+@pytest.mark.parametrize("image", [math.nan, math.inf])
+def test_banach_fixed_point_refuses_a_non_finite_first_residual(image):
+    T = NonexpansiveMap(LINE, lambda x: image, "non-finite")
+    with pytest.raises(ArgumentError) as exc:
+        banach_fixed_point(T, 1.0, Fraction(1, 2), Fraction(1, 100))
+    assert f"initial residual {image} is not finite" in str(exc.value)
+
+
+def test_banach_fixed_point_fails_a_nan_displacement():
+    # a distance from the start that is not a number breaks the
+    # geometric-series bound instead of passing it
+    class NanFromStart(type(LINE)):
+        def distance(self, x, y):
+            return math.nan if x == 1.0 and y < 0.5 else super().distance(x, y)
+
+    T = NonexpansiveMap(NanFromStart(-math.inf, math.inf), lambda x: x / 2.0, "halve")
+    with pytest.raises(InvariantError):
+        banach_fixed_point(T, 1.0, Fraction(1, 2), Fraction(1, 100))
+
+
 def test_banach_fixed_point_at_fixed_start():
     T = NonexpansiveMap(LINE, lambda x: x / 2.0, "halve")
     run = banach_fixed_point(T, 0.0, Fraction(1, 2), Fraction(1, 10))
@@ -301,6 +331,8 @@ def test_gk_boundedness_refutes_a_nan_distance():
 
     rep = gk_boundedness_check(NanDistance(0.0, 1.0), 1, samples=20)
     assert not rep.ok and rep.first_violation is not None
+    # the running maximum reports the nan, not -inf
+    assert math.isnan(rep.max_distance)
 
 
 # ---------------------------------------------------------------------------

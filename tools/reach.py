@@ -36,7 +36,6 @@ PERFBENCH = "kept for perfbench, whose tracer or probes call it (ROADMAP item 13
 GRID_ONLY = "a mesh or diameter that only GridOracle would call (ROADMAP item 2)"
 ERROR_PATH = "an error path that no run here takes"
 NO_COMBINE = "asked of no space by a command: only iterate reads points, and it needs a combine"
-TESTS_ONLY = "only tests call it: a candidate for the next cut"
 
 #: "module.qualname" -> why nothing the audit runs enters it
 ALLOWED = {
@@ -64,9 +63,6 @@ ALLOWED = {
     "spaces.CircleSpace.contains": NO_COMBINE,
     "spaces.CircleSpace.point_columns": NO_COMBINE,
     "spaces.FamilyProduct.point_columns": NO_COMBINE,
-    "km.ResidualTrace.__len__": TESTS_ONLY,
-    "maps.Counterexample.excess": TESTS_ONLY,
-    "product_afpp.ProductExample.space": TESTS_ONLY,
 }
 
 
