@@ -39,6 +39,12 @@ STEP_BUDGET = 300_000
 #: largest exact integer we will materialize, in decimal digits.
 DIGIT_BUDGET = 1_050_000
 
+#: the jump of non-integer c raises when its bound passes this many digits:
+#: its work grows with the value times the size of q (each split divides by
+#: a power of q, in quadratic time on CPython 3.11), so under DIGIT_BUDGET a
+#: million-digit value at c = (10**40 + 1)/10**37 took minutes.
+GROWTH_DIGIT_CAP = 20_000
+
 #: rational upper bound on log10(3), used in soundness estimates.
 LOG10_3_UPPER = Fraction(4771213, 10**7)
 
@@ -377,19 +383,17 @@ def _linear_jump(a: int, p: int, q: int, n: int, steps: int, context: str) -> in
     q for c >= 2 and p - q below, f(x) + e <= c(x + e) and the value is
     below c**steps * (a + e).  Refuses, with that sound log10 upper bound,
     when the value would exceed the digit budget, or when c is not an
-    integer and steps exceed the step budget.  Integer c has a closed form
-    (f is affine); otherwise f(q*m + r) = p*m + f(r), so f**k(q**k * m + r)
-    = p**k * m + f**k(r), and k is split in halves down to literal leaves.
+    integer and the value would exceed GROWTH_DIGIT_CAP or steps exceed the
+    step budget.  Integer c has a closed form (f is affine); otherwise
+    f(q*m + r) = p*m + f(r), so f**k(q**k * m + r) = p**k * m + f**k(r),
+    and k is split in halves down to literal leaves.
     """
     if p == q:  # c = 1: f(a) = a + n + 1
         return a + steps * (n + 1)
     e = -(-(p * n + 2 * q - 1) // (q if p >= 2 * q else p - q))
-    over_steps = q > 1 and steps > STEP_BUDGET
-    # within 3 * DIGIT_BUDGET bits the bound is below 0.92 * DIGIT_BUDGET + 1
-    if over_steps or steps * p.bit_length() + (a + e).bit_length() > 3 * DIGIT_BUDGET:
-        lg = steps * _log10_upper(Fraction(p, q)) + digit_count(a + e)
-        if over_steps or lg + 2 > DIGIT_BUDGET:
-            raise RateOverflowError(log10_upper=lg, context=context)
+    lg = steps * _log10_upper(Fraction(p, q)) + digit_count(a + e)
+    if q > 1 and steps > STEP_BUDGET or lg + 2 > (DIGIT_BUDGET if q == 1 else GROWTH_DIGIT_CAP):
+        raise RateOverflowError(log10_upper=lg, context=context)
     if q == 1:
         # a power of two is a shift, not a chain of squarings
         ps = 1 << steps * (p.bit_length() - 1) if p & (p - 1) == 0 else p**steps

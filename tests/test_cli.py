@@ -659,19 +659,28 @@ def test_rates_match_their_goldens(tmp_path, capsys, name):
 #: its version line, and its bound lines.  Each line went old -> new when
 #: the linear law got one jump, whose bound is c**i * (a(0) + e) for
 #: e = ceil((p*n + 2q - 1)/d), d = q at c >= 2 and p - q below:
-#: - big3, c = (10^100 + 1)/3: h is exact now, 218,354 digits, where the
-#:   walk raised at 20,000 digits with h <= 7.568e+218362 (decimal digits
-#:   <= 218363); h_tilde and g_tilde <= 1.242e+3904279442 (decimal digits
-#:   <= 3904279443) -> <= 2.055e+3904279443 (decimal digits <= 3904279444).
+#: - big3, c = (10^100 + 1)/3: h is 218,354 digits, past GROWTH_DIGIT_CAP,
+#:   and its bound comes before any step, not after a walk to 20,000 digits:
+#:   h <= 7.568e+218362 (decimal digits <= 218363) ->
+#:   h <= 2.918e+218364 (decimal digits <= 218365); h_tilde and g_tilde
+#:   <= 1.242e+3904279442 (decimal digits <= 3904279443) ->
+#:   <= 2.055e+3904279443 (decimal digits <= 3904279444).
 #: - nines, c = 10^4300 - 1: unchanged; the jump over all steps raised
 #:   already.
 #: - nines2, c = (10^4298 - 1)/2: h <= 1.878e+1276417 -> 9.307e+1276417 and
 #:   h_tilde, g_tilde <= 4.828e+3087853912 -> 9.562e+3087853912 (digit counts
 #:   unchanged).
+#: - c123, c = 123.456789: as big3 (under the digit budget alone, the jump
+#:   built h, 250,458 digits, five times slower than the walk's bound).
+#:   h <= 1.276e+250704 (decimal digits <= 250705) ->
+#:   h <= 2.373e+250726 (decimal digits <= 250727); h_tilde and g_tilde
+#:   <= 4.069e+1809123095832 (decimal digits <= 1809123095833) ->
+#:   <= 3.164e+1809123095854 (decimal digits <= 1809123095855).
 RATES_PAST_THE_HEAD = {
     "big3": ({"K": 1, "alpha": {"kind": "scale_ceil", "c": "1" + "0" * 99 + "1/3"}, "eps": "1/2", "b": 1},
-        "ff1a87b647935e7e979e4aa40ba8ebe969f3f61dd13f12b5d898353096b22f25",
-        ["h_tilde <= 2.055e+3904279443 (decimal digits <= 3904279444)",
+        "86c951a82c71b8380ec74b8b8656d76429031ed570dc350c9d04fe05091e83c9",
+        ["h <= 2.918e+218364 (decimal digits <= 218365)",
+         "h_tilde <= 2.055e+3904279443 (decimal digits <= 3904279444)",
          "g_tilde <= 2.055e+3904279443 (decimal digits <= 3904279444)"]),
     "nines": ({"K": 1, "alpha": {"kind": "scale_ceil", "c": "9" * 4300}, "eps": "3/4", "b": 1},
         "89172dbfe4925af827fbd413dcf33bb965e2187dd29e6ff54292e82ec1c43864",
@@ -683,6 +692,11 @@ RATES_PAST_THE_HEAD = {
         ["h <= 9.307e+1276417 (decimal digits <= 1276418)",
          "h_tilde <= 9.562e+3087853912 (decimal digits <= 3087853913)",
          "g_tilde <= 9.562e+3087853912 (decimal digits <= 3087853913)"]),
+    "c123": ({"K": 1, "alpha": {"kind": "scale_ceil", "c": "123.456789"}, "eps": "3/10", "b": 1},
+        "f251014a4a3e1fb94c25e5b163f2521912d354c98550a60a5e2e08af7b9e1573",
+        ["h <= 2.373e+250726 (decimal digits <= 250727)",
+         "h_tilde <= 3.164e+1809123095854 (decimal digits <= 1809123095855)",
+         "g_tilde <= 3.164e+1809123095854 (decimal digits <= 1809123095855)"]),
 }
 
 

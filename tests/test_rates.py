@@ -605,16 +605,31 @@ def test_linear_law_against_a_fraction_loop(c, n, i):
     assert alpha_hat(alpha, i, n) == linear_alpha_hat(c, i, n)
 
 
-def test_a_non_integer_law_is_exact_inside_the_digit_budget():
-    # rate_h at c = (10^100 + 1)/3, eps 1/2, b 1, K 1: h has 218,354 digits,
-    # where a walk capped at 20,000 digits could only bound it; it is the
-    # literal recursion over E - 1 = 2,193 steps from M = 6
+def test_a_non_integer_law_raises_past_the_growth_cap(monkeypatch):
+    # rate_h at c = (10^100 + 1)/3, eps 1/2, b 1, K 1 runs E - 1 = 2,193
+    # steps from M = 6: the bound passes GROWTH_DIGIT_CAP, so the call
+    # raises with it; with the cap raised to DIGIT_BUDGET the jump builds h,
+    # 218,354 digits, and it is the literal recursion
+    import hypkm.rates as rates_module
+
     c = Fraction(10**100 + 1, 3)
     E = exp_ceiling_oracle(Fraction(2), 7)
     assert E - 1 == 2_193
+    got = _outcome(lambda: rate_h(Fraction(1, 2), 1, 1, alpha_scale_ceil(c)))
+    assert got == ("overflow", linear_bound(c, 6, E - 1), None)
+    monkeypatch.setattr(rates_module, "GROWTH_DIGIT_CAP", rates_module.DIGIT_BUDGET)
     h = rate_h(Fraction(1, 2), 1, 1, alpha_scale_ceil(c))
     assert digit_count(h) == 218_354
     assert h == linear_alpha_hat(c, E - 1, 6)
+
+
+@pytest.mark.parametrize("c", [Fraction(10**40 + 1, 10**37), Fraction(2**22 + 1, 2**11)])
+def test_a_large_q_raises_at_the_growth_cap(c):
+    # each split of the jump divides by a power of q, so under the digit
+    # budget alone these 300,000 steps built values of about 900,000 and
+    # 994,000 digits in seconds to minutes; the cap refuses them up front
+    alpha = alpha_scale_ceil(c)
+    assert _outcome(lambda: alpha_hat(alpha, 300_000, 5)) == ("overflow", linear_bound(c, 5, 300_000), None)
 
 
 def test_alpha_hat_monotone_in_i():
@@ -821,6 +836,20 @@ def test_rate_overflow_identity_keeps_single_log():
     assert "e+" in describe_overflow(exc.value)
 
 
+def test_alpha_hat_noninteger_scale_growth_cap(monkeypatch):
+    # the jump of fractional scales refuses once its bound outgrows the
+    # digit cap, and reports that bound
+    import hypkm.rates as rates_module
+
+    monkeypatch.setattr(rates_module, "GROWTH_DIGIT_CAP", 500)
+    n = 10**501
+    with pytest.raises(RateOverflowError) as exc:
+        alpha_hat(alpha_scale_ceil(Fraction(3, 2)), 600, n)
+    lg = exc.value.log10_upper
+    # sound: at least the size already reached, within the bound's slack
+    assert lg is not None and 500 < lg < 800
+
+
 def linear_bound(c, n, i):
     """The jump's log10 bound on alpha_hat(scale_ceil(c), i, n), written out:
     a(k+1) <= c*a(k) + (p*n + 2q - 1)/q <= c*(a(k) + e) - e for e =
@@ -844,21 +873,26 @@ def linear_bound(c, n, i):
 @example(q=1, p_over_q=40, r=0, n=10**70, i=80)
 @example(q=3, p_over_q=30, r=1, n=1, i=120)
 @example(q=7, p_over_q=1, r=1, n=10**61, i=5)
+@example(q=2, p_over_q=40, r=1, n=0, i=72)
+@example(q=2, p_over_q=40, r=1, n=0, i=73)
+@example(q=2, p_over_q=40, r=1, n=10**40, i=60)
 def test_the_jump_raises_exactly_over_the_digit_budget(q, p_over_q, r, n, i):
-    # budget 200 digits, 100 steps for non-integer c: alpha_hat raises when
-    # the bound plus 2 passes 200, or past 100 steps of non-integer c, and
-    # then with a bound above log10 of the literal value; otherwise it
-    # returns that value
+    # budget 200 digits, and for non-integer c 120 digits and 100 steps:
+    # alpha_hat raises when the bound plus 2 passes the digit limit of its
+    # c, or past 100 steps of non-integer c, and then with a bound above
+    # log10 of the literal value; otherwise it returns that value
     import hypkm.rates as rates_module
 
     c = Fraction(p_over_q * q + r % q, q)  # 1 <= c <= 40 + 49/50
     bound = linear_bound(c, n, i) if c > 1 else None
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rates_module, "DIGIT_BUDGET", 200)
+        mp.setattr(rates_module, "GROWTH_DIGIT_CAP", 120)
         mp.setattr(rates_module, "STEP_BUDGET", 100)
         got = _outcome(lambda: alpha_hat(alpha_scale_ceil(c), i, n))
     value = linear_alpha_hat(c, i, n)
-    if c > 1 and (bound + 2 > 200 or c.denominator > 1 and i > 100):
+    limit = 200 if c.denominator == 1 else 120
+    if c > 1 and (bound + 2 > limit or c.denominator > 1 and i > 100):
         assert got == ("overflow", bound, None)
         assert value**bound.denominator < 10**bound.numerator
     else:
