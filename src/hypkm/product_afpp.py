@@ -44,7 +44,7 @@ from .maps import (
     slice_map,
     unit_drift,
 )
-from .rates import as_fraction, rate_g, rate_g_tilde
+from .rates import as_fraction, fmt_number, rate_g, rate_g_tilde
 from .spaces import (
     DEFAULT_ETA,
     FamilyProduct,
@@ -124,11 +124,20 @@ class GridOracle(AfppOracle):
     the claimed nonexpansiveness up to DEFAULT_ETA; the post-check in
     AfppOracle.solve does not, so a bad map still cannot yield a bad point.
 
+    A mesh is walked as its runs, stretches of points along one geodesic
+    (spaces.Run), and no point is built before it is tested.  When a pruner
+    fires, or a new one is found, whose ball spans more than four gaps of
+    the run, run.reach gives the end of the stretch that the pruner surely
+    rules out, checked at both ends with distances raised by a few ulps, and
+    the scan jumps past it.  The per-point rule above would skip each point
+    of that stretch too, so the jump changes no evaluation, answer or
+    error; a point within the margin is tested as before.
+
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
     skipped points are not part of that minimum.  The first step is a
     quarter of the diameter; the floor is the last level whose mesh fits
-    the space's MESH_POINT_CAP.
+    the space's MESH_POINT_CAP, counted without building it.
     """
 
     def __init__(self, space: Space):
@@ -145,22 +154,33 @@ class GridOracle(AfppOracle):
         mesh = self.space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
-            for u in mesh:
-                if u in evaluated:
-                    continue
-                for i, (w, r) in enumerate(pruners):
-                    if r - 2.0 * distance(u, w) > cut:
-                        pruners[0], pruners[i] = pruners[i], pruners[0]
-                        break
-                else:
-                    evaluated.add(u)
-                    r = distance(u, f(u))
-                    if r == 0.0:
-                        return u
-                    if r > cut:
-                        pruners.append((u, r))
-                    if r < best_r:
-                        best_u, best_r = u, r
+            for run in mesh.runs:
+                point, size, k = run.point, run.size, 0
+                # a ball of radius (r - cut) / 2 under two gaps of the run
+                # holds no stretch worth a call to run.reach
+                wide = cut + 4.0 * run.gap
+                while k < size:
+                    u = point(k)
+                    k += 1
+                    if u in evaluated:
+                        continue
+                    for i, (w, r) in enumerate(pruners):
+                        if r - 2.0 * distance(u, w) > cut:
+                            pruners[0], pruners[i] = pruners[i], pruners[0]
+                            if r > wide:
+                                k = max(k, run.reach(k - 1, w, r, cut))
+                            break
+                    else:
+                        evaluated.add(u)
+                        r = distance(u, f(u))
+                        if r == 0.0:
+                            return u
+                        if r > cut:
+                            pruners.append((u, r))
+                            if r > wide:
+                                k = max(k, run.reach(k - 1, u, r, cut))
+                        if r < best_r:
+                            best_u, best_r = u, r
             if best_r <= eps:
                 return best_u
             step /= 2.0
@@ -379,7 +399,7 @@ def certified_run(
     floor = math.ceil(1 / eps_f) + 1
     if budget < floor:
         raise ArgumentError(
-            f"budget {budget} is below the minimum usable index {floor}"
+            f"budget {fmt_number(budget)} is below the minimum usable index {fmt_number(floor)}"
         )
     certified_n, n, truncated = _budgeted_index(
         lambda: rate_g(eps_f, b1_f, b2_f, sched.K, sched.alpha), budget

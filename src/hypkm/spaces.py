@@ -16,6 +16,7 @@ by membership checks at the API boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -40,6 +41,13 @@ DEFAULT_ETA = 1e-9
 
 #: most points in a finite mesh of any space; a larger one raises MeshCapError.
 MESH_POINT_CAP = 2_000_000
+
+# A float distance is within an ulp of the exact one (math.dist, the one
+# inexact distance here, has been since Python 3.10), so along a run a point
+# between two others lies at most a factor 1 + 2 eps farther out in floats
+# than the farther of them; the sure-pruning test of Run.reach raises its end
+# distances by 4 eps, which covers that and the rounding of the product.
+_SURE = 1.0 + 4.0 * sys.float_info.epsilon
 
 # Samplers draw through ``rng.random`` with the arithmetic of
 # ``random.uniform(a, b)``, which is ``a + (b - a) * random()``: the same
@@ -93,6 +101,93 @@ class HyperbolicSpace(Space):
 
 
 # ---------------------------------------------------------------------------
+# meshes
+# ---------------------------------------------------------------------------
+
+
+def _on_line(w):
+    return w, 0.0
+
+
+class Run:
+    """A stretch of a mesh along one geodesic, in mesh order.
+
+    Point i is ``make(t)`` at t = lo + k (hi - lo) / n for k = first + i,
+    and at t = hi exactly for k = n, so t never decreases with i (``make``
+    None gives t itself).  ``foot(w)`` places a point w against the run as
+    (c, s2), with d(make(t), w) = sqrt(s2 + (t - c)^2) over the run.
+    """
+
+    __slots__ = ("lo", "hi", "n", "first", "size", "gap", "point", "foot", "distance")
+
+    def __init__(self, lo, hi, n, distance=None, first=0, make=None, foot=_on_line):
+        width = hi - lo
+
+        def point(i):
+            k = first + i
+            t = hi if k == n else lo + k * width / n
+            return t if make is None else make(t)
+
+        self.lo, self.hi, self.n, self.first = lo, hi, n, first
+        self.size, self.gap = n + 1 - first, width / n
+        self.point, self.foot, self.distance = point, foot, distance
+
+    def __iter__(self):
+        return map(self.point, range(self.size))
+
+    def reach(self, i, w, r, cut):
+        """The index past the stretch from point i on that the pruner (w, r)
+        surely rules out: each of its points u has r - 2 d(u, w) > cut in
+        floats.  i itself when not even point i is sure.
+
+        The stretch ends where the run leaves the ball of radius
+        (r - cut) / 2 about w, read off the run's parameter, and is checked
+        at both ends with distances raised by ``_SURE``.  The exact distance
+        to w along the run falls and then rises, so no point between the
+        ends lies farther out than they do by more than that margin.
+        """
+        rho = (r - cut) / 2.0
+        c, s2 = self.foot(w)
+        if not rho * rho > s2:
+            return i
+        t = c + math.sqrt(rho * rho - s2)
+        j = self.size - 1
+        if t < self.hi:
+            j = min(j, math.floor((t - self.lo) / (self.hi - self.lo) * self.n) - self.first)
+        # a stretch of fewer than three points costs more to check than to test
+        if j < i + 2:
+            return i
+        distance, point = self.distance, self.point
+        for end in (j, j - 1):
+            if r - 2.0 * (distance(point(end), w) * _SURE) > cut:
+                return end + 1 if r - 2.0 * (distance(point(i), w) * _SURE) > cut else i
+        return i
+
+
+class Mesh:
+    """The points of a finite mesh, in order, held as runs: they are built
+    only when read, and GridOracle walks the runs instead."""
+
+    def __init__(self, runs: list[Run]):
+        self.runs = runs
+
+    def __len__(self):
+        return sum(run.size for run in self.runs)
+
+    def __iter__(self):
+        for run in self.runs:
+            yield from run
+
+    def __getitem__(self, i):
+        return list(self)[i]
+
+
+def _capped(points: int) -> None:
+    if points > MESH_POINT_CAP:
+        raise MeshCapError(f"mesh of {points} points exceeds the sanity cap")
+
+
+# ---------------------------------------------------------------------------
 # concrete instances
 # ---------------------------------------------------------------------------
 
@@ -141,11 +236,8 @@ class IntervalSpace(HyperbolicSpace):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ArgumentError("mesh needs a bounded interval")
         n = max(1, math.ceil((self.b - self.a) / step))
-        if n + 1 > MESH_POINT_CAP:
-            raise MeshCapError(f"mesh of {n + 1} points exceeds the sanity cap")
-        pts = [self.a + k * (self.b - self.a) / n for k in range(n)]
-        pts.append(self.b)
-        return pts
+        _capped(n + 1)
+        return Mesh([Run(self.a, self.b, n, self.distance)])
 
     def point_columns(self):
         return ["x"]
@@ -250,18 +342,21 @@ class EuclideanSpace(HyperbolicSpace):
     def mesh(self, step):
         if self.bounds is None:
             raise ArgumentError("mesh needs a bounded box")
-        axes = []
-        total = 1
-        for lo, hi in self.bounds:
-            n = max(1, math.ceil((hi - lo) / step))
-            total *= n + 1
-            if total > MESH_POINT_CAP:
-                raise MeshCapError("mesh size exceeds the sanity cap")
-            axes.append([lo + k * (hi - lo) / n for k in range(n)] + [hi])
-        pts = [()]
-        for axis in axes:
-            pts = [p + (v,) for p in pts for v in axis]
-        return pts
+        ns = [max(1, math.ceil((hi - lo) / step)) for lo, hi in self.bounds]
+        _capped(math.prod(n + 1 for n in ns))
+        *heads, (lo, hi) = self.bounds
+        axes = [Run(a, b, n) for (a, b), n in zip(heads, ns)]
+        # one run per line of the last axis, the lines in lexicographic order
+        return Mesh([self._line(p, lo, hi, ns[-1]) for p in itertools.product(*axes)])
+
+    def _line(self, prefix: tuple, lo: float, hi: float, n: int) -> Run:
+        def make(t):
+            return prefix + (t,)
+
+        def foot(w):
+            return w[-1], math.dist(prefix, w[:-1]) ** 2
+
+        return Run(lo, hi, n, self.distance, make=make, foot=foot)
 
     def point_columns(self):
         return [f"x{i}" for i in range(self.dim)]
@@ -380,12 +475,18 @@ class StarTree(HyperbolicSpace):
 
     def mesh(self, step):
         n = max(1, math.ceil(self.length / step))
-        if 1 + n * self.rays > MESH_POINT_CAP:
-            raise MeshCapError("mesh size exceeds the sanity cap")
-        pts = [(0, 0.0)]
-        for r in range(self.rays):
-            pts.extend((r, k * self.length / n) for k in range(1, n + 1))
-        return pts
+        _capped(1 + n * self.rays)
+        # the hub (0, 0.0) opens ray 0's run; the other rays start past it
+        return Mesh([self._ray(r, n) for r in range(self.rays)])
+
+    def _ray(self, ray: int, n: int) -> Run:
+        def make(t):
+            return (ray, t)
+
+        def foot(w):
+            return (w[1] if w[0] == ray else -w[1]), 0.0
+
+        return Run(0.0, self.length, n, self.distance, first=0 if ray == 0 else 1, make=make, foot=foot)
 
     def point_columns(self):
         return ["ray", "offset"]

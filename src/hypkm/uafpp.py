@@ -121,7 +121,7 @@ def km_witness(
     """
     if N > WITNESS_STEP_CAP and stop_eps is None:
         raise ArgumentError(
-            f"witness at N={N} needs more than {WITNESS_STEP_CAP} literal "
+            f"witness at N={fmt_number(N)} needs more than {WITNESS_STEP_CAP} literal "
             "steps; pass stop_eps to allow a sound early exit"
         )
     stop = -math.inf if stop_eps is None else stop_eps

@@ -91,6 +91,51 @@ def test_grid_oracle_floor_at_the_mesh_cap():
     assert str(exc.value).startswith("grid refinement floor reached at step 9.54e-07; best residual 0.5 >")
 
 
+def count_distance_calls(monkeypatch, space) -> list:
+    """Make space.distance count its calls; returns a one-item list of the count."""
+    count = [0]
+    real = space.distance
+
+    def distance(x, y):
+        count[0] += 1
+        return real(x, y)
+
+    monkeypatch.setattr(space, "distance", distance)
+    return count
+
+
+def test_grid_oracle_floor_skips_what_its_pruners_rule_out(monkeypatch):
+    # the three points jump is evaluated at rule out the rest of [0, 1], so
+    # each later level is a few stretches skipped whole, not a point-by-point
+    # test of its mesh: the scan that tested every point made 2,097,157
+    # distance calls before this floor
+    space = make_interval(0.0, 1.0)
+    count = count_distance_calls(monkeypatch, space)
+    calls = []
+    jump = NonexpansiveMap(space, lambda u: calls.append(u) or (0.0 if u > 0.5 else 1.0), "jump")
+    with pytest.raises(OracleError) as exc:
+        GridOracle(space).solve(jump, 0.1)
+    assert str(exc.value) == (
+        "grid refinement floor reached at step 9.54e-07; best residual 0.5 > tolerance 0.1 "
+        "(the map may have no approximate fixed points)"
+    )
+    assert calls == [0.0, 0.5, 0.75]
+    assert count[0] <= 300
+
+
+@pytest.mark.parametrize("n, distances", [(100, 105), (500, 465), (2000, 1340), (4000, 3043)])
+def test_grid_oracle_lift_distance_calls_pinned(monkeypatch, n, distances):
+    # the oracle's distance calls on the scaled_coupling lift's parameter
+    # map, post-check included; testing every point that no stretch skips
+    # made 104, 481, 1572 and 4547
+    M = make_interval(0.0, 1.0)
+    T = scaled_coupling(product(make_interval(0.0, 1.0), M), 0.5, 0.1)
+    phi_n = product_afpp.phi(T, identity_map(M), constant_schedule("1/2"), n)
+    count = count_distance_calls(monkeypatch, M)
+    GridOracle(M).solve(phi_n, 1.0 / n)
+    assert count[0] == distances
+
+
 def full_mesh_scan(space, f, eps):
     """The unpruned refinement loop: every point of every mesh evaluated,
     down to the last mesh within the space's point cap."""
@@ -645,6 +690,17 @@ def test_certified_run_argument_validation():
             ex.T, ex.delta, ex.sched, ex.oracle,
             b1=0, b2=1, eps=1, probe=ex.probe,
         )
+
+
+def test_budget_message_prints_a_huge_index_as_a_magnitude():
+    # the least usable index at eps = 10^-5000 has 5,001 digits, past
+    # Python's int-to-str limit: the message says ~10^5000 instead of failing
+    with pytest.raises(ArgumentError) as exc:
+        solve_example(EXAMPLES["drop"](), Fraction(1, 10**5000), budget=300)
+    assert str(exc.value) == "budget 300 is below the minimum usable index ~10^5000"
+    with pytest.raises(ArgumentError) as exc:
+        solve_example(EXAMPLES["drop"](), Fraction(1, 10**5000), budget=10**4999)
+    assert str(exc.value) == "budget ~10^4999 is below the minimum usable index ~10^5000"
 
 
 # ---------------------------------------------------------------------------

@@ -637,6 +637,82 @@ def test_meshes_refuse_more_than_the_cap_points(monkeypatch, space, step, points
         space.mesh(step)
 
 
+def _axis(lo, hi, n):
+    return [lo + k * (hi - lo) / n for k in range(n)] + [hi]
+
+
+@pytest.mark.parametrize("step", [0.25, 0.03, 0.007, 0.7])
+def test_meshes_are_their_runs_in_mesh_order(step):
+    # intervals and boxes: every axis from lo to hi in n steps, the last axis
+    # fastest; star trees: the hub, then each ray outward from the hub
+    interval = make_interval(0.1, 0.7)
+    n = max(1, math.ceil(0.6 / step))
+    assert list(interval.mesh(step)) == _axis(0.1, 0.7, n)
+    box = make_box(((0.0, 1.0), (-2.0, 0.5)))
+    n0, n1 = max(1, math.ceil(1.0 / step)), max(1, math.ceil(2.5 / step))
+    assert list(box.mesh(step)) == [(x, y) for x in _axis(0.0, 1.0, n0) for y in _axis(-2.0, 0.5, n1)]
+    tree = make_star_tree(3, 1.5)
+    n = max(1, math.ceil(1.5 / step))
+    assert list(tree.mesh(step)) == [(0, 0.0)] + [(r, t) for r in range(3) for t in _axis(0.0, 1.5, n)[1:]]
+    for mesh in (interval.mesh(step), box.mesh(step), tree.mesh(step)):
+        assert len(mesh) == len(list(mesh)) == sum(run.size for run in mesh.runs)
+
+
+#: spaces whose mesh runs are checked against the per-point pruning rule, at
+#: ordinary and large magnitudes; on [1e15, 1e15 + 4] the ulp is 1/8, so the
+#: fine meshes repeat each float over many indices
+RUN_SPACES = {
+    "interval": make_interval(0.0, 1.0),
+    "interval-1e8": make_interval(-1e8, 1e8),
+    "interval-1e15": make_interval(1e15, 1e15 + 4),
+    "box": make_box(((0.0, 1.0), (-2.0, 0.5))),
+    "box-1e15": make_box(((-1.0, 1.0), (1e15, 1e15 + 4))),
+    "box-3d": make_box(((0.0, 1.0), (0.0, 2.0), (-1e8, 1e8))),
+    "star": make_star_tree(3, 1.0),
+    "star-1e8": make_star_tree(4, 1e8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_SPACES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_reach_covers_only_points_the_rule_prunes(kind, data):
+    # every index a run reports as surely pruned by (w, r) is pruned by the
+    # per-point float rule of GridOracle: r - 2 d(u, w) > cut
+    space = RUN_SPACES[kind]
+    level = data.draw(st.integers(0, 6 if kind == "box-3d" else 8), label="level")
+    mesh = space.mesh(space.diameter() / 4.0 / 2**level)
+    run = mesh.runs[data.draw(st.integers(0, len(mesh.runs) - 1), label="run")]
+    other = mesh.runs[data.draw(st.integers(0, len(mesh.runs) - 1), label="w run")]
+    w = other.point(data.draw(st.integers(0, other.size - 1), label="w index"))
+    cut = spaces.DEFAULT_ETA + space.diameter() * data.draw(st.floats(0.0, 0.5), label="eps share")
+    i = data.draw(st.integers(0, run.size - 1), label="i")
+    if data.draw(st.booleans(), label="radius on a point"):
+        # the ball's edge within a few ulps of a point of the run
+        edge = run.point(data.draw(st.integers(0, run.size - 1), label="edge index"))
+        r = cut + 2.0 * space.distance(edge, w)
+        for _ in range(data.draw(st.integers(0, 4), label="ulps")):
+            r = math.nextafter(r, data.draw(st.sampled_from((math.inf, -math.inf)), label="way"))
+    else:
+        r = cut + space.diameter() * data.draw(st.floats(0.0, 2.0), label="r share")
+    j = run.reach(i, w, r, cut)
+    assert i <= j <= run.size
+    for k in range(i, j):
+        assert r - 2.0 * space.distance(run.point(k), w) > cut, (k, run.point(k))
+
+
+def test_run_reach_skips_the_inside_of_the_ball():
+    # on the 1/64 mesh of [0, 1] the ball of radius 0.2 about 0.5 holds the
+    # points 0.3125 ... 0.6875, index 20 to 44; from index 21 on they are all sure
+    run = make_interval(0.0, 1.0).mesh(1 / 64).runs[0]
+    assert run.reach(21, 0.5, 0.5, 0.1) == 45
+    # a stretch of fewer than three points is not worth its check
+    assert run.reach(43, 0.5, 0.5, 0.1) == 43
+    # a ball that misses a box line leaves it to the per-point rule
+    line = make_box(((0.0, 1.0), (0.0, 1.0))).mesh(1 / 8).runs[0]
+    assert line.reach(0, (1.0, 0.5), 0.5, 0.1) == 0
+
+
 def test_samples_stay_in_space():
     rng = random.Random(7)
     for space in [

@@ -288,6 +288,9 @@ def test_km_witness_refuses_huge_horizon_without_stop():
         km_witness(DROP10, drop_map(), 5.0, constant_schedule("1/2"), 2_000_000)
     with pytest.raises(ArgumentError):
         km_witness(DROP10, drop_map(), 5.0, constant_schedule("1/2"), -1)
+    # a horizon past Python's int-to-str limit is named by its magnitude
+    with pytest.raises(ArgumentError, match=r"^witness at N=~10\^5000 needs more than"):
+        km_witness(DROP10, drop_map(), 5.0, constant_schedule("1/2"), 10**5000)
 
 
 def test_km_witness_budget_exhaustion(monkeypatch):

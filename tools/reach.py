@@ -36,6 +36,10 @@ PERFBENCH = "kept for perfbench, whose tracer or probes call it (ROADMAP item 13
 GRID_ONLY = "a mesh or diameter that only GridOracle would call (ROADMAP item 2)"
 ERROR_PATH = "an error path that no run here takes"
 NO_COMBINE = "asked of no space by a command: only iterate reads points, and it needs a combine"
+WIDE_BALL = ("GridOracle's jump over a stretch of a run, tried only for a pruner whose ball spans more "
+             "than four gaps of the run; no shipped example leaves one, the scaled_coupling lift does")
+MESH_READ = ("a read of a mesh as a list of points, by the tests' reference scans and perfbench's tracer; "
+             "GridOracle walks the runs")
 
 #: "module.qualname" -> why nothing the audit runs enters it
 ALLOWED = {
@@ -49,9 +53,17 @@ ALLOWED = {
     "spaces.CircleSpace.diameter": GRID_ONLY,
     "spaces.EuclideanSpace.diameter": GRID_ONLY,
     "spaces.EuclideanSpace.mesh": GRID_ONLY,
+    "spaces.EuclideanSpace._line": GRID_ONLY,
     "spaces.FamilyProduct.diameter": GRID_ONLY,
     "spaces.StarTree.diameter": GRID_ONLY,
     "spaces.StarTree.mesh": GRID_ONLY,
+    "spaces.StarTree._ray": GRID_ONLY,
+    "spaces.Run.reach": WIDE_BALL,
+    "spaces._on_line": WIDE_BALL,
+    "spaces.Run.__iter__": MESH_READ,
+    "spaces.Mesh.__len__": MESH_READ,
+    "spaces.Mesh.__iter__": MESH_READ,
+    "spaces.Mesh.__getitem__": MESH_READ,
     "errors.BudgetExhausted.__init__": ERROR_PATH,
     "errors.DomainEscapeError.__init__": ERROR_PATH,
     "errors.RateOverflowError.__str__": ERROR_PATH,
