@@ -125,13 +125,14 @@ class GridOracle(AfppOracle):
     AfppOracle.solve does not, so a bad map still cannot yield a bad point.
 
     A mesh is walked as its runs, stretches of points along one geodesic
-    (spaces.Run), and no point is built before it is tested.  When a pruner
-    fires, or a new one is found, whose ball spans more than four gaps of
-    the run, run.reach gives the end of the stretch that the pruner surely
-    rules out, checked at both ends with distances raised by a few ulps, and
-    the scan jumps past it.  The per-point rule above would skip each point
-    of that stretch too, so the jump changes no evaluation, answer or
-    error; a point within the margin is tested as before.
+    (spaces.Run).  Before a run is walked, each pruner whose ball's radius
+    (r - cut) / 2 is more than eight gaps of it gives the index range of
+    the run inside that ball (run.cover), read off the run's parameter and
+    checked at both ends with distances raised by a few ulps; those points
+    are left out and never built.  The per-point rule above would skip
+    each of them too, so leaving them out changes no evaluation, answer or
+    error; a point within the margin, or ruled out only by a narrower ball
+    or by a pruner found later in the level, is tested as before.
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
@@ -149,38 +150,31 @@ class GridOracle(AfppOracle):
     def _solve(self, f, eps):
         distance = self.space.distance
         cut = eps + DEFAULT_ETA
-        evaluated, pruners = set(), []
+        evaluated, pruners, top = set(), [], 0.0
         step = self.space.diameter() / 4.0
         mesh = self.space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
             for run in mesh.runs:
-                point, size, k = run.point, run.size, 0
-                # a ball of radius (r - cut) / 2 under two gaps of the run
-                # holds no stretch worth a call to run.reach
-                wide = cut + 4.0 * run.gap
-                while k < size:
-                    u = point(k)
-                    k += 1
-                    if u in evaluated:
-                        continue
-                    for i, (w, r) in enumerate(pruners):
-                        if r - 2.0 * distance(u, w) > cut:
-                            pruners[0], pruners[i] = pruners[i], pruners[0]
-                            if r > wide:
-                                k = max(k, run.reach(k - 1, w, r, cut))
-                            break
-                    else:
-                        evaluated.add(u)
-                        r = distance(u, f(u))
-                        if r == 0.0:
-                            return u
-                        if r > cut:
-                            pruners.append((u, r))
-                            if r > wide:
-                                k = max(k, run.reach(k - 1, u, r, cut))
-                        if r < best_r:
-                            best_u, best_r = u, r
+                for stretch in run.untested(pruners, top, cut):
+                    for u in stretch:
+                        if u in evaluated:
+                            continue
+                        for i, (w, r) in enumerate(pruners):
+                            if r - 2.0 * distance(u, w) > cut:
+                                pruners[0], pruners[i] = pruners[i], pruners[0]
+                                break
+                        else:
+                            evaluated.add(u)
+                            r = distance(u, f(u))
+                            if r == 0.0:
+                                return u
+                            if r > cut:
+                                pruners.append((u, r))
+                                if r > top:
+                                    top = r
+                            if r < best_r:
+                                best_u, best_r = u, r
             if best_r <= eps:
                 return best_u
             step /= 2.0

@@ -613,9 +613,8 @@ def describe_overflow(exc: RateOverflowError) -> str:
         lg = exc.log10_upper
         expo = math.floor(lg)
         if expo >= 10**50:
-            # even the exponent is unprintable; drop to tower form: with d
-            # its digit count, the value is below 10^(expo + 1) <= 10^(10^d)
-            return f"<= 10^(10^{digit_count(expo)}) (digit count itself is astronomical)"
+            # even the exponent is unprintable; drop to tower form
+            return f"<= 10^({fmt_number(expo)}) (digit count itself is astronomical)"
         frac = lg - expo
         # 10**frac evaluated in floats, then bumped upward; the bump dwarfs
         # the float rounding, keeping the printed mantissa an upper bound

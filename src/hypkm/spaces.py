@@ -45,7 +45,7 @@ MESH_POINT_CAP = 2_000_000
 # A float distance is within an ulp of the exact one (math.dist, the one
 # inexact distance here, has been since Python 3.10), so along a run a point
 # between two others lies at most a factor 1 + 2 eps farther out in floats
-# than the farther of them; the sure-pruning test of Run.reach raises its end
+# than the farther of them; the sure-pruning test of Run.cover raises its end
 # distances by 4 eps, which covers that and the rounding of the product.
 _SURE = 1.0 + 4.0 * sys.float_info.epsilon
 
@@ -112,56 +112,80 @@ def _on_line(w):
 class Run:
     """A stretch of a mesh along one geodesic, in mesh order.
 
-    Point i is ``make(t)`` at t = lo + k (hi - lo) / n for k = first + i,
-    and at t = hi exactly for k = n, so t never decreases with i (``make``
-    None gives t itself).  ``foot(w)`` places a point w against the run as
-    (c, s2), with d(make(t), w) = sqrt(s2 + (t - c)^2) over the run.
+    Its points are ``make(t)`` at t = lo + k (hi - lo) / n for k = first,
+    ..., n - 1 and then at t = hi, so t never decreases along the run
+    (``make`` None gives t itself).  ``foot(w)`` places a point w against
+    the run as (c, s2), with d(make(t), w) = sqrt(s2 + (t - c)^2) over it.
     """
 
-    __slots__ = ("lo", "hi", "n", "first", "size", "gap", "point", "foot", "distance")
+    __slots__ = ("lo", "hi", "n", "first", "size", "gap", "make", "foot", "distance")
 
     def __init__(self, lo, hi, n, distance=None, first=0, make=None, foot=_on_line):
-        width = hi - lo
-
-        def point(i):
-            k = first + i
-            t = hi if k == n else lo + k * width / n
-            return t if make is None else make(t)
-
         self.lo, self.hi, self.n, self.first = lo, hi, n, first
-        self.size, self.gap = n + 1 - first, width / n
-        self.point, self.foot, self.distance = point, foot, distance
+        self.size, self.gap = n + 1 - first, (hi - lo) / n
+        self.make, self.foot, self.distance = make, foot, distance
 
-    def __iter__(self):
-        return map(self.point, range(self.size))
+    def points(self, i, j):
+        """Points i, ..., j - 1 of the run, as a list."""
+        lo, hi, n, first = self.lo, self.hi, self.n, self.first
+        width = hi - lo
+        ts = [lo + k * width / n for k in range(first + i, min(first + j, n))]
+        if first + j > n:
+            ts.append(hi)
+        return ts if self.make is None else [*map(self.make, ts)]
 
-    def reach(self, i, w, r, cut):
-        """The index past the stretch from point i on that the pruner (w, r)
-        surely rules out: each of its points u has r - 2 d(u, w) > cut in
-        floats.  i itself when not even point i is sure.
+    def point(self, i):
+        return self.points(i, i + 1)[0]
 
-        The stretch ends where the run leaves the ball of radius
-        (r - cut) / 2 about w, read off the run's parameter, and is checked
-        at both ends with distances raised by ``_SURE``.  The exact distance
-        to w along the run falls and then rises, so no point between the
-        ends lies farther out than they do by more than that margin.
+    def cover(self, w, r, cut):
+        """The index range (a, b) of points a, ..., b - 1 that the pruner
+        (w, r) surely rules out: each has r - 2 d(u, w) > cut in floats.
+        None when the ball misses the run or the check fails at an end.
+
+        The range is where the run lies in the ball of radius (r - cut) / 2
+        about w, read off the run's parameter, and it is checked at both
+        ends with distances raised by ``_SURE``.  The exact distance to w
+        along the run falls and then rises, so no point between the ends
+        lies farther out than they do by more than that margin.
         """
         rho = (r - cut) / 2.0
         c, s2 = self.foot(w)
         if not rho * rho > s2:
-            return i
-        t = c + math.sqrt(rho * rho - s2)
-        j = self.size - 1
-        if t < self.hi:
-            j = min(j, math.floor((t - self.lo) / (self.hi - self.lo) * self.n) - self.first)
-        # a stretch of fewer than three points costs more to check than to test
-        if j < i + 2:
-            return i
-        distance, point = self.distance, self.point
-        for end in (j, j - 1):
-            if r - 2.0 * (distance(point(end), w) * _SURE) > cut:
-                return end + 1 if r - 2.0 * (distance(point(i), w) * _SURE) > cut else i
-        return i
+            return None
+        h = math.sqrt(rho * rho - s2)
+        lo, n, first = self.lo, self.n, self.first
+        scale = n / (self.hi - lo)
+        # the ball's ends as fractional mesh indices k
+        x, y = (c - h - lo) * scale, (c + h - lo) * scale
+        if not (x <= n and y >= first):
+            return None
+        a = math.ceil(max(x, first)) - first
+        b = n - first if c + h >= self.hi else math.floor(min(y, n)) - first
+        if a > b:
+            return None
+        for i in (a, b) if a < b else (a,):
+            if not r - 2.0 * (self.distance(self.point(i), w) * _SURE) > cut:
+                return None
+        return a, b + 1
+
+    def untested(self, pruners, top, cut):
+        """The points of the run that no pruner (w, r) surely rules out, as
+        lists of consecutive points in order: the points still to test.
+        top is at least every r."""
+        # a ball of radius (r - cut) / 2 under eight gaps of the run covers
+        # too few of its points to pay for the check in cover
+        wide = cut + 16.0 * self.gap
+        if not top > wide:
+            return (self.points(0, self.size),)
+        stretches, i = [], 0
+        covers = (self.cover(w, r, cut) for w, r in pruners if r > wide)
+        for a, b in sorted(filter(None, covers)):
+            if a > i:
+                stretches.append(self.points(i, a))
+            i = max(i, b)
+        if i < self.size:
+            stretches.append(self.points(i, self.size))
+        return stretches
 
 
 class Mesh:
@@ -176,10 +200,7 @@ class Mesh:
 
     def __iter__(self):
         for run in self.runs:
-            yield from run
-
-    def __getitem__(self, i):
-        return list(self)[i]
+            yield from run.points(0, run.size)
 
 
 def _capped(points: int) -> None:
@@ -342,10 +363,14 @@ class EuclideanSpace(HyperbolicSpace):
     def mesh(self, step):
         if self.bounds is None:
             raise ArgumentError("mesh needs a bounded box")
-        ns = [max(1, math.ceil((hi - lo) / step)) for lo, hi in self.bounds]
-        _capped(math.prod(n + 1 for n in ns))
+        ns, points = [], 1
+        for lo, hi in self.bounds:
+            ns.append(max(1, math.ceil((hi - lo) / step)))
+            # stop at the first axis past the cap, before the count grows huge
+            points *= ns[-1] + 1
+            _capped(points)
         *heads, (lo, hi) = self.bounds
-        axes = [Run(a, b, n) for (a, b), n in zip(heads, ns)]
+        axes = [Run(a, b, n).points(0, n + 1) for (a, b), n in zip(heads, ns)]
         # one run per line of the last axis, the lines in lexicographic order
         return Mesh([self._line(p, lo, hi, ns[-1]) for p in itertools.product(*axes)])
 

@@ -36,10 +36,11 @@ PERFBENCH = "kept for perfbench, whose tracer or probes call it (ROADMAP item 13
 GRID_ONLY = "a mesh or diameter that only GridOracle would call (ROADMAP item 2)"
 ERROR_PATH = "an error path that no run here takes"
 NO_COMBINE = "asked of no space by a command: only iterate reads points, and it needs a combine"
-WIDE_BALL = ("GridOracle's jump over a stretch of a run, tried only for a pruner whose ball spans more "
-             "than four gaps of the run; no shipped example leaves one, the scaled_coupling lift does")
-MESH_READ = ("a read of a mesh as a list of points, by the tests' reference scans and perfbench's tracer; "
-             "GridOracle walks the runs")
+WIDE_BALL = ("GridOracle's check of a stretch of a run that a pruner surely rules out, made only for a "
+             "ball whose radius spans more than eight gaps of the run; no shipped example leaves one, "
+             "the scaled_coupling lift does")
+MESH_READ = ("a read of a mesh as one list of points, by the reference scans of the GridOracle equivalence "
+             "tests; GridOracle walks the runs")
 
 #: "module.qualname" -> why nothing the audit runs enters it
 ALLOWED = {
@@ -58,12 +59,11 @@ ALLOWED = {
     "spaces.StarTree.diameter": GRID_ONLY,
     "spaces.StarTree.mesh": GRID_ONLY,
     "spaces.StarTree._ray": GRID_ONLY,
-    "spaces.Run.reach": WIDE_BALL,
+    "spaces.Run.cover": WIDE_BALL,
+    "spaces.Run.point": WIDE_BALL,
     "spaces._on_line": WIDE_BALL,
-    "spaces.Run.__iter__": MESH_READ,
-    "spaces.Mesh.__len__": MESH_READ,
+    "spaces.Mesh.__len__": PERFBENCH,
     "spaces.Mesh.__iter__": MESH_READ,
-    "spaces.Mesh.__getitem__": MESH_READ,
     "errors.BudgetExhausted.__init__": ERROR_PATH,
     "errors.DomainEscapeError.__init__": ERROR_PATH,
     "errors.RateOverflowError.__str__": ERROR_PATH,
