@@ -6,8 +6,12 @@ witnesses beside the step sizes: K caps them away from 1 (lam_n <= 1 - 1/K)
 and alpha certifies divergence of their sums (n <= sum_{i<=alpha(n)} lam_i).
 Both clauses are the hard preconditions of the rate bounds in `rates`.
 
-Every orbit in the package is walked by the one loop `_km_walk`, with the
-same domain checks, reading its steps from `Schedule.float_steps`.  Under a
+Every orbit in the package is walked by `_km_walk`, with the same domain
+checks, reading its steps from `Schedule.float_steps`.  Its generic loop is
+the reference; the one other loop, `_interval_orbit_end`, walks an
+untraced orbit on an `IntervalSpace` with that space's membership test and
+step written inline, so that its only call per step is the map's, and
+keeps every check and every bit of the generic loop.  Under a
 constant schedule the loop ends once the orbit is stationary (an iterate
 repeats its predecessor bit for bit) and fills in the rest of the orbit,
 which then repeats; this relies on every map being a function of its
@@ -27,7 +31,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArgumentError, DomainError, DomainEscapeError, ScheduleError
 from .rates import AlphaFn, alpha_scale_ceil, alpha_table, as_fraction, require_alpha_fn
-from .spaces import DEFAULT_ETA, HyperbolicSpace, Point, Space
+from .spaces import DEFAULT_ETA, HyperbolicSpace, IntervalSpace, Point, Space
 
 #: beyond this many terms, partial sums fall back from exact rationals to
 #: compensated float summation (with an explicit slack in comparisons).
@@ -311,7 +315,9 @@ def _km_walk(
     stops at the first x_k (k < n) with residual <= stop_eps.  Returns
     (x_k, k, r): where it stopped, and the residual there if ``residuals``
     or ``stop_eps`` asked for residuals (else None).  A NonexpansiveMap is
-    called through its ``fn``, as its ``__call__`` does.
+    called through its ``fn``, as its ``__call__`` does.  A walk that asks
+    for none of the three on an `IntervalSpace` itself is handed to
+    `_interval_orbit_end`, which returns what the loop below would.
 
     Stationary exit: under a constant schedule one step x -> W(x, T(x), lam)
     is a fixed function of x, since T is a function of its argument.  Once
@@ -333,6 +339,8 @@ def _km_walk(
     if not contains(x0):
         raise DomainError(f"start {x0!r} is not a member of {space!r}")
     track = residuals is not None or stop_eps is not None
+    if type(space) is IntervalSpace and points is None and not track:
+        return _interval_orbit_end(space, T, x0, sched, n, start)
     constant = sched.constant is not None
     x, r = x0, None
     for k, lam in zip(range(start, n), sched.float_steps(start)):
@@ -365,6 +373,38 @@ def _km_walk(
         if residuals is not None:
             residuals.append(r)
     return x, n, r
+
+
+def _interval_orbit_end(
+    space: IntervalSpace,
+    T: Callable[[Point], Point],
+    x: Point,
+    sched: Schedule,
+    n: int,
+    start: int,
+) -> tuple:
+    """`_km_walk` with no ``points``, ``residuals`` or ``stop_eps`` on an
+    `IntervalSpace` itself, as one loop whose only call per step is T's.
+
+    Its membership test is ``IntervalSpace.contains`` for a float, which
+    ``float()`` returns as it is: a comparison with the widened bounds.
+    Anything else goes to ``contains``.  The step is ``combine``'s own
+    expression.  So every check, escape and stationary exit is the generic
+    loop's, with the same bits.
+    """
+    lo, hi, contains = space._lo, space._hi, space.contains
+    constant = sched.constant is not None
+    for k, lam in zip(range(start, n), sched.float_steps(start)):
+        Tx = T(x)
+        if not (lo <= Tx <= hi if type(Tx) is float else contains(Tx)):
+            raise DomainEscapeError(k, Tx)
+        y = x + lam * (Tx - x)
+        if not (lo <= y <= hi if type(y) is float else contains(y)):
+            raise DomainEscapeError(k, y)
+        if constant and y == x and repr(y) == repr(x):
+            return x, n, None
+        x = y
+    return x, n, None
 
 
 def km_iterate(

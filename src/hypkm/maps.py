@@ -9,7 +9,7 @@ analytic arguments in their docstrings instead.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ArgumentError, DomainError
@@ -24,11 +24,17 @@ class NonexpansiveMap:
 
     ``fn`` must be a function of its argument: points that are equal bit for
     bit have equal images.  The averaged iteration relies on it to end a
-    walk whose orbit has turned stationary."""
+    walk whose orbit has turned stationary.
+
+    A product map may give its slice (`product_map`): ``slice_of(u)`` is
+    x -> first coordinate of T(x, u).  Other maps leave it None."""
 
     domain: Space
     fn: Callable[[Point], Point]
     label: str = ""
+    slice_of: Optional[Callable[[Point], Callable[[Point], Point]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __call__(self, x: Point) -> Point:
         return self.fn(x)
@@ -41,12 +47,38 @@ SelectionFunction = NonexpansiveMap
 #: a product map is a claimed d-infinity-nonexpansive self-map of a
 #: ``spaces.FamilyProduct``: its ``domain`` exposes ``right`` (the parameter
 #: factor), ``slice_space(u)`` (the fiber the first coordinate lives in) and
-#: the product distance.
+#: the product distance.  It is given either as a pair function ``fn``
+#: alone, or by `product_map` from its slice and its parameter coordinate,
+#: with the pair function derived from them; every catalog product map is
+#: given the second way.
 ProductMap = NonexpansiveMap
 
 
+def product_map(
+    dom: Space,
+    slice_of: Callable[[Point], Callable[[Point], Point]],
+    param: Callable[[Point, Point], Point],
+    label: str,
+) -> ProductMap:
+    """T(x, u) = (slice_of(u)(x), param(x, u)): each coordinate written
+    once, and the pair function built from the two."""
+    return ProductMap(
+        dom, lambda p: (slice_of(p[1])(p[0]), param(p[0], p[1])), label, slice_of
+    )
+
+
+def slice_fn(T: ProductMap, u: Point) -> Callable[[Point], Point]:
+    """x -> first coordinate of T(x, u): T's own slice if it gives one,
+    else the projection of its pair function."""
+    if T.slice_of is not None:
+        return T.slice_of(u)
+    return lambda x: T.fn((x, u))[0]
+
+
 def slice_map(T: ProductMap, u: Point) -> NonexpansiveMap:
-    """Freeze the parameter: x -> first coordinate of T(x, u).
+    """Freeze the parameter: x -> first coordinate of T(x, u), through
+    `slice_fn`: a product map that gives its slice is walked through it,
+    with no pair built per step.
 
     Nonexpansiveness is inherited from T (the parameter pair contributes 0
     to the product distance) but is still only a claim, tested not assumed.
@@ -55,7 +87,7 @@ def slice_map(T: ProductMap, u: Point) -> NonexpansiveMap:
         raise DomainError(f"parameter {u!r} is not a member of {T.domain.right!r}")
     return NonexpansiveMap(
         domain=T.domain.slice_space(u),
-        fn=lambda x: T.fn((x, u))[0],
+        fn=slice_fn(T, u),
         label=f"{T.label or 'T'}[u={u!r}]",
     )
 
@@ -208,14 +240,14 @@ def coupled_average(dom: Space) -> ProductMap:
     of the coordinate moves, the second copies the first input.  Every
     diagonal point (x, x) is fixed.
     """
-    return ProductMap(dom, lambda p: ((p[0] + p[1]) / 2.0, p[0]), "coupled_average")
+    return product_map(dom, lambda u: lambda x: (x + u) / 2.0, lambda x, u: x, "coupled_average")
 
 
 def constant_pair(dom: Space, c: Point, m: Point) -> ProductMap:
     """T(x, u) = (c, m)."""
     if not dom.contains((c, m)):
         raise DomainError(f"({c!r}, {m!r}) is not a member of {dom!r}")
-    return ProductMap(dom, lambda p: (c, m), f"constant_pair({c!r},{m!r})")
+    return product_map(dom, lambda u: lambda x: c, lambda x, u: m, f"constant_pair({c!r},{m!r})")
 
 
 def clamped_drop(dom: Space, drop: float = 1.0) -> ProductMap:
@@ -224,7 +256,7 @@ def clamped_drop(dom: Space, drop: float = 1.0) -> ProductMap:
     Each slice walks toward 0 and fixes it; the parameter is untouched.
     """
     d = float(drop)
-    return ProductMap(dom, lambda p: (max(p[0] - d, 0.0), p[1]), f"clamped_drop({d})")
+    return product_map(dom, lambda u: lambda x: max(x - d, 0.0), lambda x, u: u, f"clamped_drop({d})")
 
 
 def unit_drift(dom: Space) -> ProductMap:
@@ -233,7 +265,7 @@ def unit_drift(dom: Space) -> ProductMap:
     Every slice is a unit translation: displacement is identically 1, which
     is also the infimum, so the product residual cannot go below 1.
     """
-    return ProductMap(dom, lambda p: (p[0] + 1.0, p[1]), "unit_drift")
+    return product_map(dom, lambda u: lambda x: x + 1.0, lambda x, u: u, "unit_drift")
 
 
 def scaled_coupling(dom: Space, scale: float, shift: float) -> ProductMap:
@@ -246,21 +278,19 @@ def scaled_coupling(dom: Space, scale: float, shift: float) -> ProductMap:
     s, t = float(scale), float(shift)
     if abs(s) > 1.0:
         raise ArgumentError(f"|scale| must be <= 1, got {s}")
-
-    def fn(p):
-        mid = (p[0] + p[1]) / 2.0
-        return (s * mid + t, mid)
-
-    return ProductMap(dom, fn, f"scaled_coupling({s},{t})")
+    return product_map(
+        dom, lambda u: lambda x: s * ((x + u) / 2.0) + t, lambda x, u: (x + u) / 2.0,
+        f"scaled_coupling({s},{t})",
+    )
 
 
 def family_halving(dom: Space) -> ProductMap:
     """T(x, u) = (min(x, 1+u)/2, u) for fibers [0, 1+u]: the image lies in
     [0, (1+u)/2], safely inside every fiber."""
-    return ProductMap(dom, lambda p: (min(p[0], 1.0 + p[1]) / 2.0, p[1]), "family_halving")
+    return product_map(dom, lambda u: lambda x: min(x, 1.0 + u) / 2.0, lambda x, u: u, "family_halving")
 
 
 def family_drift(dom: Space) -> ProductMap:
     """T(x, u) = (x + u, u): deliberately violates fiber invariance for
     fibers [0, 1+u] (e.g. x=1.5, u=0.1 maps to 1.6 > 1.1)."""
-    return ProductMap(dom, lambda p: (p[0] + p[1], p[1]), "family_drift")
+    return product_map(dom, lambda u: lambda x: x + u, lambda x, u: u, "family_drift")

@@ -41,6 +41,7 @@ from .maps import (
     family_halving,
     identity_map,
     phi,
+    slice_fn,
     slice_map,
     unit_drift,
 )
@@ -271,7 +272,7 @@ def approx_fixed_pair(
     x_n(z) is read from phi_n's memo.
     """
     if n < 1:
-        raise ArgumentError(f"index must be >= 1, got {n}")
+        raise ArgumentError(f"index must be >= 1, got {fmt_number(n)}")
     memo: dict = {}
     phi_n = phi(T, delta, sched, n, memo=memo)
     z = oracle.solve(phi_n, 1.0 / n)
@@ -407,7 +408,7 @@ def certified_run(
             f"probe value {xstar!r} is outside the fiber at u={z!r}"
         )
     d_sel = fiber.distance(delta(z), xstar)
-    r_star = fiber.distance(xstar, T.fn((xstar, z))[0])
+    r_star = fiber.distance(xstar, slice_fn(T, z)(xstar))
     if not (d_sel <= float(b1_f) + DEFAULT_ETA):
         raise ProbeContractError(
             f"probe at u={z!r}: distance {d_sel:.6g} from the selection "
@@ -418,7 +419,7 @@ def certified_run(
             f"probe at u={z!r}: slice residual {r_star:.6g} exceeds "
             f"b2={float(b2_f):.6g}"
         )
-    sel_res = fiber.distance(delta(z), T.fn((delta(z), z))[0])
+    sel_res = fiber.distance(delta(z), slice_fn(T, z)(delta(z)))
     if not (sel_res <= float(2 * b1_f + b2_f) + DEFAULT_ETA):
         raise InvariantError(
             f"selection displacement {sel_res:.6g} exceeds 2*b1+b2; "
@@ -519,7 +520,7 @@ def solve_product_afpp(
     if not 0 < eps_f <= sys.float_info.max:
         raise ArgumentError(f"eps must be positive and within float range, got {eps}")
     if budget < 1:
-        raise ArgumentError(f"budget must be >= 1, got {budget}")
+        raise ArgumentError(f"budget must be >= 1, got {fmt_number(budget)}")
     if mode not in ("sup-rC", "bounded-orbit"):
         raise ArgumentError(f"unknown mode {mode!r}")
     if mode == "sup-rC":
@@ -586,7 +587,7 @@ def estimate_product_residual_inf(
     """Upper estimate of the infimum product residual inf_p d(p, T(p)):
     the best lifted residual over indices 1..N; nonincreasing in N."""
     if N < 1:
-        raise ArgumentError(f"N must be >= 1, got {N}")
+        raise ArgumentError(f"N must be >= 1, got {fmt_number(N)}")
     return min(
         approx_fixed_pair(T, delta, sched, oracle, n).residual
         for n in range(1, N + 1)
@@ -619,7 +620,7 @@ def check_uniform_displacement(
         u = T.domain.right.sample(rng)
         fiber = T.domain.slice_space(u)
         x = delta(u)
-        disp = fiber.distance(x, T.fn((x, u))[0])
+        disp = fiber.distance(x, slice_fn(T, u)(x))
         if not (disp <= worst or math.isnan(worst)):  # the first nan stays the max
             worst, argmax = disp, u
         if not (disp <= b + DEFAULT_ETA) and violator is None:

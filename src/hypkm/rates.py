@@ -237,14 +237,17 @@ def fmt_number(x, spec: str = ".6g") -> str:
     """The text of a number in outputs and messages: an int of at most 50
     digits exactly, anything else as format(float(x), spec), and a longer int
     or a value beyond float range as ~10^N, where N + 1 is the digit count of
-    its integer part.  Never trips the int-to-str digit limit."""
+    its integer part, after a minus sign if it is negative (-~10^N).  Never
+    trips the int-to-str digit limit."""
     if not isinstance(x, int):
         try:
             return format(float(x), spec)
         except OverflowError:
             x = int(x)
     digits = digit_count(x)
-    return str(x) if digits <= 50 else f"~10^{digits - 1}"
+    if digits <= 50:
+        return str(x)
+    return f"{'-' if x < 0 else ''}~10^{digits - 1}"
 
 
 def _log10_upper(c) -> Fraction:

@@ -1,5 +1,6 @@
-"""The per-step kernels: pinned iterate bytes, and the unrolled 2-D kernels
-against the generic ones they replace.
+"""The per-step kernels: pinned iterate bytes, the unrolled 2-D kernels
+against the generic ones they replace, and the interval orbit-end loop
+against the generic loop.
 
 The goldens are sha256 digests of `hypkm iterate` stdout, less its version
 line, taken from the generic kernels before the unrolled ones existed; any
@@ -15,11 +16,19 @@ import random
 
 from hypothesis import example, given, strategies as st
 
-from hypkm import make_box, make_euclidean, make_interval, make_star_tree
+from hypkm import km, make_box, make_euclidean, make_interval, make_star_tree
 from hypkm.cli import main
-from hypkm.km import ResidualTrace
-from hypkm.maps import _affine_generic, affine_map
-from hypkm.spaces import EuclideanSpace, PoincareDisk
+from hypkm.errors import DomainEscapeError
+from hypkm.km import (
+    ResidualTrace,
+    _km_walk,
+    constant_schedule,
+    harmonic_schedule,
+    km_iterate,
+    km_orbit_end,
+)
+from hypkm.maps import NonexpansiveMap, _affine_generic, affine_map
+from hypkm.spaces import EuclideanSpace, IntervalSpace, PoincareDisk
 
 
 def _constant_third(cfg: dict) -> dict:
@@ -158,6 +167,101 @@ def test_poincare_kernels_are_the_mobius_formulas():
         m = math.tanh(lam * math.atanh(abs(y1))) * (y1 / abs(y1))
         assert disk.combine(x, y, lam) == (m + x) / (1 + x.conjugate() * m)
     assert disk.combine(0.5j, 0.5j, 0.3) == 0.5j
+
+
+# ---------------------------------------------------------------------------
+# the interval orbit-end loop == the generic loop
+# ---------------------------------------------------------------------------
+
+
+class _GenericInterval(IntervalSpace):
+    """The same space; as a subclass it is walked by the generic loop."""
+
+
+ENDS = [(0.0, 1.0), (-1e8, 1e8), (1e15, 1e15 + 4), (0.0, math.inf), (-math.inf, -2.0),
+        (-math.inf, math.inf)]
+
+
+def _near_bounds(space: IntervalSpace) -> list:
+    """The widened bounds, their neighbours one ulp either side, and the
+    endpoints themselves."""
+    near = [space.a, space.b]
+    for v in (space._lo, space._hi):
+        near += [math.nextafter(v, -math.inf), v, math.nextafter(v, math.inf)]
+    return near
+
+
+@st.composite
+def orbit_end_cases(draw):
+    a, b = draw(st.sampled_from(ENDS))
+    space = IntervalSpace(a, b)
+    near = _near_bounds(space)
+    members = [v for v in near + [0.0, -0.0, 0.5, -3.0] if space.contains(v)]
+    image = st.one_of(
+        st.floats(),
+        st.sampled_from(near + [0.0, -0.0, math.nan, math.inf, -math.inf]),
+        st.integers(-3, 3),
+        st.just(10**400),
+    )
+    images = draw(st.lists(image, max_size=8))
+    slope = draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0]))
+    shift = draw(st.sampled_from([0.0, -0.0, 0.25, -3.0]))
+    # mostly members: a start outside fails before either loop is entered
+    x0 = draw(st.one_of(st.sampled_from(members), st.sampled_from(members), st.sampled_from(near),
+                        st.integers(-2, 2)))
+    sched = draw(st.sampled_from(["1/2", "1/3", "1/10000", "9/10", "harmonic"]))
+    start = draw(st.integers(0, 6))
+    n = start + draw(st.integers(0, 40))
+    return a, b, images, slope, shift, x0, sched, start, n
+
+
+def _walk_outcome(cls, case):
+    """repr of what `_km_walk` returns on a ``cls`` interval, or the error
+    with an escape's step and point."""
+    a, b, images, slope, shift, x0, sched, start, n = case
+    space = cls(a, b)
+    answers = iter(images)
+
+    def fn(x):
+        # both loops call the map at the same points in the same order, so
+        # answering from the drawn list first compares them fairly
+        return next(answers, slope * x + shift)
+
+    schedule = harmonic_schedule() if sched == "harmonic" else constant_schedule(sched)
+    try:
+        return repr(_km_walk(space, NonexpansiveMap(space, fn), x0, schedule, n, start=start))
+    except DomainEscapeError as exc:
+        return ("escape", exc.step, repr(exc.point))
+    except Exception as exc:  # noqa: BLE001 -- the type and text are the outcome
+        return (type(exc), str(exc).replace(cls.__name__, "IntervalSpace"))
+
+
+@given(orbit_end_cases())
+@example((0.0, 1.0, [0.0], 1.0, 0.0, -0.0, "1/2", 0, 10))  # -0.0 then 0.0: equal, not stationary
+@example((0.0, 1.0, [0], 1.0, 0.0, 0, "1/2", 0, 10))  # the int 0 then 0.0
+@example((0.0, 1.0, [0.5, 0.9], 0.0, 0.0, 0.5, "harmonic", 0, 5))  # a repeat, then a move
+@example((0.0, 1.0, [], 1.0, 0.0, 0.0, "1/2", 3, 10))
+@example((0.0, 1.0, [1.0 + 1e-12, math.nextafter(1.0 + 1e-12, 2.0)], 0.0, 0.0, 1.0, "1/3", 0, 5))
+@example((0.0, math.inf, [math.nan], 0.5, 0.0, 0.0, "1/2", 0, 5))
+@example((-math.inf, math.inf, [10**400], 0.5, 0.0, 2, "1/2", 0, 5))
+@example((-math.inf, math.inf, [3], 0.5, 0.0, 2, "harmonic", 2, 9))
+def test_interval_orbit_end_loop_equals_the_generic_loop(case):
+    assert _walk_outcome(IntervalSpace, case) == _walk_outcome(_GenericInterval, case)
+
+
+def test_only_an_untraced_walk_on_an_interval_takes_the_orbit_end_loop(monkeypatch):
+    taken = []
+    real = km._interval_orbit_end
+    monkeypatch.setattr(km, "_interval_orbit_end", lambda *a: taken.append(a) or real(*a))
+    half = NonexpansiveMap(make_interval(0.0, 1.0), lambda x: x / 2.0)
+    sched = constant_schedule("1/2")
+    km_orbit_end(make_interval(0.0, 1.0), half, 1.0, sched, 5)
+    assert len(taken) == 1
+    km_orbit_end(_GenericInterval(0.0, 1.0), half, 1.0, sched, 5)
+    km_iterate(make_interval(0.0, 1.0), half, 1.0, sched, 5)
+    _km_walk(make_interval(0.0, 1.0), half, 1.0, sched, 5, stop_eps=0.1)
+    _km_walk(make_interval(0.0, 1.0), half, 1.0, sched, 5, points=[])
+    assert len(taken) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypkm import (
     ArgumentError,
     NonexpansiveMap,
+    ProductMap,
     ScheduleError,
     affine_map,
     clamped_drop,
@@ -20,6 +21,7 @@ from hypkm import (
     falsify_nonexpansive,
     family_drift,
     family_halving,
+    family_product,
     identity_map,
     interval_affine,
     make_box,
@@ -152,6 +154,51 @@ def test_catalog_product_maps_pointwise():
     assert sc((0.2, 0.8)) == (pytest.approx(0.5), pytest.approx(0.5))
     with pytest.raises(ArgumentError):
         scaled_coupling(dom, 1.5, 0.0)
+
+
+def _catalog_product_maps():
+    """Each catalog product map, with its pair function written out in full:
+    the form the catalog had before it gave its slices."""
+    square = unit_square()
+    family = family_product(
+        make_interval(0.0, 1.0), lambda u: make_interval(0.0, 1.0 + u),
+        identity_map(make_interval(0.0, 1.0)), make_interval(0.0, 2.0),
+    )
+    yield coupled_average(square), lambda p: ((p[0] + p[1]) / 2.0, p[0])
+    yield constant_pair(square, 1.0, 0.5), lambda p: (1.0, 0.5)
+    wide = product(make_interval(0.0, 10.0), make_interval(0.0, 1.0))
+    yield clamped_drop(wide), lambda p: (max(p[0] - 1.0, 0.0), p[1])
+    line = product(make_interval(-math.inf, math.inf), make_interval(0.0, 1.0))
+    yield unit_drift(line), lambda p: (p[0] + 1.0, p[1])
+    for s, t in ((0.5, 0.1), (-0.3, 0.7), (1.0, -0.0)):
+        yield scaled_coupling(square, s, t), (
+            lambda p, s=s, t=t: (s * ((p[0] + p[1]) / 2.0) + t, (p[0] + p[1]) / 2.0)
+        )
+    yield family_halving(family), lambda p: (min(p[0], 1.0 + p[1]) / 2.0, p[1])
+    yield family_drift(family), lambda p: (p[0] + p[1], p[1])
+
+
+def _with_ends(space, rng, draws):
+    """Finite ends of an interval, +-0.0 where they are members, and draws."""
+    ends = [v for v in (space.a, space.b, 0.0, -0.0) if math.isfinite(v) and space.contains(v)]
+    return ends + [space.sample(rng) for _ in range(draws)]
+
+
+def test_catalog_slices_are_the_first_coordinate_bit_for_bit():
+    rng = random.Random(7)
+    for T, reference in _catalog_product_maps():
+        for u in _with_ends(T.domain.right, rng, 6):
+            sl = slice_map(T, u)
+            for x in _with_ends(T.domain.slice_space(u), rng, 6) + [1e300, -1e-300]:
+                first, second = reference((x, u))
+                assert repr(sl(x)) == repr(first), (T.label, x, u)
+                assert repr(T((x, u))) == repr((first, second)), (T.label, x, u)
+
+
+def test_a_pair_function_alone_is_projected():
+    T = ProductMap(unit_square(), lambda p: ((p[0] + p[1]) / 2.0, p[0]), "pair only")
+    assert T.slice_of is None
+    assert repr(slice_map(T, 0.5)(-0.0)) == "0.25"
 
 
 def test_family_drift_leaves_fibers():

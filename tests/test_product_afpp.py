@@ -703,6 +703,31 @@ def test_budget_message_prints_a_huge_index_as_a_magnitude():
     assert str(exc.value) == "budget ~10^4999 is below the minimum usable index ~10^5000"
 
 
+# a negative int of 5,001 digits is past Python's int-to-str limit: each
+# message prints it as a signed magnitude instead of failing to render it
+HUGE_NEGATIVE = -(10**5000)
+
+
+def test_negative_budget_message_keeps_its_sign():
+    with pytest.raises(ArgumentError) as exc:
+        solve_example(EXAMPLES["drop"](), Fraction(1, 10), budget=HUGE_NEGATIVE)
+    assert str(exc.value) == "budget must be >= 1, got -~10^5000"
+
+
+def test_negative_index_message_keeps_its_sign():
+    ex = diagonal_example()
+    with pytest.raises(ArgumentError) as exc:
+        approx_fixed_pair(ex.T, ex.delta, ex.sched, ex.oracle, HUGE_NEGATIVE)
+    assert str(exc.value) == "index must be >= 1, got -~10^5000"
+
+
+def test_negative_horizon_message_keeps_its_sign():
+    ex = diagonal_example()
+    with pytest.raises(ArgumentError) as exc:
+        estimate_product_residual_inf(ex.T, ex.delta, ex.sched, ex.oracle, HUGE_NEGATIVE)
+    assert str(exc.value) == "N must be >= 1, got -~10^5000"
+
+
 # ---------------------------------------------------------------------------
 # the solver
 # ---------------------------------------------------------------------------

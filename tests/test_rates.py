@@ -116,7 +116,7 @@ def test_as_fraction():
         (30, ".6g", "30"),
         (10**50 - 1, ".6g", "9" * 50),
         (10**50, ".17g", "~10^50"),  # 51 digits: too long to print, inside float range
-        (-(10**400), ".6g", "~10^400"),
+        (-(10**400), ".6g", "-~10^400"),
         (Fraction(1, 3), ".17g", "0.33333333333333331"),
         (Fraction(7, 2), ".6g", "3.5"),
         (Fraction(10**400, 3), ".6g", "~10^399"),
