@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -48,10 +49,13 @@ from .maps import (
 from .rates import as_fraction, fmt_number, rate_g, rate_g_tilde
 from .spaces import (
     DEFAULT_ETA,
+    EuclideanSpace,
     FamilyProduct,
     HyperbolicSpace,
+    IntervalSpace,
     Point,
     Space,
+    StarTree,
     make_interval,
     make_real_line,
     product,
@@ -115,25 +119,33 @@ class GridOracle(AfppOracle):
     A point is evaluated at most once per solve, and a new point u is
     skipped when some evaluated w has r(w) - 2 d(u, w) > eps + DEFAULT_ETA;
     the Lipschitz bound then puts r(u) above eps (Piyavskii 1972, Shubert
-    1972).  As d >= 0, only a w with r(w) above that cut can fire; these
-    pruners are kept in a list, and the one that fires is swapped to its
-    front.  Whether one fires does not depend on that order, so the order
-    changes no evaluation, answer or error.  A point with r <= eps is never
-    skipped, so the first level holding one is the same level that an
-    exhaustive scan stops at, its first minimiser is evaluated, and the same
-    point is returned.  The meshes need not be nested.  The pruning assumes
-    the claimed nonexpansiveness up to DEFAULT_ETA; the post-check in
-    AfppOracle.solve does not, so a bad map still cannot yield a bad point.
+    1972).  As d >= 0, only a w with r(w) above that cut can fire; these are
+    the pruners.  Whether one fires does not depend on the order they are
+    tried in, so the order changes no evaluation, answer or error.  A point
+    with r <= eps is never skipped, so the first level holding one is the
+    same level that an exhaustive scan stops at, its first minimiser is
+    evaluated, and the same point is returned.  The meshes need not be
+    nested.  The pruning assumes the claimed nonexpansiveness up to
+    DEFAULT_ETA; the post-check in AfppOracle.solve does not, so a bad map
+    still cannot yield a bad point.
 
-    A mesh is walked as its runs, stretches of points along one geodesic
-    (spaces.Run).  Before a run is walked, each pruner whose ball's radius
-    (r - cut) / 2 is more than eight gaps of it gives the index range of
-    the run inside that ball (run.cover), read off the run's parameter and
-    checked at both ends with distances raised by a few ulps; those points
-    are left out and never built.  The per-point rule above would skip
-    each of them too, so leaving them out changes no evaluation, answer or
-    error; a point within the margin, or ruled out only by a narrower ball
-    or by a pruner found later in the level, is tested as before.
+    Each level is walked by one of two loops that make the same map calls
+    in the same order, with the same answers and errors.  `_runs_walk`, the
+    reference, walks any mesh as its runs, stretches of points along one
+    geodesic (spaces.Run): before a run is walked, each pruner whose ball's
+    radius (r - cut) / 2 is more than eight gaps of it gives the index range
+    of the run inside that ball (run.cover), checked at both ends with
+    distances raised by a few ulps; those points are left out, and every
+    other point is tested against the pruners, the one that fires swapped
+    to the front of their list.  `_interval_walk` walks the mesh of an
+    `IntervalSpace` itself (not a subclass) by index, with its pruners
+    sorted by position.  Float subtraction is monotone and the mesh points
+    never decrease, so the per-point rule holds on one stretch of indices
+    per pruner; when a pruner fires, the walk jumps past its whole stretch,
+    whose end it settles with the same float rule, so it needs no margin.
+    It computes the rule inline, as IntervalSpace.distance would: the only
+    distances it asks the space for are the residuals, 3 on the `jump` map
+    down to its floor where the reference asks for 131.
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
@@ -143,50 +155,195 @@ class GridOracle(AfppOracle):
     """
 
     def __init__(self, space: Space):
-        if not math.isfinite(space.diameter()) or not hasattr(space, "mesh"):
+        if not (hasattr(space, "mesh") and _bounded(space)):
             raise ArgumentError("grid refinement needs a bounded space with a mesh")
+        diameter = space.diameter()
+        if not math.isfinite(diameter):
+            # the mesh arithmetic starts from a quarter of it
+            raise ArgumentError(
+                f"grid refinement needs a diameter that is a finite float; {space!r} is bounded, "
+                f"but its diameter overflows to {diameter}"
+            )
         self.space = space
         self.label = "grid"
 
     def _solve(self, f, eps):
-        distance = self.space.distance
-        cut = eps + DEFAULT_ETA
-        evaluated, pruners, top = set(), [], 0.0
-        step = self.space.diameter() / 4.0
-        mesh = self.space.mesh(step)
+        space = self.space
+        walker = _interval_walk if type(space) is IntervalSpace else _runs_walk
+        walk = walker(space.distance, f, eps + DEFAULT_ETA)
+        step = space.diameter() / 4.0
+        mesh = space.mesh(step)
         best_u, best_r = None, math.inf
         while True:
-            for run in mesh.runs:
-                for stretch in run.untested(pruners, top, cut):
-                    for u in stretch:
-                        if u in evaluated:
-                            continue
-                        for i, (w, r) in enumerate(pruners):
-                            if r - 2.0 * distance(u, w) > cut:
-                                pruners[0], pruners[i] = pruners[i], pruners[0]
-                                break
-                        else:
-                            evaluated.add(u)
-                            r = distance(u, f(u))
-                            if r == 0.0:
-                                return u
-                            if r > cut:
-                                pruners.append((u, r))
-                                if r > top:
-                                    top = r
-                            if r < best_r:
-                                best_u, best_r = u, r
+            # a walk that meets a zero residual returns it at once
+            best_u, best_r = walk(mesh, best_u, best_r)
             if best_r <= eps:
                 return best_u
             step /= 2.0
             try:
-                mesh = self.space.mesh(step)
+                mesh = space.mesh(step)
             except MeshCapError:
                 raise OracleError(
                     f"grid refinement floor reached at step {step * 2:.3g}; "
                     f"best residual {best_r:.6g} > tolerance {eps:.6g} "
                     "(the map may have no approximate fixed points)"
                 ) from None
+
+
+def _bounded(space: Space) -> bool:
+    """Whether a space with a mesh is bounded: an interval or a box whose
+    ends are finite floats, or a star tree.  Another space counts as bounded
+    when its diameter is finite."""
+    if isinstance(space, IntervalSpace):
+        return math.isfinite(space.a) and math.isfinite(space.b)
+    if isinstance(space, EuclideanSpace):
+        return space.bounds is not None and all(math.isfinite(v) for bound in space.bounds for v in bound)
+    return isinstance(space, StarTree) or math.isfinite(space.diameter())
+
+
+def _runs_walk(distance, f, cut):
+    """GridOracle's walk of one level of any mesh, run by run, as a function
+    of (mesh, best_u, best_r) that returns the new best pair; it keeps the
+    evaluated points and the pruners of one solve across levels."""
+    evaluated, pruners, top = set(), [], 0.0
+
+    def walk(mesh, best_u, best_r):
+        nonlocal top
+        for run in mesh.runs:
+            for stretch in run.untested(pruners, top, cut):
+                for u in stretch:
+                    if u in evaluated:
+                        continue
+                    for i, (w, r) in enumerate(pruners):
+                        if r - 2.0 * distance(u, w) > cut:
+                            pruners[0], pruners[i] = pruners[i], pruners[0]
+                            break
+                    else:
+                        evaluated.add(u)
+                        r = distance(u, f(u))
+                        if r == 0.0:
+                            return u, r
+                        if r > cut:
+                            pruners.append((u, r))
+                            if r > top:
+                                top = r
+                        if r < best_r:
+                            best_u, best_r = u, r
+        return best_u, best_r
+
+    return walk
+
+
+def _interval_walk(distance, f, cut):
+    """`_runs_walk` on an `IntervalSpace` itself, by mesh index: the same map
+    calls in the same order, the same best pair and the same zero return.
+
+    The mesh is one run, whose points t_k = lo + k (hi - lo) / n, then hi,
+    never decrease in k, since each float operation is monotone (while
+    k (hi - lo) is finite; see below).  Float subtraction is monotone too,
+    so along the run abs(t_k - w) falls and then rises, and the per-point
+    rule r - 2.0 * abs(t_k - w) > cut, with ``IntervalSpace.distance``'s own
+    abs(u - w), holds on one stretch of indices for each pruner (w, r).
+    Rounding is symmetric, so for w >= u that distance is w - u, and for
+    w <= u it is u - w.
+
+    The pruners are kept sorted by w.  At index k the pruners next to t_k
+    are tried first, the one at or right of it, then the one left of it,
+    then the others outward; a side stops once even the largest residual
+    ``top`` cannot fire at a distance, as every pruner left on that side is
+    at least as far.  When one fires, the walk jumps past the end of its
+    stretch: the index of its ball's right end w + (r - cut) / 2, kept when
+    the rule holds there and not at the next index, else found by
+    `_stretch_end`.  Every point jumped over is one the rule skips.  A
+    point no pruner rules out is evaluated unless it already was (mesh
+    points repeat when the gaps are below an ulp).
+
+    Where n (hi - lo) overflows, some t_k are inf, past hi, and a stretch
+    may come back at hi; on such a mesh the walk tests every point.
+    """
+    evaluated, ws, rs, top = set(), [], [], 0.0
+
+    def walk(mesh, best_u, best_r):
+        nonlocal top
+        (run,) = mesh.runs
+        lo, hi, n = run.lo, run.hi, run.n
+        width = hi - lo
+        scale = n / width
+        jumps = n * width < math.inf
+        k = 0
+        while k <= n:
+            u = lo + k * width / n if k < n else hi
+            j = bisect_left(ws, u)
+            w = None
+            m = len(ws)
+            if j < m and rs[j] - 2.0 * (ws[j] - u) > cut:
+                w, r = ws[j], rs[j]
+            elif j and rs[j - 1] - 2.0 * (u - ws[j - 1]) > cut:
+                w, r = ws[j - 1], rs[j - 1]
+            else:
+                for i in range(j + 1, m):
+                    d2 = 2.0 * (ws[i] - u)
+                    if rs[i] - d2 > cut:
+                        w, r = ws[i], rs[i]
+                        break
+                    if not top - d2 > cut:
+                        break
+                if w is None:
+                    for i in range(j - 2, -1, -1):
+                        d2 = 2.0 * (u - ws[i])
+                        if rs[i] - d2 > cut:
+                            w, r = ws[i], rs[i]
+                            break
+                        if not top - d2 > cut:
+                            break
+            if w is not None:
+                if not jumps:
+                    k += 1
+                    continue
+                x = (w + (r - cut) / 2.0 - u) * scale
+                e = n if not x < n - k else k + int(x) if x > 0.0 else k
+                t = lo + e * width / n if e < n else hi
+                if r - 2.0 * abs(t - w) > cut:
+                    t = lo + (e + 1) * width / n if e + 1 < n else hi
+                    if e == n or not r - 2.0 * abs(t - w) > cut:
+                        k = e + 1
+                        continue
+                k = _stretch_end(lo, hi, n, w, r, cut, k) + 1
+                continue
+            k += 1
+            if u in evaluated:
+                continue
+            evaluated.add(u)
+            r = distance(u, f(u))
+            if r == 0.0:
+                return u, r
+            if r > cut:
+                ws.insert(j, u)
+                rs.insert(j, r)
+                if r > top:
+                    top = r
+            if r < best_r:
+                best_u, best_r = u, r
+        return best_u, best_r
+
+    return walk
+
+
+def _stretch_end(lo, hi, n, w, r, cut, k):
+    """The last index of the mesh lo + i (hi - lo) / n (i < n), hi at which
+    the pruner (w, r) fires, given that it fires at k: the indices where it
+    fires are one stretch (see `_interval_walk`), so bisection with the
+    same rule finds its end."""
+    width = hi - lo
+    a, b = k, n + 1  # it fires at a; b is past the stretch
+    while b - a > 1:
+        mid = (a + b) // 2
+        t = lo + mid * width / n if mid < n else hi
+        if r - 2.0 * abs(t - w) > cut:
+            a = mid
+        else:
+            b = mid
+    return a
 
 
 # ---------------------------------------------------------------------------

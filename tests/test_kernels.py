@@ -14,9 +14,19 @@ import json
 import math
 import random
 
+import pytest
 from hypothesis import example, given, strategies as st
 
-from hypkm import km, make_box, make_euclidean, make_interval, make_star_tree
+from hypkm import (
+    GridOracle,
+    km,
+    make_box,
+    make_euclidean,
+    make_interval,
+    make_star_tree,
+    product_afpp,
+    spaces,
+)
 from hypkm.cli import main
 from hypkm.errors import DomainEscapeError
 from hypkm.km import (
@@ -29,6 +39,7 @@ from hypkm.km import (
 )
 from hypkm.maps import NonexpansiveMap, _affine_generic, affine_map
 from hypkm.spaces import EuclideanSpace, IntervalSpace, PoincareDisk
+from test_product_afpp import DYADIC_PARAMS, TOLERANCES, UNIT_PARAMS, unit_maps
 
 
 def _constant_third(cfg: dict) -> dict:
@@ -261,6 +272,87 @@ def test_only_an_untraced_walk_on_an_interval_takes_the_orbit_end_loop(monkeypat
     km_iterate(make_interval(0.0, 1.0), half, 1.0, sched, 5)
     _km_walk(make_interval(0.0, 1.0), half, 1.0, sched, 5, stop_eps=0.1)
     _km_walk(make_interval(0.0, 1.0), half, 1.0, sched, 5, points=[])
+    assert len(taken) == 1
+
+
+# ---------------------------------------------------------------------------
+# the interval grid-oracle loop == the generic loop
+# ---------------------------------------------------------------------------
+
+#: [0, 1], a wide interval, one whose mesh points collide once the gaps fall
+#: below its ulp of 0.125, one whose width is near the subnormal range, and
+#: one so wide that from the third mesh on some mesh points overflow to inf
+ORACLE_ENDS = [(0.0, 1.0), (-1e8, 1e8), (1e15, 1e15 + 4), (0.0, 2.0 ** -1020), (-1e307, 1e307)]
+
+#: mesh point caps: the first mesh (5 points) past the cap, then floors at
+#: about step 1/8, 1/256 and 1/2048 of the width
+ORACLE_CAPS = (4, 33, 1023, 8191)
+
+
+def _steps(values: list):
+    """The step map of [0, 1] that takes values[i] on the i-th of len(values)
+    equal parts.  It is not nonexpansive: a pruner may then fire past a
+    nearer one that does not, which a 1-Lipschitz map rules out."""
+    return lambda u: values[min(int(u * len(values)), len(values) - 1)]
+
+
+@st.composite
+def grid_oracle_cases(draw):
+    a, b = draw(st.sampled_from(ORACLE_ENDS))
+    steps = st.lists(UNIT_PARAMS, min_size=1, max_size=9).map(_steps)
+    g = draw(st.one_of(unit_maps(UNIT_PARAMS), unit_maps(DYADIC_PARAMS), steps))
+    # a map moved off the interval has residuals above any cut: every level
+    # is pruned whole, down to the floor
+    off = draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))
+    return a, b, g, off, draw(TOLERANCES), draw(st.sampled_from(ORACLE_CAPS))
+
+
+def _grid_outcome(cls, case):
+    """repr of the map calls of GridOracle on a ``cls`` interval and of its
+    answer or error; the map is drawn on [0, 1] and rescaled to [a, b]."""
+    a, b, g, off, tol, cap = case
+    space, width, calls = cls(a, b), b - a, []
+
+    def fn(u):
+        calls.append(u)
+        return a + width * g((u - a) / width) + off
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spaces, "MESH_POINT_CAP", cap)
+        try:
+            outcome = GridOracle(space).solve(NonexpansiveMap(space, fn), tol * width)
+        except Exception as exc:  # noqa: BLE001 -- the type and text are the outcome
+            outcome = (type(exc), str(exc).replace(cls.__name__, "IntervalSpace"))
+    return repr((calls, outcome))
+
+
+@given(grid_oracle_cases())
+# fails a loop that skips one point past a stretch's end
+@example((0.0, 1.0, lambda u: 0.0, 1.0, 0.25, 33))
+# fails it too where the end is settled off the guess, and a loop that
+# takes the end of the ball for the end of the stretch
+@example((-1e8, 1e8, _steps([1.0, 0.6, 0.0, 0.3]), 0.0, 0.25, 33))
+# repeated mesh points: fails a loop that evaluates a point twice
+@example((0.0, 2.0 ** -1020, lambda u: 0.3, 0.0, 2.0 ** -6, 33))
+# a pruner fires past nearer ones on the right, then on the left: fails a
+# scan that stops at the first pruner that does not fire, or skips one
+@example((0.0, 1.0, _steps([0.1, 0.1, 1.0, 0.1, 0.05, 0.0, 0.1, 0.5, 0.05, 0.1, 1.0, 1.0, 0.0]),
+          0.0, 2.0 ** -8, 1023))
+@example((0.0, 1.0, _steps([0.5, 0.5, 1.0, 0.1, 0.5, 0.1, 0.0, 0.9, 0.9, 0.9]), 0.0, 2.0 ** -6, 1023))
+# mesh points past k = 8 of the third mesh are inf: fails a loop that jumps
+# to the end of a stretch there
+@example((-1e307, 1e307, _steps([0.2, 0.4, 0.1]), 0.0, 2.0 ** -11, 1023))
+def test_grid_oracle_interval_loop_equals_the_generic_loop(case):
+    assert _grid_outcome(IntervalSpace, case) == _grid_outcome(_GenericInterval, case)
+
+
+def test_only_an_interval_itself_takes_the_interval_grid_loop(monkeypatch):
+    taken = []
+    real = product_afpp._interval_walk
+    monkeypatch.setattr(product_afpp, "_interval_walk", lambda *a: taken.append(a) or real(*a))
+    for space in (make_interval(0.0, 1.0), _GenericInterval(0.0, 1.0), make_box([(0.0, 1.0)] * 2)):
+        f = NonexpansiveMap(space, lambda u: u)
+        GridOracle(space).solve(f, 0.1)
     assert len(taken) == 1
 
 

@@ -123,11 +123,29 @@ def test_grid_oracle_floor_skips_what_its_pruners_rule_out(monkeypatch):
     assert count[0] <= 300
 
 
+class GenericInterval(spaces.IntervalSpace):
+    """An interval that GridOracle walks with its generic loop, the reference
+    of its interval loop, which takes an `IntervalSpace` itself only."""
+
+
 @pytest.mark.parametrize("n, distances", [(100, 104), (500, 464), (2000, 1256), (4000, 2583)])
 def test_grid_oracle_lift_distance_calls_pinned(monkeypatch, n, distances):
-    # the oracle's distance calls on the scaled_coupling lift's parameter
-    # map, post-check included; testing every point that no pruner surely
-    # rules out made 104, 481, 1572 and 4547
+    # the generic loop's distance calls on the scaled_coupling lift's
+    # parameter map, post-check included; testing every point that no
+    # pruner surely rules out made 104, 481, 1572 and 4547
+    M = GenericInterval(0.0, 1.0)
+    T = scaled_coupling(product(make_interval(0.0, 1.0), M), 0.5, 0.1)
+    phi_n = product_afpp.phi(T, identity_map(M), constant_schedule("1/2"), n)
+    count = count_distance_calls(monkeypatch, M)
+    GridOracle(M).solve(phi_n, 1.0 / n)
+    assert count[0] == distances
+
+
+@pytest.mark.parametrize("n, distances", [(100, 13), (500, 24), (2000, 36), (4000, 48)])
+def test_grid_oracle_interval_loop_distance_calls_pinned(monkeypatch, n, distances):
+    # on an interval the pruning rule is computed inline, so the only
+    # distance calls left are the residuals of the evaluated points (the
+    # evaluation pins below) and the post-check's
     M = make_interval(0.0, 1.0)
     T = scaled_coupling(product(make_interval(0.0, 1.0), M), 0.5, 0.1)
     phi_n = product_afpp.phi(T, identity_map(M), constant_schedule("1/2"), n)
@@ -431,6 +449,22 @@ def test_grid_oracle_needs_bounded_space_or_step():
     from hypkm import BrokenW, make_real_line
 
     for space in (make_real_line(), BrokenW(make_interval(0.0, 1.0))):
+        with pytest.raises(ArgumentError, match="bounded space"):
+            GridOracle(space)
+
+
+def test_grid_oracle_refuses_a_bounded_space_whose_diameter_overflows():
+    # each is bounded, but its diameter is inf in floats, so no mesh step
+    # can be computed from it; the refusal says so and not that it is unbounded
+    for space in (make_interval(-1e308, 1e308), make_box([(-1e308, 1e308)]), make_star_tree(3, 1e308)):
+        with pytest.raises(ArgumentError) as exc:
+            GridOracle(space)
+        assert str(exc.value) == (
+            f"grid refinement needs a diameter that is a finite float; {space!r} is bounded, "
+            "but its diameter overflows to inf"
+        )
+    GridOracle(make_interval(-8e307, 8e307))  # a diameter of 1.6e308 is a float
+    for space in (make_interval(0.0, math.inf), make_box([(0.0, math.inf)])):
         with pytest.raises(ArgumentError, match="bounded space"):
             GridOracle(space)
 
