@@ -8,10 +8,10 @@ Both clauses are the hard preconditions of the rate bounds in `rates`.
 
 Every orbit in the package is walked by `_km_walk`, with the same domain
 checks, reading its steps from `Schedule.float_steps`.  Its generic loop is
-the reference; the one other loop, `_interval_orbit_end`, walks an
-untraced orbit on an `IntervalSpace` with that space's membership test and
-step written inline, so that its only call per step is the map's, and
-keeps every check and every bit of the generic loop.  Under a
+the reference; the one other loop, `_interval_orbit_end`, walks an untraced
+orbit on an `IntervalSpace` under a constant schedule with that space's
+membership test and step written inline, so that its only call per step is
+the map's, and keeps every check and every bit of the generic loop.  Under a
 constant schedule the loop ends once the orbit is stationary (an iterate
 repeats its predecessor bit for bit) and fills in the rest of the orbit,
 which then repeats; this relies on every map being a function of its
@@ -39,6 +39,8 @@ EXACT_SUM_CAP = 5_000
 
 #: hard cap on summation length inside validation.
 SUM_TERM_CAP = 1_000_000
+
+_NonexpansiveMap = None  # maps.NonexpansiveMap, bound by the first walk (a circular import)
 
 
 @dataclass
@@ -315,9 +317,9 @@ def _km_walk(
     stops at the first x_k (k < n) with residual <= stop_eps.  Returns
     (x_k, k, r): where it stopped, and the residual there if ``residuals``
     or ``stop_eps`` asked for residuals (else None).  A NonexpansiveMap is
-    called through its ``fn``, as its ``__call__`` does.  A walk that asks
-    for none of the three on an `IntervalSpace` itself is handed to
-    `_interval_orbit_end`, which returns what the loop below would.
+    called through its ``fn``, as its ``__call__`` does.  A walk under a
+    constant schedule that asks for none of the three on an `IntervalSpace`
+    itself goes to `_interval_orbit_end`, which returns what this loop would.
 
     Stationary exit: under a constant schedule one step x -> W(x, T(x), lam)
     is a fixed function of x, since T is a function of its argument.  Once
@@ -329,19 +331,20 @@ def _km_walk(
     walk every step: a repeat under one step size says nothing about the
     next (a zero step repeats every point).
     """
+    global _NonexpansiveMap
     if n < 0:
         raise ArgumentError(f"step count must be a natural, got {n}")
-    from .maps import NonexpansiveMap  # maps imports this module
-
-    if type(T) is NonexpansiveMap:
+    if _NonexpansiveMap is None:
+        from .maps import NonexpansiveMap as _NonexpansiveMap
+    if type(T) is _NonexpansiveMap:
         T = T.fn  # its __call__ is fn: one frame less per step
     contains, distance, combine = space.contains, space.distance, space.combine
     if not contains(x0):
         raise DomainError(f"start {x0!r} is not a member of {space!r}")
     track = residuals is not None or stop_eps is not None
-    if type(space) is IntervalSpace and points is None and not track:
-        return _interval_orbit_end(space, T, x0, sched, n, start)
     constant = sched.constant is not None
+    if constant and type(space) is IntervalSpace and points is None and not track:
+        return _interval_orbit_end(space, T, x0, sched, n, start)
     x, r = x0, None
     for k, lam in zip(range(start, n), sched.float_steps(start)):
         Tx = T(x)
@@ -383,25 +386,25 @@ def _interval_orbit_end(
     n: int,
     start: int,
 ) -> tuple:
-    """`_km_walk` with no ``points``, ``residuals`` or ``stop_eps`` on an
-    `IntervalSpace` itself, as one loop whose only call per step is T's.
+    """`_km_walk` on an `IntervalSpace` itself, constant steps, no ``points``,
+    ``residuals`` or ``stop_eps``: one loop whose only call per step is T's.
 
     Its membership test is ``IntervalSpace.contains`` for a float, which
     ``float()`` returns as it is: a comparison with the widened bounds.
     Anything else goes to ``contains``.  The step is ``combine``'s own
-    expression.  So every check, escape and stationary exit is the generic
-    loop's, with the same bits.
+    expression with the float that ``float_steps`` repeats.  So every check,
+    escape and stationary exit is the generic loop's, with the same bits.
     """
     lo, hi, contains = space._lo, space._hi, space.contains
-    constant = sched.constant is not None
-    for k, lam in zip(range(start, n), sched.float_steps(start)):
+    lam = float(sched.constant)
+    for k in range(start, n):
         Tx = T(x)
         if not (lo <= Tx <= hi if type(Tx) is float else contains(Tx)):
             raise DomainEscapeError(k, Tx)
         y = x + lam * (Tx - x)
         if not (lo <= y <= hi if type(y) is float else contains(y)):
             raise DomainEscapeError(k, y)
-        if constant and y == x and repr(y) == repr(x):
+        if y == x and repr(y) == repr(x):
             return x, n, None
         x = y
     return x, n, None

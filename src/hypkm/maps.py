@@ -83,13 +83,17 @@ def slice_map(T: ProductMap, u: Point) -> NonexpansiveMap:
     Nonexpansiveness is inherited from T (the parameter pair contributes 0
     to the product distance) but is still only a claim, tested not assumed.
     """
-    if not T.domain.right.contains(u):
-        raise DomainError(f"parameter {u!r} is not a member of {T.domain.right!r}")
+    _require_parameter(T, u)
     return NonexpansiveMap(
         domain=T.domain.slice_space(u),
         fn=slice_fn(T, u),
         label=f"{T.label or 'T'}[u={u!r}]",
     )
+
+
+def _require_parameter(T: ProductMap, u: Point) -> None:
+    if not T.domain.right.contains(u):
+        raise DomainError(f"parameter {u!r} is not a member of {T.domain.right!r}")
 
 
 def phi(
@@ -100,8 +104,8 @@ def phi(
     memo: Optional[dict] = None,
 ) -> NonexpansiveMap:
     """The parameter-space map u -> second coordinate of T(x_n(u), u), where
-    x_n(u) is the n-th averaged iterate of the frozen-parameter slice started
-    at delta(u).
+    x_n(u) is the n-th averaged iterate of the slice `slice_fn(T, u)` started
+    at delta(u), once u passes `slice_map`'s membership check.
 
     Its nonexpansiveness is a consequence of the slice stability of averaged
     iterations; property tests check it, the code does not assume it.  The
@@ -119,7 +123,8 @@ def phi(
             xu = memo[key]
         else:
             fiber = T.domain.slice_space(u)
-            xu = km_orbit_end(fiber, slice_map(T, u), delta(u), sched, n)
+            _require_parameter(T, u)
+            xu = km_orbit_end(fiber, slice_fn(T, u), delta(u), sched, n)
             if memo is not None:
                 memo[key] = xu
         return T.fn((xu, u))[1]

@@ -56,6 +56,7 @@ from .spaces import (
     Point,
     Space,
     StarTree,
+    _mesh_scale,
     make_interval,
     make_real_line,
     product,
@@ -239,13 +240,12 @@ def _interval_walk(distance, f, cut):
     calls in the same order, the same best pair and the same zero return.
 
     The mesh is one run, whose points t_k = lo + k (hi - lo) / n, then hi,
-    never decrease in k, since each float operation is monotone (while
-    k (hi - lo) is finite; see below).  Float subtraction is monotone too,
-    so along the run abs(t_k - w) falls and then rises, and the per-point
-    rule r - 2.0 * abs(t_k - w) > cut, with ``IntervalSpace.distance``'s own
-    abs(u - w), holds on one stretch of indices for each pruner (w, r).
-    Rounding is symmetric, so for w >= u that distance is w - u, and for
-    w <= u it is u - w.
+    never decrease in k (`spaces._mesh_scale`).  Float subtraction is
+    monotone too, so along the run abs(t_k - w) falls and then rises, and
+    the per-point rule r - 2.0 * abs(t_k - w) > cut, with
+    ``IntervalSpace.distance``'s own abs(u - w), holds on one stretch of
+    indices for each pruner (w, r).  Rounding is symmetric, so for w >= u
+    that distance is w - u, and for w <= u it is u - w.
 
     The pruners are kept sorted by w.  At index k the pruners next to t_k
     are tried first, the one at or right of it, then the one left of it,
@@ -257,9 +257,6 @@ def _interval_walk(distance, f, cut):
     `_stretch_end`.  Every point jumped over is one the rule skips.  A
     point no pruner rules out is evaluated unless it already was (mesh
     points repeat when the gaps are below an ulp).
-
-    Where n (hi - lo) overflows, some t_k are inf, past hi, and a stretch
-    may come back at hi; on such a mesh the walk tests every point.
     """
     evaluated, ws, rs, top = set(), [], [], 0.0
 
@@ -267,12 +264,11 @@ def _interval_walk(distance, f, cut):
         nonlocal top
         (run,) = mesh.runs
         lo, hi, n = run.lo, run.hi, run.n
-        width = hi - lo
-        scale = n / width
-        jumps = n * width < math.inf
+        scale = n / (hi - lo)
+        width, unit = _mesh_scale(hi - lo, n)
         k = 0
         while k <= n:
-            u = lo + k * width / n if k < n else hi
+            u = lo + k * width / n * unit if k < n else hi
             j = bisect_left(ws, u)
             w = None
             m = len(ws)
@@ -297,14 +293,11 @@ def _interval_walk(distance, f, cut):
                         if not top - d2 > cut:
                             break
             if w is not None:
-                if not jumps:
-                    k += 1
-                    continue
                 x = (w + (r - cut) / 2.0 - u) * scale
                 e = n if not x < n - k else k + int(x) if x > 0.0 else k
-                t = lo + e * width / n if e < n else hi
+                t = lo + e * width / n * unit if e < n else hi
                 if r - 2.0 * abs(t - w) > cut:
-                    t = lo + (e + 1) * width / n if e + 1 < n else hi
+                    t = lo + (e + 1) * width / n * unit if e + 1 < n else hi
                     if e == n or not r - 2.0 * abs(t - w) > cut:
                         k = e + 1
                         continue
@@ -334,11 +327,11 @@ def _stretch_end(lo, hi, n, w, r, cut, k):
     the pruner (w, r) fires, given that it fires at k: the indices where it
     fires are one stretch (see `_interval_walk`), so bisection with the
     same rule finds its end."""
-    width = hi - lo
+    width, unit = _mesh_scale(hi - lo, n)
     a, b = k, n + 1  # it fires at a; b is past the stretch
     while b - a > 1:
         mid = (a + b) // 2
-        t = lo + mid * width / n if mid < n else hi
+        t = lo + mid * width / n * unit if mid < n else hi
         if r - 2.0 * abs(t - w) > cut:
             a = mid
         else:

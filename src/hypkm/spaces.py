@@ -109,6 +109,14 @@ def _on_line(w):
     return w, 0.0
 
 
+def _mesh_scale(width, n):
+    """(w, unit) with lo + k * w / n * unit the point lo + k * width / n, bit
+    for bit while n * width is finite; past that, unit is a power of two above
+    n, so k * w cannot overflow and the exact scalings keep the points in order."""
+    unit = 1.0 if n * width < math.inf else 2.0 ** n.bit_length()
+    return width / unit, unit
+
+
 class Run:
     """A stretch of a mesh along one geodesic, in mesh order.
 
@@ -128,8 +136,8 @@ class Run:
     def points(self, i, j):
         """Points i, ..., j - 1 of the run, as a list."""
         lo, hi, n, first = self.lo, self.hi, self.n, self.first
-        width = hi - lo
-        ts = [lo + k * width / n for k in range(first + i, min(first + j, n))]
+        width, unit = _mesh_scale(hi - lo, n)
+        ts = [lo + k * width / n * unit for k in range(first + i, min(first + j, n))]
         if first + j > n:
             ts.append(hi)
         return ts if self.make is None else [*map(self.make, ts)]

@@ -272,7 +272,11 @@ def test_only_an_untraced_walk_on_an_interval_takes_the_orbit_end_loop(monkeypat
     km_iterate(make_interval(0.0, 1.0), half, 1.0, sched, 5)
     _km_walk(make_interval(0.0, 1.0), half, 1.0, sched, 5, stop_eps=0.1)
     _km_walk(make_interval(0.0, 1.0), half, 1.0, sched, 5, points=[])
+    # a walk whose steps vary takes the generic loop, with the same end
+    varying = harmonic_schedule()
+    end = km_orbit_end(make_interval(0.0, 1.0), half, 1.0, varying, 5)
     assert len(taken) == 1
+    assert repr(end) == repr(km_orbit_end(_GenericInterval(0.0, 1.0), half, 1.0, varying, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def test_only_an_untraced_walk_on_an_interval_takes_the_orbit_end_loop(monkeypat
 
 #: [0, 1], a wide interval, one whose mesh points collide once the gaps fall
 #: below its ulp of 0.125, one whose width is near the subnormal range, and
-#: one so wide that from the third mesh on some mesh points overflow to inf
+#: one so wide that from the third mesh on k * (b - a) overflows
 ORACLE_ENDS = [(0.0, 1.0), (-1e8, 1e8), (1e15, 1e15 + 4), (0.0, 2.0 ** -1020), (-1e307, 1e307)]
 
 #: mesh point caps: the first mesh (5 points) past the cap, then floors at
@@ -339,11 +343,45 @@ def _grid_outcome(cls, case):
 @example((0.0, 1.0, _steps([0.1, 0.1, 1.0, 0.1, 0.05, 0.0, 0.1, 0.5, 0.05, 0.1, 1.0, 1.0, 0.0]),
           0.0, 2.0 ** -8, 1023))
 @example((0.0, 1.0, _steps([0.5, 0.5, 1.0, 0.1, 0.5, 0.1, 0.0, 0.9, 0.9, 0.9]), 0.0, 2.0 ** -6, 1023))
-# mesh points past k = 8 of the third mesh are inf: fails a loop that jumps
-# to the end of a stretch there
+# k * (b - a) overflows past k = 8 of the third mesh: fails a loop that
+# computes those points as lo + k * (b - a) / n and jumps to the end of a
+# stretch there
 @example((-1e307, 1e307, _steps([0.2, 0.4, 0.1]), 0.0, 2.0 ** -11, 1023))
 def test_grid_oracle_interval_loop_equals_the_generic_loop(case):
     assert _grid_outcome(IntervalSpace, case) == _grid_outcome(_GenericInterval, case)
+
+
+@given(st.floats(-1e307, 1e307), st.floats(2.0 ** -1000, 1e308), st.integers(1, 5000))
+def test_mesh_points_are_the_plain_formula_where_it_is_finite(lo, width, n):
+    hi = lo + width
+    width = hi - lo
+    if not (lo < hi and math.isfinite(width)):
+        return
+    points = spaces.Run(lo, hi, n).points(0, n + 1)
+    assert points == sorted(points) and points[-1] == hi
+    for k, u in enumerate(points[:-1]):
+        if math.isfinite(k * width):
+            assert repr(u) == repr(lo + k * width / n)
+
+
+def test_mesh_points_of_a_wide_interval_stay_inside_it():
+    # from the third mesh on, k * (b - a) overflows past k = 8
+    a, b = -1e307, 1e307
+    space = make_interval(a, b)
+    for step in (1.25e306, 1e302):
+        points = [*space.mesh(step)]
+        assert all(a <= u <= b for u in points)
+        assert points == sorted(points)
+    calls = []
+
+    def fn(u):
+        calls.append(u)
+        return min(max(0.3 * u + 1e306, a), b)
+
+    for cls in (IntervalSpace, _GenericInterval):
+        calls.clear()
+        GridOracle(cls(a, b)).solve(NonexpansiveMap(cls(a, b), fn), 1e303)
+        assert calls and all(a <= u <= b for u in calls)
 
 
 def test_only_an_interval_itself_takes_the_interval_grid_loop(monkeypatch):

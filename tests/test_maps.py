@@ -33,8 +33,9 @@ from hypkm import (
     unit_drift,
 )
 from hypkm.errors import DomainError
-from hypkm.km import Schedule
-from hypkm.maps import Counterexample
+from hypkm.km import Schedule, km_orbit_end
+from hypkm.maps import Counterexample, product_map
+from hypkm.product_afpp import EXAMPLES
 from hypkm.rates import alpha_identity
 
 
@@ -260,6 +261,48 @@ def test_phi_validates_arguments():
     bad = Schedule(lam=lambda n: Fraction(1), K=2, alpha=alpha_identity())
     with pytest.raises(ScheduleError):
         phi(T, delta, bad, 3)
+
+
+def test_phi_refuses_a_foreign_parameter_before_any_map_call():
+    dom = unit_square()
+    calls = []
+
+    def slice_of(u):
+        calls.append(("slice_of", u))
+        return lambda x: x
+
+    T = product_map(dom, slice_of, lambda x, u: u, "logged")
+    delta = NonexpansiveMap(dom.right, lambda u: calls.append(("delta", u)) or u)
+    with pytest.raises(DomainError) as want:
+        slice_map(T, 3.0)
+    with pytest.raises(DomainError) as got:
+        phi(T, delta, constant_schedule("1/2"), 4)(3.0)
+    assert str(got.value) == str(want.value)
+    assert calls == []
+
+
+def _outcome(f):
+    try:
+        return repr(f())
+    except Exception as exc:  # noqa: BLE001 -- the type and text are the outcome
+        return repr((type(exc), str(exc)))
+
+
+@pytest.mark.parametrize("example", ["family_valid", "family_violating", "family_const"])
+def test_phi_on_family_examples_is_the_walk_of_the_slice_map(example):
+    # each evaluation is the orbit of slice_map(T, u) from delta(u) on the
+    # fiber over u, read through T's pair function
+    ex = EXAMPLES[example]()
+    T, delta, sched = ex.T, ex.delta, constant_schedule("1/2")
+
+    def reference(u, n):
+        xu = km_orbit_end(T.domain.slice_space(u), slice_map(T, u), delta(u), sched, n)
+        return T.fn((xu, u))[1]
+
+    for n in (0, 1, 7, 40):
+        pn = phi(T, delta, sched, n)
+        for u in (0.0, 0.1, 0.375, 0.9, 1.0):
+            assert _outcome(lambda: pn(u)) == _outcome(lambda: reference(u, n))
 
 
 def test_phi_memo_is_transparent():
