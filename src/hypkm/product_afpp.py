@@ -132,21 +132,17 @@ class GridOracle(AfppOracle):
 
     Each level is walked by one of two loops that make the same map calls
     in the same order, with the same answers and errors.  `_runs_walk`, the
-    reference, walks any mesh as its runs, stretches of points along one
-    geodesic (spaces.Run): before a run is walked, each pruner whose ball's
-    radius (r - cut) / 2 is more than eight gaps of it gives the index range
-    of the run inside that ball (run.cover), checked at both ends with
-    distances raised by a few ulps; those points are left out, and every
-    other point is tested against the pruners, the one that fires swapped
-    to the front of their list.  `_interval_walk` walks the mesh of an
-    `IntervalSpace` itself (not a subclass) by index, with its pruners
-    sorted by position.  Float subtraction is monotone and the mesh points
-    never decrease, so the per-point rule holds on one stretch of indices
-    per pruner; when a pruner fires, the walk jumps past its whole stretch,
-    whose end it settles with the same float rule, so it needs no margin.
-    It computes the rule inline, as IntervalSpace.distance would: the only
-    distances it asks the space for are the residuals, 3 on the `jump` map
-    down to its floor where the reference asks for 131.
+    reference, walks any mesh in order and tests each point against the
+    pruners, the one that fires swapped to the front of their list.
+    `_interval_walk` walks the mesh of an `IntervalSpace` itself (not a
+    subclass) by index, with its pruners sorted by position.  Float
+    subtraction is monotone and the mesh points never decrease, so the
+    per-point rule holds on one stretch of indices per pruner; when a
+    pruner fires, the walk jumps past its whole stretch, whose end it
+    settles with the same float rule, so it needs no margin.  It computes
+    the rule inline, as IntervalSpace.distance would: the only distances it
+    asks the space for are the residuals, 3 on the `jump` map down to its
+    floor where the reference asks for 2,097,157.
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
@@ -203,33 +199,29 @@ def _bounded(space: Space) -> bool:
 
 
 def _runs_walk(distance, f, cut):
-    """GridOracle's walk of one level of any mesh, run by run, as a function
-    of (mesh, best_u, best_r) that returns the new best pair; it keeps the
-    evaluated points and the pruners of one solve across levels."""
-    evaluated, pruners, top = set(), [], 0.0
+    """GridOracle's walk of one level of any mesh, point by point in mesh
+    order, as a function of (mesh, best_u, best_r) that returns the new best
+    pair; it keeps the evaluated points and the pruners of one solve across
+    levels."""
+    evaluated, pruners = set(), []
 
     def walk(mesh, best_u, best_r):
-        nonlocal top
-        for run in mesh.runs:
-            for stretch in run.untested(pruners, top, cut):
-                for u in stretch:
-                    if u in evaluated:
-                        continue
-                    for i, (w, r) in enumerate(pruners):
-                        if r - 2.0 * distance(u, w) > cut:
-                            pruners[0], pruners[i] = pruners[i], pruners[0]
-                            break
-                    else:
-                        evaluated.add(u)
-                        r = distance(u, f(u))
-                        if r == 0.0:
-                            return u, r
-                        if r > cut:
-                            pruners.append((u, r))
-                            if r > top:
-                                top = r
-                        if r < best_r:
-                            best_u, best_r = u, r
+        for u in mesh:
+            if u in evaluated:
+                continue
+            for i, (w, r) in enumerate(pruners):
+                if r - 2.0 * distance(u, w) > cut:
+                    pruners[0], pruners[i] = pruners[i], pruners[0]
+                    break
+            else:
+                evaluated.add(u)
+                r = distance(u, f(u))
+                if r == 0.0:
+                    return u, r
+                if r > cut:
+                    pruners.append((u, r))
+                if r < best_r:
+                    best_u, best_r = u, r
         return best_u, best_r
 
     return walk

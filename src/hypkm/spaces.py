@@ -42,13 +42,6 @@ DEFAULT_ETA = 1e-9
 #: most points in a finite mesh of any space; a larger one raises MeshCapError.
 MESH_POINT_CAP = 2_000_000
 
-# A float distance is within an ulp of the exact one (math.dist, the one
-# inexact distance here, has been since Python 3.10), so along a run a point
-# between two others lies at most a factor 1 + 2 eps farther out in floats
-# than the farther of them; the sure-pruning test of Run.cover raises its end
-# distances by 4 eps, which covers that and the rounding of the product.
-_SURE = 1.0 + 4.0 * sys.float_info.epsilon
-
 # Samplers draw through ``rng.random`` with the arithmetic of
 # ``random.uniform(a, b)``, which is ``a + (b - a) * random()``: the same
 # stream and the same floats, without a method call per coordinate.  Where
@@ -105,10 +98,6 @@ class HyperbolicSpace(Space):
 # ---------------------------------------------------------------------------
 
 
-def _on_line(w):
-    return w, 0.0
-
-
 def _mesh_scale(width, n):
     """(w, unit) with lo + k * w / n * unit the point lo + k * width / n, bit
     for bit while n * width is finite; past that, unit is a power of two above
@@ -122,83 +111,28 @@ class Run:
 
     Its points are ``make(t)`` at t = lo + k (hi - lo) / n for k = first,
     ..., n - 1 and then at t = hi, so t never decreases along the run
-    (``make`` None gives t itself).  ``foot(w)`` places a point w against
-    the run as (c, s2), with d(make(t), w) = sqrt(s2 + (t - c)^2) over it.
+    (``make`` None gives t itself).
     """
 
-    __slots__ = ("lo", "hi", "n", "first", "size", "gap", "make", "foot", "distance")
+    __slots__ = ("lo", "hi", "n", "first", "size", "make")
 
-    def __init__(self, lo, hi, n, distance=None, first=0, make=None, foot=_on_line):
+    def __init__(self, lo, hi, n, first=0, make=None):
         self.lo, self.hi, self.n, self.first = lo, hi, n, first
-        self.size, self.gap = n + 1 - first, (hi - lo) / n
-        self.make, self.foot, self.distance = make, foot, distance
+        self.size = n + 1 - first
+        self.make = make
 
-    def points(self, i, j):
-        """Points i, ..., j - 1 of the run, as a list."""
-        lo, hi, n, first = self.lo, self.hi, self.n, self.first
+    def points(self):
+        """The points of the run, as a list."""
+        lo, hi, n = self.lo, self.hi, self.n
         width, unit = _mesh_scale(hi - lo, n)
-        ts = [lo + k * width / n * unit for k in range(first + i, min(first + j, n))]
-        if first + j > n:
-            ts.append(hi)
+        ts = [lo + k * width / n * unit for k in range(self.first, n)]
+        ts.append(hi)
         return ts if self.make is None else [*map(self.make, ts)]
-
-    def point(self, i):
-        return self.points(i, i + 1)[0]
-
-    def cover(self, w, r, cut):
-        """The index range (a, b) of points a, ..., b - 1 that the pruner
-        (w, r) surely rules out: each has r - 2 d(u, w) > cut in floats.
-        None when the ball misses the run or the check fails at an end.
-
-        The range is where the run lies in the ball of radius (r - cut) / 2
-        about w, read off the run's parameter, and it is checked at both
-        ends with distances raised by ``_SURE``.  The exact distance to w
-        along the run falls and then rises, so no point between the ends
-        lies farther out than they do by more than that margin.
-        """
-        rho = (r - cut) / 2.0
-        c, s2 = self.foot(w)
-        if not rho * rho > s2:
-            return None
-        h = math.sqrt(rho * rho - s2)
-        lo, n, first = self.lo, self.n, self.first
-        scale = n / (self.hi - lo)
-        # the ball's ends as fractional mesh indices k
-        x, y = (c - h - lo) * scale, (c + h - lo) * scale
-        if not (x <= n and y >= first):
-            return None
-        a = math.ceil(max(x, first)) - first
-        b = n - first if c + h >= self.hi else math.floor(min(y, n)) - first
-        if a > b:
-            return None
-        for i in (a, b) if a < b else (a,):
-            if not r - 2.0 * (self.distance(self.point(i), w) * _SURE) > cut:
-                return None
-        return a, b + 1
-
-    def untested(self, pruners, top, cut):
-        """The points of the run that no pruner (w, r) surely rules out, as
-        lists of consecutive points in order: the points still to test.
-        top is at least every r."""
-        # a ball of radius (r - cut) / 2 under eight gaps of the run covers
-        # too few of its points to pay for the check in cover
-        wide = cut + 16.0 * self.gap
-        if not top > wide:
-            return (self.points(0, self.size),)
-        stretches, i = [], 0
-        covers = (self.cover(w, r, cut) for w, r in pruners if r > wide)
-        for a, b in sorted(filter(None, covers)):
-            if a > i:
-                stretches.append(self.points(i, a))
-            i = max(i, b)
-        if i < self.size:
-            stretches.append(self.points(i, self.size))
-        return stretches
 
 
 class Mesh:
     """The points of a finite mesh, in order, held as runs: they are built
-    only when read, and GridOracle walks the runs instead."""
+    only when read."""
 
     def __init__(self, runs: list[Run]):
         self.runs = runs
@@ -208,7 +142,7 @@ class Mesh:
 
     def __iter__(self):
         for run in self.runs:
-            yield from run.points(0, run.size)
+            yield from run.points()
 
 
 def _capped(points: int) -> None:
@@ -266,7 +200,7 @@ class IntervalSpace(HyperbolicSpace):
             raise ArgumentError("mesh needs a bounded interval")
         n = max(1, math.ceil((self.b - self.a) / step))
         _capped(n + 1)
-        return Mesh([Run(self.a, self.b, n, self.distance)])
+        return Mesh([Run(self.a, self.b, n)])
 
     def point_columns(self):
         return ["x"]
@@ -378,7 +312,7 @@ class EuclideanSpace(HyperbolicSpace):
             points *= ns[-1] + 1
             _capped(points)
         *heads, (lo, hi) = self.bounds
-        axes = [Run(a, b, n).points(0, n + 1) for (a, b), n in zip(heads, ns)]
+        axes = [Run(a, b, n).points() for (a, b), n in zip(heads, ns)]
         # one run per line of the last axis, the lines in lexicographic order
         return Mesh([self._line(p, lo, hi, ns[-1]) for p in itertools.product(*axes)])
 
@@ -386,10 +320,7 @@ class EuclideanSpace(HyperbolicSpace):
         def make(t):
             return prefix + (t,)
 
-        def foot(w):
-            return w[-1], math.dist(prefix, w[:-1]) ** 2
-
-        return Run(lo, hi, n, self.distance, make=make, foot=foot)
+        return Run(lo, hi, n, make=make)
 
     def point_columns(self):
         return [f"x{i}" for i in range(self.dim)]
@@ -516,10 +447,7 @@ class StarTree(HyperbolicSpace):
         def make(t):
             return (ray, t)
 
-        def foot(w):
-            return (w[1] if w[0] == ray else -w[1]), 0.0
-
-        return Run(0.0, self.length, n, self.distance, first=0 if ray == 0 else 1, make=make, foot=foot)
+        return Run(0.0, self.length, n, first=0 if ray == 0 else 1, make=make)
 
     def point_columns(self):
         return ["ray", "offset"]

@@ -357,7 +357,7 @@ def test_mesh_points_are_the_plain_formula_where_it_is_finite(lo, width, n):
     width = hi - lo
     if not (lo < hi and math.isfinite(width)):
         return
-    points = spaces.Run(lo, hi, n).points(0, n + 1)
+    points = spaces.Run(lo, hi, n).points()
     assert points == sorted(points) and points[-1] == hi
     for k, u in enumerate(points[:-1]):
         if math.isfinite(k * width):

@@ -658,112 +658,6 @@ def test_meshes_are_their_runs_in_mesh_order(step):
         assert len(mesh) == len(list(mesh)) == sum(run.size for run in mesh.runs)
 
 
-#: spaces whose mesh runs are checked against the per-point pruning rule, at
-#: ordinary and large magnitudes; on [1e15, 1e15 + 4] the ulp is 1/8, so the
-#: fine meshes repeat each float over many indices
-RUN_SPACES = {
-    "interval": make_interval(0.0, 1.0),
-    "interval-1e8": make_interval(-1e8, 1e8),
-    "interval-1e15": make_interval(1e15, 1e15 + 4),
-    "box": make_box(((0.0, 1.0), (-2.0, 0.5))),
-    "box-1e15": make_box(((-1.0, 1.0), (1e15, 1e15 + 4))),
-    "box-3d": make_box(((0.0, 1.0), (0.0, 2.0), (-1e8, 1e8))),
-    "star": make_star_tree(3, 1.0),
-    "star-1e8": make_star_tree(4, 1e8),
-}
-
-
-def _rule_prunes(space, u, pruners, cut):
-    """GridOracle's per-point float rule: some (w, r) has r - 2 d(u, w) > cut."""
-    return any(r - 2.0 * space.distance(u, w) > cut for w, r in pruners)
-
-
-def _draw_pruner(data, space, run, mesh, cut):
-    """A pruner (w, r) at a mesh point, its radius often within a few ulps
-    of putting a point of the run on the edge of its ball."""
-    other = mesh.runs[data.draw(st.integers(0, len(mesh.runs) - 1), label="w run")]
-    w = other.point(data.draw(st.integers(0, other.size - 1), label="w index"))
-    if data.draw(st.booleans(), label="radius on a point"):
-        edge = run.point(data.draw(st.integers(0, run.size - 1), label="edge index"))
-        r = cut + 2.0 * space.distance(edge, w)
-        for _ in range(data.draw(st.integers(0, 4), label="ulps")):
-            r = math.nextafter(r, data.draw(st.sampled_from((math.inf, -math.inf)), label="way"))
-    else:
-        r = cut + space.diameter() * data.draw(st.floats(0.0, 2.0), label="r share")
-    return w, r
-
-
-def _draw_run(data, kind):
-    """A run of a mesh level of RUN_SPACES[kind], and a cut."""
-    space = RUN_SPACES[kind]
-    level = data.draw(st.integers(0, 6 if kind == "box-3d" else 8), label="level")
-    mesh = space.mesh(space.diameter() / 4.0 / 2**level)
-    run = mesh.runs[data.draw(st.integers(0, len(mesh.runs) - 1), label="run")]
-    cut = spaces.DEFAULT_ETA + space.diameter() * data.draw(st.floats(0.0, 0.5), label="eps share")
-    return mesh, run, cut
-
-
-@pytest.mark.parametrize("kind", sorted(RUN_SPACES))
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_run_cover_holds_only_points_the_rule_prunes(kind, data):
-    # every index a run reports as surely pruned by (w, r) is pruned by the
-    # per-point float rule of GridOracle: r - 2 d(u, w) > cut
-    space = RUN_SPACES[kind]
-    mesh, run, cut = _draw_run(data, kind)
-    w, r = _draw_pruner(data, space, run, mesh, cut)
-    covered = run.cover(w, r, cut)
-    if covered is not None:
-        a, b = covered
-        assert 0 <= a < b <= run.size
-        for k in range(a, b):
-            assert r - 2.0 * space.distance(run.point(k), w) > cut, (k, run.point(k))
-
-
-@pytest.mark.parametrize("kind", sorted(RUN_SPACES))
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_run_untested_leaves_out_only_points_the_rule_prunes(kind, data):
-    # the stretches still to test are the run's points in order, less some
-    # that a pruner rules out by the per-point float rule
-    space = RUN_SPACES[kind]
-    mesh, run, cut = _draw_run(data, kind)
-    pruners = [_draw_pruner(data, space, run, mesh, cut) for _ in range(data.draw(st.integers(0, 4), label="n"))]
-    top = max((r for _, r in pruners), default=0.0)
-    stretches = run.untested(pruners, top, cut)
-    points, kept = run.points(0, run.size), [u for stretch in stretches for u in stretch]
-    assert all(stretches)
-    rest = iter(points)
-    # kept is a subsequence of points, and each point passed over is pruned
-    for u in kept:
-        for v in rest:
-            if v == u:
-                break
-            assert _rule_prunes(space, v, pruners, cut), v
-        else:
-            raise AssertionError(f"{u!r} is not next in the run")
-    for v in rest:
-        assert _rule_prunes(space, v, pruners, cut), v
-
-
-def test_run_cover_is_the_inside_of_the_ball():
-    # on the 1/64 mesh of [0, 1] the ball of radius 0.2 about 0.5 holds the
-    # points 0.3125 ... 0.6875, index 20 to 44
-    run = make_interval(0.0, 1.0).mesh(1 / 64).runs[0]
-    assert run.cover(0.5, 0.5, 0.1) == (20, 45)
-    # ... and past the end of [0, 1] the ball about 0.9 stops at 1.0
-    assert run.cover(0.9, 0.5, 0.1) == (45, 65)
-    # a ball that misses a box line leaves it to the per-point rule
-    line = make_box(((0.0, 1.0), (0.0, 1.0))).mesh(1 / 8).runs[0]
-    assert line.cover((1.0, 0.5), 0.5, 0.1) is None
-    # the radius 0.2 is 12.8 gaps of the 1/64 mesh, so those points are
-    # left out of the stretches to test; a radius of 0.1, 6.4 gaps, is under
-    # the eight gaps that pay for a cover check
-    points = run.points(0, run.size)
-    assert run.untested([(0.5, 0.5)], 0.5, 0.1) == [points[:20], points[45:]]
-    assert run.untested([(0.5, 0.3)], 0.3, 0.1) == (points,)
-
-
 def test_box_mesh_cap_stops_at_the_first_axis_past_it():
     # 3^14 points already pass the cap; the count of all 15,000 axes has
     # 7,158 digits, past Python's int-to-str limit

@@ -36,14 +36,12 @@ PERFBENCH = "kept for perfbench, whose tracer or probes call it (ROADMAP item 13
 GRID_ONLY = "a mesh or diameter that only GridOracle would call (ROADMAP item 2)"
 ERROR_PATH = "an error path that no run here takes"
 NO_COMBINE = "asked of no space by a command: only iterate reads points, and it needs a combine"
-GENERIC_WALK = ("GridOracle's generic walk of a mesh's runs, or a part of a run only it reads: every "
-                "command's oracle meshes an interval, which GridOracle walks by index, and no command "
-                "builds a box or star-tree product (ROADMAP item 16); the tests walk an IntervalSpace "
-                "subclass with it")
+GENERIC_WALK = ("GridOracle's generic walk of a mesh point by point, or its read of the mesh's points: "
+                "every command's oracle meshes an interval, which GridOracle walks by index, and no "
+                "command builds a box or star-tree product (ROADMAP item 16); the tests walk an "
+                "IntervalSpace subclass with it")
 SETTLED_END = ("the search GridOracle's interval loop makes when a pruner's stretch does not end at the "
                "index of its ball's end: no command's lift meets one, the equivalence tests do")
-MESH_READ = ("a read of a mesh as one list of points, by the reference scans of the GridOracle equivalence "
-             "tests; GridOracle walks the runs")
 
 #: "module.qualname" -> why nothing the audit runs enters it
 ALLOWED = {
@@ -64,13 +62,9 @@ ALLOWED = {
     "spaces.StarTree._ray": GRID_ONLY,
     "product_afpp._runs_walk": GENERIC_WALK,
     "product_afpp._stretch_end": SETTLED_END,
-    "spaces.Run.cover": GENERIC_WALK,
-    "spaces.Run.point": GENERIC_WALK,
     "spaces.Run.points": GENERIC_WALK,
-    "spaces.Run.untested": GENERIC_WALK,
-    "spaces._on_line": GENERIC_WALK,
     "spaces.Mesh.__len__": PERFBENCH,
-    "spaces.Mesh.__iter__": MESH_READ,
+    "spaces.Mesh.__iter__": GENERIC_WALK,
     "errors.BudgetExhausted.__init__": ERROR_PATH,
     "errors.DomainEscapeError.__init__": ERROR_PATH,
     "errors.RateOverflowError.__str__": ERROR_PATH,
