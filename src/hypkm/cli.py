@@ -135,7 +135,7 @@ def cmd_iterate(cfg: dict, args) -> int:
     ok, last = True, None
     try:
         for block in km_blocks(space, T, x0, sched, N):
-            texts.append(_text(block.csv_rows()))
+            texts.append(block.csv_text())
             ok = ok and (last is None or block.residuals[0] <= last + eta)
             ok = ok and residuals_nonincreasing(block, tol=eta)
             last = block.final_residual

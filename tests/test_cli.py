@@ -256,6 +256,39 @@ def test_iterate_byte_identical_reruns(tmp_path, capsys):
     assert first == second
 
 
+#: sha256 of `iterate` stdout less its version line: the four point types of
+#: the benchmark's orbits at steps 1/10000 and N = 5,000, three blocks of
+#: rows, taken while each row was formatted on its own
+ITERATE_GOLDEN = {
+    "interval-translate": ({"space": {"kind": "interval", "a": 0, "b": "inf"},
+                            "map": {"name": "translate", "shift": "1"}, "x0": 3.7},
+                           "65eb3fb46b0920c57650e7bf3f551f2c25dbc88003bbf5354bb5f5313de185e0"),
+    "poincare-constant": ({"space": {"kind": "poincare"},
+                           "map": {"name": "constant", "value": [0.1, 0.2]}, "x0": [-0.5, 0.6]},
+                          "da22a0aa48f8dfbef40c9c28136cb19a3a68dc06d2108714aa41edaf12fd03c7"),
+    "star-constant": ({"space": {"kind": "star_tree", "rays": 3, "length": 2},
+                       "map": {"name": "constant", "value": [1, 1.5]}, "x0": [2, 0.7]},
+                      "7d0820726e49d0fc7b5e8f7505cd8cce4c2294ad96f137d8ea8659f66f176c1b"),
+    "euclid-affine": ({"space": {"kind": "euclidean", "dim": 2},
+                       "map": {"name": "matrix_affine", "offset": [0.3, -0.2],
+                               "matrix": [[0.611874, -0.515374], [0.515374, 0.611874]]},
+                       "x0": [3.1, -2.4]},
+                      "8200a36ef00f3ba3858808a168be58ad377022fc8e598d47181303d79aae8992"),
+}
+
+
+@pytest.mark.parametrize("name", ITERATE_GOLDEN)
+def test_iterate_matches_its_goldens(tmp_path, capsys, name):
+    cfg, digest = ITERATE_GOLDEN[name]
+    cfg = {**cfg, "schedule": {"kind": "constant", "value": "1/10000"}, "N": 5000}
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 0 and err == ""
+    version, body = out.split("\n", 1)
+    assert version.startswith("# version=")
+    assert body.count("\n") == 5006  # config hash, space, map, schedule, header, rows 0..5000
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 def test_iterate_detects_expansive_map(tmp_path, capsys):
     # doubling on the plane: residuals grow 1.5x per averaged step
     cfg = {

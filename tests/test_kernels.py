@@ -395,29 +395,35 @@ def test_only_an_interval_itself_takes_the_interval_grid_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the CSV row template == the per-value format it replaced
+# the block renderer == the per-value format it replaced
 # ---------------------------------------------------------------------------
 
 
-def _reference_rows(trace: ResidualTrace) -> list[str]:
+def _reference_text(trace: ResidualTrace) -> str:
     rows = []
-    for n, (p, r) in enumerate(zip(trace.points, trace.residuals)):
+    for n, (p, r) in enumerate(zip(trace.points, trace.residuals), trace.first):
         row = trace.space.point_row(p)
-        rows.append(f"{n},{r:.17g}," + ",".join(f"{v:.17g}" for v in row))
-    return rows
+        rows.append(f"{n},{r:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(rows)
 
 
-values = st.one_of(st.floats(), st.sampled_from(SPECIAL), st.integers(-10**20, 10**20))
+#: floats, their special values and ints, some past 2^53 where %.17g rounds
+values = st.one_of(st.floats(), st.sampled_from(SPECIAL), st.integers(-10**20, 10**20),
+                   st.sampled_from([2**53 + 1, -(2**53 + 1), 2**63 - 1]))
 
 
-@given(st.lists(st.tuples(values, values, values), min_size=1, max_size=20))
-def test_csv_rows_equal_the_per_value_format(rows):
-    box = make_box([(0.0, 1.0), (0.0, 1.0)])
-    trace = ResidualTrace(box, [(u, v) for _, u, v in rows], [r for r, _, _ in rows])
-    assert trace.csv_lines()[1:] == _reference_rows(trace)
-    line = make_interval(0.0, 1.0)
-    trace = ResidualTrace(line, [u for _, u, _ in rows], [r for r, _, _ in rows])
-    assert trace.csv_lines()[1:] == _reference_rows(trace)
-    tree = make_star_tree(3, 2.0)
-    trace = ResidualTrace(tree, [(2, v) for _, _, v in rows], [r for r, _, _ in rows])
-    assert trace.csv_lines({"k": "v"})[2:] == _reference_rows(trace)
+@given(st.lists(st.tuples(values, values, values), min_size=1, max_size=20),
+       st.one_of(st.just(0), st.integers(1, 2**40)))
+@example([(2**53 + 1, -0.0, math.nan)], 4096)  # a one-row block opening at row 4096
+@example([(0.0, -0.0, 0.0), (math.inf, -math.inf, math.nan)], 2)
+def test_csv_text_equals_the_per_value_format(rows, first):
+    residuals = [r for r, _, _ in rows]
+    for space, points in ((make_box([(0.0, 1.0), (0.0, 1.0)]), [(u, v) for _, u, v in rows]),
+                          (make_interval(0.0, 1.0), [u for _, u, _ in rows]),
+                          (make_star_tree(3, 2.0), [(2, v) for _, _, v in rows]),
+                          (PoincareDisk(), [complex(u, v) for _, u, v in rows])):
+        trace = ResidualTrace(space, points, residuals, first)
+        text = _reference_text(trace)
+        assert trace.csv_text() == text
+        header = "n,residual," + ",".join(space.point_columns())
+        assert trace.csv_lines({"k": "v"}) == ["# k=v", header, *text.splitlines()]

@@ -656,16 +656,16 @@ def test_walk_from_a_later_start_names_the_absolute_step():
 
 
 def _joined(blocks):
-    """Points, residuals and row numbers of consecutive blocks, checking
+    """Points, residuals and rendered rows of consecutive blocks, checking
     that each starts where the last one ended."""
-    points, residuals, rows = [], [], []
+    points, residuals, texts = [], [], []
     for block in blocks:
         assert block.first == len(points) and 1 <= len(block.points) <= km.BLOCK_ROWS
         assert len(block.points) == len(block.residuals)
         points += block.points
         residuals += block.residuals
-        rows += block.csv_rows()
-    return points, residuals, rows
+        texts.append(block.csv_text())
+    return points, residuals, "".join(texts)
 
 
 _BLOCK_SCHEDULES = {
@@ -686,10 +686,10 @@ def test_blocks_join_to_the_whole_trace(case, sched, rows, data):
     whole = km_iterate(space, T, x0, sched, N)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(km, "BLOCK_ROWS", rows)
-        points, residuals, csv_rows = _joined(km_blocks(space, T, x0, sched, N))
+        points, residuals, text = _joined(km_blocks(space, T, x0, sched, N))
     assert list(map(repr, points)) == list(map(repr, whole.points))
     assert list(map(repr, residuals)) == list(map(repr, whole.residuals))
-    assert csv_rows == whole.csv_lines()[1:]
+    assert text == whole.csv_text()
 
 
 @pytest.mark.parametrize("turns", [0, 6, 7, 10, 14], ids=lambda k: f"step{k}")
