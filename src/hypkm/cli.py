@@ -36,7 +36,7 @@ from .config import (
     list_of,
     load_config,
     lookup,
-    parse_point,
+    member_of,
 )
 from .errors import (
     ArgumentError,
@@ -121,7 +121,7 @@ def cmd_iterate(cfg: dict, args) -> int:
         raise ConfigError("iterate needs a space with a combine operator")
     T = build_map(space, f("map"))
     sched = build_schedule(f("schedule"))
-    x0 = parse_point(space, f("x0"), "x0")
+    x0 = f("x0", member_of(space))
     N, eta = f("N", config_natural), f("eta", config_tolerance, DEFAULT_ETA)
     f.done()
     meta = {

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .errors import ArgumentError, ConfigError
+from .errors import ArgumentError, ConfigError, ScheduleError
 from .km import Schedule, constant_schedule, harmonic_schedule
 from .maps import (
     NonexpansiveMap,
@@ -284,10 +284,31 @@ def _point(space: Space) -> Callable:
     return lambda cfg, key: parse_point(space, cfg[key], key)
 
 
+def member_of(space: Space) -> Callable:
+    """A reader of a point of `space` that lies in it."""
+
+    def read(cfg: dict, key: str):
+        x = parse_point(space, cfg[key], key)
+        if not space.contains(x):
+            raise ConfigError(f"config key {key!r}: {x!r} is not a member of {space!r}")
+        return x
+
+    return read
+
+
 def _space_of(space: Space, cls: type, name: str) -> Space:
     if not isinstance(space, cls):
         raise ArgumentError(f"needs {name} space")
     return space
+
+
+def _harmonic(**kwargs) -> Schedule:
+    """harmonic_schedule(**kwargs); a witness table its cap cannot fill is a
+    config error naming alpha_horizon."""
+    try:
+        return harmonic_schedule(**kwargs)
+    except ScheduleError as exc:
+        raise ConfigError(f"config key 'alpha_horizon': {exc}") from exc
 
 
 def _constant_modulus(D: Fraction) -> UafppModulus:
@@ -323,7 +344,7 @@ SCHEDULES: dict[str, Callable] = {
         K=f("K", config_positive_int, None),
         alpha=f("alpha", _alpha, None),
     ),
-    "harmonic": lambda f: harmonic_schedule(
+    "harmonic": lambda f: _harmonic(
         offset=f("offset", config_natural, 2),
         K=f("K", config_positive_int, None),
         alpha=f("alpha", _alpha, None),
@@ -333,7 +354,7 @@ SCHEDULES: dict[str, Callable] = {
 
 MAPS: dict[str, Callable] = {
     "identity": lambda f, space: identity_map(space),
-    "constant": lambda f, space: constant_map(space, f("value", _point(space))),
+    "constant": lambda f, space: constant_map(space, f("value", member_of(space))),
     "affine": lambda f, space: interval_affine(
         _space_of(space, IntervalSpace, "an interval"),
         f("slope", config_real),

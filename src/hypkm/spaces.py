@@ -45,7 +45,9 @@ MESH_POINT_CAP = 2_000_000
 # Samplers draw through ``rng.random`` with the arithmetic of
 # ``random.uniform(a, b)``, which is ``a + (b - a) * random()``: the same
 # stream and the same floats, without a method call per coordinate.  Where
-# a = 0.0 the sum is dropped, since 0.0 + v is v for every v >= 0.
+# a = 0.0 the sum is dropped, since 0.0 + v is v for every v >= 0.  A star
+# tree's ray is drawn with ``getrandbits`` by ``randrange(n)``'s rejection
+# rule, n.bit_length() bits until the value is below n: the same rays.
 
 
 def _widen(lo: float, hi: float) -> tuple[float, float]:
@@ -209,8 +211,9 @@ class IntervalSpace(HyperbolicSpace):
 class EuclideanSpace(HyperbolicSpace):
     """R^n, or an axis-aligned box, with the Euclidean metric.  Points are tuples.
 
-    ``contains`` and ``combine`` below are the generic kernels; membership
-    compares with bounds widened once by ``_widen``, (-inf, inf) for R^n.
+    ``distance`` is ``math.dist`` itself.  ``contains`` and ``combine`` below
+    are the generic kernels; membership compares with bounds widened once by
+    ``_widen``, (-inf, inf) for R^n.
     For dim 2, ``__init__`` binds unrolled instances of both, and of
     ``sample``, that give bit-identical results: the same float operations
     in the same left-to-right order (``xi + lam * (yi - xi)`` per
@@ -243,8 +246,7 @@ class EuclideanSpace(HyperbolicSpace):
             self.combine = self._combine_2d()
             self.sample = self._sample_2d()
 
-    def distance(self, x, y):
-        return math.dist(x, y)
+    distance = staticmethod(math.dist)
 
     def contains(self, x):
         try:
@@ -418,7 +420,10 @@ class StarTree(HyperbolicSpace):
         )
 
     def sample(self, rng):
-        return (rng.randrange(self.rays), self.length * rng.random())
+        n = r = self.rays
+        while r >= n:
+            r = rng.getrandbits(n.bit_length())
+        return (r, self.length * rng.random())
 
     def diameter(self):
         return 2.0 * self.length

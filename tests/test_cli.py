@@ -422,6 +422,44 @@ def test_iterate_constant_schedule_reads_K_and_alpha(tmp_path, capsys, K, alpha,
         assert out == "" and err == f"config error: schedule invalid up to N=3: {tail}\n"
 
 
+def _no_walk(*args):
+    raise AssertionError("a config refused from its keys must not start a walk")
+
+
+def test_iterate_refuses_a_start_outside_the_space(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "km_blocks", _no_walk)
+    # refused when x0 is read, before the unknown-key check at the end
+    cfg = dict(ITERATE_CFG, x0=2, extra=1)
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and out == ""
+    assert err == ("config error: config key 'x0': 2.0 is not a member of "
+                   "IntervalSpace({'kind': 'interval', 'a': 0.0, 'b': 1.0})\n")
+
+
+@pytest.mark.parametrize("space, value, shown", [
+    ({"kind": "interval", "a": 0, "b": 1}, 2, "2.0 is not a member of "
+     "IntervalSpace({'kind': 'interval', 'a': 0.0, 'b': 1.0})"),
+    ({"kind": "star_tree", "rays": 3, "length": 2}, [3, 1.5], "(3, 1.5) is not a member of "
+     "StarTree({'kind': 'star_tree', 'rays': 3, 'length': 2.0})"),
+], ids=["interval", "star_tree"])
+def test_iterate_refuses_a_constant_map_outside_the_space(tmp_path, capsys, monkeypatch, space, value, shown):
+    monkeypatch.setattr(cli, "km_blocks", _no_walk)
+    x0 = 0.5 if space["kind"] == "interval" else [0, 0.5]
+    cfg = dict(ITERATE_CFG, space=space, map={"name": "constant", "value": value}, x0=x0)
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and out == ""
+    assert err == f"config error: config key 'value': {shown}\n"
+
+
+def test_iterate_refuses_an_alpha_horizon_no_table_covers(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "km_blocks", _no_walk)
+    cfg = dict(ITERATE_CFG, schedule={"kind": "harmonic", "alpha_horizon": 100000})
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and out == ""
+    assert err == ("config error: config key 'alpha_horizon': witness table needs more "
+                   "than 5000 exact terms to cover n=9\n")
+
+
 def test_iterate_on_broken_w(tmp_path, capsys):
     # combine returns x, so under the identity every row is the start
     cfg = dict(ITERATE_CFG, space={"kind": "broken_w", "base": {"kind": "interval", "a": 0, "b": 1}},

@@ -473,15 +473,42 @@ def bits(v):
     return (type(v).__name__, v)
 
 
-@pytest.mark.parametrize("name", REFERENCE_SPACES)
+#: the reference spaces plus star trees of more ray counts: a draw of
+#: n.bit_length() bits is rejected when it is n or more, which for a power
+#: of two is half the draws, and 2^40 + 3 rays take two 32-bit words of
+#: getrandbits per draw
+SAMPLER_SPACES = {
+    **REFERENCE_SPACES,
+    **{f"star_tree_{rays}": make_star_tree(rays, 2.0) for rays in (2, 4, 5, 8, 9, 1000, 2**40 + 3)},
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_SPACES)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32))
 def test_samplers_draw_what_uniform_draws(name, seed):
-    space = REFERENCE_SPACES[name]
+    space = SAMPLER_SPACES[name]
     rng, ref = random.Random(seed), random.Random(seed)
     drawn = [space.sample(rng) for _ in range(25)]
     assert [bits(p) for p in drawn] == [bits(uniform_sample(space, ref)) for _ in range(25)]
     assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("space", [make_euclidean(1), make_euclidean(2), make_euclidean(3),
+                                   make_box(((0.0, 1.0), (-2.0, 3.0)))], ids=["r1", "r2", "r3", "box2"])
+def test_euclidean_distance_is_math_dist(space):
+    rng = random.Random(7)
+    pairs = [(space.sample(rng), space.sample(rng)) for _ in range(200)]
+    pairs += [((0.0,) * space.dim, (-0.0,) * space.dim), ((1e308,) * space.dim, (-1e308,) * space.dim)]
+    for x, y in pairs:
+        assert space.distance(x, y).hex() == math.dist(x, y).hex()
+    longer = (0.0,) * (space.dim + 1)
+    for x, y in (((0.0,) * space.dim, longer), (longer, (0.0,) * space.dim)):
+        with pytest.raises(ValueError) as got:
+            space.distance(x, y)
+        with pytest.raises(ValueError) as ref:
+            math.dist(x, y)
+        assert str(got.value) == str(ref.value)
 
 
 def coercing_distance(x, y):
