@@ -49,13 +49,11 @@ from .maps import (
 from .rates import as_fraction, fmt_number, rate_g, rate_g_tilde
 from .spaces import (
     DEFAULT_ETA,
-    EuclideanSpace,
     FamilyProduct,
     HyperbolicSpace,
     IntervalSpace,
     Point,
     Space,
-    StarTree,
     _mesh_scale,
     make_interval,
     make_real_line,
@@ -108,7 +106,8 @@ class AfppOracle:
 
 
 class GridOracle(AfppOracle):
-    """Mesh refinement over a bounded space, pruned by the Lipschitz bound.
+    """Mesh refinement over an interval with finite ends, pruned by the
+    Lipschitz bound.
 
     Sound for nonexpansive maps: the residual r(u) = d(u, f(u)) is
     2-Lipschitz, so if near-fixed points exist at all, a fine enough mesh
@@ -130,44 +129,46 @@ class GridOracle(AfppOracle):
     DEFAULT_ETA; the post-check in AfppOracle.solve does not, so a bad map
     still cannot yield a bad point.
 
-    Each level is walked by one of two loops that make the same map calls
-    in the same order, with the same answers and errors.  `_runs_walk`, the
-    reference, walks any mesh in order and tests each point against the
-    pruners, the one that fires swapped to the front of their list.
-    `_interval_walk` walks the mesh of an `IntervalSpace` itself (not a
-    subclass) by index, with its pruners sorted by position.  Float
-    subtraction is monotone and the mesh points never decrease, so the
-    per-point rule holds on one stretch of indices per pruner; when a
-    pruner fires, the walk jumps past its whole stretch, whose end it
-    settles with the same float rule, so it needs no margin.  It computes
-    the rule inline, as IntervalSpace.distance would: the only distances it
-    asks the space for are the residuals, 3 on the `jump` map down to its
-    floor where the reference asks for 2,097,157.
+    Each level is walked by `_interval_walk`, by index, with its pruners
+    sorted by position.  Float subtraction is monotone and the mesh points
+    never decrease, so the per-point rule holds on one stretch of indices
+    per pruner; when a pruner fires, the walk jumps past its whole stretch,
+    whose end it settles with the same float rule, so it needs no margin.
+    It computes the rule inline, as IntervalSpace.distance would: the only
+    distances it asks the space for are the residuals, 3 on the `jump` map
+    down to its floor, where a test of every point asks for 2,097,157.
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated;
     skipped points are not part of that minimum.  The first step is a
     quarter of the diameter; the floor is the last level whose mesh fits
-    the space's MESH_POINT_CAP, counted without building it.
+    MESH_POINT_CAP, counted without building it, and a step that underflows
+    to 0 is past it.
     """
 
     def __init__(self, space: Space):
-        if not (hasattr(space, "mesh") and _bounded(space)):
-            raise ArgumentError("grid refinement needs a bounded space with a mesh")
+        if not (type(space) is IntervalSpace and math.isfinite(space.a) and math.isfinite(space.b)):
+            raise ArgumentError(
+                f"grid refinement needs a bounded space with a mesh: an interval with finite ends, "
+                f"not {space!r}"
+            )
         diameter = space.diameter()
+        # the mesh arithmetic starts from a quarter of it
         if not math.isfinite(diameter):
-            # the mesh arithmetic starts from a quarter of it
             raise ArgumentError(
                 f"grid refinement needs a diameter that is a finite float; {space!r} is bounded, "
                 f"but its diameter overflows to {diameter}"
+            )
+        if diameter / 4.0 == 0.0:
+            raise ArgumentError(
+                f"grid refinement needs a quarter diameter above 0; {space!r} has diameter {diameter!r}"
             )
         self.space = space
         self.label = "grid"
 
     def _solve(self, f, eps):
         space = self.space
-        walker = _interval_walk if type(space) is IntervalSpace else _runs_walk
-        walk = walker(space.distance, f, eps + DEFAULT_ETA)
+        walk = _interval_walk(space.distance, f, eps + DEFAULT_ETA)
         step = space.diameter() / 4.0
         mesh = space.mesh(step)
         best_u, best_r = None, math.inf
@@ -176,68 +177,32 @@ class GridOracle(AfppOracle):
             best_u, best_r = walk(mesh, best_u, best_r)
             if best_r <= eps:
                 return best_u
-            step /= 2.0
             try:
-                mesh = space.mesh(step)
+                mesh = space.mesh(step / 2.0)
             except MeshCapError:
                 raise OracleError(
-                    f"grid refinement floor reached at step {step * 2:.3g}; "
+                    f"grid refinement floor reached at step {step:.3g}; "
                     f"best residual {best_r:.6g} > tolerance {eps:.6g} "
                     "(the map may have no approximate fixed points)"
                 ) from None
-
-
-def _bounded(space: Space) -> bool:
-    """Whether a space with a mesh is bounded: an interval or a box whose
-    ends are finite floats, or a star tree.  Another space counts as bounded
-    when its diameter is finite."""
-    if isinstance(space, IntervalSpace):
-        return math.isfinite(space.a) and math.isfinite(space.b)
-    if isinstance(space, EuclideanSpace):
-        return space.bounds is not None and all(math.isfinite(v) for bound in space.bounds for v in bound)
-    return isinstance(space, StarTree) or math.isfinite(space.diameter())
-
-
-def _runs_walk(distance, f, cut):
-    """GridOracle's walk of one level of any mesh, point by point in mesh
-    order, as a function of (mesh, best_u, best_r) that returns the new best
-    pair; it keeps the evaluated points and the pruners of one solve across
-    levels."""
-    evaluated, pruners = set(), []
-
-    def walk(mesh, best_u, best_r):
-        for u in mesh:
-            if u in evaluated:
-                continue
-            for i, (w, r) in enumerate(pruners):
-                if r - 2.0 * distance(u, w) > cut:
-                    pruners[0], pruners[i] = pruners[i], pruners[0]
-                    break
-            else:
-                evaluated.add(u)
-                r = distance(u, f(u))
-                if r == 0.0:
-                    return u, r
-                if r > cut:
-                    pruners.append((u, r))
-                if r < best_r:
-                    best_u, best_r = u, r
-        return best_u, best_r
-
-    return walk
+            step /= 2.0
 
 
 def _interval_walk(distance, f, cut):
-    """`_runs_walk` on an `IntervalSpace` itself, by mesh index: the same map
-    calls in the same order, the same best pair and the same zero return.
+    """GridOracle's walk of one level of an interval's mesh, by index, as a
+    function of (mesh, best_u, best_r) that returns the new best pair; it
+    keeps the evaluated points and the pruners of one solve across levels.
+    It makes the map calls, in order, of a scan that tests each mesh point
+    against every pruner, and returns that scan's best pair, or at once the
+    first point of residual 0.
 
-    The mesh is one run, whose points t_k = lo + k (hi - lo) / n, then hi,
-    never decrease in k (`spaces._mesh_scale`).  Float subtraction is
-    monotone too, so along the run abs(t_k - w) falls and then rises, and
-    the per-point rule r - 2.0 * abs(t_k - w) > cut, with
-    ``IntervalSpace.distance``'s own abs(u - w), holds on one stretch of
-    indices for each pruner (w, r).  Rounding is symmetric, so for w >= u
-    that distance is w - u, and for w <= u it is u - w.
+    The mesh points t_k = lo + k (hi - lo) / n, then hi, never decrease in
+    k (`spaces._mesh_scale`).  Float subtraction is monotone too, so along
+    the mesh abs(t_k - w) falls and then rises, and the per-point rule
+    r - 2.0 * abs(t_k - w) > cut, with ``IntervalSpace.distance``'s own
+    abs(u - w), holds on one stretch of indices for each pruner (w, r).
+    Rounding is symmetric, so for w >= u that distance is w - u, and for
+    w <= u it is u - w.
 
     The pruners are kept sorted by w.  At index k the pruners next to t_k
     are tried first, the one at or right of it, then the one left of it,
@@ -254,8 +219,7 @@ def _interval_walk(distance, f, cut):
 
     def walk(mesh, best_u, best_r):
         nonlocal top
-        (run,) = mesh.runs
-        lo, hi, n = run.lo, run.hi, run.n
+        lo, hi, n = mesh.lo, mesh.hi, mesh.n
         scale = n / (hi - lo)
         width, unit = _mesh_scale(hi - lo, n)
         k = 0

@@ -16,7 +16,6 @@ by membership checks at the API boundary.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import sys
@@ -39,7 +38,7 @@ MEMBERSHIP_SLACK = 1e-12
 #: default tolerance for axiom, property and certification checks.
 DEFAULT_ETA = 1e-9
 
-#: most points in a finite mesh of any space; a larger one raises MeshCapError.
+#: most points in the mesh of an interval; a larger one raises MeshCapError.
 MESH_POINT_CAP = 2_000_000
 
 # Samplers draw through ``rng.random`` with the arithmetic of
@@ -70,10 +69,6 @@ class Space:
 
     def sample(self, rng: random.Random) -> Point:
         raise NotImplementedError
-
-    def diameter(self) -> float:
-        """Diameter of the carrier; ``inf`` for unbounded spaces."""
-        return math.inf
 
     # --- serialization hooks used by trace/certificate writers -------------
 
@@ -108,48 +103,24 @@ def _mesh_scale(width, n):
     return width / unit, unit
 
 
-class Run:
-    """A stretch of a mesh along one geodesic, in mesh order.
-
-    Its points are ``make(t)`` at t = lo + k (hi - lo) / n for k = first,
-    ..., n - 1 and then at t = hi, so t never decreases along the run
-    (``make`` None gives t itself).
-    """
-
-    __slots__ = ("lo", "hi", "n", "first", "size", "make")
-
-    def __init__(self, lo, hi, n, first=0, make=None):
-        self.lo, self.hi, self.n, self.first = lo, hi, n, first
-        self.size = n + 1 - first
-        self.make = make
-
-    def points(self):
-        """The points of the run, as a list."""
-        lo, hi, n = self.lo, self.hi, self.n
-        width, unit = _mesh_scale(hi - lo, n)
-        ts = [lo + k * width / n * unit for k in range(self.first, n)]
-        ts.append(hi)
-        return ts if self.make is None else [*map(self.make, ts)]
-
-
 class Mesh:
-    """The points of a finite mesh, in order, held as runs: they are built
-    only when read."""
+    """The mesh of an interval [lo, hi]: the n + 1 points lo + k (hi - lo) / n
+    for k < n, then hi, which never decrease and are built only when read.
+    GridOracle walks them by index; a traced run counts them by length."""
 
-    def __init__(self, runs: list[Run]):
-        self.runs = runs
+    __slots__ = ("lo", "hi", "n")
+
+    def __init__(self, lo, hi, n):
+        self.lo, self.hi, self.n = lo, hi, n
 
     def __len__(self):
-        return sum(run.size for run in self.runs)
+        return self.n + 1
 
     def __iter__(self):
-        for run in self.runs:
-            yield from run.points()
-
-
-def _capped(points: int) -> None:
-    if points > MESH_POINT_CAP:
-        raise MeshCapError(f"mesh of {points} points exceeds the sanity cap")
+        lo, hi, n = self.lo, self.hi, self.n
+        width, unit = _mesh_scale(hi - lo, n)
+        yield from [lo + k * width / n * unit for k in range(n)]
+        yield hi
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +171,12 @@ class IntervalSpace(HyperbolicSpace):
     def mesh(self, step):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ArgumentError("mesh needs a bounded interval")
+        if step == 0.0:  # a step that underflowed: no mesh of it fits the cap
+            raise MeshCapError("a mesh step of 0 exceeds the sanity cap")
         n = max(1, math.ceil((self.b - self.a) / step))
-        _capped(n + 1)
-        return Mesh([Run(self.a, self.b, n)])
+        if n + 1 > MESH_POINT_CAP:
+            raise MeshCapError(f"mesh of {n + 1} points exceeds the sanity cap")
+        return Mesh(self.a, self.b, n)
 
     def point_columns(self):
         return ["x"]
@@ -298,31 +272,6 @@ class EuclideanSpace(HyperbolicSpace):
     def sample(self, rng):
         rand = rng.random
         return tuple([lo + w * rand() for lo, w in self._draws])
-
-    def diameter(self):
-        if self.bounds is None:
-            return math.inf
-        return math.dist([lo for lo, _ in self.bounds], [hi for _, hi in self.bounds])
-
-    def mesh(self, step):
-        if self.bounds is None:
-            raise ArgumentError("mesh needs a bounded box")
-        ns, points = [], 1
-        for lo, hi in self.bounds:
-            ns.append(max(1, math.ceil((hi - lo) / step)))
-            # stop at the first axis past the cap, before the count grows huge
-            points *= ns[-1] + 1
-            _capped(points)
-        *heads, (lo, hi) = self.bounds
-        axes = [Run(a, b, n).points() for (a, b), n in zip(heads, ns)]
-        # one run per line of the last axis, the lines in lexicographic order
-        return Mesh([self._line(p, lo, hi, ns[-1]) for p in itertools.product(*axes)])
-
-    def _line(self, prefix: tuple, lo: float, hi: float, n: int) -> Run:
-        def make(t):
-            return prefix + (t,)
-
-        return Run(lo, hi, n, make=make)
 
     def point_columns(self):
         return [f"x{i}" for i in range(self.dim)]
@@ -425,9 +374,6 @@ class StarTree(HyperbolicSpace):
             r = rng.getrandbits(n.bit_length())
         return (r, self.length * rng.random())
 
-    def diameter(self):
-        return 2.0 * self.length
-
     def combine(self, x, y, lam):
         r1, o1 = x
         r2, o2 = y
@@ -441,18 +387,6 @@ class StarTree(HyperbolicSpace):
         if t <= o1:
             return (r1, o1 - t)
         return (r2, min(t - o1, self.length))
-
-    def mesh(self, step):
-        n = max(1, math.ceil(self.length / step))
-        _capped(1 + n * self.rays)
-        # the hub (0, 0.0) opens ray 0's run; the other rays start past it
-        return Mesh([self._ray(r, n) for r in range(self.rays)])
-
-    def _ray(self, ray: int, n: int) -> Run:
-        def make(t):
-            return (ray, t)
-
-        return Run(0.0, self.length, n, first=0 if ray == 0 else 1, make=make)
 
     def point_columns(self):
         return ["ray", "offset"]
@@ -480,9 +414,6 @@ class CircleSpace(Space):
     def sample(self, rng):
         return math.tau * rng.random()
 
-    def diameter(self):
-        return math.pi
-
     def point_columns(self):
         return ["angle"]
 
@@ -502,9 +433,6 @@ class BrokenW(HyperbolicSpace):
 
     def sample(self, rng):
         return self.base.sample(rng)
-
-    def diameter(self):
-        return self.base.diameter()
 
     def combine(self, x, y, lam):
         return x
@@ -564,9 +492,6 @@ class FamilyProduct(Space):
         # u first: the fiber x is drawn from depends on it
         u = self.right.sample(rng)
         return (self.fiber_of(u).sample(rng), u)
-
-    def diameter(self):
-        return max(self.ambient.diameter(), self.right.diameter())
 
     def point_columns(self):
         return [f"c_{c}" for c in self.ambient.point_columns()] + [

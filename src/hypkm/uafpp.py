@@ -338,7 +338,18 @@ def modulus_table(
 ) -> list[tuple[str, str, str]]:
     """Evaluate a modulus on a grid, formatted for stable text output."""
     return [
-        tuple(fmt_number(v, ".17g") for v in (as_fraction(eps), as_fraction(b), modulus(eps, b)))
+        (*(fmt_number(as_fraction(v), ".17g") for v in (eps, b)), _bound_text(modulus(eps, b)))
         for eps in eps_values
         for b in b_values
     ]
+
+
+def _bound_text(v) -> str:
+    """fmt_number's text of a value v >= 0, save that ~10^N, which may be
+    below v, becomes 10^k for the least integer k with v <= 10^k."""
+    text = fmt_number(v, ".17g")
+    if not text.startswith("~"):
+        return text
+    n = int(text[4:])  # 10^n <= v < 10^(n + 1), where n >= 50
+    # only a multiple of 10^50 can be 10^n, so the power is seldom built
+    return f"10^{n if v % 10**50 == 0 and v == 10**n else n + 1}"

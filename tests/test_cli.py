@@ -1159,6 +1159,14 @@ def test_uafpp_banach_table(tmp_path, capsys):
     assert lines[-1] == "1,2,4"
 
 
+def test_uafpp_huge_value_prints_a_power_of_ten_at_or_above_it(tmp_path, capsys):
+    # D = 2 * 10^308 at b = 1e308: ~10^308 would be below it
+    cfg = {"modulus": {"kind": "banach", "k": "1/2"}, "eps_values": ["1/2"], "b_values": [1e308]}
+    code, out, _ = run_cli(tmp_path, capsys, "uafpp", cfg)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["eps,b,D", "0.5,1e+308,10^309"]
+
+
 def test_uafpp_regularity_from_constant(tmp_path, capsys):
     cfg = {
         "modulus": {

@@ -1,6 +1,7 @@
 """The per-step kernels: pinned iterate bytes, the unrolled 2-D kernels
-against the generic ones they replace, and the interval orbit-end loop
-against the generic loop.
+against the generic ones they replace, the interval orbit-end loop against
+the generic loop, and the grid oracle's interval walk against the plain
+pruned scan.
 
 The goldens are sha256 digests of `hypkm iterate` stdout, less its version
 line, taken from the generic kernels before the unrolled ones existed; any
@@ -18,13 +19,15 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hypkm import (
+    ArgumentError,
+    BrokenW,
     GridOracle,
     km,
     make_box,
     make_euclidean,
     make_interval,
+    make_real_line,
     make_star_tree,
-    product_afpp,
     spaces,
 )
 from hypkm.cli import main
@@ -39,7 +42,7 @@ from hypkm.km import (
 )
 from hypkm.maps import NonexpansiveMap, _affine_generic, affine_map
 from hypkm.spaces import EuclideanSpace, IntervalSpace, PoincareDisk
-from test_product_afpp import DYADIC_PARAMS, TOLERANCES, UNIT_PARAMS, unit_maps
+from test_product_afpp import DYADIC_PARAMS, TOLERANCES, UNIT_PARAMS, pruned_mesh_scan, unit_maps
 
 
 def _constant_third(cfg: dict) -> dict:
@@ -280,7 +283,7 @@ def test_only_an_untraced_walk_on_an_interval_takes_the_orbit_end_loop(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the interval grid-oracle loop == the generic loop
+# the interval grid-oracle loop == the plain pruned scan
 # ---------------------------------------------------------------------------
 
 #: [0, 1], a wide interval, one whose mesh points collide once the gaps fall
@@ -311,11 +314,11 @@ def grid_oracle_cases(draw):
     return a, b, g, off, draw(TOLERANCES), draw(st.sampled_from(ORACLE_CAPS))
 
 
-def _grid_outcome(cls, case):
-    """repr of the map calls of GridOracle on a ``cls`` interval and of its
+def _grid_outcome(solve, case):
+    """repr of the map calls of ``solve(space, f, eps)`` on [a, b] and of its
     answer or error; the map is drawn on [0, 1] and rescaled to [a, b]."""
     a, b, g, off, tol, cap = case
-    space, width, calls = cls(a, b), b - a, []
+    space, width, calls = IntervalSpace(a, b), b - a, []
 
     def fn(u):
         calls.append(u)
@@ -324,10 +327,22 @@ def _grid_outcome(cls, case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "MESH_POINT_CAP", cap)
         try:
-            outcome = GridOracle(space).solve(NonexpansiveMap(space, fn), tol * width)
+            outcome = solve(space, NonexpansiveMap(space, fn), tol * width)
         except Exception as exc:  # noqa: BLE001 -- the type and text are the outcome
-            outcome = (type(exc), str(exc).replace(cls.__name__, "IntervalSpace"))
+            outcome = (type(exc), str(exc))
     return repr((calls, outcome))
+
+
+def _grid_oracle(space, f, eps):
+    return GridOracle(space).solve(f, eps)
+
+
+def _pruned_scan(space, f, eps):
+    """`pruned_mesh_scan`, then the map call that the post-check in solve
+    makes at the answer."""
+    u = pruned_mesh_scan(space, f, eps)
+    f(u)
+    return u
 
 
 @given(grid_oracle_cases())
@@ -348,7 +363,7 @@ def _grid_outcome(cls, case):
 # stretch there
 @example((-1e307, 1e307, _steps([0.2, 0.4, 0.1]), 0.0, 2.0 ** -11, 1023))
 def test_grid_oracle_interval_loop_equals_the_generic_loop(case):
-    assert _grid_outcome(IntervalSpace, case) == _grid_outcome(_GenericInterval, case)
+    assert _grid_outcome(_grid_oracle, case) == _grid_outcome(_pruned_scan, case)
 
 
 @given(st.floats(-1e307, 1e307), st.floats(2.0 ** -1000, 1e308), st.integers(1, 5000))
@@ -357,7 +372,7 @@ def test_mesh_points_are_the_plain_formula_where_it_is_finite(lo, width, n):
     width = hi - lo
     if not (lo < hi and math.isfinite(width)):
         return
-    points = spaces.Run(lo, hi, n).points()
+    points = list(spaces.Mesh(lo, hi, n))
     assert points == sorted(points) and points[-1] == hi
     for k, u in enumerate(points[:-1]):
         if math.isfinite(k * width):
@@ -378,20 +393,22 @@ def test_mesh_points_of_a_wide_interval_stay_inside_it():
         calls.append(u)
         return min(max(0.3 * u + 1e306, a), b)
 
-    for cls in (IntervalSpace, _GenericInterval):
-        calls.clear()
-        GridOracle(cls(a, b)).solve(NonexpansiveMap(cls(a, b), fn), 1e303)
-        assert calls and all(a <= u <= b for u in calls)
+    GridOracle(space).solve(NonexpansiveMap(space, fn), 1e303)
+    assert calls and all(a <= u <= b for u in calls)
 
 
-def test_only_an_interval_itself_takes_the_interval_grid_loop(monkeypatch):
-    taken = []
-    real = product_afpp._interval_walk
-    monkeypatch.setattr(product_afpp, "_interval_walk", lambda *a: taken.append(a) or real(*a))
-    for space in (make_interval(0.0, 1.0), _GenericInterval(0.0, 1.0), make_box([(0.0, 1.0)] * 2)):
-        f = NonexpansiveMap(space, lambda u: u)
-        GridOracle(space).solve(f, 0.1)
-    assert len(taken) == 1
+def test_grid_oracle_refuses_every_space_but_an_interval_with_finite_ends():
+    # the one mesh GridOracle walks is an interval's: a box, a star tree, a
+    # subclass, a wrapped interval and an unbounded interval are refused,
+    # each by name
+    for space in (make_box([(0.0, 1.0)] * 2), make_star_tree(3, 1.0), _GenericInterval(0.0, 1.0),
+                  BrokenW(make_interval(0.0, 1.0)), make_real_line(), make_interval(0.0, math.inf)):
+        with pytest.raises(ArgumentError) as exc:
+            GridOracle(space)
+        assert str(exc.value) == (
+            f"grid refinement needs a bounded space with a mesh: an interval with finite ends, not {space!r}"
+        )
+    GridOracle(make_interval(0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

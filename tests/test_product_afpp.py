@@ -29,9 +29,7 @@ from hypkm import (
     family_product,
     identity_map,
     make_certificate,
-    make_box,
     make_interval,
-    make_star_tree,
     product,
     scaled_coupling,
     solve_example,
@@ -121,24 +119,6 @@ def test_grid_oracle_floor_skips_what_its_pruners_rule_out(monkeypatch):
     )
     assert calls == [0.0, 0.5, 0.75]
     assert count[0] <= 300
-
-
-class GenericInterval(spaces.IntervalSpace):
-    """An interval that GridOracle walks with its generic loop, the reference
-    of its interval loop, which takes an `IntervalSpace` itself only."""
-
-
-@pytest.mark.parametrize("n, distances", [(100, 104), (500, 481), (2000, 1572), (4000, 4547)])
-def test_grid_oracle_lift_distance_calls_pinned(monkeypatch, n, distances):
-    # the generic loop's distance calls on the scaled_coupling lift's
-    # parameter map, post-check included: it tests every point it has not
-    # evaluated against the pruners
-    M = GenericInterval(0.0, 1.0)
-    T = scaled_coupling(product(make_interval(0.0, 1.0), M), 0.5, 0.1)
-    phi_n = product_afpp.phi(T, identity_map(M), constant_schedule("1/2"), n)
-    count = count_distance_calls(monkeypatch, M)
-    GridOracle(M).solve(phi_n, 1.0 / n)
-    assert count[0] == distances
 
 
 @pytest.mark.parametrize("n, distances", [(100, 13), (500, 24), (2000, 36), (4000, 48)])
@@ -239,51 +219,13 @@ def unit_maps(params):
     )
 
 
-SIGNED_PARAMS = UNIT_PARAMS.map(lambda v: 2.0 * v - 1.0)
 UNIT_MAPS = unit_maps(UNIT_PARAMS)
 
-#: nonexpansive self-maps of the box [0,1]^2: coordinatewise products of
-#: unit-interval maps, and a scaled rotation about the centre plus a shift,
-#: projected back onto the box
-BOX_MAPS = st.one_of(
-    st.tuples(UNIT_MAPS, UNIT_MAPS).map(lambda gh: lambda p: (gh[0](p[0]), gh[1](p[1]))),
-    st.tuples(SIGNED_PARAMS, UNIT_PARAMS, SIGNED_PARAMS, SIGNED_PARAMS).map(
-        lambda a: lambda p: (
-            _clamp(0.5 + a[0] * (math.cos(2 * math.pi * a[1]) * (p[0] - 0.5)
-                                 - math.sin(2 * math.pi * a[1]) * (p[1] - 0.5)) + a[2] / 2),
-            _clamp(0.5 + a[0] * (math.sin(2 * math.pi * a[1]) * (p[0] - 0.5)
-                                 + math.cos(2 * math.pi * a[1]) * (p[1] - 0.5)) + a[3] / 2),
-        )
-    ),
-)
-
-STAR = make_star_tree(3, 1.0)
-STAR_POINTS = st.tuples(st.integers(0, 2), UNIT_PARAMS)
-
-#: nonexpansive self-maps of the 3-ray star tree: constants, radial maps
-#: (r, s) -> (r, h(s)) with h(0) = 0 and h <= s, folding every ray onto
-#: one, geodesic pulls toward a point, and composites of these
-STAR_MAPS = st.recursive(
-    st.one_of(
-        STAR_POINTS.map(lambda c: lambda p: c),
-        UNIT_MAPS.map(lambda g: lambda p: (p[0], min(p[1], g(p[1])))),
-        st.integers(0, 2).map(lambda k: lambda p: (k, p[1])),
-        st.tuples(STAR_POINTS, UNIT_PARAMS).map(
-            lambda a: lambda p: STAR.combine(p, a[0], a[1])
-        ),
-    ),
-    lambda inner: st.tuples(inner, inner).map(lambda fg: lambda p: fg[0](fg[1](p))),
-    max_leaves=3,
-)
-
 #: (space, maps, mesh point caps): each cap ends refinement at a step of
-#: about 1e-4, 1e-3, 0.01 or 0.05; the box keeps coarse floors, its meshes
-#: grow quadratically
+#: about 1e-4, 1e-3 or 0.05
 ORACLE_SPACES = {
     "interval": (UNIT, UNIT_MAPS, (16383, 1023, 31)),
     "dyadic": (UNIT, unit_maps(DYADIC_PARAMS), (16383, 1023, 31)),
-    "box": (make_box([(0.0, 1.0), (0.0, 1.0)]), BOX_MAPS, (33488, 575)),
-    "star": (STAR, STAR_MAPS, (3071, 95)),
 }
 
 #: tolerances spread over [2^-11, 1/2)
@@ -454,19 +396,41 @@ def test_grid_oracle_needs_bounded_space_or_step():
 
 
 def test_grid_oracle_refuses_a_bounded_space_whose_diameter_overflows():
-    # each is bounded, but its diameter is inf in floats, so no mesh step
-    # can be computed from it; the refusal says so and not that it is unbounded
-    for space in (make_interval(-1e308, 1e308), make_box([(-1e308, 1e308)]), make_star_tree(3, 1e308)):
-        with pytest.raises(ArgumentError) as exc:
-            GridOracle(space)
-        assert str(exc.value) == (
-            f"grid refinement needs a diameter that is a finite float; {space!r} is bounded, "
-            "but its diameter overflows to inf"
-        )
+    # it is bounded, but its diameter is inf in floats, so no mesh step can
+    # be computed from it; the refusal says so and not that it is unbounded
+    space = make_interval(-1e308, 1e308)
+    with pytest.raises(ArgumentError) as exc:
+        GridOracle(space)
+    assert str(exc.value) == (
+        f"grid refinement needs a diameter that is a finite float; {space!r} is bounded, "
+        "but its diameter overflows to inf"
+    )
     GridOracle(make_interval(-8e307, 8e307))  # a diameter of 1.6e308 is a float
-    for space in (make_interval(0.0, math.inf), make_box([(0.0, math.inf)])):
-        with pytest.raises(ArgumentError, match="bounded space"):
-            GridOracle(space)
+    with pytest.raises(ArgumentError, match="bounded space"):
+        GridOracle(make_interval(0.0, math.inf))
+
+
+def test_grid_oracle_refuses_an_interval_whose_quarter_diameter_is_zero():
+    # the first mesh step, a quarter of 5e-324, is 0 in floats: refused at
+    # once, by name, as an overflowing diameter is
+    space = make_interval(0.0, 5e-324)
+    with pytest.raises(ArgumentError) as exc:
+        GridOracle(space)
+    assert str(exc.value) == f"grid refinement needs a quarter diameter above 0; {space!r} has diameter 5e-324"
+    GridOracle(make_interval(0.0, 2e-323))  # a quarter of it is 5e-324
+
+
+def test_grid_oracle_floor_counts_a_step_that_underflows_as_past_the_cap():
+    # the step halves from 2^-1062 to 2^-1074, the least subnormal, and then
+    # to 0: refinement ends there in the floor error, at the last step walked
+    space = make_interval(0.0, 2.0**-1060)
+    with pytest.raises(OracleError) as exc:
+        GridOracle(space).solve(NonexpansiveMap(space, lambda u: u + 1.0, "off"), 0.1)
+    assert str(exc.value) == (
+        "grid refinement floor reached at step 4.94e-324; best residual 1 > tolerance 0.1 "
+        "(the map may have no approximate fixed points)"
+    )
+    assert GridOracle(space).solve(identity_map(space), 0.1) == 0.0
 
 
 class FixedAnswerOracle(AfppOracle):

@@ -78,13 +78,11 @@ def test_box_distance_and_combine():
     assert box.combine((0.0, 0.0), (1.0, 1.0), 0.25) == (0.25, 0.25)
     assert box.contains((0.5, 0.5)) and not box.contains((0.5, 2.0))
     assert not box.contains((0.5,))
-    assert box.diameter() == pytest.approx(math.sqrt(2.0))
 
 
 def test_euclidean_unbounded():
     e3 = make_euclidean(3)
     assert e3.contains((1.0, -50.0, 7.0))
-    assert math.isinf(e3.diameter())
     with pytest.raises(ArgumentError):
         make_euclidean(0)
 
@@ -189,7 +187,6 @@ def test_star_tree_distances():
     assert tree.distance((2, 0.1), (2, 0.9)) == pytest.approx(0.8)
     # every (ray, 0) is the hub
     assert tree.distance((0, 0.0), (1, 0.0)) == 0.0
-    assert tree.diameter() == 2.0
 
 
 def test_star_tree_combine_cases():
@@ -237,7 +234,6 @@ def test_circle_arc_distance():
     assert circle.distance(0.0, math.pi) == pytest.approx(math.pi)
     assert circle.distance(0.0, 1.5 * math.pi) == pytest.approx(0.5 * math.pi)
     assert circle.distance(0.1, 2 * math.pi + 0.1) == pytest.approx(0.0, abs=1e-12)
-    assert circle.diameter() == pytest.approx(math.pi)
 
 
 def test_product_max_metric_is_exact():
@@ -266,7 +262,6 @@ def test_plain_product_is_the_constant_fiber_family():
     dom = product(C, M)
     assert isinstance(dom, FamilyProduct)
     assert dom.descriptor == {"kind": "product", "left": C.descriptor, "right": M.descriptor}
-    assert dom.diameter() == max(C.diameter(), M.diameter())
     rng = random.Random(11)
 
     def near(space):
@@ -637,31 +632,19 @@ def test_interval_mesh():
         make_real_line().mesh(0.25)
 
 
-def test_box_and_tree_meshes():
-    box_mesh = make_box(((0.0, 1.0), (0.0, 1.0))).mesh(0.5)
-    assert (0.0, 0.0) in box_mesh and (1.0, 1.0) in box_mesh
-    tree = make_star_tree(3, 1.0)
-    tree_mesh = tree.mesh(0.5)
-    assert all(tree.contains(p) for p in tree_mesh)
-    assert (0, 0.0) in tree_mesh
-
-
-@pytest.mark.parametrize(
-    "space, step, points",
-    [
-        (make_interval(0.0, 1.0), 0.25, 5),
-        (make_box(((0.0, 1.0), (0.0, 1.0))), 0.5, 9),
-        (make_star_tree(3, 1.0), 0.5, 7),
-    ],
-)
+@pytest.mark.parametrize("space, step, points", [(make_interval(0.0, 1.0), 0.25, 5)])
 def test_meshes_refuse_more_than_the_cap_points(monkeypatch, space, step, points):
-    # one rule for every mesh: at most MESH_POINT_CAP points
+    # at most MESH_POINT_CAP points, and a step that underflowed to 0 asks
+    # for more than any cap
     assert len(space.mesh(step)) == points
     monkeypatch.setattr(spaces, "MESH_POINT_CAP", points)
     assert len(space.mesh(step)) == points
     monkeypatch.setattr(spaces, "MESH_POINT_CAP", points - 1)
     with pytest.raises(MeshCapError):
         space.mesh(step)
+    monkeypatch.setattr(spaces, "MESH_POINT_CAP", 10**9)
+    with pytest.raises(MeshCapError, match="a mesh step of 0 exceeds the sanity cap"):
+        space.mesh(0.0)
 
 
 def _axis(lo, hi, n):
@@ -670,26 +653,13 @@ def _axis(lo, hi, n):
 
 @pytest.mark.parametrize("step", [0.25, 0.03, 0.007, 0.7])
 def test_meshes_are_their_runs_in_mesh_order(step):
-    # intervals and boxes: every axis from lo to hi in n steps, the last axis
-    # fastest; star trees: the hub, then each ray outward from the hub
+    # an interval's mesh runs from lo to hi in n steps, and its length is
+    # its point count
     interval = make_interval(0.1, 0.7)
     n = max(1, math.ceil(0.6 / step))
-    assert list(interval.mesh(step)) == _axis(0.1, 0.7, n)
-    box = make_box(((0.0, 1.0), (-2.0, 0.5)))
-    n0, n1 = max(1, math.ceil(1.0 / step)), max(1, math.ceil(2.5 / step))
-    assert list(box.mesh(step)) == [(x, y) for x in _axis(0.0, 1.0, n0) for y in _axis(-2.0, 0.5, n1)]
-    tree = make_star_tree(3, 1.5)
-    n = max(1, math.ceil(1.5 / step))
-    assert list(tree.mesh(step)) == [(0, 0.0)] + [(r, t) for r in range(3) for t in _axis(0.0, 1.5, n)[1:]]
-    for mesh in (interval.mesh(step), box.mesh(step), tree.mesh(step)):
-        assert len(mesh) == len(list(mesh)) == sum(run.size for run in mesh.runs)
-
-
-def test_box_mesh_cap_stops_at_the_first_axis_past_it():
-    # 3^14 points already pass the cap; the count of all 15,000 axes has
-    # 7,158 digits, past Python's int-to-str limit
-    with pytest.raises(MeshCapError, match="mesh of 4782969 points exceeds the sanity cap"):
-        make_box(((0.0, 1.0),) * 15_000).mesh(0.5)
+    mesh = interval.mesh(step)
+    assert list(mesh) == _axis(0.1, 0.7, n)
+    assert (mesh.lo, mesh.hi, mesh.n) == (0.1, 0.7, n) and len(mesh) == n + 1
 
 
 def test_samples_stay_in_space():

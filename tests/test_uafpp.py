@@ -450,4 +450,23 @@ def test_modulus_table_rows():
 def test_modulus_table_overflow_formatting():
     phi = UafppModulus(D_of=lambda e, b: Fraction(10) ** 400, label="huge")
     rows = modulus_table(phi, [1], [1])
-    assert rows == [("1", "1", "~10^400")]
+    assert rows == [("1", "1", "10^400")]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (10**50, "10^50"),
+        (10**50 - 1, "99999999999999999999999999999999999999999999999999"),  # 50 digits: exact
+        (10**50 + 1, "10^51"),
+        (Fraction(10**400) - Fraction(1, 3), "10^400"),
+        (Fraction(10**400) + Fraction(1, 3), "10^401"),
+        (2 * 10**308, "10^309"),
+        (Fraction(10**401 - 1), "10^401"),
+    ],
+)
+def test_modulus_table_value_is_a_power_of_ten_at_or_above_it(value, text):
+    # fmt_number prints each of these but the 50-digit int as ~10^N with
+    # 10^N <= value; the table's value column prints the least 10^k >= value
+    phi = UafppModulus(D_of=lambda e, b: value, label="huge")
+    assert modulus_table(phi, [1], [1]) == [("1", "1", text)]

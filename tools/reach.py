@@ -33,13 +33,10 @@ from hypkm import cli  # noqa: E402
 from hypkm.product_afpp import EXAMPLES  # noqa: E402
 
 PERFBENCH = "kept for perfbench, whose tracer or probes call it (ROADMAP item 13)"
-GRID_ONLY = "a mesh or diameter that only GridOracle would call (ROADMAP item 2)"
 ERROR_PATH = "an error path that no run here takes"
 NO_COMBINE = "asked of no space by a command: only iterate reads points, and it needs a combine"
-GENERIC_WALK = ("GridOracle's generic walk of a mesh point by point, or its read of the mesh's points: "
-                "every command's oracle meshes an interval, which GridOracle walks by index, and no "
-                "command builds a box or star-tree product (ROADMAP item 16); the tests walk an "
-                "IntervalSpace subclass with it")
+GENERIC_WALK = ("a read of a mesh's points one by one: GridOracle walks an interval's mesh by index, and "
+                "only the tests' reference scans read the points")
 SETTLED_END = ("the search GridOracle's interval loop makes when a pruner's stretch does not end at the "
                "index of its ball's end: no command's lift meets one, the equivalence tests do")
 
@@ -50,19 +47,7 @@ ALLOWED = {
     "maps.falsify_nonexpansive": PERFBENCH,
     "product_afpp.check_uniform_displacement": PERFBENCH,
     "uafpp.banach_fixed_point": PERFBENCH,
-    "spaces.Space.diameter": GRID_ONLY,
-    "spaces.BrokenW.diameter": GRID_ONLY,
-    "spaces.CircleSpace.diameter": GRID_ONLY,
-    "spaces.EuclideanSpace.diameter": GRID_ONLY,
-    "spaces.EuclideanSpace.mesh": GRID_ONLY,
-    "spaces.EuclideanSpace._line": GRID_ONLY,
-    "spaces.FamilyProduct.diameter": GRID_ONLY,
-    "spaces.StarTree.diameter": GRID_ONLY,
-    "spaces.StarTree.mesh": GRID_ONLY,
-    "spaces.StarTree._ray": GRID_ONLY,
-    "product_afpp._runs_walk": GENERIC_WALK,
     "product_afpp._stretch_end": SETTLED_END,
-    "spaces.Run.points": GENERIC_WALK,
     "spaces.Mesh.__len__": PERFBENCH,
     "spaces.Mesh.__iter__": GENERIC_WALK,
     "errors.BudgetExhausted.__init__": ERROR_PATH,
