@@ -311,7 +311,10 @@ def _harmonic(**kwargs) -> Schedule:
         raise ConfigError(f"config key 'alpha_horizon': {exc}") from exc
 
 
-def _constant_modulus(D: Fraction) -> UafppModulus:
+def _constant_modulus(f) -> UafppModulus:
+    D = f("D", config_rational)
+    if D < 0:
+        raise ConfigError(f"config key 'D': must be >= 0, got {D}")
     return UafppModulus(D_of=lambda eps, b: D, label=f"constant(D={D})")
 
 
@@ -383,8 +386,8 @@ POINTS: dict[str, Callable] = {
 
 MODULI: dict[str, Callable] = {
     "banach": _banach_modulus,
-    "constant": lambda f: _constant_modulus(f("D", config_rational)),
+    "constant": _constant_modulus,
     "regularity_from_constant": lambda f: uafpp_to_regularity(
-        _constant_modulus(f("D", config_rational)), build_schedule(f("schedule"))
+        _constant_modulus(f), build_schedule(f("schedule"))
     ),
 }

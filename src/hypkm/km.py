@@ -204,7 +204,7 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     is valid at every horizon, so it is reported valid without a loop:
     alpha(n) is a natural and (ceil(c*n) + 1)*v >= c*v*n + v > n.  Every
     other schedule is checked n by n, and that loop alone finds and words a
-    violation.
+    violation.  A witness alpha(n) past SUM_TERM_CAP raises ScheduleError.
     """
     if horizon < 0:
         raise ArgumentError(f"horizon must be a natural, got {horizon}")
@@ -224,6 +224,8 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
         if lam_n > cap:
             return violation(n, "lambda_cap", f"lam_{n}={lam_n} > 1-1/K={cap}")
         a_n = sched.alpha(n)
+        if a_n > SUM_TERM_CAP:
+            raise ScheduleError(f"alpha({n}) = {a_n}: a partial sum of {a_n + 1} terms exceeds the summation cap")
         s = sched.partial_sum(a_n)
         if isinstance(s, float):
             slack = (a_n + 1) * FLOAT_SUM_SLACK

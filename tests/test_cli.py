@@ -460,6 +460,17 @@ def test_iterate_refuses_an_alpha_horizon_no_table_covers(tmp_path, capsys, monk
                    "than 5000 exact terms to cover n=9\n")
 
 
+def test_iterate_refuses_a_witness_past_the_summation_cap(tmp_path, capsys):
+    # alpha(1) = 1000001 would need a partial sum of more terms than the cap
+    # allows; that is a bad schedule before any step, not a failed run
+    alpha = {"kind": "scale_ceil", "c": 1000001}
+    cfg = dict(ITERATE_CFG, schedule={"kind": "harmonic", "alpha": alpha})
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 2 and out == ""
+    assert err == ("config error: schedule invalid up to N=2: alpha(1) = 1000001: a partial sum "
+                   "of 1000002 terms exceeds the summation cap\n")
+
+
 def test_iterate_on_broken_w(tmp_path, capsys):
     # combine returns x, so under the identity every row is the start
     cfg = dict(ITERATE_CFG, space={"kind": "broken_w", "base": {"kind": "interval", "a": 0, "b": 1}},
@@ -1209,6 +1220,25 @@ def test_uafpp_config_errors(tmp_path, capsys):
         {"modulus": {"kind": "banach"}, "eps_values": [1], "b_values": [1]},
     )
     assert code == 2 and "needs 'k'" in err
+
+
+@pytest.mark.parametrize("kind", ["constant", "regularity_from_constant"])
+@pytest.mark.parametrize("D", [-1, "-1/2", -5])
+def test_uafpp_refuses_a_negative_displacement_bound(tmp_path, capsys, kind, D):
+    modulus = {"kind": kind, "D": D}
+    if kind == "regularity_from_constant":
+        modulus["schedule"] = {"kind": "constant", "value": "1/2"}
+    cfg = {"modulus": modulus, "eps_values": ["1/2"], "b_values": [1]}
+    code, out, err = run_cli(tmp_path, capsys, "uafpp", cfg)
+    assert code == 2 and out == ""
+    assert err == f"config error: config key 'D': must be >= 0, got {Fraction(D)}\n"
+
+
+def test_uafpp_accepts_a_zero_displacement_bound(tmp_path, capsys):
+    cfg = {"modulus": {"kind": "constant", "D": 0}, "eps_values": ["1/2"], "b_values": [1]}
+    code, out, err = run_cli(tmp_path, capsys, "uafpp", cfg)
+    assert code == 0 and err == ""
+    assert out.splitlines()[-2:] == ["eps,b,D", "0.5,1,0"]
 
 
 # ---------------------------------------------------------------------------
