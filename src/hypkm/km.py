@@ -41,6 +41,13 @@ EXACT_SUM_CAP = 5_000
 #: hard cap on summation length inside validation.
 SUM_TERM_CAP = 1_000_000
 
+
+def _in_least_units(x: float) -> int:
+    """x as an exact integer multiple of 2**-1074, the least subnormal float."""
+    p, q = x.as_integer_ratio()  # q is a power of two, at most 2**1074
+    return p << (1075 - q.bit_length())
+
+
 _NonexpansiveMap = None  # maps.NonexpansiveMap, bound by the first walk (a circular import)
 
 
@@ -49,8 +56,8 @@ class Schedule:
     """Step sizes lam: nat -> [0,1) plus the witnesses (K, alpha).
 
     ``lam`` must return exact Fractions; constructors below guarantee it.
-    Treat instances as immutable; the only mutable member is the cache of
-    exact partial sums, which behaves as if absent.
+    Treat instances as immutable; the only mutable members are the cache of
+    exact partial sums and the running float sum, which behave as if absent.
     """
 
     lam: Callable[[int], Fraction]
@@ -60,6 +67,8 @@ class Schedule:
     constant: Optional[Fraction] = None  # set when lam is constant: O(1) sums
     # starts empty on every instance, dataclasses.replace included
     _cums: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # (k, sum of float(lam_i) for i < k, times 2**1074): partial_sum's running float sum
+    _float_cum: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_alpha_fn(self.alpha)
@@ -100,7 +109,16 @@ class Schedule:
             raise ArgumentError(
                 f"partial sum of {m + 1} terms exceeds the summation cap"
             )
-        return math.fsum(float(self.lam_at(i)) for i in range(m + 1))
+        # an exact int in units of 2**-1074, moved term by term from the m of
+        # the last call; one correctly rounded division then gives the bits
+        # of math.fsum over the same float terms
+        k, total = self._float_cum
+        for i in range(k, m + 1):
+            total += _in_least_units(self.lam_float(i))
+        for i in range(m + 1, k):
+            total -= _in_least_units(self.lam_float(i))
+        self._float_cum = (m + 1, total)
+        return total / 2**1074
 
 
 def constant_schedule(value, K: Optional[int] = None, alpha: Optional[AlphaFn] = None) -> Schedule:

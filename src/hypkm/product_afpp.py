@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -54,7 +53,6 @@ from .spaces import (
     IntervalSpace,
     Point,
     Space,
-    _mesh_scale,
     make_interval,
     make_real_line,
     product,
@@ -106,44 +104,27 @@ class AfppOracle:
 
 
 class GridOracle(AfppOracle):
-    """Mesh refinement over an interval with finite ends, pruned by the
-    Lipschitz bound.
+    """Mesh refinement over an interval with finite ends, bisected on the
+    sign of f(u) - u.
 
-    Sound for nonexpansive maps: the residual r(u) = d(u, f(u)) is
-    2-Lipschitz, so if near-fixed points exist at all, a fine enough mesh
-    sees one.  The meshes space.mesh(step) are scanned in order, halving the
-    step after each level, and the best point so far is kept with a strict
-    comparison, so ties go to the earliest point scanned.  A point with
-    residual 0 ends the scan at once: no later point can displace it.
-
-    A point is evaluated at most once per solve, and a new point u is
-    skipped when some evaluated w has r(w) - 2 d(u, w) > eps + DEFAULT_ETA;
-    the Lipschitz bound then puts r(u) above eps (Piyavskii 1972, Shubert
-    1972).  As d >= 0, only a w with r(w) above that cut can fire; these are
-    the pruners.  Whether one fires does not depend on the order they are
-    tried in, so the order changes no evaluation, answer or error.  A point
-    with r <= eps is never skipped, so the first level holding one is the
-    same level that an exhaustive scan stops at, its first minimiser is
-    evaluated, and the same point is returned.  The meshes need not be
-    nested.  The pruning assumes the claimed nonexpansiveness up to
-    DEFAULT_ETA; the post-check in AfppOracle.solve does not, so a bad map
-    still cannot yield a bad point.
-
-    Each level is walked by `_interval_walk`, by index, with its pruners
-    sorted by position.  Float subtraction is monotone and the mesh points
-    never decrease, so the per-point rule holds on one stretch of indices
-    per pruner; when a pruner fires, the walk jumps past its whole stretch,
-    whose end it settles with the same float rule, so it needs no margin.
-    It computes the rule inline, as IntervalSpace.distance would: the only
-    distances it asks the space for are the residuals, 3 on the `jump` map
-    down to its floor, where a test of every point asks for 2,097,157.
+    The residual r(u) = d(u, f(u)) of a nonexpansive f is 2-Lipschitz, so if
+    near-fixed points exist, a fine enough mesh sees one.  The meshes
+    space.mesh(step) are searched in order, halving the step, until a level
+    holds a point with r <= eps; the best point so far is kept with a strict
+    comparison, and a point is evaluated at most once per solve.  The first
+    level, five points, is scanned in order; r = 0 ends it at once.  As
+    g(u) = f(u) - u is nonincreasing, on a finer mesh t_0 <= ... <= t_n
+    bisection finds the first k < n with f(t_k) <= t_k (else n), and the
+    level's least residual lies at t_(k-1) or t_k.  The meshes are nested and
+    the points within eps form one run, so a finer level holding one holds
+    exactly one: the answer is that of a scan of every point.  A map that is
+    not nonexpansive can mislead the bisection, not the post-check in solve.
 
     Maps with a positive residual infimum exhaust the refinement floor and
-    raise OracleError with the best residual among the points evaluated;
-    skipped points are not part of that minimum.  The first step is a
-    quarter of the diameter; the floor is the last level whose mesh fits
-    MESH_POINT_CAP, counted without building it, and a step that underflows
-    to 0 is past it.
+    raise OracleError with the best residual among the points evaluated.
+    The first step is a quarter of the diameter; the floor is the last level
+    whose mesh fits MESH_POINT_CAP, counted without building it, and a step
+    that underflows to 0 is past it.
     """
 
     def __init__(self, space: Space):
@@ -168,13 +149,26 @@ class GridOracle(AfppOracle):
 
     def _solve(self, f, eps):
         space = self.space
-        walk = _interval_walk(space.distance, f, eps + DEFAULT_ETA)
+        seen = {}
+
+        def test(u):  # (r(u), f(u) <= u), evaluated once per point
+            if u not in seen:
+                fu = f(u)
+                seen[u] = space.distance(u, fu), fu <= u
+            return seen[u]
+
         step = space.diameter() / 4.0
         mesh = space.mesh(step)
+        ks = range(mesh.n + 1)  # the first level, point by point
         best_u, best_r = None, math.inf
         while True:
-            # a walk that meets a zero residual returns it at once
-            best_u, best_r = walk(mesh, best_u, best_r)
+            for k in ks:
+                u = mesh[k]
+                r = test(u)[0]
+                if r == 0.0:
+                    return u
+                if r < best_r:
+                    best_u, best_r = u, r
             if best_r <= eps:
                 return best_u
             try:
@@ -186,113 +180,14 @@ class GridOracle(AfppOracle):
                     "(the map may have no approximate fixed points)"
                 ) from None
             step /= 2.0
-
-
-def _interval_walk(distance, f, cut):
-    """GridOracle's walk of one level of an interval's mesh, by index, as a
-    function of (mesh, best_u, best_r) that returns the new best pair; it
-    keeps the evaluated points and the pruners of one solve across levels.
-    It makes the map calls, in order, of a scan that tests each mesh point
-    against every pruner, and returns that scan's best pair, or at once the
-    first point of residual 0.
-
-    The mesh points t_k = lo + k (hi - lo) / n, then hi, never decrease in
-    k (`spaces._mesh_scale`).  Float subtraction is monotone too, so along
-    the mesh abs(t_k - w) falls and then rises, and the per-point rule
-    r - 2.0 * abs(t_k - w) > cut, with ``IntervalSpace.distance``'s own
-    abs(u - w), holds on one stretch of indices for each pruner (w, r).
-    Rounding is symmetric, so for w >= u that distance is w - u, and for
-    w <= u it is u - w.
-
-    The pruners are kept sorted by w.  At index k the pruners next to t_k
-    are tried first, the one at or right of it, then the one left of it,
-    then the others outward; a side stops once even the largest residual
-    ``top`` cannot fire at a distance, as every pruner left on that side is
-    at least as far.  When one fires, the walk jumps past the end of its
-    stretch: the index of its ball's right end w + (r - cut) / 2, kept when
-    the rule holds there and not at the next index, else found by
-    `_stretch_end`.  Every point jumped over is one the rule skips.  A
-    point no pruner rules out is evaluated unless it already was (mesh
-    points repeat when the gaps are below an ulp).
-    """
-    evaluated, ws, rs, top = set(), [], [], 0.0
-
-    def walk(mesh, best_u, best_r):
-        nonlocal top
-        lo, hi, n = mesh.lo, mesh.hi, mesh.n
-        scale = n / (hi - lo)
-        width, unit = _mesh_scale(hi - lo, n)
-        k = 0
-        while k <= n:
-            u = lo + k * width / n * unit if k < n else hi
-            j = bisect_left(ws, u)
-            w = None
-            m = len(ws)
-            if j < m and rs[j] - 2.0 * (ws[j] - u) > cut:
-                w, r = ws[j], rs[j]
-            elif j and rs[j - 1] - 2.0 * (u - ws[j - 1]) > cut:
-                w, r = ws[j - 1], rs[j - 1]
-            else:
-                for i in range(j + 1, m):
-                    d2 = 2.0 * (ws[i] - u)
-                    if rs[i] - d2 > cut:
-                        w, r = ws[i], rs[i]
-                        break
-                    if not top - d2 > cut:
-                        break
-                if w is None:
-                    for i in range(j - 2, -1, -1):
-                        d2 = 2.0 * (u - ws[i])
-                        if rs[i] - d2 > cut:
-                            w, r = ws[i], rs[i]
-                            break
-                        if not top - d2 > cut:
-                            break
-            if w is not None:
-                x = (w + (r - cut) / 2.0 - u) * scale
-                e = n if not x < n - k else k + int(x) if x > 0.0 else k
-                t = lo + e * width / n * unit if e < n else hi
-                if r - 2.0 * abs(t - w) > cut:
-                    t = lo + (e + 1) * width / n * unit if e + 1 < n else hi
-                    if e == n or not r - 2.0 * abs(t - w) > cut:
-                        k = e + 1
-                        continue
-                k = _stretch_end(lo, hi, n, w, r, cut, k) + 1
-                continue
-            k += 1
-            if u in evaluated:
-                continue
-            evaluated.add(u)
-            r = distance(u, f(u))
-            if r == 0.0:
-                return u, r
-            if r > cut:
-                ws.insert(j, u)
-                rs.insert(j, r)
-                if r > top:
-                    top = r
-            if r < best_r:
-                best_u, best_r = u, r
-        return best_u, best_r
-
-    return walk
-
-
-def _stretch_end(lo, hi, n, w, r, cut, k):
-    """The last index of the mesh lo + i (hi - lo) / n (i < n), hi at which
-    the pruner (w, r) fires, given that it fires at k: the indices where it
-    fires are one stretch (see `_interval_walk`), so bisection with the
-    same rule finds its end."""
-    width, unit = _mesh_scale(hi - lo, n)
-    a, b = k, n + 1  # it fires at a; b is past the stretch
-    while b - a > 1:
-        mid = (a + b) // 2
-        t = lo + mid * width / n * unit if mid < n else hi
-        if r - 2.0 * abs(t - w) > cut:
-            a = mid
-        else:
-            b = mid
-    return a
+            lo, hi = 0, mesh.n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if test(mesh[mid])[1]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            ks = range(max(lo - 1, 0), lo + 1)
 
 
 # ---------------------------------------------------------------------------

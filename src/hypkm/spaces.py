@@ -95,32 +95,28 @@ class HyperbolicSpace(Space):
 # ---------------------------------------------------------------------------
 
 
-def _mesh_scale(width, n):
-    """(w, unit) with lo + k * w / n * unit the point lo + k * width / n, bit
-    for bit while n * width is finite; past that, unit is a power of two above
-    n, so k * w cannot overflow and the exact scalings keep the points in order."""
-    unit = 1.0 if n * width < math.inf else 2.0 ** n.bit_length()
-    return width / unit, unit
-
-
 class Mesh:
-    """The mesh of an interval [lo, hi]: the n + 1 points lo + k (hi - lo) / n
-    for k < n, then hi, which never decrease and are built only when read.
-    GridOracle walks them by index; a traced run counts them by length."""
+    """The mesh of an interval [lo, hi]: mesh[k] = lo + k (hi - lo) / n for
+    k < n, then mesh[n] = hi, built when read and never decreasing in k.
+    Where n (hi - lo) overflows, the width is first divided by a power of two
+    above n, so k times it stays finite; the exact scalings keep the order.
+    Iteration reads the points in order (the sequence protocol)."""
 
-    __slots__ = ("lo", "hi", "n")
+    __slots__ = ("lo", "hi", "n", "_width", "_unit")
 
     def __init__(self, lo, hi, n):
         self.lo, self.hi, self.n = lo, hi, n
+        width = hi - lo
+        self._unit = 1.0 if n * width < math.inf else 2.0 ** n.bit_length()
+        self._width = width / self._unit
 
     def __len__(self):
         return self.n + 1
 
-    def __iter__(self):
-        lo, hi, n = self.lo, self.hi, self.n
-        width, unit = _mesh_scale(hi - lo, n)
-        yield from [lo + k * width / n * unit for k in range(n)]
-        yield hi
+    def __getitem__(self, k):
+        if not 0 <= k <= self.n:
+            raise IndexError(f"mesh index {k} is outside 0..{self.n}")
+        return self.lo + k * self._width / self.n * self._unit if k < self.n else self.hi
 
 
 # ---------------------------------------------------------------------------

@@ -245,12 +245,12 @@ def gk_boundedness_check(
         raise ArgumentError("samples must be >= 1")
     bound = 2 * float(as_fraction(D1)) + 1
     rng = random.Random(0)
-    worst, worst_pair, violation = -math.inf, None, None
+    worst, violation = -math.inf, None
     for _ in range(samples):
         x, y = C.sample(rng), C.sample(rng)
         d = C.distance(x, y)
         if not (d <= worst or math.isnan(worst)):  # the first nan stays the max
-            worst, worst_pair = d, (x, y)
+            worst = d
         if not (d <= bound) and violation is None:
             violation = (x, y)
     return GkReport(

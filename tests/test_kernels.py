@@ -1,7 +1,6 @@
 """The per-step kernels: pinned iterate bytes, the unrolled 2-D kernels
 against the generic ones they replace, the interval orbit-end loop against
-the generic loop, and the grid oracle's interval walk against the plain
-pruned scan.
+the generic loop, and the grid oracle's mesh points.
 
 The goldens are sha256 digests of `hypkm iterate` stdout, less its version
 line, taken from the generic kernels before the unrolled ones existed; any
@@ -42,7 +41,6 @@ from hypkm.km import (
 )
 from hypkm.maps import NonexpansiveMap, _affine_generic, affine_map
 from hypkm.spaces import EuclideanSpace, IntervalSpace, PoincareDisk
-from test_product_afpp import DYADIC_PARAMS, TOLERANCES, UNIT_PARAMS, pruned_mesh_scan, unit_maps
 
 
 def _constant_third(cfg: dict) -> dict:
@@ -283,87 +281,8 @@ def test_only_an_untraced_walk_on_an_interval_takes_the_orbit_end_loop(monkeypat
 
 
 # ---------------------------------------------------------------------------
-# the interval grid-oracle loop == the plain pruned scan
+# the grid oracle's meshes
 # ---------------------------------------------------------------------------
-
-#: [0, 1], a wide interval, one whose mesh points collide once the gaps fall
-#: below its ulp of 0.125, one whose width is near the subnormal range, and
-#: one so wide that from the third mesh on k * (b - a) overflows
-ORACLE_ENDS = [(0.0, 1.0), (-1e8, 1e8), (1e15, 1e15 + 4), (0.0, 2.0 ** -1020), (-1e307, 1e307)]
-
-#: mesh point caps: the first mesh (5 points) past the cap, then floors at
-#: about step 1/8, 1/256 and 1/2048 of the width
-ORACLE_CAPS = (4, 33, 1023, 8191)
-
-
-def _steps(values: list):
-    """The step map of [0, 1] that takes values[i] on the i-th of len(values)
-    equal parts.  It is not nonexpansive: a pruner may then fire past a
-    nearer one that does not, which a 1-Lipschitz map rules out."""
-    return lambda u: values[min(int(u * len(values)), len(values) - 1)]
-
-
-@st.composite
-def grid_oracle_cases(draw):
-    a, b = draw(st.sampled_from(ORACLE_ENDS))
-    steps = st.lists(UNIT_PARAMS, min_size=1, max_size=9).map(_steps)
-    g = draw(st.one_of(unit_maps(UNIT_PARAMS), unit_maps(DYADIC_PARAMS), steps))
-    # a map moved off the interval has residuals above any cut: every level
-    # is pruned whole, down to the floor
-    off = draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))
-    return a, b, g, off, draw(TOLERANCES), draw(st.sampled_from(ORACLE_CAPS))
-
-
-def _grid_outcome(solve, case):
-    """repr of the map calls of ``solve(space, f, eps)`` on [a, b] and of its
-    answer or error; the map is drawn on [0, 1] and rescaled to [a, b]."""
-    a, b, g, off, tol, cap = case
-    space, width, calls = IntervalSpace(a, b), b - a, []
-
-    def fn(u):
-        calls.append(u)
-        return a + width * g((u - a) / width) + off
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spaces, "MESH_POINT_CAP", cap)
-        try:
-            outcome = solve(space, NonexpansiveMap(space, fn), tol * width)
-        except Exception as exc:  # noqa: BLE001 -- the type and text are the outcome
-            outcome = (type(exc), str(exc))
-    return repr((calls, outcome))
-
-
-def _grid_oracle(space, f, eps):
-    return GridOracle(space).solve(f, eps)
-
-
-def _pruned_scan(space, f, eps):
-    """`pruned_mesh_scan`, then the map call that the post-check in solve
-    makes at the answer."""
-    u = pruned_mesh_scan(space, f, eps)
-    f(u)
-    return u
-
-
-@given(grid_oracle_cases())
-# fails a loop that skips one point past a stretch's end
-@example((0.0, 1.0, lambda u: 0.0, 1.0, 0.25, 33))
-# fails it too where the end is settled off the guess, and a loop that
-# takes the end of the ball for the end of the stretch
-@example((-1e8, 1e8, _steps([1.0, 0.6, 0.0, 0.3]), 0.0, 0.25, 33))
-# repeated mesh points: fails a loop that evaluates a point twice
-@example((0.0, 2.0 ** -1020, lambda u: 0.3, 0.0, 2.0 ** -6, 33))
-# a pruner fires past nearer ones on the right, then on the left: fails a
-# scan that stops at the first pruner that does not fire, or skips one
-@example((0.0, 1.0, _steps([0.1, 0.1, 1.0, 0.1, 0.05, 0.0, 0.1, 0.5, 0.05, 0.1, 1.0, 1.0, 0.0]),
-          0.0, 2.0 ** -8, 1023))
-@example((0.0, 1.0, _steps([0.5, 0.5, 1.0, 0.1, 0.5, 0.1, 0.0, 0.9, 0.9, 0.9]), 0.0, 2.0 ** -6, 1023))
-# k * (b - a) overflows past k = 8 of the third mesh: fails a loop that
-# computes those points as lo + k * (b - a) / n and jumps to the end of a
-# stretch there
-@example((-1e307, 1e307, _steps([0.2, 0.4, 0.1]), 0.0, 2.0 ** -11, 1023))
-def test_grid_oracle_interval_loop_equals_the_generic_loop(case):
-    assert _grid_outcome(_grid_oracle, case) == _grid_outcome(_pruned_scan, case)
 
 
 @given(st.floats(-1e307, 1e307), st.floats(2.0 ** -1000, 1e308), st.integers(1, 5000))

@@ -107,6 +107,33 @@ def test_partial_sum_exact_then_float():
         sched.partial_sum(2_000_000)
 
 
+def _varied_step(n: int) -> Fraction:
+    """Steps whose floats round in every direction and span 120 binades."""
+    return Fraction(n % 7 + 1, 3 ** (n % 75) + n + 2)
+
+
+def test_float_partial_sums_are_fsum_bits_from_a_running_sum():
+    # past EXACT_SUM_CAP a partial sum has math.fsum's bits over the same
+    # float terms, whatever m the last call asked for; the running sum moves
+    # from there, so lam is asked once per term it passes
+    calls = []
+    sched = Schedule(lam=lambda n: calls.append(n) or _varied_step(n), K=2, alpha=alpha_identity())
+    terms = [float(_varied_step(i)) for i in range(EXACT_SUM_CAP + 2001)]
+    assert sched.partial_sum(EXACT_SUM_CAP - 1) == sum(map(_varied_step, range(EXACT_SUM_CAP)))
+    calls.clear()
+    for m in (EXACT_SUM_CAP, EXACT_SUM_CAP + 1, EXACT_SUM_CAP + 2000, EXACT_SUM_CAP + 1500, EXACT_SUM_CAP + 3,
+              EXACT_SUM_CAP + 2, EXACT_SUM_CAP):
+        assert repr(sched.partial_sum(m)) == repr(math.fsum(terms[:m + 1]))
+    assert len(calls) == EXACT_SUM_CAP + 2001 + 2000
+    # a walk up to m, as validation makes, asks lam for m + 1 terms in all
+    calls.clear()
+    walked = Schedule(lam=lambda n: calls.append(n) or _varied_step(n), K=2, alpha=alpha_identity())
+    for m in range(EXACT_SUM_CAP, EXACT_SUM_CAP + 2001):
+        walked.partial_sum(m)
+    assert len(calls) == EXACT_SUM_CAP + 2001
+    assert repr(walked.partial_sum(EXACT_SUM_CAP + 2000)) == repr(math.fsum(terms))
+
+
 def test_tabulate_alpha_for_constant_steps():
     table = tabulate_alpha(lambda n: Fraction(1, 2), 4)
     assert [table(n) for n in range(5)] == [0, 1, 3, 5, 7]

@@ -102,11 +102,11 @@ def count_distance_calls(monkeypatch, space) -> list:
     return count
 
 
-def test_grid_oracle_floor_skips_what_its_pruners_rule_out(monkeypatch):
-    # the three points jump is evaluated at rule out the rest of [0, 1], so
-    # each later level is a few stretches left out whole, not a point-by-point
-    # test of its mesh: the scan that tested every point made 2,097,157
-    # distance calls before this floor
+def test_grid_oracle_floor_bisects_each_finer_level(monkeypatch):
+    # jump's f(u) - u changes sign between 0.5 and the next mesh point, so
+    # after the first level's five points each finer level evaluates one new
+    # point, 0.5 + step, down to the floor: the scan that tested every point
+    # made 2,097,157 distance calls before this floor
     space = make_interval(0.0, 1.0)
     count = count_distance_calls(monkeypatch, space)
     calls = []
@@ -117,14 +117,13 @@ def test_grid_oracle_floor_skips_what_its_pruners_rule_out(monkeypatch):
         "grid refinement floor reached at step 9.54e-07; best residual 0.5 > tolerance 0.1 "
         "(the map may have no approximate fixed points)"
     )
-    assert calls == [0.0, 0.5, 0.75]
+    assert calls == [0.0, 0.25, 0.5, 0.75, 1.0] + [0.5 + 2.0 ** -k for k in range(3, 21)]
     assert count[0] <= 300
 
 
-@pytest.mark.parametrize("n, distances", [(100, 13), (500, 24), (2000, 36), (4000, 48)])
+@pytest.mark.parametrize("n, distances", [(100, 8), (500, 10), (2000, 12), (4000, 14)])
 def test_grid_oracle_interval_loop_distance_calls_pinned(monkeypatch, n, distances):
-    # on an interval the pruning rule is computed inline, so the only
-    # distance calls left are the residuals of the evaluated points (the
+    # the only distance calls are the residuals of the evaluated points (the
     # evaluation pins below) and the post-check's
     M = make_interval(0.0, 1.0)
     T = scaled_coupling(product(make_interval(0.0, 1.0), M), 0.5, 0.1)
@@ -152,37 +151,6 @@ def full_mesh_scan(space, f, eps):
             mesh = space.mesh(step)
         except MeshCapError:
             raise OracleError(f"refinement floor; best residual {best_r}") from None
-
-
-def pruned_mesh_scan(space, f, eps):
-    """The Lipschitz-pruned refinement loop with every evaluated point a
-    candidate pruner, tried in the order evaluated: the rule GridOracle
-    follows, whatever order it tries its pruners in."""
-    cut = eps + spaces.DEFAULT_ETA
-    residuals = {}
-    step = space.diameter() / 4.0
-    mesh = space.mesh(step)
-    best_u, best_r = None, math.inf
-    while True:
-        for u in mesh:
-            if u in residuals or any(r - 2.0 * space.distance(u, w) > cut for w, r in residuals.items()):
-                continue
-            r = residuals[u] = space.distance(u, f(u))
-            if r == 0.0:
-                return u
-            if r < best_r:
-                best_u, best_r = u, r
-        if best_r <= eps:
-            return best_u
-        step /= 2.0
-        try:
-            mesh = space.mesh(step)
-        except MeshCapError:
-            raise OracleError(
-                f"grid refinement floor reached at step {step * 2:.3g}; "
-                f"best residual {best_r:.6g} > tolerance {eps:.6g} "
-                "(the map may have no approximate fixed points)"
-            ) from None
 
 
 def _clamp(x, lo=0.0, hi=1.0):
@@ -221,12 +189,17 @@ def unit_maps(params):
 
 UNIT_MAPS = unit_maps(UNIT_PARAMS)
 
-#: (space, maps, mesh point caps): each cap ends refinement at a step of
-#: about 1e-4, 1e-3 or 0.05
-ORACLE_SPACES = {
-    "interval": (UNIT, UNIT_MAPS, (16383, 1023, 31)),
-    "dyadic": (UNIT, unit_maps(DYADIC_PARAMS), (16383, 1023, 31)),
-}
+#: 1-Lipschitz self-maps of [0, 1], by the parameters they draw
+ORACLE_MAPS = {"interval": UNIT_MAPS, "dyadic": unit_maps(DYADIC_PARAMS)}
+
+#: mesh point caps: each ends refinement at a step of about 1e-4, 1e-3 or
+#: 0.05 of the width
+ORACLE_CAPS = (16383, 1023, 31)
+
+#: [0, 1], a wide interval, one whose mesh points repeat once the gaps fall
+#: below its ulp of 0.125, one whose width is near the subnormal range, and
+#: one so wide that from the third mesh on k * (b - a) overflows
+ORACLE_ENDS = [(0.0, 1.0), (-1e8, 1e8), (1e15, 1e15 + 4), (0.0, 2.0 ** -1020), (-1e307, 1e307)]
 
 #: tolerances spread over [2^-11, 1/2)
 TOLERANCES = st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(2, 11)).map(
@@ -234,55 +207,66 @@ TOLERANCES = st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(2, 11)
 )
 
 
-@pytest.mark.parametrize("kind", sorted(ORACLE_SPACES))
-@settings(max_examples=100)
-@given(data=st.data(), eps=TOLERANCES)
-def test_grid_oracle_matches_full_mesh_scan(kind, data, eps):
-    # pruning never skips a point with residual <= eps, so the pruned oracle
-    # stops at the same level as the full scan and returns the same point
-    space, maps, caps = ORACLE_SPACES[kind]
-    f = NonexpansiveMap(space, data.draw(maps), "random")
-    cap = data.draw(st.sampled_from(caps))
-    oracle = GridOracle(space)
+def assert_grid_oracle_matches_full_mesh_scan(a, b, g, off, tol, cap):
+    """The self-map g of [0, 1], rescaled to [a, b] and moved up by off, at
+    tolerance tol times the width: GridOracle returns full_mesh_scan's point,
+    or floors where it does with the least residual it saw."""
+    space, width = make_interval(a, b), b - a
+    f = NonexpansiveMap(space, lambda u: a + width * g((u - a) / width) + off, "random")
+    eps = tol * width
     # a function-scoped monkeypatch fixture would span every example
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spaces, "MESH_POINT_CAP", cap)
         try:
             expected = full_mesh_scan(space, f, eps)
-        except OracleError:
+        except OracleError as floor:
+            least = float(str(floor).rpartition(" ")[2])
             with pytest.raises(OracleError) as exc:
-                oracle.solve(f, eps)
+                GridOracle(space).solve(f, eps)
             assert "refinement floor" in str(exc.value)
+            assert f"best residual {least:.6g} >" in str(exc.value)
         else:
-            assert oracle.solve(f, eps) == expected
+            assert GridOracle(space).solve(f, eps) == expected
 
 
-@pytest.mark.parametrize("kind", sorted(ORACLE_SPACES))
+@pytest.mark.parametrize("kind", sorted(ORACLE_MAPS))
 @settings(max_examples=100)
 @given(data=st.data(), eps=TOLERANCES)
-def test_grid_oracle_evaluates_what_the_unordered_rule_evaluates(kind, data, eps):
-    # whether some evaluated point prunes u does not depend on the order the
-    # candidates are tried in, so the oracle calls the map at the same
-    # points in the same order as the reference, and ends the same way
-    space, maps, caps = ORACLE_SPACES[kind]
-    g = data.draw(maps)
-    cap = data.draw(st.sampled_from(caps))
-    runs = []
-    for scan in (GridOracle(space).solve, lambda f, eps: pruned_mesh_scan(space, f, eps)):
-        calls = []
-        f = NonexpansiveMap(space, lambda u: calls.append(u) or g(u), "random")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spaces, "MESH_POINT_CAP", cap)
-            try:
-                outcome = scan(f, eps)
-            except OracleError as exc:
-                outcome = str(exc)
-        runs.append((calls, outcome))
-    (calls, outcome), (expected_calls, expected) = runs
-    if not isinstance(expected, str):
-        # the post-check in solve evaluates the answer once more
-        expected_calls.append(expected)
-    assert (calls, outcome) == (expected_calls, expected)
+def test_grid_oracle_matches_full_mesh_scan(kind, data, eps):
+    # f(u) - u is nonincreasing, so each bisected level's least residual is
+    # the one the full scan finds there: the oracle stops at the same level
+    # and returns the same point, or floors with the same least residual
+    a, b = data.draw(st.sampled_from(ORACLE_ENDS))
+    # a quarter of the maps are moved off the interval: every level floors
+    off = data.draw(st.sampled_from([0.0, 0.0, 0.0, 1.0]))
+    g = data.draw(ORACLE_MAPS[kind])
+    assert_grid_oracle_matches_full_mesh_scan(a, b, g, off, eps, data.draw(st.sampled_from(ORACLE_CAPS)))
+
+
+@pytest.mark.parametrize("case", [
+    # moved off [0, 1]: every level floors
+    pytest.param((0.0, 1.0, lambda u: 0.0, 1.0, 0.25, 33), id="off"),
+    # the mesh points of a width near the subnormal range
+    pytest.param((0.0, 2.0 ** -1020, lambda u: 0.3, 0.0, 2.0 ** -6, 33), id="tiny"),
+])
+def test_grid_oracle_matches_full_mesh_scan_at_the_ends(case):
+    assert_grid_oracle_matches_full_mesh_scan(*case)
+
+
+def test_grid_oracle_floor_reports_the_least_residual_of_its_levels(monkeypatch):
+    # f(u) - u = min(0.25, 1 - u) + 1 falls to its least value, 1, at u = 1,
+    # the end that the bisection of every level reaches: the floor reports
+    # the least residual of the meshes, as the full scan does
+    f = NonexpansiveMap(UNIT, lambda u: min(u + 0.25, 1.0) + 1.0, "off")
+    with pytest.raises(OracleError) as exc:
+        GridOracle(UNIT).solve(f, 0.1)
+    assert str(exc.value) == (
+        "grid refinement floor reached at step 9.54e-07; best residual 1 > tolerance 0.1 "
+        "(the map may have no approximate fixed points)"
+    )
+    monkeypatch.setattr(spaces, "MESH_POINT_CAP", 33)
+    with pytest.raises(OracleError, match="best residual 1.0$"):
+        full_mesh_scan(UNIT, f, 0.1)
 
 
 def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
@@ -325,7 +309,7 @@ def test_grid_oracle_lift_work_count(monkeypatch):
     assert len(calls) - len(set(calls)) == 1
 
 
-@pytest.mark.parametrize("n, evaluations", [(100, 12), (500, 23), (2000, 35), (4000, 47)])
+@pytest.mark.parametrize("n, evaluations", [(100, 7), (500, 9), (2000, 11), (4000, 13)])
 def test_grid_oracle_lift_evaluations_pinned(monkeypatch, n, evaluations):
     # the oracle's map evaluations on the scaled_coupling lift, each one an
     # n-step slice orbit, then the post-check's at the answer z
@@ -336,15 +320,16 @@ def test_grid_oracle_lift_evaluations_pinned(monkeypatch, n, evaluations):
 
 
 def test_grid_oracle_lift_points_pinned(monkeypatch):
-    # the scaled_coupling lift at n=100 evaluates the first mesh, four points
-    # of the second and four of the third, where 0.1875 is within 1/100
+    # the scaled_coupling lift at n=100 evaluates the first mesh, then one new
+    # point on each finer one, where the sign of phi_n(u) - u changes: 0.1875,
+    # on the third, is within 1/100
     calls = count_phi_calls(monkeypatch)
     T = scaled_coupling(product(make_interval(0.0, 1.0), UNIT), 0.5, 0.1)
     approx_fixed_pair(T, identity_map(UNIT), constant_schedule("1/2"), GridOracle(UNIT), 100)
     assert calls == [
         0.0, 0.25, 0.5, 0.75, 1.0,
-        0.125, 0.375, 0.625,
-        0.0625, 0.1875, 0.3125, 0.4375,
+        0.125,
+        0.1875,
         0.1875,
     ]
 

@@ -80,6 +80,11 @@ PINS = [
     Pin("iterate-star", "iterate", iterate_1e5({"space": STAR, "x0": [2, 0.7],
                                                 "map": {"name": "constant", "value": [1, 1.5]}}),
         "700ddd6eabe681496ee644c45b866cd6aaf352ff4b34ca65c3cfa356b514015d", 0, 20, None, ONE_FORMAT),
+    Pin("harmonic50k", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
+                                   "schedule": {"kind": "harmonic", "alpha": {"kind": "scale_ceil", "c": 50000}},
+                                   "x0": 0.5, "N": 12},
+        "1bc6d97ca0f74bf2619f54a8023e97735af0de4a2c41eb788278e472b3199adf", 0, 3, None,
+        "validation re-summed all alpha(n) + 1 float steps with math.fsum at every n (about 5 s)"),
     Pin("axioms-interval", "axioms", {"space": {"kind": "interval", "a": 0, "b": 1}, "samples": 10000,
                                       "seed": 1, "eta": 0},
         "7fa0275aa9a3681be80cfd2c925b8ea38dee842baebcc0ef3dd4367c9a6c700e", 1, 20, None, AXIOMS),

@@ -35,21 +35,14 @@ from hypkm.product_afpp import EXAMPLES  # noqa: E402
 PERFBENCH = "kept for perfbench, whose tracer or probes call it (ROADMAP item 13)"
 ERROR_PATH = "an error path that no run here takes"
 NO_COMBINE = "asked of no space by a command: only iterate reads points, and it needs a combine"
-GENERIC_WALK = ("a read of a mesh's points one by one: GridOracle walks an interval's mesh by index, and "
-                "only the tests' reference scans read the points")
-SETTLED_END = ("the search GridOracle's interval loop makes when a pruner's stretch does not end at the "
-               "index of its ball's end: no command's lift meets one, the equivalence tests do")
 
 #: "module.qualname" -> why nothing the audit runs enters it
 ALLOWED = {
     "km.ResidualTrace.csv_lines": PERFBENCH,
-    "km.Schedule.lam_float": PERFBENCH,
     "maps.falsify_nonexpansive": PERFBENCH,
     "product_afpp.check_uniform_displacement": PERFBENCH,
     "uafpp.banach_fixed_point": PERFBENCH,
-    "product_afpp._stretch_end": SETTLED_END,
     "spaces.Mesh.__len__": PERFBENCH,
-    "spaces.Mesh.__iter__": GENERIC_WALK,
     "errors.BudgetExhausted.__init__": ERROR_PATH,
     "errors.DomainEscapeError.__init__": ERROR_PATH,
     "errors.RateOverflowError.__str__": ERROR_PATH,
@@ -117,7 +110,9 @@ MAPS = [
     (R3, {"name": "matrix_affine", "matrix": [[0, 1, 0], [0, 0, 1], [1, 0, 0]], "offset": [1, 0, 0]}, [1, 2, 3]),
 ]
 #: a descriptor of each schedule, alpha and modulus kind
-SCHEDULES = [{"kind": "constant", "value": "1/2", "K": 2, "alpha": {"kind": "double"}}, {"kind": "harmonic"}]
+SCHEDULES = [{"kind": "constant", "value": "1/2", "K": 2, "alpha": {"kind": "double"}}, {"kind": "harmonic"},
+             # a witness past EXACT_SUM_CAP: validation sums floats
+             {"kind": "harmonic", "alpha": {"kind": "scale_ceil", "c": 5000}}]
 ALPHAS = [
     {"kind": "identity"},
     {"kind": "double"},
