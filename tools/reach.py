@@ -4,12 +4,12 @@ under the command line, or be allow-listed here with its reason.
 Records the code objects entered, under ``sys.setprofile``, while
 ``hypkm.cli.main`` runs the README's configs, a sweep of every space, map,
 schedule, alpha and modulus kind of ``hypkm.config``, the seven product
-examples in both modes at budget 300, and ``demo``.  It then lists each
-module-level function and each method of a module-level class in
-``src/hypkm`` with ``ast``, abstract methods left out, and exits 1 if one
-was not entered and is not in ``ALLOWED``, or if an ``ALLOWED`` entry was
-entered or names nothing.  Standard library only; needs Python 3.11 or
-newer (``co_qualname``).
+examples in both modes at budget 300, the runs of ``EDGES``, and ``demo``.
+It then lists each module-level function and each method of a module-level
+class in ``src/hypkm`` with ``ast``, abstract methods left out, and exits 1
+if one was not entered and is not in ``ALLOWED``, or if an ``ALLOWED``
+entry was entered or names nothing.  Standard library only; needs Python
+3.11 or newer (``co_qualname``).
 
 Run from the repository root:  python3 tools/reach.py
 """
@@ -44,16 +44,8 @@ ALLOWED = {
     "uafpp.banach_fixed_point": PERFBENCH,
     "spaces.Mesh.__len__": PERFBENCH,
     "errors.BudgetExhausted.__init__": ERROR_PATH,
-    "errors.DomainEscapeError.__init__": ERROR_PATH,
-    "errors.RateOverflowError.__str__": ERROR_PATH,
-    "km.ScheduleReport.summary": ERROR_PATH,
-    "rates._alpha_hat_overflow": ERROR_PATH,
-    "spaces.Space.__repr__": ERROR_PATH,
     "uafpp.UafppCheckReport.summary": ERROR_PATH,
-    "spaces.Space.point_columns": NO_COMBINE,
     "spaces.CircleSpace.contains": NO_COMBINE,
-    "spaces.CircleSpace.point_columns": NO_COMBINE,
-    "spaces.FamilyProduct.point_columns": NO_COMBINE,
 }
 
 
@@ -125,6 +117,20 @@ MODULI = [
     {"kind": "regularity_from_constant", "D": 1, "schedule": HALF},
 ]
 
+RIM = 0.999999999999
+#: runs that take an error path (a domain escape, a schedule that fails its
+#: check, a start outside the space, two rate overflows) or the disk's rim forms
+EDGES = [
+    ("iterate", {"space": INTERVAL, "map": {"name": "affine", "slope": 2, "intercept": 0.5}, "schedule": HALF,
+                 "x0": 0.5, "N": 5}),
+    ("iterate", {"space": INTERVAL, "map": {"name": "identity"}, "schedule": {**HALF, "K": 1}, "x0": 0.5, "N": 5}),
+    ("iterate", {"space": INTERVAL, "map": {"name": "identity"}, "schedule": HALF, "x0": 2, "N": 5}),
+    ("rates", {"K": 2, "alpha": {"kind": "double"}, "eps": "1/1000000", "b": 1, "b1": 1, "b2": 1}),
+    ("uafpp", {"modulus": MODULI[2], "eps_values": ["1/1000000"], "b_values": [1]}),
+    ("iterate", {"space": {"kind": "poincare"}, "map": {"name": "constant", "value": [RIM, 0]}, "schedule": HALF,
+                 "x0": [-RIM, 0], "N": 3}),
+]
+
 
 def _configs() -> list[tuple[str, dict]]:
     """(command, config) of every run but demo."""
@@ -145,7 +151,7 @@ def _configs() -> list[tuple[str, dict]]:
     for example in EXAMPLES:
         for mode in ("sup-rC", "bounded-orbit"):
             configs.append(("product", {"example": example, "eps": "1/100", "budget": 300, "mode": mode}))
-    return configs
+    return configs + EDGES
 
 
 def _runs(workdir: Path):
