@@ -37,6 +37,7 @@ from .config import (
     load_config,
     lookup,
     member_of,
+    one_of,
 )
 from .errors import (
     ArgumentError,
@@ -49,10 +50,8 @@ from .errors import (
 from .km import csv_header, km_blocks, residuals_nonincreasing
 from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
 from .rates import (
-    _log10_upper,
     decimal_string,
     describe_overflow,
-    digit_count,
     rate_g,
     rate_g_tilde,
     rate_h,
@@ -60,10 +59,6 @@ from .rates import (
 )
 from .spaces import DEFAULT_ETA, HyperbolicSpace, check_axioms
 from .uafpp import RegularityModulus, modulus_table
-
-#: full decimals are printed up to this many digits; larger rate values are
-#: reported as a sound upper bound, rendered like an overflowed one.
-MAX_PRINT_DIGITS = 1_000_000
 
 
 def _headers(cfg: dict) -> list[str]:
@@ -150,21 +145,11 @@ def cmd_iterate(cfg: dict, args) -> int:
 
 
 def _rate_line(name: str, compute) -> str:
-    """`name = <exact decimal>`, or a sound upper bound when the value is
-    unprintable or was never exactly computed."""
+    """`name = <exact decimal>`, or a sound upper bound for a value never built."""
     try:
-        v = compute()
+        return f"{name} = {decimal_string(compute())}"
     except RateOverflowError as exc:
         return f"{name} {describe_overflow(exc)}"
-    digits = digit_count(v)
-    if digits > MAX_PRINT_DIGITS:
-        # v < (lead + 1) * 10^k; floor(floor(v/2^k)/5^k) = floor(v/10^k),
-        # and 5**k costs half what 10**k does
-        k = digits - 5
-        lead = (v >> k) // 5**k
-        bound = RateOverflowError(log10_upper=digits - 5 + _log10_upper(lead + 1))
-        return f"{name} {describe_overflow(bound)}"
-    return f"{name} = {decimal_string(v)}"
 
 
 def cmd_rates(cfg: dict, args) -> int:
@@ -196,7 +181,7 @@ def cmd_product(cfg: dict, args) -> int:
     ex = lookup(EXAMPLES, name, "product example")()
     eps = f("eps", config_rational)
     budget, seed = f("budget", config_positive_int, DEFAULT_BUDGET), f("seed", config_natural, 0)
-    mode = f("mode", default=None)
+    mode = f("mode", one_of("sup-rC", "bounded-orbit"), "sup-rC")
     f.done()
     try:
         res = solve_example(ex, eps, mode=mode, budget=budget, seed=seed)
@@ -298,13 +283,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-
-    # exact values are legitimately enormous; raise the print guard for this
-    # call only, restoring the caller's setting on return
-    guarded = hasattr(sys, "set_int_max_str_digits")
-    if guarded:
-        previous = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(max(MAX_PRINT_DIGITS + 100, 10_000))
     try:
         command, reads, _ = COMMANDS[args.command]
         flags = {k: v for k in ("seed", "budget", "eta") if (v := getattr(args, k)) is not None}
@@ -336,6 +314,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout was closed before all output was written", file=sys.stderr)
         return 1
-    finally:
-        if guarded:
-            sys.set_int_max_str_digits(previous)

@@ -60,7 +60,8 @@ _REQUIRED = object()
 
 def _parse_int(literal: str) -> int:
     """JSON integers, refused past MAX_STR_DIGITS digits before int() runs:
-    a longer literal would cost seconds under a raised int-to-str limit."""
+    under the interpreter's own int-to-str limit, int() would raise a bare
+    ValueError that names no key."""
     digits = len(literal) - literal.startswith("-")
     if digits > MAX_STR_DIGITS:
         raise ConfigError(f"{digits}-digit integer literal is over the {MAX_STR_DIGITS}-digit limit")
@@ -180,6 +181,18 @@ def list_of(*reads: Callable, n: Optional[int] = None) -> Callable:
         return tuple(read({key: item}, key) for read, item in zip(itertools.cycle(reads), raw))
 
     return read_list
+
+
+def one_of(*choices: str) -> Callable:
+    """A reader of a key that must be one of the strings `choices`."""
+
+    def read(cfg: dict, key: str) -> str:
+        if isinstance(cfg[key], str) and cfg[key] in choices:
+            return cfg[key]
+        raise ConfigError(f"config key {key!r}: unknown {key} {cfg[key]!r}; "
+                          f"available: {', '.join(choices)}")
+
+    return read
 
 
 def _dim(cfg: dict, key: str) -> int:

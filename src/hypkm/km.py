@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ArgumentError, DomainError, DomainEscapeError, ScheduleError
-from .rates import AlphaFn, alpha_scale_ceil, alpha_table, as_fraction, require_alpha_fn
+from .rates import AlphaFn, alpha_scale_ceil, alpha_table, as_fraction, decimal_string, require_alpha_fn
 from .spaces import DEFAULT_ETA, HyperbolicSpace, IntervalSpace, Point, Space
 
 #: beyond this many terms, partial sums fall back from exact rationals to
@@ -243,7 +243,8 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
             return violation(n, "lambda_cap", f"lam_{n}={lam_n} > 1-1/K={cap}")
         a_n = sched.alpha(n)
         if a_n > SUM_TERM_CAP:
-            raise ScheduleError(f"alpha({n}) = {a_n}: a partial sum of {a_n + 1} terms exceeds the summation cap")
+            raise ScheduleError(f"alpha({n}) = {decimal_string(a_n)}: a partial sum of "
+                                f"{decimal_string(a_n + 1)} terms exceeds the summation cap")
         s = sched.partial_sum(a_n)
         if isinstance(s, float):
             slack = (a_n + 1) * FLOAT_SUM_SLACK

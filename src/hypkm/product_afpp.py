@@ -798,7 +798,7 @@ EXAMPLES: dict[str, Callable[[], ProductExample]] = {
 def solve_example(
     ex: ProductExample,
     eps,
-    mode: Optional[str] = None,
+    mode: str = "sup-rC",
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> SolveResult:
@@ -808,7 +808,7 @@ def solve_example(
         ex.sched,
         ex.oracle,
         eps,
-        mode="sup-rC" if mode is None else mode,
+        mode=mode,
         budget=budget,
         probe=ex.probe,
         b1=ex.b1,

@@ -49,7 +49,8 @@ GROWTH_DIGIT_CAP = 20_000
 LOG10_3_UPPER = Fraction(4771213, 10**7)
 
 #: longest rational string, and largest decimal exponent magnitude, that
-#: as_fraction parses: past either, Fraction() alone takes seconds.
+#: as_fraction parses: past either, Fraction() alone takes seconds.  Also the
+#: most digits above or below its bar, which str() prints under the default limit.
 MAX_STR_DIGITS = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)$")
@@ -60,7 +61,8 @@ def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
 
     Strings accept "p/q" and decimal forms; floats are taken at their exact
     binary value.  Strings longer than MAX_STR_DIGITS characters, or with a
-    decimal exponent beyond +-MAX_STR_DIGITS, are refused before parsing.
+    decimal exponent beyond +-MAX_STR_DIGITS, are refused before parsing,
+    and after it one whose numerator or denominator has more digits.
     """
     if isinstance(x, Fraction):
         return x
@@ -78,9 +80,12 @@ def as_fraction(x: Union[int, float, str, Fraction]) -> Fraction:
         if exp and int(exp.group(1).replace("_", "") or "0") > MAX_STR_DIGITS:
             raise ArgumentError(f"decimal exponent of {text!r} is beyond +-{MAX_STR_DIGITS}")
         try:
-            return Fraction(text)
+            v = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ArgumentError(f"not a rational: {x!r}") from exc
+        if max(digit_count(v.numerator), digit_count(v.denominator)) > MAX_STR_DIGITS:
+            raise ArgumentError(f"numerator or denominator of {text!r} is over {MAX_STR_DIGITS} digits")
+        return v
     raise ArgumentError(f"cannot treat {type(x).__name__} as a rational")
 
 
@@ -610,8 +615,7 @@ def rate_g_tilde(eps, b, K: int, alpha: AlphaFn) -> int:
 
 
 def describe_overflow(exc: RateOverflowError) -> str:
-    """The text of a sound bound, mantissa rounded up: rate lines, overflow
-    messages and the CLI's unprintable exact values all print it."""
+    """The text of a sound bound, mantissa rounded up, for rate lines and overflow messages."""
     if exc.log10_upper is not None:
         lg = exc.log10_upper
         expo = math.floor(lg)

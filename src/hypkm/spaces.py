@@ -56,6 +56,20 @@ def _widen(lo: float, hi: float) -> tuple[float, float]:
     return max(lo - MEMBERSHIP_SLACK, -big), min(hi + MEMBERSHIP_SLACK, big)
 
 
+def _endpoint(v: float):
+    """v as a descriptor writes it: an infinite end as "inf" or "-inf", since
+    a bare float would render as Infinity, which is not valid JSON."""
+    return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
+
+
+def _draw_window(a: float, b: float) -> tuple[float, float]:
+    """(start, width) of where a sampler of [a, b] draws: [a, b] when both
+    ends are finite, 20 wide at the one finite end, else [-10, 10]."""
+    lo = a if math.isfinite(a) else (b - 20.0 if math.isfinite(b) else -10.0)
+    hi = b if math.isfinite(b) else lo + 20.0
+    return lo, hi - lo
+
+
 class Space:
     """A metric space: distance, membership, and a deterministic sampler."""
 
@@ -131,20 +145,10 @@ class IntervalSpace(HyperbolicSpace):
     def __init__(self, a: float, b: float):
         if not a < b:
             raise ArgumentError(f"interval needs a < b, got [{a}, {b}]")
-        self.a = float(a)
-        self.b = float(b)
+        self.a, self.b = float(a), float(b)
         self._lo, self._hi = _widen(self.a, self.b)
-        # infinite endpoints serialize as strings: bare floats would render
-        # as Infinity, which is not valid JSON
-        def endpoint(v: float):
-            if math.isfinite(v):
-                return v
-            return "inf" if v > 0 else "-inf"
-
-        self.descriptor = {"kind": "interval", "a": endpoint(self.a), "b": endpoint(self.b)}
-        lo = self.a if math.isfinite(self.a) else (self.b - 20.0 if math.isfinite(self.b) else -10.0)
-        hi = self.b if math.isfinite(self.b) else lo + 20.0
-        self._draw_lo, self._draw_width = lo, hi - lo
+        self.descriptor = {"kind": "interval", "a": _endpoint(self.a), "b": _endpoint(self.b)}
+        self._draw_lo, self._draw_width = _draw_window(self.a, self.b)
 
     def distance(self, x, y):
         return abs(float(x) - float(y))
@@ -207,13 +211,13 @@ class EuclideanSpace(HyperbolicSpace):
                 if not lo < hi:
                     raise ArgumentError(f"box needs lo < hi, got ({lo}, {hi})")
         self.bounds = bounds
-        self._widened = [_widen(lo, hi) for lo, hi in bounds or [(-math.inf, math.inf)] * dim]
-        # (a, b - a) per coordinate; R^n draws from [-10, 10]^n
-        self._draws = [(lo, hi - lo) for lo, hi in bounds or [(-10.0, 10.0)] * dim]
+        sides = bounds or [(-math.inf, math.inf)] * dim
+        self._widened = [_widen(lo, hi) for lo, hi in sides]
+        self._draws = [_draw_window(lo, hi) for lo, hi in sides]
         if bounds is None:
             self.descriptor = {"kind": "euclidean", "dim": dim}
         else:
-            self.descriptor = {"kind": "box", "bounds": [list(b) for b in bounds]}
+            self.descriptor = {"kind": "box", "bounds": [list(map(_endpoint, b)) for b in bounds]}
         if dim == 2:
             self.contains = self._contains_2d()
             self.combine = self._combine_2d()
@@ -449,6 +453,8 @@ class BrokenW(HyperbolicSpace):
     """Demo wrapper that deliberately violates W2 by returning x regardless of lam."""
 
     def __init__(self, base: HyperbolicSpace):
+        if not isinstance(base, HyperbolicSpace):
+            raise ArgumentError(f"base {base.descriptor['kind']!r} has no combine operator")
         self.base = base
         self.descriptor = {"kind": "broken_w", "base": base.descriptor}
 

@@ -5,7 +5,6 @@ import argparse
 import contextlib
 import decimal
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -23,12 +22,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypkm
-from hypkm import ConfigError, alpha_double, cli, km, make_euclidean, make_interval, rate_h, rate_h_tilde
+from hypkm import ConfigError, alpha_scale_ceil, cli, km, make_euclidean, make_interval, rate_h
 from hypkm.cli import main
 from hypkm.errors import DomainEscapeError
 from hypkm.km import km_iterate, residuals_nonincreasing
 from hypkm.product_afpp import solve_example
 from hypkm.config import (
+    SPACES,
     build_alpha,
     build_map,
     build_schedule,
@@ -502,6 +502,18 @@ def test_iterate_on_broken_w(tmp_path, capsys):
     assert lines[-5:] == ["n,residual,x", "0,0,0.5", "1,0,0.5", "2,0,0.5", "3,0,0.5"]
 
 
+@pytest.mark.parametrize("base", [{"kind": "circle"},
+                                  {"kind": "product", "left": ITERATE_CFG["space"], "right": ITERATE_CFG["space"]}])
+@pytest.mark.parametrize("command", ["axioms", "iterate"])
+def test_broken_w_refuses_a_base_without_combine(tmp_path, capsys, base, command):
+    cfg = {"space": {"kind": "broken_w", "base": base}, "samples": 10}
+    if command == "iterate":
+        cfg = dict(ITERATE_CFG, space=cfg["space"], map={"name": "identity"}, x0=0.5)
+    code, out, err = run_cli(tmp_path, capsys, command, cfg)
+    assert (code, out) == (2, "")
+    assert err == f"config error: space 'broken_w': base {base['kind']!r} has no combine operator\n"
+
+
 # ---------------------------------------------------------------------------
 # iterate in blocks
 # ---------------------------------------------------------------------------
@@ -885,45 +897,23 @@ def test_rates_rejects_bad_values(tmp_path, capsys, key, value):
     assert code == 2 and f"config key {key!r}" in err and out == ""
 
 
-def _benchmark_checks():
-    """perfbench's own output oracles, which import nothing from hypkm."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_rates_unprintable_exact_value_is_bounded_above(tmp_path, capsys, monkeypatch):
-    # with the print limit at 10 digits, exact values of 34 and 130 digits
-    # take the sound-bound line that values past 10^6 digits take
-    monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 10)
-    cfg = {"K": 2, "alpha": {"kind": "double"}, "eps": 4, "b": 1}
-    code, out, _ = run_cli(tmp_path, capsys, "rates", cfg)
-    assert code == 0
-    exact = {"h": rate_h(4, 1, 2, alpha_double()), "h_tilde": rate_h_tilde(4, 1, 2, alpha_double())}
-    exact["g_tilde"] = exact["h_tilde"]
-    sci = _benchmark_checks()._SCI_RE
-    for line in out.splitlines()[2:]:
-        m = sci.fullmatch(line)
-        assert m, line
-        name, mantissa, expo = m.group(1), Fraction(m.group(2)), int(m.group(3))
-        assert exact[name] <= mantissa * 10**expo
-        assert len(str(exact[name])) <= int(m.group(4))
-
-
-def test_rates_bounds_an_exact_value_past_the_print_limit(tmp_path, capsys):
-    # h has 1,023,437 digits, past MAX_PRINT_DIGITS: its line is a bound read
-    # off its 5 leading digits, found as (h >> k) // 5**k with no 10**k
-    # built; sha256 of stdout retaken when the linear law's literal head went,
-    # which raised the h_tilde and g_tilde bounds from 7.235e+7474449332445 to
-    # 7.235e+7474449332447
+def test_rates_prints_an_exact_value_past_a_million_digits(tmp_path, capsys):
+    # h has 1,023,437 digits, within DIGIT_BUDGET: its line is the exact value,
+    # checked by length and by its residue modulo a Mersenne prime, read in
+    # 9-digit chunks; h_tilde and g_tilde overflow to bounds
     cfg = {"K": 1, "alpha": {"kind": "scale_ceil", "c": 2}, "eps": "3/20", "b": "13/25"}
     code, out, err = run_cli(tmp_path, capsys, "rates", cfg)
     assert code == 0 and err == ""
-    assert out.splitlines()[2] == "h <= 8.355e+1023436 (decimal digits <= 1023437)"
+    digits = out.splitlines()[2].removeprefix("h = ")
+    assert len(digits) == 1023437 and digits[0] != "0"
+    p = 2**127 - 1
+    residue = 0
+    for j in range(0, len(digits), 9):
+        chunk = digits[j : j + 9]
+        residue = (residue * 10 ** len(chunk) + int(chunk)) % p
+    assert residue == rate_h(Fraction(3, 20), Fraction(13, 25), 1, alpha_scale_ceil(2)) % p
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "761dc08750a5308a188773256299f78c46dd41a56e9240db4645158ec3a06e26"
+        "5a099d26a629950ffa59f54e156751bccf84161414b8e598b84e2b82ee61cfb0"
     )
 
 
@@ -944,8 +934,8 @@ def test_rates_accepts_integral_K_spellings(tmp_path, capsys):
 
 
 def test_rates_restores_int_str_limit(tmp_path, capsys):
-    # main lifts the int-to-str digit limit only while it runs, and prints the
-    # anchor exactly without it; the digits are checked by length and by their
+    # main leaves the int-to-str digit limit as it was, and prints the anchor
+    # exactly under it; the digits are checked by length and by their
     # residue modulo a Mersenne prime, read in 9-digit chunks
     cfg = {"K": 2, "alpha": {"kind": "scale_ceil", "c": 2}, "eps": "1/2", "b": 1}
     limit = sys.get_int_max_str_digits()
@@ -964,6 +954,62 @@ def test_rates_restores_int_str_limit(tmp_path, capsys):
         chunk = digits[j : j + 9]
         residue = (residue * 10 ** len(chunk) + int(chunk)) % p
     assert residue == 13 * (pow(2, 2405209, p) - 1) % p
+
+
+#: (command, config, exit code): the largest exact values each command prints
+UNLIFTED_RUNS = [
+    ("rates", {"K": 2, "alpha": {"kind": "scale_ceil", "c": 2}, "eps": "1/2", "b": 1}, 0),
+    ("rates", {"K": 1, "alpha": {"kind": "scale_ceil", "c": 2}, "eps": "3/20", "b": "13/25"}, 0),
+    ("product", {"example": "drop", "eps": "9/2"}, 0),
+    ("uafpp", {"modulus": {"kind": "regularity_from_constant", "D": 1,
+                           "schedule": {"kind": "constant", "value": "1/2"}},
+               "eps_values": ["1/1000000"], "b_values": [1]}, 2),
+]
+
+
+@contextlib.contextmanager
+def _fixed_int_str_limit(monkeypatch):
+    """The interpreter's default int-to-str limit, which no one may change."""
+    limit, set_limit = sys.get_int_max_str_digits(), sys.set_int_max_str_digits
+    set_limit(sys.int_info.default_max_str_digits)
+
+    def refuse(maxdigits):
+        raise AssertionError(f"the int-to-str limit was set to {maxdigits}")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        set_limit(limit)
+
+
+def test_commands_print_under_the_default_int_str_limit(tmp_path, capsys, monkeypatch):
+    # every exact value is printed without str(), so no command needs the
+    # limit lifted, or touches it
+    with _fixed_int_str_limit(monkeypatch):
+        codes = [run_cli(tmp_path, capsys, command, cfg)[0] for command, cfg, _ in UNLIFTED_RUNS]
+    assert codes == [code for _, _, code in UNLIFTED_RUNS]
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("command, cfg, err", [
+    ("rates", {"K": 1, "alpha": {"kind": "identity"}, "eps": "1e-4300", "b": 1},
+     "config error: config key 'eps': numerator or denominator of '1e-4300' is over 4300 digits\n"),
+    ("uafpp", {"modulus": {"kind": "constant", "D": "1e4300"}, "eps_values": [1], "b_values": [1]},
+     "config error: config key 'D': numerator or denominator of '1e4300' is over 4300 digits\n"),
+    ("iterate", dict(ITERATE_CFG, schedule={"kind": "harmonic", "alpha": {"kind": "scale_ceil", "c": NINES}}),
+     f"config error: schedule invalid up to N=2: alpha(1) = {NINES}: a partial sum of 1{'0' * 4300} "
+     "terms exceeds the summation cap\n"),
+], ids=["eps", "D", "alpha"])
+def test_config_values_print_under_the_default_int_str_limit(tmp_path, capsys, monkeypatch, command, cfg, err):
+    # a rational read from a config has at most 4,300 digits above and below,
+    # and a value computed from one is printed without str()
+    with _fixed_int_str_limit(monkeypatch):
+        code, out, got = run_cli(tmp_path, capsys, command, cfg)
+    assert (code, out, got) == (2, "", err)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1074,13 @@ def test_product_rejects_bad_values(tmp_path, capsys, key, value):
     cfg = dict(PRODUCT_CFG, **{key: value})
     code, out, err = run_cli(tmp_path, capsys, "product", cfg)
     assert code == 2 and f"config key {key!r}" in err and out == ""
+
+
+@pytest.mark.parametrize("mode", [None, 5, "x", "SUP-RC"])
+def test_product_refuses_a_mode_it_does_not_run(tmp_path, capsys, mode):
+    code, out, err = run_cli(tmp_path, capsys, "product", dict(PRODUCT_CFG, mode=mode))
+    assert (code, out) == (2, "")
+    assert err == f"config error: config key 'mode': unknown mode {mode!r}; available: sup-rC, bounded-orbit\n"
 
 
 def test_product_accepts_integral_spellings(tmp_path, capsys):
@@ -1115,11 +1168,10 @@ def test_product_matches_its_goldens(tmp_path, capsys, name):
         assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
-def test_product_prints_a_million_digit_bound_under_a_low_int_str_limit(tmp_path, capsys, monkeypatch):
-    # the certified index of drop at eps 9/2 has 979,883 digits; main raises
-    # the int-to-str limit only to 10,000 here, so the certificate's
-    # bound_used must be rendered without str()
-    monkeypatch.setattr(cli, "MAX_PRINT_DIGITS", 5_000)
+def test_product_prints_a_million_digit_bound_under_a_low_int_str_limit(tmp_path, capsys):
+    # the certified index of drop at eps 9/2 has 979,883 digits, past the
+    # int-to-str limit, so the certificate's bound_used must be rendered
+    # without str()
     code, out, err = run_cli(tmp_path, capsys, "product", {"example": "drop", "eps": "9/2"})
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == \
@@ -1686,6 +1738,48 @@ def test_demo_refuses_a_config_exit_2(tmp_path, capsys):
     # demo reads no config: a file given to it is refused, not ignored
     code, out, err = run_cli(tmp_path, capsys, "demo", {"junk": 1})
     assert (code, out, err) == (2, "", "config error: demo does not read --config\n")
+
+
+# ---------------------------------------------------------------------------
+# every space kind: valid JSON descriptors and clean exits
+# ---------------------------------------------------------------------------
+
+#: (descriptor, a start for iterate or None where the kind has no combine):
+#: each kind of the config table, with infinite ends where a kind takes them
+SPACE_KINDS = [
+    ({"kind": "interval", "a": 0, "b": 1}, 0.5),
+    ({"kind": "interval", "a": "-inf", "b": "inf"}, 3.0),
+    ({"kind": "interval", "a": 0, "b": "inf"}, 3.0),
+    ({"kind": "euclidean", "dim": 3}, [1, 2, 3]),
+    ({"kind": "box", "bounds": [[0, 1], [0, 1]]}, [0.5, 0.25]),
+    ({"kind": "box", "bounds": [[0, "inf"], [0, 1]]}, [3, 0.5]),
+    ({"kind": "box", "bounds": [["-inf", "inf"], ["-inf", 1], [-1, "inf"]]}, [0, 0, 0]),
+    ({"kind": "poincare"}, [0.1, 0.2]),
+    ({"kind": "star_tree", "rays": 3, "length": 2}, [1, 0.5]),
+    ({"kind": "circle"}, None),
+    ({"kind": "product", "left": {"kind": "interval", "a": 0, "b": 1}, "right": {"kind": "circle"}}, None),
+    ({"kind": "broken_w", "base": {"kind": "interval", "a": 0, "b": 1}}, 0.5),
+]
+
+
+def test_space_kinds_cover_the_config_table():
+    assert {space["kind"] for space, _ in SPACE_KINDS} == set(SPACES)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("space, x0", SPACE_KINDS, ids=lambda v: json.dumps(v, separators=(",", ":")))
+def test_every_space_kind_runs_cleanly(tmp_path, capsys, space, x0):
+    runs = [("axioms", {"space": space, "samples": 50})]
+    if x0 is not None:
+        runs.append(("iterate", dict(ITERATE_CFG, space=space, map={"name": "identity"}, x0=x0)))
+    for command, cfg in runs:
+        code, out, err = run_cli(tmp_path, capsys, command, cfg)
+        assert code in (0, 1) and "Traceback" not in err, (command, err)
+        line = next(l for l in out.splitlines() if l.startswith("# space="))
+        assert json.loads(line.removeprefix("# space="), parse_constant=_refuse_constant)["kind"] == space["kind"]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,17 @@ def test_as_fraction():
             as_fraction(bad)
 
 
+def test_as_fraction_keeps_strings_printable():
+    # a parsed numerator or denominator has at most MAX_STR_DIGITS digits, so
+    # str() prints it under the interpreter's default int-to-str limit
+    assert as_fraction("9" * 4300) == 10**4300 - 1
+    assert as_fraction("1/" + "9" * 4298).denominator == 10**4298 - 1
+    assert as_fraction("1e4299") == 10**4299
+    for bad in ("1e4300", "-1e4300", "1e-4300", "9" * 2000 + "e2301"):
+        with pytest.raises(ArgumentError, match="is over 4300 digits"):
+            as_fraction(bad)
+
+
 @pytest.mark.parametrize(
     "value, spec, text",
     [

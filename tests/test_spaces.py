@@ -309,6 +309,13 @@ def test_axioms_metric_only_for_circle():
     assert set(report.results) == set(AXIOM_NAMES[:4])
 
 
+def test_broken_w_needs_a_base_with_combine():
+    with pytest.raises(ArgumentError, match="base 'circle' has no combine operator"):
+        BrokenW(make_circle())
+    with pytest.raises(ArgumentError, match="base 'product' has no combine operator"):
+        BrokenW(product(make_interval(0.0, 1.0), make_circle()))
+
+
 def test_broken_w_fails_w2_with_predicted_magnitude():
     space = BrokenW(make_interval(0.0, 1.0))
     report = check_axioms(space, samples=2_000, seed=0, eta=1e-9)
@@ -680,6 +687,20 @@ def test_descriptors_are_json_serializable():
 def test_infinite_endpoints_serialize_as_strings():
     assert make_real_line().descriptor == {"kind": "interval", "a": "-inf", "b": "inf"}
     assert make_half_line().descriptor == {"kind": "interval", "a": 0.0, "b": "inf"}
+    inf = math.inf
+    box = make_box([(0.0, inf), (-inf, 1.0), (-inf, inf), (0.0, 1.0)])
+    assert box.descriptor == {"kind": "box", "bounds": [[0.0, "inf"], ["-inf", 1.0], ["-inf", "inf"], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("sides", [[(0.0, math.inf)], [(-math.inf, 1.0), (0.0, 1.0)], [(-math.inf, math.inf)] * 3])
+def test_infinite_sides_draw_members(sides):
+    # as an interval's: 20 wide at the one finite end, [-10, 10] with none
+    box, rng = make_box(sides), random.Random(0)
+    draws = [box.sample(rng) for _ in range(500)]
+    assert all(box.contains(x) for x in draws)
+    for i, (lo, hi) in enumerate(sides):
+        low = lo if math.isfinite(lo) else (hi - 20.0 if math.isfinite(hi) else -10.0)
+        assert all(low <= x[i] <= low + 20.0 for x in draws)
 
 
 def test_interval_mesh():

@@ -60,8 +60,8 @@ PINS = [
         "84b1faf4fd1b25df80afaaa105065b3941b9d733f00667cc568435a5f4ef51d8", 0, 5, None,
         "str() took seconds on the 724,042-digit h; decimal_string sums its runs by Horner's rule"),
     Pin("overmillion", "rates", scale_ceil(1, 2, "3/20", "13/25"),
-        "761dc08750a5308a188773256299f78c46dd41a56e9240db4645158ec3a06e26", 0, 5, None,
-        "the 1,023,437-digit h prints a bound read off 5 leading digits, with no 10**k built"),
+        "5a099d26a629950ffa59f54e156751bccf84161414b8e598b84e2b82ee61cfb0", 0, 5, None,
+        "the exact 1,023,437-digit h, printed by decimal_string well within the ceiling"),
     Pin("drop92", "product", {"example": "drop", "eps": "9/2"},
         "570cec40e8f2ddffe17ad7df5806cdea479fb7a773ee4c93acd4d588f7f2dd91", 0, 10, None,
         "json.dumps wrote the 979,883-digit bound_used through str() (about 16 s)"),

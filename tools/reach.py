@@ -119,7 +119,9 @@ MODULI = [
 
 RIM = 0.999999999999
 #: runs that take an error path (a domain escape, a schedule that fails its
-#: check, a start outside the space, two rate overflows) or the disk's rim forms
+#: check, a start outside the space, two rate overflows, a broken_w base
+#: without combine, a product mode of null) or the disk's rim forms, and a box
+#: with an infinite side
 EDGES = [
     ("iterate", {"space": INTERVAL, "map": {"name": "affine", "slope": 2, "intercept": 0.5}, "schedule": HALF,
                  "x0": 0.5, "N": 5}),
@@ -129,6 +131,10 @@ EDGES = [
     ("uafpp", {"modulus": MODULI[2], "eps_values": ["1/1000000"], "b_values": [1]}),
     ("iterate", {"space": {"kind": "poincare"}, "map": {"name": "constant", "value": [RIM, 0]}, "schedule": HALF,
                  "x0": [-RIM, 0], "N": 3}),
+    ("iterate", {"space": {"kind": "broken_w", "base": {"kind": "circle"}}, "map": {"name": "identity"},
+                 "schedule": HALF, "x0": 1.0, "N": 5}),
+    ("axioms", {"space": {"kind": "box", "bounds": [[0, "inf"], [0, 1]]}, "samples": 200}),
+    ("product", {"example": "drop", "eps": "1/100", "budget": 300, "mode": None}),
 ]
 
 
