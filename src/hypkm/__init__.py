@@ -4,7 +4,7 @@ rate bounds and a product-space approximate-fixed-point pipeline.
 The modules split along the theory:
 
 - ``spaces``: metric spaces with a convexity operator, plus an axiom checker
-- ``km``: step-size schedules and the averaged iteration itself
+- ``km``: the map type, step-size schedules and the averaged iteration itself
 - ``rates``: exact integer rate bounds for asymptotic regularity
 - ``maps``: nonexpansive map catalogs for single and product spaces
 - ``product_afpp``: approximate fixed pairs on products, with certificates
@@ -50,6 +50,7 @@ from .spaces import (
     product,
 )
 from .km import (
+    NonexpansiveMap,
     ResidualTrace,
     Schedule,
     constant_schedule,
@@ -81,7 +82,6 @@ from .rates import (
     rate_h_tilde,
 )
 from .maps import (
-    NonexpansiveMap,
     ProductMap,
     SelectionFunction,
     affine_map,

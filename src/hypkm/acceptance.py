@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .cli import main as cli_main
 from .config import canonical_json
 from .km import (
     constant_schedule,
@@ -529,8 +530,6 @@ def criterion_10() -> tuple[list[str], str]:
 def criterion_11() -> tuple[list[str], str]:
     """Two product-solver CLI runs with identical config and seed write
     byte-identical certificate files."""
-    from .cli import main as cli_main
-
     cfg = {"example": "diagonal", "eps": "1/100", "seed": 0, "budget": 400}
     notes = []
     with tempfile.TemporaryDirectory() as td:

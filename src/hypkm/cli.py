@@ -38,6 +38,7 @@ from .config import (
     lookup,
     member_of,
     one_of,
+    positive_int_at_most,
 )
 from .errors import (
     ArgumentError,
@@ -48,7 +49,7 @@ from .errors import (
     ScheduleError,
 )
 from .km import csv_header, km_blocks, residuals_nonincreasing
-from .product_afpp import DEFAULT_BUDGET, EXAMPLES, solve_example
+from .product_afpp import DEFAULT_BUDGET, EXAMPLES, MAX_BUDGET, solve_example
 from .rates import (
     decimal_string,
     describe_overflow,
@@ -180,7 +181,8 @@ def cmd_product(cfg: dict, args) -> int:
     name = f("example")
     ex = lookup(EXAMPLES, name, "product example")()
     eps = f("eps", config_rational)
-    budget, seed = f("budget", config_positive_int, DEFAULT_BUDGET), f("seed", config_natural, 0)
+    budget = f("budget", positive_int_at_most(MAX_BUDGET), DEFAULT_BUDGET)
+    seed = f("seed", config_natural, 0)
     mode = f("mode", one_of("sup-rC", "bounded-orbit"), "sup-rC")
     f.done()
     try:

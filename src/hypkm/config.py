@@ -195,11 +195,16 @@ def one_of(*choices: str) -> Callable:
     return read
 
 
-def _dim(cfg: dict, key: str) -> int:
-    dim = config_positive_int(cfg, key)
-    if dim > MAX_DIM:
-        raise ConfigError(f"config key {key!r}: must be at most {MAX_DIM}, got {cfg[key]!r}")
-    return dim
+def positive_int_at_most(cap: int) -> Callable:
+    """A reader of a positive integer that must be at most `cap`."""
+
+    def read(cfg: dict, key: str) -> int:
+        value = config_positive_int(cfg, key)
+        if value > cap:
+            raise ConfigError(f"config key {key!r}: must be at most {cap}, got {cfg[key]!r}")
+        return value
+
+    return read
 
 
 def fields(cfg: dict, where: str) -> Callable:
@@ -338,7 +343,7 @@ def _banach_modulus(f) -> UafppModulus:
 
 SPACES: dict[str, Callable] = {
     "interval": lambda f: make_interval(f("a", config_real), f("b", config_real)),
-    "euclidean": lambda f: make_euclidean(f("dim", _dim)),
+    "euclidean": lambda f: make_euclidean(f("dim", positive_int_at_most(MAX_DIM))),
     "box": lambda f: make_box(f("bounds", list_of(list_of(config_real, n=2)))),
     "poincare": lambda f: make_poincare_disk(),
     "star_tree": lambda f: make_star_tree(f("rays", config_positive_int), f("length", config_real)),

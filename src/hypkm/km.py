@@ -15,10 +15,12 @@ the map's, and keeps every check and every bit of the generic loop.  Under a
 constant schedule the loop ends once the orbit is stationary (an iterate
 repeats its predecessor bit for bit) and fills in the rest of the orbit,
 which then repeats; this relies on every map being a function of its
-argument.  ``_km_walk(start=k)`` resumes an orbit at its k-th iterate, so
-`km_blocks` walks one orbit as consecutive blocks of rows, each ending where
-the next begins, and step numbers in errors stay absolute; `iterate` renders
-each block with one format operation (`ResidualTrace.csv_text`).
+argument, a contract of the map type `NonexpansiveMap`, defined here since
+the walk unwraps it.  ``_km_walk(start=k)`` resumes an orbit at its k-th
+iterate, so `km_blocks` walks one orbit as consecutive blocks of rows, each
+ending where the next begins, and step numbers in errors stay absolute;
+`iterate` renders each block with one format operation
+(`ResidualTrace.csv_text`).
 """
 
 from __future__ import annotations
@@ -48,7 +50,27 @@ def _in_least_units(x: float) -> int:
     return p << (1075 - q.bit_length())
 
 
-_NonexpansiveMap = None  # maps.NonexpansiveMap, bound by the first walk (a circular import)
+@dataclass(frozen=True)
+class NonexpansiveMap:
+    """A claimed Lipschitz-1 self-map of ``domain``; also used for selection
+    functions (maps from one space into another with the same claim).
+
+    ``fn`` must be a function of its argument: points that are equal bit for
+    bit have equal images.  The averaged iteration relies on it to end a
+    walk whose orbit has turned stationary.
+
+    A product map may give its slice (`product_map`): ``slice_of(u)`` is
+    x -> first coordinate of T(x, u).  Other maps leave it None."""
+
+    domain: Space
+    fn: Callable[[Point], Point]
+    label: str = ""
+    slice_of: Optional[Callable[[Point], Callable[[Point], Point]]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __call__(self, x: Point) -> Point:
+        return self.fn(x)
 
 
 @dataclass
@@ -157,8 +179,15 @@ def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[
         K = math.ceil(Fraction(offset, offset - 1))
     lam = lambda n, _o=offset: Fraction(1, n + _o)
     if alpha is None:
+        if alpha_horizon >= 1 and offset >= EXACT_SUM_CAP:
+            # the EXACT_SUM_CAP terms 1/(m + offset) sum below EXACT_SUM_CAP / offset <= 1
+            raise _uncovered(1)
         alpha = tabulate_alpha(lam, alpha_horizon)
     return Schedule(lam=lam, K=K, alpha=alpha, label=f"harmonic(offset={offset})")
+
+
+def _uncovered(n: int) -> ScheduleError:
+    return ScheduleError(f"witness table needs more than {EXACT_SUM_CAP} exact terms to cover n={n}")
 
 
 def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int) -> AlphaFn:
@@ -175,10 +204,7 @@ def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int) -> AlphaFn:
         while total < n:
             m += 1
             if m >= EXACT_SUM_CAP:
-                raise ScheduleError(
-                    f"witness table needs more than {EXACT_SUM_CAP} exact terms "
-                    f"to cover n={n}"
-                )
+                raise _uncovered(n)
             total += as_fraction(lam(m))
         values.append(max(m, 0))
     return alpha_table(values)
@@ -352,12 +378,9 @@ def _km_walk(
     walk every step: a repeat under one step size says nothing about the
     next (a zero step repeats every point).
     """
-    global _NonexpansiveMap
     if n < 0:
         raise ArgumentError(f"step count must be a natural, got {n}")
-    if _NonexpansiveMap is None:
-        from .maps import NonexpansiveMap as _NonexpansiveMap
-    if type(T) is _NonexpansiveMap:
+    if type(T) is NonexpansiveMap:
         T = T.fn  # its __call__ is fn: one frame less per step
     contains, distance, combine = space.contains, space.distance, space.combine
     if not contains(x0):

@@ -3,41 +3,19 @@
 Nonexpansiveness (distance never increases) is treated as a falsifiable
 claim, never a certified property: maps are black boxes, so the module
 offers random-search falsification and the shipped catalog entries carry
-analytic arguments in their docstrings instead.
+analytic arguments in their docstrings instead.  The map type,
+`NonexpansiveMap`, is defined in `km`, whose walk unwraps it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ArgumentError, DomainError
-from .km import Schedule, km_orbit_end, require_valid_schedule
+from .km import NonexpansiveMap, Schedule, km_orbit_end, require_valid_schedule
 from .spaces import DEFAULT_ETA, EuclideanSpace, IntervalSpace, Point, Space
-
-
-@dataclass(frozen=True)
-class NonexpansiveMap:
-    """A claimed Lipschitz-1 self-map of ``domain``; also used for selection
-    functions (maps from one space into another with the same claim).
-
-    ``fn`` must be a function of its argument: points that are equal bit for
-    bit have equal images.  The averaged iteration relies on it to end a
-    walk whose orbit has turned stationary.
-
-    A product map may give its slice (`product_map`): ``slice_of(u)`` is
-    x -> first coordinate of T(x, u).  Other maps leave it None."""
-
-    domain: Space
-    fn: Callable[[Point], Point]
-    label: str = ""
-    slice_of: Optional[Callable[[Point], Callable[[Point], Point]]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __call__(self, x: Point) -> Point:
-        return self.fn(x)
 
 
 #: a selection function is shaped exactly like a nonexpansive map: domain is

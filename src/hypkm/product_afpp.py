@@ -60,6 +60,10 @@ from .spaces import (
 #: default iteration budget for solver runs.
 DEFAULT_BUDGET = 2000
 
+#: largest budget `product` reads from a config: a run's time grows linearly
+#: with its budget, and `drift` at this one takes about 2 s.
+MAX_BUDGET = 10_000_000
+
 #: parameters u sampled by family_product to check delta(u) against its fiber.
 SELECTION_SAMPLES = 64
 

@@ -44,7 +44,8 @@ MESH_POINT_CAP = 2_000_000
 # Samplers draw through ``rng.random`` with the arithmetic of
 # ``random.uniform(a, b)``, which is ``a + (b - a) * random()``: the same
 # stream and the same floats, without a method call per coordinate.  Where
-# a = 0.0 the sum is dropped, since 0.0 + v is v for every v >= 0.  A star
+# a = 0.0 the sum is dropped, since 0.0 + v is v for every v >= 0; where
+# b - a overflows, `_sample_wide` draws a (1 - u) + b u instead.  A star
 # tree's ray is drawn with ``getrandbits`` by ``randrange(n)``'s rejection
 # rule, n.bit_length() bits until the value is below n: the same rays.
 
@@ -149,6 +150,8 @@ class IntervalSpace(HyperbolicSpace):
         self._lo, self._hi = _widen(self.a, self.b)
         self.descriptor = {"kind": "interval", "a": _endpoint(self.a), "b": _endpoint(self.b)}
         self._draw_lo, self._draw_width = _draw_window(self.a, self.b)
+        if self._draw_width == math.inf:  # b - a overflows
+            self.sample = self._sample_wide
 
     def distance(self, x, y):
         return abs(float(x) - float(y))
@@ -162,6 +165,12 @@ class IntervalSpace(HyperbolicSpace):
 
     def sample(self, rng):
         return self._draw_lo + self._draw_width * rng.random()
+
+    def _sample_wide(self, rng):
+        """`sample` where b - a overflows: a (1 - u) + b u, in [a, b] for
+        every u, since then a < 0 < b and neither product overflows."""
+        u = rng.random()
+        return self.a * (1.0 - u) + self.b * u
 
     def combine(self, x, y, lam):
         return x + lam * (y - x)
@@ -222,6 +231,8 @@ class EuclideanSpace(HyperbolicSpace):
             self.contains = self._contains_2d()
             self.combine = self._combine_2d()
             self.sample = self._sample_2d()
+        if any(w == math.inf for _, w in self._draws):  # some hi - lo overflows
+            self.sample = self._sample_wide(sides)
 
     distance = staticmethod(math.dist)
 
@@ -275,6 +286,20 @@ class EuclideanSpace(HyperbolicSpace):
     def sample(self, rng):
         rand = rng.random
         return tuple([lo + w * rand() for lo, w in self._draws])
+
+    def _sample_wide(self, sides) -> Callable[[random.Random], Point]:
+        """`sample` for a box with a side whose width overflows: that side
+        draws as `IntervalSpace._sample_wide` does, every other as `sample`."""
+        draws = [(lo, w, hi) for (lo, w), (_, hi) in zip(self._draws, sides)]
+
+        def sample(rng):
+            point = []
+            for lo, w, hi in draws:
+                u = rng.random()
+                point.append(lo + w * u if w < math.inf else lo * (1.0 - u) + hi * u)
+            return tuple(point)
+
+        return sample
 
     def point_columns(self):
         return [f"x{i}" for i in range(self.dim)]

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import ArgumentError, BudgetExhausted, InvariantError
-from .km import Schedule, _km_walk
-from .maps import NonexpansiveMap
+from .km import NonexpansiveMap, Schedule, _km_walk
 from .rates import as_fraction, fmt_number, rate_h
 from .spaces import DEFAULT_ETA, Point, Space
 

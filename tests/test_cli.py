@@ -26,7 +26,7 @@ from hypkm import ConfigError, alpha_scale_ceil, cli, km, make_euclidean, make_i
 from hypkm.cli import main
 from hypkm.errors import DomainEscapeError
 from hypkm.km import km_iterate, residuals_nonincreasing
-from hypkm.product_afpp import solve_example
+from hypkm.product_afpp import MAX_BUDGET, solve_example
 from hypkm.config import (
     SPACES,
     build_alpha,
@@ -1083,6 +1083,23 @@ def test_product_refuses_a_mode_it_does_not_run(tmp_path, capsys, mode):
     assert err == f"config error: config key 'mode': unknown mode {mode!r}; available: sup-rC, bounded-orbit\n"
 
 
+@pytest.mark.parametrize("mode", ["sup-rC", "bounded-orbit"])
+def test_product_refuses_a_budget_past_its_ceiling(tmp_path, capsys, mode):
+    # 10**400 used to end in an OverflowError traceback from 1.0 / budget
+    cfg = {"example": "drop", "eps": "1/2", "mode": mode}
+    for extra, flags in (({"budget": 10**400}, ()), ({}, ("--budget", str(MAX_BUDGET + 1)))):
+        code, out, err = run_cli(tmp_path, capsys, "product", {**cfg, **extra}, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: config key 'budget': must be at most {MAX_BUDGET}, got ")
+
+
+@pytest.mark.parametrize("mode", ["sup-rC", "bounded-orbit"])
+def test_product_runs_at_the_budget_ceiling(tmp_path, capsys, mode):
+    cfg = {"example": "drop", "eps": "1/2", "budget": MAX_BUDGET, "mode": mode}
+    code, out, _ = run_cli(tmp_path, capsys, "product", cfg)
+    assert code == 0 and json.loads(out)["certificate"] is not None
+
+
 def test_product_accepts_integral_spellings(tmp_path, capsys):
     _, golden, _ = run_cli(tmp_path, capsys, "product", PRODUCT_CFG)
     expected = json.loads(golden)
@@ -1836,7 +1853,8 @@ def test_readme_python_blocks_run_on_their_own():
 def test_fuzzed_readme_config_exits_0_to_3(tmp_path_factory, command, data):
     base = README_CONFIGS[command]
     path = data.draw(st.sampled_from(list(_paths(base))), label="path")
-    leaves = [v for v in BAD_LEAVES if path[-1] not in COUNT_KEYS or v != 10**400]
+    # budget has a ceiling, so only N and samples keep 10**400 out
+    leaves = [v for v in BAD_LEAVES if path[-1] not in ("N", "samples") or v != 10**400]
     cfg = _with(base, path, data.draw(st.sampled_from(leaves), label="value"))
     target = tmp_path_factory.mktemp("fuzz") / "config.json"
     target.write_text(json.dumps(cfg))

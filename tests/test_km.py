@@ -97,6 +97,20 @@ def test_harmonic_table_clamps_honestly():
     assert report.first_violation.clause == "sum_witness"
 
 
+def test_harmonic_offset_no_table_covers_is_refused_before_any_sum(monkeypatch):
+    # at offset EXACT_SUM_CAP the summed table fails exactly as the early refusal does
+    with pytest.raises(ScheduleError) as summed:
+        tabulate_alpha(lambda n: Fraction(1, n + EXACT_SUM_CAP), 1)
+    monkeypatch.setattr(km, "tabulate_alpha", None)  # any sum now raises TypeError
+    for offset in (EXACT_SUM_CAP, 10**100):
+        with pytest.raises(ScheduleError) as early:
+            harmonic_schedule(offset=offset)
+        assert str(early.value) == str(summed.value)
+        assert harmonic_schedule(offset=offset, alpha=alpha_identity()).K == 2
+    monkeypatch.undo()
+    assert harmonic_schedule(offset=10**100, alpha_horizon=0).alpha(5) == 0
+
+
 def test_partial_sum_exact_then_float():
     sched = harmonic_schedule()
     assert isinstance(sched.partial_sum(EXACT_SUM_CAP - 1), Fraction)

@@ -703,6 +703,31 @@ def test_infinite_sides_draw_members(sides):
         assert all(low <= x[i] <= low + 20.0 for x in draws)
 
 
+@pytest.mark.parametrize("space", [make_interval(-1e308, 1e308), make_box([(-1e308, 1e308), (0.0, 1.0)]),
+                                   make_box([(0.0, 1.0), (-math.inf, 0.0), (-1e308, 1.7e308), (-1.7e308, 1e308)])],
+                         ids=["interval", "box2", "box4"])
+def test_samplers_of_an_overflowing_width_draw_members(space):
+    # b - a overflows, so a + (b - a) u drew inf, which contains refuses and
+    # on which every axiom passed; such a side draws a (1 - u) + b u, and the
+    # others draw as before
+    rng, ref = random.Random(0), random.Random(0)
+    draws = [space.sample(rng) for _ in range(500)]
+    assert all(space.contains(x) for x in draws)
+    sides = [(space.a, space.b)] if isinstance(space, IntervalSpace) else space.bounds
+    expected = []
+    for _ in draws:
+        point = []
+        for lo, hi in sides:
+            if math.isfinite(lo) and math.isfinite(hi) and hi - lo == math.inf:
+                u = ref.random()
+                point.append(lo * (1.0 - u) + hi * u)
+            else:
+                point.append(uniform_sample(make_interval(lo, hi), ref))
+        expected.append(point[0] if isinstance(space, IntervalSpace) else tuple(point))
+    assert [bits(x) for x in draws] == [bits(x) for x in expected]
+    assert not check_axioms(space, samples=200).passed
+
+
 def test_interval_mesh():
     mesh = list(make_interval(0.0, 1.0).mesh(0.25))
     assert mesh[0] == 0.0 and mesh[-1] == 1.0

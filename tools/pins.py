@@ -35,6 +35,8 @@ LITERAL_HEAD = "a literal head built millions of digits only to print a bound (5
 LITERAL_WALK = "a literal walk stepped to 20,000 digits (about 5 s)"
 ONE_FORMAT = "each block of 2,048 rows is rendered by one format operation, to the bytes of one per row"
 AXIOMS = "eta 0 prints each violation's first witness; math.dist and the getrandbits ray draw keep them"
+REFUSED = "refused from the config before any work, with exit 2 and nothing on stdout"
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
 STAR = {"kind": "star_tree", "rays": 3, "length": 2}
 ROTATION = [[0.573636, -0.515379], [0.515379, 0.573636]]
 
@@ -95,6 +97,11 @@ PINS = [
         "e7f1a25d58e18acb5e5eb77fd0cbb980841ecba72f7adb6391cba517979e740f", 1, 20, None, AXIOMS),
     Pin("axioms-star", "axioms", {"space": STAR, "samples": 10000, "seed": 4, "eta": 0},
         "972d4e05628fcf357fb2a27c67f16cd5e84be2b04c971b39588558872f627705", 1, 20, None, AXIOMS),
+    Pin("budget1e400", "product", {"example": "drop", "eps": "1/2", "budget": 10**400, "mode": "bounded-orbit"},
+        NO_OUTPUT, 2, 1, None, f"{REFUSED}; 1.0 / budget ended in an OverflowError traceback"),
+    Pin("offset1e100", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
+                                   "schedule": {"kind": "harmonic", "offset": "1e100"}, "x0": 0.5, "N": 5},
+        NO_OUTPUT, 2, 1, None, f"{REFUSED}; the witness table summed 5,000 exact terms first (9.5 s)"),
 ]
 
 

@@ -120,8 +120,9 @@ MODULI = [
 RIM = 0.999999999999
 #: runs that take an error path (a domain escape, a schedule that fails its
 #: check, a start outside the space, two rate overflows, a broken_w base
-#: without combine, a product mode of null) or the disk's rim forms, and a box
-#: with an infinite side
+#: without combine, a product mode of null, a harmonic offset no witness table
+#: covers) or the disk's rim forms, a box with an infinite side, and an
+#: interval and a box whose width overflows
 EDGES = [
     ("iterate", {"space": INTERVAL, "map": {"name": "affine", "slope": 2, "intercept": 0.5}, "schedule": HALF,
                  "x0": 0.5, "N": 5}),
@@ -134,6 +135,10 @@ EDGES = [
     ("iterate", {"space": {"kind": "broken_w", "base": {"kind": "circle"}}, "map": {"name": "identity"},
                  "schedule": HALF, "x0": 1.0, "N": 5}),
     ("axioms", {"space": {"kind": "box", "bounds": [[0, "inf"], [0, 1]]}, "samples": 200}),
+    ("axioms", {"space": {"kind": "interval", "a": -1e308, "b": 1e308}, "samples": 200}),
+    ("axioms", {"space": {"kind": "box", "bounds": [[-1e308, 1e308], [0, 1]]}, "samples": 200}),
+    ("iterate", {"space": INTERVAL, "map": {"name": "identity"}, "schedule": {"kind": "harmonic", "offset": "1e100"},
+                 "x0": 0.5, "N": 5}),
     ("product", {"example": "drop", "eps": "1/100", "budget": 300, "mode": None}),
 ]
 
