@@ -131,9 +131,13 @@ class Schedule:
             raise ArgumentError(
                 f"partial sum of {m + 1} terms exceeds the summation cap"
             )
+        return self.float_sum(m)
+
+    def float_sum(self, m: int) -> float:
+        """sum_{i=0}^{m} float(lam_i), rounded once: the bits of math.fsum
+        over the same float terms."""
         # an exact int in units of 2**-1074, moved term by term from the m of
-        # the last call; one correctly rounded division then gives the bits
-        # of math.fsum over the same float terms
+        # the last call; one correctly rounded division then gives the float
         k, total = self._float_cum
         for i in range(k, m + 1):
             total += _in_least_units(self.lam_float(i))
@@ -249,6 +253,9 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     alpha(n) is a natural and (ceil(c*n) + 1)*v >= c*v*n + v > n.  Every
     other schedule is checked n by n, and that loop alone finds and words a
     violation.  A witness alpha(n) past SUM_TERM_CAP raises ScheduleError.
+    Before an exact sum, whose large denominators can take seconds, the
+    float sum of the same terms refuses an n above it plus the float slack,
+    and the message prints that float sum.
     """
     if horizon < 0:
         raise ArgumentError(f"horizon must be a natural, got {horizon}")
@@ -271,6 +278,13 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
         if a_n > SUM_TERM_CAP:
             raise ScheduleError(f"alpha({n}) = {decimal_string(a_n)}: a partial sum of "
                                 f"{decimal_string(a_n + 1)} terms exceeds the summation cap")
+        if sched.constant is None and a_n < EXACT_SUM_CAP:
+            # each float(lam_i) is within 2**-53 lam_i of lam_i, so for steps
+            # in [0, 1) the exact sum lies below this float one plus the
+            # slack; an n above that fails without the exact sum
+            s = sched.float_sum(a_n)
+            if n > s + (a_n + 1) * FLOAT_SUM_SLACK:
+                return violation(n, "sum_witness", f"sum of lam_0..lam_{a_n} = {s:.6g} < n = {n}")
         s = sched.partial_sum(a_n)
         if isinstance(s, float):
             slack = (a_n + 1) * FLOAT_SUM_SLACK
@@ -436,8 +450,10 @@ def _interval_orbit_end(
     Its membership test is ``IntervalSpace.contains`` for a float, which
     ``float()`` returns as it is: a comparison with the widened bounds.
     Anything else goes to ``contains``.  The step is ``combine``'s own
-    expression with the float that ``float_steps`` repeats.  So every check,
-    escape and stationary exit is the generic loop's, with the same bits.
+    expression with the float that ``float_steps`` repeats; a step that
+    leaves the space is computed again by ``combine``, which differs from it
+    only where Tx - x overflows.  So every check, escape and stationary exit
+    is the generic loop's, with the same bits.
     """
     lo, hi, contains = space._lo, space._hi, space.contains
     lam = float(sched.constant)
@@ -447,7 +463,9 @@ def _interval_orbit_end(
             raise DomainEscapeError(k, Tx)
         y = x + lam * (Tx - x)
         if not (lo <= y <= hi if type(y) is float else contains(y)):
-            raise DomainEscapeError(k, y)
+            y = space.combine(x, Tx, lam)  # the same y, unless Tx - x overflowed
+            if not contains(y):
+                raise DomainEscapeError(k, y)
         if y == x and repr(y) == repr(x):
             return x, n, None
         x = y

@@ -649,15 +649,16 @@ def check_uniform_displacement(
 class ProductExample:
     """A ready-to-run bundle for the solver and the CLI.  The space is
     T.domain; every example steps by 1/2 and solves the parameter space
-    with a GridOracle on T.domain.right."""
+    with a GridOracle on T.domain.right.  The hypotheses default to the
+    values most examples share; each example states only where it differs."""
 
     T: ProductMap
     delta: SelectionFunction
     probe: Optional[Callable[[Point], Point]]
-    b1: Fraction
-    b2: Fraction
-    orbit_bound: Optional[Fraction]
-    r_star: Optional[float]
+    b1: Fraction = Fraction(1)
+    b2: Fraction = Fraction(1, 10**9)
+    orbit_bound: Optional[Fraction] = Fraction(1)
+    r_star: Optional[float] = 0.0
 
     @property
     def sched(self) -> Schedule:
@@ -668,58 +669,47 @@ class ProductExample:
         return GridOracle(self.T.domain.right)
 
 
+def _over_unit(left: Space) -> FamilyProduct:
+    """left x [0, 1], the plain product of the first four examples."""
+    return product(left, make_interval(0.0, 1.0))
+
+
 def diagonal_example() -> ProductExample:
     """T(x,u) = ((x+u)/2, x) on [0,1] x [0,1]: every diagonal pair is fixed,
     so the infimum residual is 0 and the lift should reach it exactly."""
-    M = make_interval(0.0, 1.0)
-    return ProductExample(
-        T=coupled_average(product(make_interval(0.0, 1.0), M)),
-        delta=identity_map(M),
-        probe=lambda u: u,
-        b1=Fraction(1),
-        b2=Fraction(1, 10**9),
-        orbit_bound=Fraction(1),
-        r_star=0.0,
-    )
+    P = _over_unit(make_interval(0.0, 1.0))
+    return ProductExample(T=coupled_average(P), delta=identity_map(P.right), probe=lambda u: u)
 
 
 def constant_example() -> ProductExample:
     """T(x,u) = (1, 1/2): slices are constant, the parameter-space map is
     constant, and the achieved residual decays like the step products."""
-    M = make_interval(0.0, 1.0)
+    P = _over_unit(make_interval(0.0, 1.0))
     return ProductExample(
-        T=constant_pair(product(make_interval(0.0, 1.0), M), 1.0, 0.5),
-        delta=constant_map(M, 0.0),
-        probe=lambda u: 1.0,
-        b1=Fraction(1),
-        b2=Fraction(1, 10**9),
-        orbit_bound=Fraction(1),
-        r_star=0.0,
+        T=constant_pair(P, 1.0, 0.5), delta=constant_map(P.right, 0.0), probe=lambda u: 1.0
     )
 
 
 def drop_example() -> ProductExample:
     """T(x,u) = (max(x-1, 0), u) on [0,10] x [0,1] from selection 5: the
     orbit walks to the fixed point 0, residual 1 until x dips below 1."""
-    M = make_interval(0.0, 1.0)
+    P = _over_unit(make_interval(0.0, 10.0))
     return ProductExample(
-        T=clamped_drop(product(make_interval(0.0, 10.0), M), 1.0),
-        delta=NonexpansiveMap(M, lambda u: 5.0, "constant(5.0)"),
+        T=clamped_drop(P, 1.0),
+        delta=NonexpansiveMap(P.right, lambda u: 5.0, "constant(5.0)"),
         probe=lambda u: 0.0,
         b1=Fraction(5),
-        b2=Fraction(1, 10**9),
         orbit_bound=Fraction(5),
-        r_star=0.0,
     )
 
 
 def drift_example() -> ProductExample:
     """T(x,u) = (x+1, u) on the real line x [0,1]: displacement is
     identically 1, so 1 is the exact infimum product residual."""
-    M = make_interval(0.0, 1.0)
+    P = _over_unit(make_real_line())
     return ProductExample(
-        T=unit_drift(product(make_real_line(), M)),
-        delta=constant_map(M, 0.0),
+        T=unit_drift(P),
+        delta=constant_map(P.right, 0.0),
         probe=lambda u: 0.0,
         b1=Fraction(1, 10**9),
         b2=Fraction(1),
@@ -750,9 +740,6 @@ def family_valid_example() -> ProductExample:
         delta=constant_map(H.right, 0.0),
         probe=lambda u: 0.0,
         b1=Fraction(1, 10**9),
-        b2=Fraction(1, 10**9),
-        orbit_bound=Fraction(1),
-        r_star=0.0,
     )
 
 
@@ -764,7 +751,6 @@ def family_violating_example() -> ProductExample:
         T=family_drift(H),
         delta=constant_map(H.right, 0.0),
         probe=None,
-        b1=Fraction(1),
         b2=Fraction(1),
         orbit_bound=None,
         r_star=None,
@@ -777,15 +763,7 @@ def family_const_example() -> ProductExample:
     the space descriptor."""
     C, M = make_interval(0.0, 1.0), make_interval(0.0, 1.0)
     H = family_product(M, lambda u: C, identity_map(M), C, label="interval[0,1]")
-    return ProductExample(
-        T=coupled_average(H),
-        delta=identity_map(M),
-        probe=lambda u: u,
-        b1=Fraction(1),
-        b2=Fraction(1, 10**9),
-        orbit_bound=Fraction(1),
-        r_star=0.0,
-    )
+    return ProductExample(T=coupled_average(H), delta=identity_map(M), probe=lambda u: u)
 
 
 EXAMPLES: dict[str, Callable[[], ProductExample]] = {

@@ -63,6 +63,13 @@ def _endpoint(v: float):
     return v if math.isfinite(v) else ("inf" if v > 0 else "-inf")
 
 
+def _halved_combine(x: float, y: float, lam: float) -> float:
+    """x + lam (y - x) where y - x overflows: the same point from x/2 and y/2,
+    scaled back by 2.  As in `Mesh`, the scalings by a power of two are
+    exact, since |x| and |y| are then far above the subnormals."""
+    return 2.0 * (x / 2.0 + lam * (y / 2.0 - x / 2.0))
+
+
 def _draw_window(a: float, b: float) -> tuple[float, float]:
     """(start, width) of where a sampler of [a, b] draws: [a, b] when both
     ends are finite, 20 wide at the one finite end, else [-10, 10]."""
@@ -173,7 +180,8 @@ class IntervalSpace(HyperbolicSpace):
         return self.a * (1.0 - u) + self.b * u
 
     def combine(self, x, y, lam):
-        return x + lam * (y - x)
+        z = x + lam * (y - x)
+        return z if math.isfinite(z) else _halved_combine(x, y, lam)
 
     def mesh(self, step):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
@@ -205,7 +213,9 @@ class EuclideanSpace(HyperbolicSpace):
     in the same left-to-right order (``xi + lam * (yi - xi)`` per
     coordinate), points unpacked by iteration as ``zip`` reads them, and the
     same TypeError/ValueError/OverflowError handling.  An input the unrolled
-    ``combine`` cannot unpack goes to the generic one.
+    ``combine`` cannot unpack, or a result with a coordinate that is not
+    finite, goes to the generic one.  There a coordinate whose yi - xi
+    overflows is computed by `_halved_combine`; every finite one keeps its bits.
     """
 
     def __init__(self, dim: int, bounds: Optional[Sequence[tuple[float, float]]] = None):
@@ -246,7 +256,11 @@ class EuclideanSpace(HyperbolicSpace):
         return all(lo <= v <= hi for v, (lo, hi) in zip(vals, self._widened))
 
     def combine(self, x, y, lam):
-        return tuple(xi + lam * (yi - xi) for xi, yi in zip(x, y))
+        z = tuple(xi + lam * (yi - xi) for xi, yi in zip(x, y))
+        if all(map(math.isfinite, z)):
+            return z
+        return tuple(zi if math.isfinite(zi) else _halved_combine(xi, yi, lam)
+                     for xi, yi, zi in zip(x, y, z))
 
     def _contains_2d(self) -> Callable[[Point], bool]:
         (lo0, hi0), (lo1, hi1) = self._widened
@@ -264,13 +278,18 @@ class EuclideanSpace(HyperbolicSpace):
         return contains
 
     def _combine_2d(self) -> Callable[[Point, Point, float], Point]:
+        isfinite = math.isfinite
+
         def combine(x, y, lam):
             try:
                 x0, x1 = x
                 y0, y1 = y
             except (TypeError, ValueError):
                 return EuclideanSpace.combine(self, x, y, lam)
-            return (x0 + lam * (y0 - x0), x1 + lam * (y1 - x1))
+            z0, z1 = x0 + lam * (y0 - x0), x1 + lam * (y1 - x1)
+            if isfinite(z0) and isfinite(z1):
+                return (z0, z1)
+            return EuclideanSpace.combine(self, x, y, lam)
 
         return combine
 

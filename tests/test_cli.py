@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 import hypkm
 from hypkm import ConfigError, alpha_scale_ceil, cli, km, make_euclidean, make_interval, rate_h
 from hypkm.cli import main
-from hypkm.errors import DomainEscapeError
+from hypkm.errors import BudgetExhausted, DomainEscapeError
 from hypkm.km import km_iterate, residuals_nonincreasing
 from hypkm.product_afpp import MAX_BUDGET, solve_example
 from hypkm.config import (
@@ -1386,6 +1386,54 @@ def test_a_closed_stdout_exits_1_without_a_traceback(tmp_path):
     assert first == f"# version={hypkm.__version__}\n" and proc.returncode == 1
     assert "Traceback" not in err and "Exception ignored" not in err
     assert err == "error: stdout was closed before all output was written\n"
+
+
+def test_a_closed_stdout_in_this_process_points_stdout_at_devnull(tmp_path, capsys, monkeypatch):
+    # the branch the subprocess above takes, run here on a file as stdout:
+    # its descriptor then writes to devnull, so nothing more reaches the file
+    def closed(cfg, args):
+        raise BrokenPipeError
+
+    monkeypatch.setitem(cli.COMMANDS, "demo", (closed, (), "closed stdout"))
+    target = tmp_path / "stdout.txt"
+    with open(target, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        code = main(["demo"])
+        out.write("after the pipe closed\n")
+        out.flush()
+        monkeypatch.undo()
+    assert code == 1 and target.read_text() == ""
+    assert capsys.readouterr().err == "error: stdout was closed before all output was written\n"
+
+
+def test_an_exhausted_budget_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, args):
+        raise BudgetExhausted(0.25)
+
+    monkeypatch.setitem(cli.COMMANDS, "demo", (exhausted, (), "exhausted"))
+    assert run_cli(tmp_path, capsys, "demo") == (3, "", "budget exhausted: budget exhausted; best residual 0.25\n")
+
+
+@pytest.mark.parametrize("space, x0, target, last_row", [
+    ({"kind": "interval", "a": "-inf", "b": "inf"}, -1e308, 1e308, "1,1e+308,0"),
+    ({"kind": "euclidean", "dim": 2}, [-1e308, -1e308], [1e308, 1e308], "1,1.4142135623730951e+308,0,0"),
+    ({"kind": "euclidean", "dim": 3}, [-1e308, 0, 0], [1e308, 0, 0], "1,1e+308,0,0,0"),
+], ids=["line", "r2", "r3"])
+def test_a_step_whose_difference_overflows_lands_on_the_midpoint(tmp_path, capsys, space, x0, target, last_row):
+    # T(x0) - x0 = 2e308 overflowed, so x_1 was inf and iterate exited 1
+    cfg = {"space": space, "map": {"name": "constant", "value": target},
+           "schedule": {"kind": "constant", "value": "1/2"}, "x0": x0, "N": 1}
+    code, out, err = run_cli(tmp_path, capsys, "iterate", cfg)
+    assert (code, err, out.splitlines()[-1]) == (0, "", last_row)
+
+
+def test_an_explicit_witness_the_float_sum_refuses_exits_2(tmp_path, capsys):
+    schedule = {"kind": "harmonic", "offset": "1e100", "alpha": {"kind": "table", "values": [0, 4999]}}
+    cfg = {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"}, "schedule": schedule,
+           "x0": 0.5, "N": 5}
+    assert run_cli(tmp_path, capsys, "iterate", cfg) == (2, "", (
+        "config error: schedule invalid up to N=5: invalid at n=1: sum_witness "
+        "(sum of lam_0..lam_4999 = 5e-97 < n = 1)\n"))
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

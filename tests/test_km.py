@@ -111,6 +111,34 @@ def test_harmonic_offset_no_table_covers_is_refused_before_any_sum(monkeypatch):
     assert harmonic_schedule(offset=10**100, alpha_horizon=0).alpha(5) == 0
 
 
+def test_an_explicit_witness_is_refused_by_its_float_sum():
+    # the 5,000 terms 1/(m + 10^100) sum to about 5e-97 < 1: the exact sum,
+    # whose denominators grow with every term, took seconds before the same
+    # refusal, and is no longer read
+    sched = harmonic_schedule(offset=10**100, alpha=alpha_table([0, EXACT_SUM_CAP - 1]))
+    report = validate_schedule(sched, 5)
+    assert report.summary() == "invalid at n=1: sum_witness (sum of lam_0..lam_4999 = 5e-97 < n = 1)"
+    assert len(sched._cums) == 1
+
+
+_small_tables = st.lists(st.integers(0, 300), min_size=1, max_size=5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(offset=st.integers(2, 60), values=_small_tables, horizon=st.integers(0, 6))
+@example(offset=2, values=[0, 2, 9], horizon=2)  # valid: 1/2 + ... + 1/11 = 2.02 >= 2
+@example(offset=2, values=[0, 2, 3], horizon=2)  # invalid at 2: 1/2 + ... + 1/5 = 1.28
+def test_the_float_bound_keeps_every_exact_verdict(offset, values, horizon):
+    # the float sum refuses only what the exact sum refuses, at the same n
+    alpha = alpha_table(values)
+    report = validate_schedule(harmonic_schedule(offset=offset, alpha=alpha), horizon)
+    failing = [n for n in range(horizon + 1)
+               if sum(Fraction(1, i + offset) for i in range(alpha(n) + 1)) < n]
+    assert report.valid == (not failing)
+    if failing:
+        assert (report.first_violation.n, report.first_violation.clause) == (failing[0], "sum_witness")
+
+
 def test_partial_sum_exact_then_float():
     sched = harmonic_schedule()
     assert isinstance(sched.partial_sum(EXACT_SUM_CAP - 1), Fraction)
@@ -459,6 +487,16 @@ def test_every_iteration_path_refuses_domain_escape(path):
     with pytest.raises(DomainEscapeError) as exc:
         _escape_by_path(path)
     assert exc.value.step == 0
+
+
+def test_an_orbit_end_whose_step_overflows_is_the_point():
+    # T(x) - x = 2e308 overflows, so the inline step was inf and raised a
+    # domain escape; combine computes the point from the halves
+    line = make_real_line()
+    T = constant_map(line, 1e308)
+    assert km_orbit_end(line, T, -1e308, constant_schedule("1/2"), 1) == 0.0
+    assert km_orbit_end(line, T, -1e308, constant_schedule("1/2"), 3) == 7.5e307
+    assert km_iterate(line, T, -1e308, constant_schedule("1/2"), 3).points[1:] == [0.0, 5e307, 7.5e307]
 
 
 def test_precheck_reports_a_broken_bound_before_a_later_escape():

@@ -942,6 +942,41 @@ def test_examples_catalog_complete():
         assert ex.T.domain.contains(ex.T.domain.sample(__import__("random").Random(0)))
 
 
+UNIT_DESC = {"kind": "interval", "a": 0.0, "b": 1.0}
+GROWING_DESC = {"kind": "family_product", "right": UNIT_DESC, "ambient": {"kind": "interval", "a": 0.0, "b": 2.0},
+                "family": "interval[0,1+u]"}
+NANO = Fraction(1, 10**9)
+
+#: each example's (b1, b2, orbit_bound, r_star, map label, selection label,
+#: space descriptor), as each factory once spelled out in full
+EXAMPLE_HYPOTHESES = {
+    "diagonal": (Fraction(1), NANO, Fraction(1), 0.0, "coupled_average", "identity",
+                 {"kind": "product", "left": UNIT_DESC, "right": UNIT_DESC}),
+    "constant": (Fraction(1), NANO, Fraction(1), 0.0, "constant_pair(1.0,0.5)", "constant(0.0)",
+                 {"kind": "product", "left": UNIT_DESC, "right": UNIT_DESC}),
+    "drop": (Fraction(5), NANO, Fraction(5), 0.0, "clamped_drop(1.0)", "constant(5.0)",
+             {"kind": "product", "left": {"kind": "interval", "a": 0.0, "b": 10.0}, "right": UNIT_DESC}),
+    "drift": (NANO, Fraction(1), None, 1.0, "unit_drift", "constant(0.0)",
+              {"kind": "product", "left": {"kind": "interval", "a": "-inf", "b": "inf"}, "right": UNIT_DESC}),
+    "family_valid": (NANO, NANO, Fraction(1), 0.0, "family_halving", "constant(0.0)", GROWING_DESC),
+    "family_violating": (Fraction(1), Fraction(1), None, None, "family_drift", "constant(0.0)", GROWING_DESC),
+    "family_const": (Fraction(1), NANO, Fraction(1), 0.0, "coupled_average", "identity",
+                     {"kind": "family_product", "right": UNIT_DESC, "ambient": UNIT_DESC,
+                      "family": "interval[0,1]"}),
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_HYPOTHESES)
+def test_each_example_keeps_its_hypotheses_labels_and_space(name):
+    ex = EXAMPLES[name]()
+    got = (ex.b1, ex.b2, ex.orbit_bound, ex.r_star, ex.T.label, ex.delta.label, ex.T.domain.descriptor)
+    want = EXAMPLE_HYPOTHESES[name]
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))  # Fraction(1), not 1; 0.0, not 0
+    assert ex.delta.domain is ex.T.domain.right
+    assert (ex.probe is None) == (name == "family_violating")
+
+
 def test_estimate_within_two_eps_of_infimum():
     # with slice residual infimum r* the estimate at a modest horizon stays
     # within r* + 2*eps for eps = 1/2

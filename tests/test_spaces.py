@@ -728,6 +728,39 @@ def test_samplers_of_an_overflowing_width_draw_members(space):
     assert not check_axioms(space, samples=200).passed
 
 
+@pytest.mark.parametrize("space, x, y, z", [
+    (make_real_line(), -1e308, 1e308, 0.0),
+    (make_euclidean(2), (-1e308, -1e308), (1e308, 1e308), (0.0, 0.0)),
+    (make_box([(-1e308, 1e308), (0.0, 1.0)]), (-1e308, 0.25), (1e308, 0.75), (0.0, 0.5)),
+    (make_euclidean(3), (-1e308, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 0.0, 0.0)),
+], ids=["line", "r2", "box2", "r3"])
+def test_a_combine_whose_difference_overflows_is_the_point(space, x, y, z):
+    # y - x overflows, so x + lam (y - x) was inf, which the space refuses
+    got = space.combine(x, y, 0.5)
+    assert bits(got) == bits(z) and space.contains(got)
+    assert bits(space.combine(x, y, 0.0)) == bits(x)  # not 0 * inf = nan
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.tuples(_any_float, _any_float), y=st.tuples(_any_float, _any_float), lam=st.floats(0.0, 1.0))
+@example(x=(-1e308, 0.1), y=(1e308, 0.7), lam=0.3)
+def test_combines_keep_the_bits_of_every_finite_result(x, y, lam):
+    # the plain step where it is finite, else the halved one, coordinate by
+    # coordinate, in the interval, the unrolled plane and the generic R^n
+    def step(xi, yi):
+        zi = xi + lam * (yi - xi)
+        return zi if math.isfinite(zi) else 2.0 * (xi / 2.0 + lam * (yi / 2.0 - xi / 2.0))
+
+    want = tuple(map(step, x, y))
+    assert bits(make_real_line().combine(x[0], y[0], lam)) == bits(want[0])
+    assert bits(make_euclidean(2).combine(x, y, lam)) == bits(want)
+    assert bits(make_euclidean(3).combine(x + (0.5,), y + (0.5,), lam)) == bits(want + (0.5,))
+    assert all(map(math.isfinite, want))
+
+
 def test_interval_mesh():
     mesh = list(make_interval(0.0, 1.0).mesh(0.25))
     assert mesh[0] == 0.0 and mesh[-1] == 1.0

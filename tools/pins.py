@@ -102,6 +102,12 @@ PINS = [
     Pin("offset1e100", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
                                    "schedule": {"kind": "harmonic", "offset": "1e100"}, "x0": 0.5, "N": 5},
         NO_OUTPUT, 2, 1, None, f"{REFUSED}; the witness table summed 5,000 exact terms first (9.5 s)"),
+    Pin("witness1e100", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
+                                    "schedule": {"kind": "harmonic", "offset": "1e100",
+                                                 "alpha": {"kind": "table", "values": [0, 4999]}},
+                                    "x0": 0.5, "N": 5},
+        NO_OUTPUT, 2, 1, None, "refused by the float sum of the witness's 5,000 terms; validation "
+                               "summed them exactly first (11.6 s)"),
 ]
 
 

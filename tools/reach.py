@@ -121,8 +121,9 @@ RIM = 0.999999999999
 #: runs that take an error path (a domain escape, a schedule that fails its
 #: check, a start outside the space, two rate overflows, a broken_w base
 #: without combine, a product mode of null, a harmonic offset no witness table
-#: covers) or the disk's rim forms, a box with an infinite side, and an
-#: interval and a box whose width overflows
+#: covers, an explicit witness the float sum refuses) or the disk's rim forms,
+#: a box with an infinite side, an interval and a box whose width overflows,
+#: and a step on the real line whose y - x overflows
 EDGES = [
     ("iterate", {"space": INTERVAL, "map": {"name": "affine", "slope": 2, "intercept": 0.5}, "schedule": HALF,
                  "x0": 0.5, "N": 5}),
@@ -140,6 +141,10 @@ EDGES = [
     ("iterate", {"space": INTERVAL, "map": {"name": "identity"}, "schedule": {"kind": "harmonic", "offset": "1e100"},
                  "x0": 0.5, "N": 5}),
     ("product", {"example": "drop", "eps": "1/100", "budget": 300, "mode": None}),
+    ("iterate", {"space": INTERVAL, "map": {"name": "identity"}, "x0": 0.5, "N": 5,
+                 "schedule": {"kind": "harmonic", "offset": "1e100", "alpha": {"kind": "table", "values": [0, 4999]}}}),
+    ("iterate", {"space": {"kind": "interval", "a": "-inf", "b": "inf"}, "map": {"name": "constant", "value": 1e308},
+                 "schedule": HALF, "x0": -1e308, "N": 1}),
 ]
 
 
