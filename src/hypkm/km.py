@@ -4,7 +4,10 @@ The iteration is x_{n+1} = W(x_n, T(x_n), lam_n): move a fraction lam_n of
 the way from the current point toward its image.  A schedule carries two
 witnesses beside the step sizes: K caps them away from 1 (lam_n <= 1 - 1/K)
 and alpha certifies divergence of their sums (n <= sum_{i<=alpha(n)} lam_i).
-Both clauses are the hard preconditions of the rate bounds in `rates`.
+Both clauses are the hard preconditions of the rate bounds in `rates`.  One
+rule, `Schedule.reaches`, decides the sum clause for validation and for
+witness tables alike: a running float sum where it settles the comparison,
+else an exact sum formed afresh; no exact partial sum is cached.
 
 Every orbit in the package is walked by `_km_walk`, with the same domain
 checks, reading its steps from `Schedule.float_steps`.  Its generic loop is
@@ -43,6 +46,9 @@ EXACT_SUM_CAP = 5_000
 #: hard cap on summation length inside validation.
 SUM_TERM_CAP = 1_000_000
 
+#: absolute slack granted per term when a partial sum was computed in floats.
+FLOAT_SUM_SLACK = 2.0**-50
+
 
 def _in_least_units(x: float) -> int:
     """x as an exact integer multiple of 2**-1074, the least subnormal float."""
@@ -78,8 +84,8 @@ class Schedule:
     """Step sizes lam: nat -> [0,1) plus the witnesses (K, alpha).
 
     ``lam`` must return exact Fractions; constructors below guarantee it.
-    Treat instances as immutable; the only mutable members are the cache of
-    exact partial sums and the running float sum, which behave as if absent.
+    Treat instances as immutable; the only mutable member is the running
+    float sum, which behaves as if absent.  No exact sum is kept.
     """
 
     lam: Callable[[int], Fraction]
@@ -87,10 +93,8 @@ class Schedule:
     alpha: AlphaFn
     label: str = ""
     constant: Optional[Fraction] = None  # set when lam is constant: O(1) sums
-    # starts empty on every instance, dataclasses.replace included
-    _cums: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # (k, sum of float(lam_i) for i < k, times 2**1074): partial_sum's running float sum
-    _float_cum: tuple = field(default=(0, 0), init=False, repr=False, compare=False)
+    # float_sum's state: k, sum_{i<k} float(lam_i) / 2**-1074, least i seen outside [0, 1) or inf
+    _float_cum: tuple = field(default=(0, 0, math.inf), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_alpha_fn(self.alpha)
@@ -115,18 +119,14 @@ class Schedule:
         """sum_{i=0}^{m} lam_i; exact Fraction when affordable, float beyond.
 
         Callers must treat a float return as carrying summation error; see
-        validate_schedule for the slack policy.
+        `reaches` for the slack policy.
         """
         if m < 0:
             raise ArgumentError(f"partial sums start at m=0, got {m}")
         if self.constant is not None:
             return (m + 1) * self.constant
         if m < EXACT_SUM_CAP:
-            while len(self._cums) <= m:
-                i = len(self._cums)
-                prev = self._cums[-1] if self._cums else Fraction(0)
-                self._cums.append(prev + self.lam_at(i))
-            return self._cums[m]
+            return sum(map(self.lam_at, range(m + 1)), Fraction(0))
         if m > SUM_TERM_CAP:
             raise ArgumentError(
                 f"partial sum of {m + 1} terms exceeds the summation cap"
@@ -138,13 +138,31 @@ class Schedule:
         over the same float terms."""
         # an exact int in units of 2**-1074, moved term by term from the m of
         # the last call; one correctly rounded division then gives the float
-        k, total = self._float_cum
+        k, total, outside = self._float_cum
         for i in range(k, m + 1):
-            total += _in_least_units(self.lam_float(i))
+            f = self.lam_float(i)
+            total += _in_least_units(f)
+            outside = outside if 0 <= f < 1 else min(outside, i)
         for i in range(m + 1, k):
             total -= _in_least_units(self.lam_float(i))
-        self._float_cum = (m + 1, total)
+        self._float_cum = (m + 1, total, outside)
         return total / 2**1074
+
+    def reaches(self, m: int, n: int) -> tuple[bool, float]:
+        """Whether sum_{i<=m} lam_i >= n, and that sum as a float: the one
+        witness rule.  A constant schedule sums exactly.  Else the float sum
+        s, each term within 2**-53 lam_i of lam_i, decides every n outside
+        s -/+ (m + 1) FLOAT_SUM_SLACK while its terms lie in [0, 1); else the
+        exact sum decides below EXACT_SUM_CAP terms, and past them n is not met."""
+        if self.constant is None:
+            s = self.float_sum(m)
+            slack = (m + 1) * FLOAT_SUM_SLACK
+            if self._float_cum[2] > m and not s - slack < n <= s + slack:
+                return n <= s, s
+            if m >= EXACT_SUM_CAP:
+                return False, s
+        total = self.partial_sum(m)
+        return n <= total, float(total)
 
 
 def constant_schedule(value, K: Optional[int] = None, alpha: Optional[AlphaFn] = None) -> Schedule:
@@ -173,8 +191,8 @@ def constant_schedule(value, K: Optional[int] = None, alpha: Optional[AlphaFn] =
 def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[AlphaFn] = None, alpha_horizon: int = 6) -> Schedule:
     """Steps lam_n = 1/(n+offset), offset >= 2.
 
-    The sum witness defaults to a table of minimal indices computed by exact
-    summation, covering n <= alpha_horizon; the table clamps beyond that, so
+    The sum witness defaults to a table of minimal indices (`tabulate_alpha`)
+    covering n <= alpha_horizon; the table clamps beyond that, so
     validate only up to the covered horizon.
     """
     if offset < 2:
@@ -183,43 +201,31 @@ def harmonic_schedule(offset: int = 2, K: Optional[int] = None, alpha: Optional[
         K = math.ceil(Fraction(offset, offset - 1))
     lam = lambda n, _o=offset: Fraction(1, n + _o)
     if alpha is None:
-        if alpha_horizon >= 1 and offset >= EXACT_SUM_CAP:
-            # the EXACT_SUM_CAP terms 1/(m + offset) sum below EXACT_SUM_CAP / offset <= 1
-            raise _uncovered(1)
         alpha = tabulate_alpha(lam, alpha_horizon)
     return Schedule(lam=lam, K=K, alpha=alpha, label=f"harmonic(offset={offset})")
-
-
-def _uncovered(n: int) -> ScheduleError:
-    return ScheduleError(f"witness table needs more than {EXACT_SUM_CAP} exact terms to cover n={n}")
 
 
 def tabulate_alpha(lam: Callable[[int], Fraction], max_n: int) -> AlphaFn:
     """Minimal sum-divergence witness for the steps lam, tabulated for
     n <= max_n.
 
-    Entry n is the least m with sum_{i<=m} lam_i >= n, found by exact
-    rational accumulation.  Raises if EXACT_SUM_CAP terms do not cover max_n.
+    Entry n is the least m with sum_{i<=m} lam_i >= n as `Schedule.reaches`
+    decides it (0 at n = 0).  Raises if EXACT_SUM_CAP terms do not cover max_n.
     """
-    values = []
-    total = Fraction(0)
-    m = -1
-    for n in range(max_n + 1):
-        while total < n:
+    sums = Schedule(lam=lam, K=1, alpha=alpha_table([0]))  # K and alpha are not read
+    values, m = [0], 0
+    for n in range(1, max_n + 1):
+        while not sums.reaches(m, n)[0]:
             m += 1
             if m >= EXACT_SUM_CAP:
-                raise _uncovered(n)
-            total += as_fraction(lam(m))
-        values.append(max(m, 0))
+                raise ScheduleError(f"witness table needs more than {EXACT_SUM_CAP} exact terms to cover n={n}")
+        values.append(m)
     return alpha_table(values)
 
 
 # ---------------------------------------------------------------------------
 # schedule validation
 # ---------------------------------------------------------------------------
-
-#: absolute slack granted per term when a partial sum was computed in floats.
-FLOAT_SUM_SLACK = 2.0**-50
 
 
 @dataclass
@@ -253,9 +259,8 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
     alpha(n) is a natural and (ceil(c*n) + 1)*v >= c*v*n + v > n.  Every
     other schedule is checked n by n, and that loop alone finds and words a
     violation.  A witness alpha(n) past SUM_TERM_CAP raises ScheduleError.
-    Before an exact sum, whose large denominators can take seconds, the
-    float sum of the same terms refuses an n above it plus the float slack,
-    and the message prints that float sum.
+    `Schedule.reaches` alone decides the sum clause, and the message prints
+    the float sum it returns.
     """
     if horizon < 0:
         raise ArgumentError(f"horizon must be a natural, got {horizon}")
@@ -278,21 +283,9 @@ def validate_schedule(sched: Schedule, horizon: int) -> ScheduleReport:
         if a_n > SUM_TERM_CAP:
             raise ScheduleError(f"alpha({n}) = {decimal_string(a_n)}: a partial sum of "
                                 f"{decimal_string(a_n + 1)} terms exceeds the summation cap")
-        if sched.constant is None and a_n < EXACT_SUM_CAP:
-            # each float(lam_i) is within 2**-53 lam_i of lam_i, so for steps
-            # in [0, 1) the exact sum lies below this float one plus the
-            # slack; an n above that fails without the exact sum
-            s = sched.float_sum(a_n)
-            if n > s + (a_n + 1) * FLOAT_SUM_SLACK:
-                return violation(n, "sum_witness", f"sum of lam_0..lam_{a_n} = {s:.6g} < n = {n}")
-        s = sched.partial_sum(a_n)
-        if isinstance(s, float):
-            slack = (a_n + 1) * FLOAT_SUM_SLACK
-            ok = n <= s - slack
-        else:
-            ok = n <= s
+        ok, s = sched.reaches(a_n, n)
         if not ok:
-            return violation(n, "sum_witness", f"sum of lam_0..lam_{a_n} = {float(s):.6g} < n = {n}")
+            return violation(n, "sum_witness", f"sum of lam_0..lam_{a_n} = {s:.6g} < n = {n}")
     return ScheduleReport(horizon, True, None)
 
 

@@ -560,7 +560,8 @@ def solve_product_afpp(
                 )
         attempts.append(Attempt(float(eps_k), step.n, truncated, step.residual))
         best_residual = min(best_residual, step.residual)
-        if step.residual <= eps_target:
+        # the float test keeps nan and inf out; eps_target = float(eps) may lie above eps
+        if step.residual <= eps_target and Fraction(step.residual) <= eps_f:
             # the first attempt within eps ends the solve: it holds the best pair
             tag = f"product-afpp[{mode}]" + (
                 ":residual-certified-at-budget" if truncated else ":rate-certified"

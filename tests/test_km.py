@@ -97,28 +97,49 @@ def test_harmonic_table_clamps_honestly():
     assert report.first_violation.clause == "sum_witness"
 
 
+def _exact_sums_past(monkeypatch, terms: int) -> None:
+    """Make an exact partial sum of more than ``terms`` terms fail the test."""
+    exact = Schedule.partial_sum
+
+    def guarded(self, m):
+        assert m < terms, f"an exact sum of {m + 1} terms was formed"
+        return exact(self, m)
+
+    monkeypatch.setattr(Schedule, "partial_sum", guarded)
+
+
 def test_harmonic_offset_no_table_covers_is_refused_before_any_sum(monkeypatch):
-    # at offset EXACT_SUM_CAP the summed table fails exactly as the early refusal does
-    with pytest.raises(ScheduleError) as summed:
-        tabulate_alpha(lambda n: Fraction(1, n + EXACT_SUM_CAP), 1)
-    monkeypatch.setattr(km, "tabulate_alpha", None)  # any sum now raises TypeError
-    for offset in (EXACT_SUM_CAP, 10**100):
-        with pytest.raises(ScheduleError) as early:
+    # the EXACT_SUM_CAP terms 1/(m + offset) sum below 1 (to about ln 2 at
+    # offset 4999): their float sums refuse the witness table at n = 1, and
+    # no exact sum, whose denominators grow with every term, is formed
+    _exact_sums_past(monkeypatch, 0)
+    for offset in (EXACT_SUM_CAP - 1, EXACT_SUM_CAP, 10**100, 10**1000):
+        with pytest.raises(ScheduleError) as refused:
             harmonic_schedule(offset=offset)
-        assert str(early.value) == str(summed.value)
+        assert str(refused.value) == f"witness table needs more than {EXACT_SUM_CAP} exact terms to cover n=1"
         assert harmonic_schedule(offset=offset, alpha=alpha_identity()).K == 2
-    monkeypatch.undo()
     assert harmonic_schedule(offset=10**100, alpha_horizon=0).alpha(5) == 0
 
 
-def test_an_explicit_witness_is_refused_by_its_float_sum():
-    # the 5,000 terms 1/(m + 10^100) sum to about 5e-97 < 1: the exact sum,
-    # whose denominators grow with every term, took seconds before the same
-    # refusal, and is no longer read
+def test_an_explicit_witness_is_refused_by_its_float_sum(monkeypatch):
+    # the 5,000 terms 1/(m + 10^100) sum to about 5e-97 < 1: the float sum
+    # refuses n = 1 with no exact sum of them; n = 0 lies in the float band
+    # of lam_0, so lam_0 alone is summed exactly
     sched = harmonic_schedule(offset=10**100, alpha=alpha_table([0, EXACT_SUM_CAP - 1]))
+    _exact_sums_past(monkeypatch, 1)
     report = validate_schedule(sched, 5)
     assert report.summary() == "invalid at n=1: sum_witness (sum of lam_0..lam_4999 = 5e-97 < n = 1)"
-    assert len(sched._cums) == 1
+
+
+def test_a_witness_sum_with_terms_outside_the_unit_interval_is_exact():
+    # terms past the horizon are not range-checked: 10^20 and -10^20 + 1/2
+    # cancel exactly, but not in floats, whose sum of lam_0..lam_3 is 0.5
+    steps = [Fraction(1, 4), Fraction(1, 4), Fraction(10**20), Fraction(-10**20) + Fraction(1, 2)]
+    sched = Schedule(lam=lambda n: steps[n] if n < 4 else Fraction(1, 4), K=2, alpha=alpha_table([0, 3]))
+    assert sched.float_sum(3) == 0.5
+    assert validate_schedule(sched, 1).summary() == "valid up to horizon 1"
+    assert sched.reaches(3, 1) == (True, 1.0)
+    assert sched.reaches(3, 2) == (False, 1.0)
 
 
 _small_tables = st.lists(st.integers(0, 300), min_size=1, max_size=5)
@@ -137,6 +158,81 @@ def test_the_float_bound_keeps_every_exact_verdict(offset, values, horizon):
     assert report.valid == (not failing)
     if failing:
         assert (report.first_violation.n, report.first_violation.clause) == (failing[0], "sum_witness")
+
+
+@st.composite
+def _repeating_steps(draw):
+    """A short list of steps in [0, 1), repeated: k/4, whose sums are exact
+    in floats and often tie naturals, or k/q, whose floats are not exact."""
+    step = st.one_of(st.integers(0, 3).map(lambda k: Fraction(k, 4)), _steps)
+    steps = draw(st.lists(step, min_size=1, max_size=5))
+    return lambda i: steps[i % len(steps)]
+
+
+@st.composite
+def _witness_cases(draw):
+    """(lam, K, cap, m, horizon): the witness alpha == m below or past the
+    cap, and a horizon at the sum of lam_0..lam_m, one above or one below."""
+    lam, cap = draw(_repeating_steps()), draw(st.sampled_from([8, EXACT_SUM_CAP]))
+    m = draw(st.one_of(st.integers(0, cap - 1), st.integers(cap, cap + 40)))
+    total = sum(map(lam, range(m + 1)), Fraction(0))
+    horizon = draw(st.sampled_from([math.floor(total), math.ceil(total)])) + draw(st.sampled_from([-1, 0, 1]))
+    return lam, draw(st.sampled_from([64, 2, 3])), cap, m, max(horizon, 0)
+
+
+def _reference_report(lam, K, m, horizon, cap) -> tuple:
+    """validate_schedule's summary under the witness alpha == m, in Fractions:
+    past the cap, a sum that is not above n by the float band counts as short."""
+    total = sum(map(lam, range(m + 1)), Fraction(0))
+    short_of = total if m < cap else total - (m + 1) * Fraction(km.FLOAT_SUM_SLACK)
+    for n in range(horizon + 1):
+        if lam(n) > 1 - Fraction(1, K):
+            return (f"invalid at n={n}: lambda_cap (lam_{n}={lam(n)} > 1-1/K={1 - Fraction(1, K)})",)
+        if short_of < n:
+            # the sum is printed from the exact sum or, where floats decide, from the float sum
+            floats = math.fsum(float(lam(i)) for i in range(m + 1))
+            return tuple(f"invalid at n={n}: sum_witness (sum of lam_0..lam_{m} = {v:.6g} < n = {n})"
+                         for v in (float(total), floats))
+    return (f"valid up to horizon {horizon}",)
+
+
+@settings(max_examples=150)
+@given(case=_witness_cases())
+# 23 steps 13/23 sum to 13 and their floats to 12.999999999999998; 39 steps 31/39 to 31
+@example(case=(lambda i: Fraction(13, 23), 64, EXACT_SUM_CAP, 22, 13))
+@example(case=(lambda i: Fraction(31, 39), 64, 8, 38, 31))
+def test_validate_schedule_matches_an_exact_reference(case):
+    lam, K, cap, m, horizon = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(km, "EXACT_SUM_CAP", cap)
+        report = validate_schedule(Schedule(lam=lam, K=K, alpha=alpha_table([m])), horizon)
+    assert report.summary() in _reference_report(lam, K, m, horizon, cap)
+    assert report.valid == (report.first_violation is None)
+
+
+def _reference_table(lam, max_n, cap):
+    """tabulate_alpha's entries, or its refusal, by exact accumulation."""
+    values, total, m = [0], lam(0), 0
+    for n in range(1, max_n + 1):
+        while total < n:
+            m += 1
+            if m >= cap:
+                return f"witness table needs more than {cap} exact terms to cover n={n}"
+            total += lam(m)
+        values.append(m)
+    return tuple(values)
+
+
+@settings(max_examples=150)
+@given(lam=_repeating_steps(), max_n=st.integers(0, 8), cap=st.sampled_from([8, 64, EXACT_SUM_CAP]))
+def test_tabulate_alpha_matches_an_exact_reference(lam, max_n, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(km, "EXACT_SUM_CAP", cap)
+        try:
+            table = tabulate_alpha(lam, max_n).table
+        except ScheduleError as exc:
+            table = str(exc)
+    assert table == _reference_table(lam, max_n, cap)
 
 
 def test_partial_sum_exact_then_float():

@@ -767,6 +767,18 @@ def test_solver_bounded_orbit_rate_certified():
     assert res.best_residual == 0.0
 
 
+def test_solver_certifies_only_within_the_exact_eps():
+    # the drop orbit from 0.8 halves to x_3 = float(1/10), which lies above
+    # 1/10: its residual meets eps_target = float(1/10) but not eps itself
+    dom = product(make_interval(0.0, 1.0), UNIT)
+    delta = NonexpansiveMap(UNIT, lambda u: 0.8, "constant(0.8)")
+    res = solve_product_afpp(clamped_drop(dom, 1.0), delta, constant_schedule("1/2"), GridOracle(UNIT),
+                             Fraction(1, 10), budget=3, mode="bounded-orbit", orbit_bound=1)
+    assert res.eps_target == res.best_residual == 0.1 > Fraction(1, 10)
+    assert [(a.n, a.truncated) for a in res.attempts] == [(3, True)]
+    assert res.certificate is None and res.exhausted
+
+
 def test_bounded_orbit_precheck_rejects_false_bound():
     # from delta=5 the drop orbit strays 2.5 from its start; claiming 1 fails
     ex = drop_example()

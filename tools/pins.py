@@ -102,6 +102,14 @@ PINS = [
     Pin("offset1e100", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
                                    "schedule": {"kind": "harmonic", "offset": "1e100"}, "x0": 0.5, "N": 5},
         NO_OUTPUT, 2, 1, None, f"{REFUSED}; the witness table summed 5,000 exact terms first (9.5 s)"),
+    Pin("offset1e1000", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
+                                    "schedule": {"kind": "harmonic", "offset": "1e1000"}, "x0": 0.5, "N": 5},
+        NO_OUTPUT, 2, 1, None, f"{REFUSED}; the float sums of the table's 5,000 terms refuse it, as an "
+                               "offset check once did; before that check it ran over 60 s"),
+    Pin("offset4999", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
+                                  "schedule": {"kind": "harmonic", "offset": 4999}, "x0": 0.5, "N": 5},
+        NO_OUTPUT, 2, 1, None, f"{REFUSED}; the largest offset the offset check let through, whose "
+                               "5,000 terms sum to about ln 2: the other end of that check's job"),
     Pin("witness1e100", "iterate", {"space": {"kind": "interval", "a": 0, "b": 1}, "map": {"name": "identity"},
                                     "schedule": {"kind": "harmonic", "offset": "1e100",
                                                  "alpha": {"kind": "table", "values": [0, 4999]}},
